@@ -15,7 +15,6 @@ nonlinearly.  Second-order mechanical models are
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -51,16 +50,15 @@ class UnknownModelError(KeyError):
 def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray],
                  x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    f0 = np.asarray(fn(x), dtype=float)
-    J = np.empty((f0.size, x.size))
+    cols = []
     for i in range(x.size):
         h = max(FD_STEP, FD_STEP * abs(x[i]))
         xp = x.copy()
         xm = x.copy()
         xp[i] += h
         xm[i] -= h
-        J[:, i] = (np.asarray(fn(xp)) - np.asarray(fn(xm))) / (2.0 * h)
-    return J
+        cols.append((np.asarray(fn(xp)) - np.asarray(fn(xm))) / (2.0 * h))
+    return np.column_stack(cols)
 
 
 @dataclass(frozen=True)
@@ -71,6 +69,12 @@ class StochasticDae:
     resistive/source terms; B is the n-by-m incidence of the linear inputs
     u(t) -> m-vector.  Jacobians are optional; central finite differences
     with step max(1e-7, 1e-7|x_i|) stand in when they are missing.
+
+    A batched model's q, f, dq_dx and df_dx also accept stacks: x of shape
+    (..., n) and xi of shape (..., d) with matching leading axes give
+    (..., n) vectors and (..., n, n) Jacobians.  f_many and jac_f_many
+    evaluate N rows, x (N, n) and xi (N, d), in one call when the model is
+    batched and row by row otherwise.
     """
 
     n: int
@@ -84,6 +88,7 @@ class StochasticDae:
     df_dx: Callable | None = None
     x0_guess: np.ndarray | None = None
     labels: tuple[str, ...] | None = None
+    batched: bool = False
 
     def __post_init__(self):
         B = np.asarray(self.B, dtype=float).reshape(self.n, -1)
@@ -102,6 +107,21 @@ class StochasticDae:
         if self.df_dx is not None:
             return np.asarray(self.df_dx(x, xi, t), dtype=float)
         return _fd_jacobian(lambda y: self.f(y, xi, t), x)
+
+    def f_many(self, X: np.ndarray, P: np.ndarray, t: float) -> np.ndarray:
+        """f at N rows: X (N, n), P (N, d) -> (N, n)."""
+        if self.batched:
+            return self.f(X, P, t)
+        return np.array([self.f(x, xi, t) for x, xi in zip(X, P)],
+                        dtype=float).reshape(X.shape)
+
+    def jac_f_many(self, X: np.ndarray, P: np.ndarray,
+                   t: float) -> np.ndarray:
+        """df/dx at N rows: X (N, n), P (N, d) -> (N, n, n)."""
+        if self.batched and self.df_dx is not None:
+            return np.asarray(self.df_dx(X, P, t), dtype=float)
+        return np.array([self.jac_f(x, xi, t) for x, xi in zip(X, P)],
+                        dtype=float).reshape(X.shape + (self.n,))
 
     def nominal_parameters(self) -> np.ndarray:
         """Mean of each input; the deterministic reference point."""
@@ -204,42 +224,50 @@ def algebraic_model(fn: Callable, distributions: Sequence,
 # device equations shared with the netlist stamps
 
 
-def shockley_current(v: float, i_s: float, n_vt: float):
-    """Diode current and small-signal conductance.
+def _scalars(*arrays):
+    """Python floats when the results are scalars, else the arrays."""
+    if arrays[0].ndim == 0:
+        return tuple(float(a) for a in arrays)
+    return arrays
+
+
+def shockley_current(v, i_s, n_vt):
+    """Diode current and small-signal conductance, elementwise.
 
     Exponential up to 40 thermal voltages, then a C1 linear continuation so
-    Newton iterates cannot overflow.
+    Newton iterates cannot overflow.  Inputs broadcast; scalar inputs give
+    a tuple of floats.
     """
-    knee = 40.0 * n_vt
-    if v <= knee:
-        e = math.exp(v / n_vt)
-        return i_s * (e - 1.0), i_s * e / n_vt
-    ek = math.exp(40.0)
-    g = i_s * ek / n_vt
-    return i_s * (ek - 1.0) + g * (v - knee), g
+    v = np.asarray(v, dtype=float)
+    e = np.exp(np.minimum(v / n_vt, 40.0))
+    g = i_s * e / n_vt
+    i = i_s * (e - 1.0) + g * np.maximum(v - 40.0 * n_vt, 0.0)
+    return _scalars(i, g)
 
 
-def mosfet_current(vgs: float, vds: float, kp: float, vth: float, lam: float):
-    """Symmetric square-law drain current and (gm, gds).
+def mosfet_current(vgs, vds, kp, vth, lam):
+    """Symmetric square-law drain current and (gm, gds), elementwise.
 
     Cutoff below vth, quadratic triode/saturation above, channel-length
-    modulation lam; drain and source roles swap for vds < 0.
+    modulation lam; drain and source roles swap for vds < 0.  Inputs
+    broadcast; scalar inputs give a tuple of floats.
     """
-    if vds < 0.0:
-        i, gm, gds = mosfet_current(vgs - vds, -vds, kp, vth, lam)
-        # d(-i(vgd, -vds))/dvgs etc. via the chain rule
-        return -i, -gm, gm + gds
-    vov = vgs - vth
-    if vov <= 0.0:
-        return 0.0, 0.0, 0.0
-    cl = 1.0 + lam * vds
-    if vds >= vov:  # saturation
-        i0 = 0.5 * kp * vov * vov
-        return i0 * cl, kp * vov * cl, i0 * lam
-    i0 = kp * (vov * vds - 0.5 * vds * vds)
-    gm = kp * vds * cl
-    gds = kp * (vov - vds) * cl + i0 * lam
-    return i0 * cl, gm, gds
+    vgs = np.asarray(vgs, dtype=float)
+    vds = np.asarray(vds, dtype=float)
+    # a reversed device (vds < 0) is evaluated at (vgd, -vds), then mapped
+    # back: i -> -i, gm -> -gm, gds -> gm + gds by the chain rule
+    rev = vds < 0.0
+    vds_e = np.abs(vds)
+    vov = (vgs - np.minimum(vds, 0.0)) - vth
+    vsat = np.minimum(vds_e, vov)      # vov in saturation, vds in triode
+    on = vov > 0.0
+    cl = (1.0 + lam * vds_e) * on      # zero in cutoff
+    i0 = kp * (vov * vsat - 0.5 * vsat * vsat)
+    i = i0 * cl
+    gm = kp * vsat * cl
+    gds = kp * (vov - vsat) * cl + i0 * lam * on
+    sgn = 1.0 - 2.0 * rev
+    return _scalars(sgn * i, sgn * gm, gds + gm * rev)
 
 
 # ---------------------------------------------------------------------------
@@ -269,27 +297,38 @@ def _diode_rectifier(vin: float = 1.0, r: float = 1e3, i_s: float = 1e-9,
              Distribution.uniform(1.0 - rel_r, 1.0 + rel_r))
 
     def resolve(xi):
-        return i_s * math.exp(sigma_is * xi[0]), r * xi[1]
+        xi = np.asarray(xi, dtype=float)
+        return i_s * np.exp(sigma_is * xi[..., 0]), r * xi[..., 1]
 
     def f(x, xi, t):
+        x = np.asarray(x, dtype=float)
         isat, rload = resolve(xi)
-        i_d, _ = shockley_current(x[0] - x[1], isat, n_vt)
-        return np.array([i_d + x[2], -i_d + x[1] / rload, x[0]])
+        i_d, _ = shockley_current(x[..., 0] - x[..., 1], isat, n_vt)
+        return np.stack(np.broadcast_arrays(
+            i_d + x[..., 2], -i_d + x[..., 1] / rload, x[..., 0]), axis=-1)
 
     def df_dx(x, xi, t):
+        x = np.asarray(x, dtype=float)
         isat, rload = resolve(xi)
-        _, g = shockley_current(x[0] - x[1], isat, n_vt)
-        return np.array([[g, -g, 1.0],
-                         [-g, g + 1.0 / rload, 0.0],
-                         [1.0, 0.0, 0.0]])
+        _, g = shockley_current(x[..., 0] - x[..., 1], isat, n_vt)
+        g, rload = np.broadcast_arrays(g, rload)
+        J = np.zeros(g.shape + (3, 3))
+        J[..., 0, 0] = g
+        J[..., 0, 1] = -g
+        J[..., 1, 0] = -g
+        J[..., 1, 1] = g + 1.0 / rload
+        J[..., 0, 2] = 1.0
+        J[..., 2, 0] = 1.0
+        return J
 
     n = 3
     return StochasticDae(
         n=n, d=2, distributions=dists,
-        q=lambda x, xi: np.zeros(n),
+        q=lambda x, xi: np.zeros(np.shape(x)),
         f=f, B=np.array([[0.0], [0.0], [1.0]]), u=lambda t: np.array([vin]),
-        dq_dx=lambda x, xi: np.zeros((n, n)), df_dx=df_dx,
+        dq_dx=lambda x, xi: np.zeros(np.shape(x) + (n,)), df_dx=df_dx,
         x0_guess=np.array([vin, 0.4, -1e-4]),
+        batched=True,
         labels=("v(1)", "v(2)", "i(V1)"))
 
 

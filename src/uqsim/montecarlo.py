@@ -1,8 +1,9 @@
 """Monte Carlo reference engine.
 
 Validation oracle for the spectral solvers: inverse-CDF sampling from a
-seeded PCG64 generator, one deterministic solve per sample, aggregation
-with standard errors, and histogram export.  Sampling is materialized
+seeded PCG64 generator, one deterministic solve per sample (DC samples as
+the rows of stacked Newton solves), aggregation with standard errors, and
+histogram export.  Sampling is materialized
 up front so results are bit-identical for a fixed (model, n, seed)
 regardless of how the solves are scheduled.
 """
@@ -15,13 +16,15 @@ from typing import Sequence
 import numpy as np
 
 from .models import StochasticDae
-from .stsolver import (SolverError, SolverOptions, integrate_deterministic,
-                       newton_dc)
+from .stsolver import (SolverError, SolverOptions, _solve_dc_rows,
+                       integrate_deterministic, newton_dc)
 
 __all__ = ["McResult", "sample_parameters", "run_mc"]
 
 FAILURE_BUDGET = 1e-3  # abort when more than this fraction of samples fail
 HISTOGRAM_BINS = 50
+# DC samples are solved in stacks whose Jacobians take about this many bytes
+CHUNK_BYTES = 1 << 21
 
 
 def sample_parameters(distributions: Sequence, n: int, seed: int
@@ -134,26 +137,28 @@ def run_mc(model: StochasticDae, analysis: str, n: int, seed: int,
                        stderr_std=zeros.copy())
 
     budget = int(np.floor(FAILURE_BUDGET * n))
-
+    start = nominal if x0 is None else x0
     results = np.empty((n, model.n))
     failed = np.zeros(n, dtype=bool)
-    n_failed = 0
-    for i in range(n):
-        try:
-            if analysis == "dc":
-                results[i] = newton_dc(model, xis[i], x0=nominal,
-                                       options=options)
-            else:
-                start = nominal if x0 is None else x0
+    chunk = 1
+    if analysis == "dc":
+        chunk = max(1, CHUNK_BYTES // (8 * model.n * (model.n + 1)))
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        if analysis == "dc":
+            results[lo:hi], _, ok = _solve_dc_rows(
+                model, xis[lo:hi], nominal[None], options)
+            failed[lo:hi] = ~ok
+        else:
+            try:
                 _, states, _ = integrate_deterministic(
-                    model, xis[i], (0.0, t_end), start, options)
-                results[i] = states[-1]
-        except SolverError as exc:
-            failed[i] = True
-            n_failed += 1
-            if n_failed > budget:
-                raise SolverError(
-                    f"Monte Carlo aborted: {n_failed} of {i + 1} samples "
-                    f"failed, exceeding the {FAILURE_BUDGET:.1%} budget"
-                ) from exc
+                    model, xis[lo], (0.0, t_end), start, options)
+                results[lo] = states[-1]
+            except SolverError:
+                failed[lo] = True
+        n_failed = int(np.count_nonzero(failed[:hi]))
+        if n_failed > budget:
+            raise SolverError(
+                f"Monte Carlo aborted: {n_failed} of {hi} samples "
+                f"failed, exceeding the {FAILURE_BUDGET:.1%} budget")
     return _aggregate(results[~failed], n_failed, seed, model.labels)

@@ -23,7 +23,6 @@ nonlinear currents to f, and source values enter through B u(t).
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable
@@ -364,8 +363,61 @@ def _connectivity_check(nl: Netlist):
             "singular")
 
 
+def _incidence(pairs, n: int) -> np.ndarray:
+    """(m, n) matrix: +1 at each pair's first index, -1 at its second.
+
+    Index -1 is ground and gets no column.  With it, the branch quantities
+    of a group of elements are x @ A.T and their stamps are y @ A.
+    """
+    A = np.zeros((len(pairs), n))
+    for row, (a, b) in enumerate(pairs):
+        if a >= 0:
+            A[row, a] += 1.0
+        if b >= 0:
+            A[row, b] -= 1.0
+    return A
+
+
+def _conductance(A: np.ndarray, g) -> np.ndarray:
+    """A.T diag(g) A over the trailing axis of g: (..., n, n)."""
+    return A.T @ (np.asarray(g)[..., :, None] * A)
+
+
+def _param_resolver(items, var_plan) -> Callable:
+    """Compiles resolved values of (element, parameter) pairs.
+
+    The returned function maps xi (..., d) to the (..., m) values:
+    relative variations multiply the nominal value, absolute ones replace
+    it, and unvaried parameters keep it.
+    """
+    base = np.array([e.params[p] for e, p in items], dtype=float)
+    plans = [var_plan.get((e.name, p)) for e, p in items]
+    if all(plan is None for plan in plans):
+        return lambda xi: base
+    k = np.array([0 if plan is None else plan[1] for plan in plans])
+    rel = np.array([plan is not None and plan[0] == "relative"
+                    for plan in plans])
+    ab = np.array([plan is not None and plan[0] == "absolute"
+                   for plan in plans])
+    if rel.all():
+        return lambda xi: base * xi[..., k]
+    if ab.all():
+        return lambda xi: xi[..., k]
+
+    def resolve(xi):
+        vals = xi[..., k]
+        return np.where(ab, vals, np.where(rel, base * vals, base))
+
+    return resolve
+
+
 def elaborate(nl: Netlist) -> StochasticDae:
-    """Assemble the stochastic DAE by full modified nodal analysis."""
+    """Assemble the stochastic DAE by full modified nodal analysis.
+
+    The elements are compiled once into one incidence matrix per element
+    group and index arrays into xi, so the returned model is batched: q, f
+    and their Jacobians broadcast over stacks of states and parameters.
+    """
     _connectivity_check(nl)
 
     node_index: dict[str, int] = {}
@@ -384,7 +436,7 @@ def elaborate(nl: Netlist) -> StochasticDae:
     labels = tuple(f"v({nd})" for nd in node_index) + tuple(
         f"i({name})" for name in branch_index)
 
-    # per-element resolved-parameter plan: (mode, variation index) per param
+    # (mode, variation index) per varied (element, parameter)
     var_plan: dict[tuple[str, str], tuple[str, int]] = {}
     for k, v in enumerate(nl.variations):
         if (v.element, v.param) in var_plan:
@@ -394,16 +446,6 @@ def elaborate(nl: Netlist) -> StochasticDae:
         var_plan[(v.element, v.param)] = (v.mode, k)
     d = len(nl.variations)
     distributions = tuple(v.distribution for v in nl.variations)
-
-    def resolved(e: Element, xi) -> dict:
-        params = dict(e.params)
-        for pname in e.params:
-            plan = var_plan.get((e.name, pname))
-            if plan is not None:
-                mode, k = plan
-                params[pname] = (params[pname] * xi[k] if mode == "relative"
-                                 else float(xi[k]))
-        return params
 
     v_sources = [e for e in nl.elements if e.kind == "V"]
     i_sources = [e for e in nl.elements if e.kind == "I"]
@@ -434,129 +476,90 @@ def elaborate(nl: Netlist) -> StochasticDae:
             "variations on source values are not supported (element(s) "
             + ", ".join(varied_sources) + "); vary passive parameters")
 
-    def add(vec, k, val):
-        if k >= 0:
-            vec[k] += val
+    def group(kind):
+        return [e for e in nl.elements if e.kind == kind]
 
+    def terminals(elems, first=0, second=1):
+        return [(idx(e.nodes[first]), idx(e.nodes[second])) for e in elems]
+
+    # voltage-source and inductor branch equations are linear and fixed
+    G0 = np.zeros((n, n))
+    for e in nl.elements:
+        if e.kind in ("V", "L"):
+            k = branch_index[e.name]
+            sgn = 1.0 if e.kind == "V" else -1.0
+            for node, s in ((idx(e.nodes[0]), 1.0), (idx(e.nodes[1]), -1.0)):
+                if node >= 0:
+                    G0[node, k] += s
+                    G0[k, node] += s * sgn
+
+    res, dio, mos = group("R"), group("D"), group("M")
+    A_r = _incidence(terminals(res), n)
+    A_d = _incidence(terminals(dio), n)
+    A_gs = _incidence(terminals(mos, 1, 2), n)
+    A_ds = _incidence(terminals(mos, 0, 2), n)
+    r_val = _param_resolver([(e, "r") for e in res], var_plan)
+    d_is = _param_resolver([(e, "is") for e in dio], var_plan)
+    d_nvt = _param_resolver([(e, "nvt") for e in dio], var_plan)
+    m_kp, m_vth, m_lam = (_param_resolver([(e, p) for e in mos], var_plan)
+                          for p in ("kp", "vth", "lam"))
+
+    # charges of capacitors and fluxes of inductors: value * (x @ A.T)
+    storage = [e for e in nl.elements if e.kind in ("C", "L")]
+    A_q = _incidence([(idx(e.nodes[0]), idx(e.nodes[1])) if e.kind == "C"
+                      else (branch_index[e.name], -1) for e in storage], n)
+    q_val = _param_resolver([(e, "c" if e.kind == "C" else "l")
+                             for e in storage], var_plan)
+
+    # every kernel takes x (..., n) and xi (..., d) whose leading axes are
+    # equal or absent from xi, and returns arrays with x's leading axes
     def q(x, xi):
-        out = np.zeros(n)
-        for e in nl.elements:
-            if e.kind == "C":
-                p = resolved(e, xi)
-                a, b = idx(e.nodes[0]), idx(e.nodes[1])
-                va = x[a] if a >= 0 else 0.0
-                vb = x[b] if b >= 0 else 0.0
-                qc = p["c"] * (va - vb)
-                add(out, a, qc)
-                add(out, b, -qc)
-            elif e.kind == "L":
-                p = resolved(e, xi)
-                out[branch_index[e.name]] += p["l"] * x[branch_index[e.name]]
+        x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
+        out = np.zeros(x.shape)
+        if storage:
+            out += (q_val(xi) * (x @ A_q.T)) @ A_q
         return out
 
     def dq_dx(x, xi):
-        out = np.zeros((n, n))
-        for e in nl.elements:
-            if e.kind == "C":
-                p = resolved(e, xi)
-                a, b = idx(e.nodes[0]), idx(e.nodes[1])
-                c = p["c"]
-                for r, s, val in ((a, a, c), (a, b, -c), (b, a, -c), (b, b, c)):
-                    if r >= 0 and s >= 0:
-                        out[r, s] += val
-            elif e.kind == "L":
-                k = branch_index[e.name]
-                out[k, k] += resolved(e, xi)["l"]
+        x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
+        out = np.zeros(x.shape + (n,))
+        if storage:
+            out += _conductance(A_q, q_val(xi))
         return out
 
     def f(x, xi, t):
-        out = np.zeros(n)
-        for e in nl.elements:
-            a = idx(e.nodes[0])
-            b = idx(e.nodes[1]) if len(e.nodes) > 1 else -1
-            va = x[a] if a >= 0 else 0.0
-            vb = x[b] if b >= 0 else 0.0
-            if e.kind == "R":
-                g = 1.0 / resolved(e, xi)["r"]
-                add(out, a, g * (va - vb))
-                add(out, b, -g * (va - vb))
-            elif e.kind == "V":
-                k = branch_index[e.name]
-                add(out, a, x[k])
-                add(out, b, -x[k])
-                out[k] += va - vb
-            elif e.kind == "L":
-                k = branch_index[e.name]
-                add(out, a, x[k])
-                add(out, b, -x[k])
-                out[k] -= va - vb
-            elif e.kind == "D":
-                p = resolved(e, xi)
-                i_d, _ = shockley_current(va - vb, p["is"], p["nvt"])
-                add(out, a, i_d)
-                add(out, b, -i_d)
-            elif e.kind == "M":
-                p = resolved(e, xi)
-                dn, gn, sn = (idx(nd) for nd in e.nodes)
-                vd = x[dn] if dn >= 0 else 0.0
-                vg = x[gn] if gn >= 0 else 0.0
-                vs = x[sn] if sn >= 0 else 0.0
-                i_ds, _, _ = mosfet_current(vg - vs, vd - vs,
-                                            p["kp"], p["vth"], p["lam"])
-                add(out, dn, i_ds)
-                add(out, sn, -i_ds)
+        x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
+        out = x @ G0.T
+        if res:
+            out += ((1.0 / r_val(xi)) * (x @ A_r.T)) @ A_r
+        if dio:
+            i_d, _ = shockley_current(x @ A_d.T, d_is(xi), d_nvt(xi))
+            out += i_d @ A_d
+        if mos:
+            i_ds, _, _ = mosfet_current(x @ A_gs.T, x @ A_ds.T,
+                                        m_kp(xi), m_vth(xi), m_lam(xi))
+            out += i_ds @ A_ds
         return out
 
     def df_dx(x, xi, t):
-        out = np.zeros((n, n))
-
-        def stamp2(a, b, g):
-            for r, s, val in ((a, a, g), (a, b, -g), (b, a, -g), (b, b, g)):
-                if r >= 0 and s >= 0:
-                    out[r, s] += val
-
-        for e in nl.elements:
-            a = idx(e.nodes[0])
-            b = idx(e.nodes[1]) if len(e.nodes) > 1 else -1
-            if e.kind == "R":
-                stamp2(a, b, 1.0 / resolved(e, xi)["r"])
-            elif e.kind in ("V", "L"):
-                k = branch_index[e.name]
-                sgn = 1.0 if e.kind == "V" else -1.0
-                if a >= 0:
-                    out[a, k] += 1.0
-                    out[k, a] += sgn
-                if b >= 0:
-                    out[b, k] -= 1.0
-                    out[k, b] -= sgn
-            elif e.kind == "D":
-                p = resolved(e, xi)
-                va = x[a] if a >= 0 else 0.0
-                vb = x[b] if b >= 0 else 0.0
-                _, g = shockley_current(va - vb, p["is"], p["nvt"])
-                stamp2(a, b, g)
-            elif e.kind == "M":
-                p = resolved(e, xi)
-                dn, gn, sn = (idx(nd) for nd in e.nodes)
-                vd = x[dn] if dn >= 0 else 0.0
-                vg = x[gn] if gn >= 0 else 0.0
-                vs = x[sn] if sn >= 0 else 0.0
-                _, gm, gds = mosfet_current(vg - vs, vd - vs,
-                                            p["kp"], p["vth"], p["lam"])
-                for r in (dn, sn):
-                    if r < 0:
-                        continue
-                    sgn = 1.0 if r == dn else -1.0
-                    if dn >= 0:
-                        out[r, dn] += sgn * gds
-                    if gn >= 0:
-                        out[r, gn] += sgn * gm
-                    if sn >= 0:
-                        out[r, sn] += sgn * (-gm - gds)
+        x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
+        out = np.zeros(x.shape + (n,))
+        out += G0
+        if res:
+            out += _conductance(A_r, 1.0 / r_val(xi))
+        if dio:
+            _, g = shockley_current(x @ A_d.T, d_is(xi), d_nvt(xi))
+            out += _conductance(A_d, g)
+        if mos:
+            _, gm, gds = mosfet_current(x @ A_gs.T, x @ A_ds.T,
+                                        m_kp(xi), m_vth(xi), m_lam(xi))
+            # d i_ds / dx = gm * A_gs + gds * A_ds, stamped at drain/source
+            out += A_ds.T @ (np.asarray(gm)[..., :, None] * A_gs
+                             + np.asarray(gds)[..., :, None] * A_ds)
         return out
 
     return StochasticDae(
         n=n, d=d, distributions=distributions,
         q=q, f=f, B=B, u=lambda t: u_values,
         dq_dx=dq_dx, df_dx=df_dx,
-        x0_guess=np.zeros(n), labels=labels)
+        x0_guess=np.zeros(n), labels=labels, batched=True)

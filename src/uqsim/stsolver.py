@@ -6,7 +6,8 @@ tensor Gauss grid (order p+1 per dimension), and the K points with the
 largest tensor weights that keep the collocation matrix V[j, k] =
 Phi_k(xi_j) well conditioned are kept.  Because V is square and invertible,
 every Newton iteration and every implicit time step decouples into K
-independent n-by-n solves in point space; coefficients are recovered as
+independent n-by-n solves in point space; the DC solves of all K points
+run as the rows of one stacked Newton.  Coefficients are recovered as
 V^-1 X whenever an expansion is needed.
 
 Time integration is trapezoidal with a backward-Euler startup step, one
@@ -69,7 +70,7 @@ class SolverOptions:
     max_step_fraction: float = 0.1
     accepts_before_double: int = 5
     fixed_step: float | None = None   # disables step control when set
-    threads: int = 1
+    threads: int = 1                  # transient steppers only
 
     def dc_tol(self, n: int) -> float:
         return self.dc_tol_scale * n
@@ -165,52 +166,134 @@ def select_testing_points(bases: Sequence[OrthoBasis], idx: MultiIndexSet,
 # deterministic primitives (also used by the Monte Carlo driver)
 
 
+_ALL = slice(None)
+
+
+def _row_norms(R: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.add.reduce(R * R, axis=1))
+
+
+def _solve_rows(J: np.ndarray, R: np.ndarray):
+    """Newton steps -J^-1 R per row, and the mask of rows whose J is
+    singular (None when there are none); those rows get no step."""
+    try:
+        return np.linalg.solve(J, -R[..., None])[..., 0], None
+    except np.linalg.LinAlgError:
+        step = np.zeros_like(R)
+        singular = np.zeros(len(R), dtype=bool)
+        for i in range(len(R)):
+            try:
+                step[i] = np.linalg.solve(J[i], -R[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return step, singular
+
+
 def _damped_newton(residual: Callable, jacobian: Callable, x0: np.ndarray,
                    tol: float, max_iter: int, max_damping: int):
-    """Newton with residual-norm damping; returns (x, final norm) or raises."""
-    x = np.array(x0, dtype=float)
-    r = residual(x)
-    rnorm = np.linalg.norm(r)
+    """Row-wise Newton with residual-norm damping on a stack X (N, n).
+
+    residual(Y, rows) and jacobian(Y, rows) evaluate the rows `rows` of the
+    stack (an index array, or slice(None) for all rows) at states Y
+    (len(rows), n); they return (len(rows), n) residuals and
+    (len(rows), n, n) Jacobians.  Each row follows the iterates of a scalar
+    damped Newton on its own: a full step, then halvings until its residual
+    norm drops, taking the last halving when none does.  A row stops once
+    its norm is at most tol.  A row whose Jacobian is singular stops there,
+    unconverged; the other rows go on.
+
+    Returns (X, residual norms (N,), converged mask (N,)).
+    """
+    X = np.array(x0, dtype=float)
+    N = len(X)
+    R = residual(X, _ALL)
+    rnorm = _row_norms(R)
+    failed = None          # mask of rows stopped by a singular Jacobian
     for _ in range(max_iter):
-        if rnorm <= tol:
-            return x, rnorm
-        try:
-            step = np.linalg.solve(jacobian(x), -r)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"singular Jacobian in Newton iteration: {exc}",
-                              residual=float(rnorm)) from None
+        done = rnorm <= tol
+        if failed is not None:
+            done |= failed
+        n_done = np.count_nonzero(done)
+        if n_done == N:
+            break
+        rows = _ALL if not n_done else np.flatnonzero(~done)
+        step, singular = _solve_rows(jacobian(X[rows], rows), R[rows])
+        if singular is not None:
+            rows = np.arange(N)[rows]
+            if failed is None:
+                failed = np.zeros(N, dtype=bool)
+            failed[rows[singular]] = True
+            rows, step = rows[~singular], step[~singular]
+            if not rows.size:
+                continue
+        x_old, base = X[rows], rnorm[rows]
+        pend = _ALL   # rows of `rows` still searching for a damping factor
         lam = 1.0
-        for _ in range(max_damping):
-            xn = x + lam * step
-            rn = residual(xn)
-            rn_norm = np.linalg.norm(rn)
-            if rn_norm < rnorm:
+        for k in range(max_damping + 1):
+            at = rows if pend is _ALL else np.arange(N)[rows][pend]
+            Y = x_old[pend] + lam * step[pend]
+            RY = residual(Y, at)
+            nY = _row_norms(RY)
+            if k == max_damping:
+                ok = np.ones(len(nY), dtype=bool)
+            else:
+                ok = nY < base[pend]
+            if np.count_nonzero(ok) == len(ok):
+                if at is _ALL:
+                    X, R, rnorm = Y, RY, nY
+                else:
+                    X[at], R[at], rnorm[at] = Y, RY, nY
                 break
+            took = np.arange(N)[at][ok]
+            X[took], R[took], rnorm[took] = Y[ok], RY[ok], nY[ok]
+            pend = (np.arange(len(step)) if pend is _ALL else pend)[~ok]
             lam *= 0.5
-        else:
-            xn = x + lam * step
-            rn = residual(xn)
-            rn_norm = np.linalg.norm(rn)
-        x, r, rnorm = xn, rn, rn_norm
-    if rnorm <= tol:
-        return x, rnorm
+    converged = rnorm <= tol
+    return X, rnorm, converged if failed is None else converged & ~failed
+
+
+def _check_converged(rnorm: np.ndarray, ok: np.ndarray, tol: float,
+                     options: SolverOptions, where: str = "") -> None:
+    """Raises SolverError with the worst residual if a row failed."""
+    if ok.all():
+        return
+    worst = float(np.max(rnorm[~ok]))
     raise SolverError(
-        f"Newton did not converge in {max_iter} iterations "
-        f"(residual {rnorm:.3e}, tol {tol:.3e})", residual=float(rnorm))
+        f"Newton did not converge{where} (residual {worst:.3e}, tol "
+        f"{tol:.3e}): {options.newton_max_iter} iterations ran out or the "
+        "Jacobian was singular", residual=worst)
 
 
 def newton_dc(model: StochasticDae, xi: np.ndarray,
               x0: np.ndarray | None = None, t: float = 0.0,
               options: SolverOptions = SolverOptions()) -> np.ndarray:
     """DC operating point at one parameter sample: f(x, xi, t) = B u(t)."""
-    rhs = model.B @ model.u(t)
     start = model.initial_guess() if x0 is None else np.asarray(x0, float)
-    x, _ = _damped_newton(
-        lambda y: model.f(y, xi, t) - rhs,
-        lambda y: model.jac_f(y, xi, t),
-        start, options.dc_tol(model.n),
-        options.newton_max_iter, options.newton_max_damping)
-    return x
+    X, rnorm, ok = _solve_dc_rows(model, np.asarray(xi, float)[None],
+                                  start[None], options, t)
+    _check_converged(rnorm, ok, options.dc_tol(model.n), options)
+    return X[0]
+
+
+def _solve_dc_rows(model: StochasticDae, P: np.ndarray, X0: np.ndarray,
+                   options: SolverOptions, t: float = 0.0):
+    """Stacked DC solves f(x_i, P_i, t) = B u(t), one per row of P (N, d).
+
+    X0 is (N, n), or (1, n) for one start shared by every row.  Returns
+    _damped_newton's (X, residual norms, converged mask).
+    """
+    rhs = model.B @ model.u(t)
+
+    def residual(Y, rows):
+        return model.f_many(Y, P[rows], t) - rhs
+
+    def jacobian(Y, rows):
+        return model.jac_f_many(Y, P[rows], t)
+
+    return _damped_newton(residual, jacobian,
+                          np.broadcast_to(X0, (len(P), model.n)),
+                          options.dc_tol(model.n), options.newton_max_iter,
+                          options.newton_max_damping)
 
 
 def _map_points(fn: Callable, items, threads: int):
@@ -240,14 +323,13 @@ def recover_coefficients(values: np.ndarray, tps: TestingPointSet,
 def solve_dc(model: StochasticDae, tps: TestingPointSet,
              bases: Sequence[OrthoBasis], idx: MultiIndexSet,
              options: SolverOptions = SolverOptions()) -> GpcExpansion:
-    """Decoupled stochastic DC: K independent Newton solves, then V^-1."""
+    """Decoupled stochastic DC: one stacked Newton over the K testing
+    points, warm-started from the nominal solution, then V^-1."""
     nominal = newton_dc(model, model.nominal_parameters(), options=options)
-
-    def solve_point(j):
-        return newton_dc(model, tps.points[j], x0=nominal, options=options)
-
-    X = np.array(_map_points(solve_point, range(tps.n_points),
-                             options.threads))
+    X, rnorm, ok = _solve_dc_rows(model, tps.points, nominal[None], options)
+    _check_converged(rnorm, ok, options.dc_tol(model.n), options,
+                     f" at {int(np.sum(~ok))} of {tps.n_points} testing "
+                     "points")
     return recover_coefficients(X, tps, idx, tuple(bases))
 
 
@@ -288,10 +370,13 @@ def solve_dc_monolithic(model: StochasticDae, tps: TestingPointSet,
     nominal = newton_dc(model, model.nominal_parameters(), options=options)
     C0 = np.zeros((K, n))
     C0 += np.linalg.solve(V, np.tile(nominal, (K, 1)))
-    z, _ = _damped_newton(residual, jacobian, C0.ravel(),
-                          options.dc_tol(model.n) * np.sqrt(K),
-                          options.newton_max_iter, options.newton_max_damping)
-    return GpcExpansion(idx, unpack(z).copy(), tuple(bases))
+    tol = options.dc_tol(model.n) * np.sqrt(K)
+    Z, rnorm, ok = _damped_newton(
+        lambda Y, rows: residual(Y[0])[None],
+        lambda Y, rows: jacobian(Y[0])[None], C0.reshape(1, -1), tol,
+        options.newton_max_iter, options.newton_max_damping)
+    _check_converged(rnorm, ok, tol, options)
+    return GpcExpansion(idx, unpack(Z[0]).copy(), tuple(bases))
 
 
 # ---------------------------------------------------------------------------
@@ -373,21 +458,24 @@ class _PointIntegrator:
         model = self.model
         rhs_new = model.B @ model.u(t_new)
 
-        def residual(y):
+        def residual(Y, rows):
+            y = Y[0]
             g_new = model.f(y, self.xi, t_new) - rhs_new
             return ((model.q(y, self.xi) - q_old) / h
-                    + theta * g_new + (1.0 - theta) * f_old_term)
+                    + theta * g_new + (1.0 - theta) * f_old_term)[None]
 
-        def jacobian(y):
-            return (model.jac_q(y, self.xi) / h
-                    + theta * model.jac_f(y, self.xi, t_new))
+        def jacobian(Y, rows):
+            return (model.jac_q(Y[0], self.xi) / h
+                    + theta * model.jac_f(Y[0], self.xi, t_new))[None]
 
         opt = self.options
-        x_new, _ = _damped_newton(residual, jacobian, self.x,
-                                  opt.dc_tol(model.n), opt.newton_max_iter,
-                                  opt.newton_max_damping)
+        tol = opt.dc_tol(model.n)
+        X, rnorm, ok = _damped_newton(residual, jacobian, self.x[None], tol,
+                                      opt.newton_max_iter,
+                                      opt.newton_max_damping)
+        _check_converged(rnorm, ok, tol, opt)
         self.n_solves += 1
-        return x_new
+        return X[0]
 
     def attempt(self, t, h):
         """Try one step; returns (x_new, lte_estimate); does not commit."""

@@ -184,6 +184,29 @@ def test_rerun_is_idempotent(divider, tmp_path):
     assert not list(out.glob("*.tmp"))
 
 
+def test_writes_sharing_an_artifact_name_do_not_collide(tmp_path,
+                                                        monkeypatch):
+    # a second job writes the same artifact while the first sits between
+    # its write and its rename; neither may fail or leave a temporary file
+    path = str(tmp_path / "dc_stats.csv")
+    replace = os.replace
+    nested = []
+
+    def interleaved(src, dst):
+        if not nested:
+            nested.append(src)
+            cli._write(path, "second\n")
+        replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", interleaved)
+    cli._write(path, "first\n")
+    assert open(path).read() == "first\n"
+    assert os.listdir(tmp_path) == ["dc_stats.csv"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+
+
 def test_single_thread_matches_parallel(divider, tmp_path):
     for threads, name in (("1", "t1"), ("4", "t4")):
         assert cli.main(["dc", "--netlist", divider, "--order", "3",

@@ -93,6 +93,40 @@ class TestRunMc:
         with pytest.raises(SolverError, match="budget"):
             run_mc(bad, "dc", n=200, seed=2)
 
+    def test_failed_rows_count_against_the_budget(self):
+        # the smallest sample has a singular Jacobian and the largest an
+        # unsolvable equation; every other sample solves x = xi
+        dists = (Distribution.uniform(0.0, 1.0),)
+
+        def batched_model(lo, hi):
+            def f(x, xi, t):
+                x, xi = np.asarray(x), np.asarray(xi)
+                return np.where(xi == lo, 0.0 * x - 1.0,
+                                np.where(xi == hi, x * x + 1.0, x - xi))
+
+            def df_dx(x, xi, t):
+                x, xi = np.asarray(x), np.asarray(xi)
+                return np.where(xi == lo, 0.0, np.where(
+                    xi == hi, 2.0 * x, 1.0))[..., None]
+
+            return models.StochasticDae(
+                n=1, d=1, distributions=dists, q=lambda x, xi: 0.0 * x,
+                f=f, df_dx=df_dx, B=np.zeros((1, 0)),
+                u=lambda t: np.zeros(0), x0_guess=np.array([0.3]),
+                batched=True)
+
+        xis = sample_parameters(dists, 2000, seed=3)[:, 0]   # budget 2
+        mc = run_mc(batched_model(xis.min(), xis.max()), "dc", n=2000,
+                    seed=3)
+        assert (mc.n_failed, mc.n_samples) == (2, 1998)
+        solvable = np.sort(xis)[1:-1]
+        assert mc.mean[0] == pytest.approx(solvable.mean(), abs=1e-12)
+
+        xis = sample_parameters(dists, 1000, seed=3)[:, 0]   # budget 1
+        with pytest.raises(SolverError, match="2 of 1000 samples"):
+            run_mc(batched_model(xis.min(), xis.max()), "dc", n=1000,
+                   seed=3)
+
     def test_transient_needs_t_end(self):
         dae = netlist.elaborate(netlist.parse_netlist(DIVIDER_VARIED))
         with pytest.raises(ValueError, match="t_end"):

@@ -1,6 +1,7 @@
 """Stochastic testing solver: selection, decoupled DC, transient stepping."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from scipy.integrate import quad
 
 from uqsim import models, netlist
 from uqsim.models import algebraic_model, builtin_model
+from uqsim.montecarlo import sample_parameters
 from uqsim.polychaos import (Distribution, GpcExpansion, golub_welsch,
                              make_standard_basis, tensor_quadrature,
                              total_degree_index_set)
-from uqsim.stsolver import (SolverError, SolverOptions, integrate_deterministic,
+from uqsim.stsolver import (SolverError, SolverOptions, _damped_newton,
+                            _solve_dc_rows, integrate_deterministic,
                             integrate_transient, newton_dc,
                             recover_coefficients, select_testing_points,
                             solve_dc, solve_dc_monolithic, standard_bases)
@@ -135,6 +138,65 @@ class TestSolveDc:
         with pytest.raises(SolverError) as err:
             newton_dc(bad, np.array([1.0]))
         assert err.value.residual is not None and err.value.residual > 0
+
+
+class TestStackedNewton:
+    @pytest.mark.parametrize("name", ["diode_rectifier", "opamp_like",
+                                      "nonlinear_2node", "row_by_row"])
+    def test_matches_separate_newton_dc(self, name):
+        if name == "nonlinear_2node":
+            dae = netlist.elaborate(netlist.parse_netlist(NONLINEAR_2NODE))
+        elif name == "row_by_row":  # the same equations, one row per call
+            dae = replace(builtin_model("diode_rectifier"), batched=False)
+        else:
+            dae = builtin_model(name)
+        P = sample_parameters(dae.distributions, 40, seed=1)
+        nominal = newton_dc(dae, dae.nominal_parameters())
+        X, rnorm, ok = _solve_dc_rows(dae, P, nominal[None], SolverOptions())
+        assert ok.all()
+        separate = np.array([newton_dc(dae, xi, x0=nominal) for xi in P])
+        assert np.max(np.abs(X - separate)) <= 1e-12
+
+    def test_singular_and_diverging_rows_fail_alone(self):
+        # row i solves C[i,0] x + C[i,1] x^2 + C[i,2] = 0
+        C = np.array([[1.0, 0.0, -0.5],    # root 0.5
+                      [0.0, 0.0, -1.0],    # Jacobian identically zero
+                      [0.0, 1.0, 1.0],     # x^2 + 1: no real root
+                      [2.0, 1.0, -3.0]])   # root 1
+
+        def residual(Y, rows):
+            c, y = C[rows], Y[:, 0]
+            return (c[:, 0] * y + c[:, 1] * y * y + c[:, 2])[:, None]
+
+        def jacobian(Y, rows):
+            c = C[rows]
+            return (c[:, 0] + 2.0 * c[:, 1] * Y[:, 0])[:, None, None]
+
+        X, rnorm, ok = _damped_newton(residual, jacobian,
+                                      np.full((4, 1), 0.3), 1e-12, 50, 8)
+        assert ok.tolist() == [True, False, False, True]
+        assert X[[0, 3], 0] == pytest.approx([0.5, 1.0], abs=1e-12)
+        assert rnorm[1] == 1.0 and rnorm[2] >= 1.0
+        for i in (0, 3):
+            Xi, _, oki = _damped_newton(
+                lambda Y, rows: residual(Y, [i]),
+                lambda Y, rows: jacobian(Y, [i]), [[0.3]], 1e-12, 50, 8)
+            assert oki[0] and Xi[0, 0] == X[i, 0]
+
+
+    def test_singular_jacobian_is_a_solver_error(self):
+        # f = -1 everywhere: the Jacobian is exactly zero in DC and in
+        # every implicit step
+        dae = models.StochasticDae(
+            n=1, d=1, distributions=(Distribution.uniform(0.0, 1.0),),
+            q=lambda x, xi: 0.0 * x, f=lambda x, xi, t: 0.0 * x - 1.0,
+            B=np.zeros((1, 0)), u=lambda t: np.zeros(0))
+        with pytest.raises(SolverError) as err:
+            newton_dc(dae, np.array([0.5]))
+        assert err.value.residual == 1.0
+        with pytest.raises(SolverError):
+            integrate_deterministic(dae, np.array([0.5]), (0.0, 1.0),
+                                    np.zeros(1))
 
 
 class TestDecouplingEquivalence:
