@@ -481,8 +481,8 @@ def _run_mc(cfg: JobConfig) -> None:
     lines = ["output,bin_lo,bin_hi,count"]
     for label, (edges, counts) in zip(labels, result.histograms):
         for b in range(len(counts)):
-            lines.append(f"{label},{edges[b]!r},{edges[b + 1]!r},"
-                         f"{int(counts[b])}")
+            lines.append(f"{label},{float(edges[b])!r},"
+                         f"{float(edges[b + 1])!r},{int(counts[b])}")
     _write(_artifact(cfg, "mc_histogram.csv"), "\n".join(lines) + "\n")
     _print_stats(labels, result.mean, std)
     print(f"mc: {result.n_samples} {analysis} samples, seed {result.seed}, "

@@ -21,11 +21,10 @@ from scipy.interpolate import PchipInterpolator
 
 from .models import StochasticDae, algebraic_model
 from .polychaos import (Distribution, GpcExpansion, MultiIndexSet, OrthoBasis,
-                        QuadratureRule, golub_welsch, make_standard_basis,
-                        stieltjes_basis, tensor_quadrature,
-                        total_degree_index_set)
+                        QuadratureRule, golub_welsch, stieltjes_basis,
+                        tensor_quadrature, total_degree_index_set)
 from .stsolver import (SolverOptions, integrate_transient,
-                       select_testing_points, solve_dc)
+                       select_testing_points, solve_dc, standard_bases)
 
 __all__ = [
     "Surrogate",
@@ -94,8 +93,6 @@ def extract_block_surrogate(model: StochasticDae, order: int,
                             options: SolverOptions = SolverOptions()
                             ) -> Surrogate:
     """Solve a block's DC problem and normalize one output as zeta."""
-    from .stsolver import standard_bases
-
     bases = standard_bases(model, order)
     idx = total_degree_index_set(model.d, order)
     tps = select_testing_points(bases, idx)
@@ -199,14 +196,8 @@ class IntermediateDensity:
 
 def _oversampled_rule(dists: Sequence[Distribution], nodes: int
                       ) -> QuadratureRule:
-    rules = []
-    for dist in dists:
-        if dist.kind == "custom":
-            basis = stieltjes_basis(dist, nodes - 1)
-        else:
-            basis = make_standard_basis(dist, nodes - 1)
-        rules.append(golub_welsch(basis, nodes))
-    return tensor_quadrature(rules)
+    return tensor_quadrature([golub_welsch(basis, nodes)
+                              for basis in standard_bases(dists, nodes - 1)])
 
 
 def density_by_quadrature(s: Surrogate,
@@ -329,7 +320,6 @@ def demo_system(name: str, densities: Sequence[IntermediateDensity],
     dists = tuple(d.as_distribution() for d in densities)
     key = name.replace("-", "_")
     if key == "sum":
-        q = len(dists)
         return algebraic_model(lambda z: [float(np.sum(z))], dists, 1,
                                labels=("sum",))
     if key == "rc_zeta":

@@ -59,25 +59,6 @@ class McResult:
     def std(self) -> np.ndarray:
         return np.sqrt(self.variance)
 
-    def histogram_csv(self, output: int = 0) -> str:
-        edges, counts = self.histograms[output]
-        lines = ["bin_left,bin_right,count"]
-        for i, c in enumerate(counts):
-            lines.append(
-                f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(c)}")
-        return "\n".join(lines) + "\n"
-
-    def stats_csv(self) -> str:
-        labels = self.labels or tuple(
-            f"x{i}" for i in range(len(self.mean)))
-        lines = ["output,mean,std,stderr_mean,stderr_std"]
-        for i, lab in enumerate(labels):
-            lines.append(",".join([lab, repr(float(self.mean[i])),
-                                   repr(float(self.std[i])),
-                                   repr(float(self.stderr[i])),
-                                   repr(float(self.stderr_std[i]))]))
-        return "\n".join(lines) + "\n"
-
 
 def _aggregate(samples: np.ndarray, n_failed: int, seed: int,
                labels) -> McResult:

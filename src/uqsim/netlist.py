@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .polychaos import Distribution
+from .polychaos import FAMILIES, Distribution
 from .models import StochasticDae, shockley_current, mosfet_current
 
 __all__ = [
@@ -71,7 +71,9 @@ _KIND_DEFAULTS = {
     "M": {"lam": 0.0},
 }
 
-_FAMILIES = ("gauss", "gaussian", "uniform", "gamma", "beta")
+# variation family spelling -> distribution kind; printing uses the first
+# spelling of a kind
+_SPELLINGS = {"gauss": "gaussian", **{kind: kind for kind in FAMILIES}}
 
 
 class NetlistError(ValueError):
@@ -126,33 +128,21 @@ def _parse_variation(value: str, where: Callable[[], str]):
         mode = "relative"
         body = body[len("relative:"):]
     m = re.fullmatch(r"([A-Za-z]+)\(([^()]*)\)", body)
-    if m is None or m.group(1).lower() not in _FAMILIES:
+    if m is None or m.group(1).lower() not in _SPELLINGS:
         raise NetlistError(
             where() + f" malformed variation '{value}' (expected "
             "[relative:]family(args) with family one of "
-            + ", ".join(_FAMILIES) + ")")
+            + ", ".join(_SPELLINGS) + ")")
     family = m.group(1).lower()
     args = [_parse_value(a.strip(), where)
             for a in m.group(2).split(",") if a.strip()]
 
-    def need(k):
-        if len(args) != k:
-            raise NetlistError(
-                where() + f" {family} takes {k} arguments, got {len(args)}")
-
-    if family in ("gauss", "gaussian"):
-        need(2)
-        dist = Distribution.gaussian(args[0], args[1])
-    elif family == "uniform":
-        need(2)
-        dist = Distribution.uniform(args[0], args[1])
-    elif family == "gamma":
-        need(1)
-        dist = Distribution.gamma(args[0])
-    else:
-        need(2)
-        dist = Distribution.beta(args[0], args[1])
-    return dist, mode
+    closed_forms = FAMILIES[_SPELLINGS[family]]
+    k = len(closed_forms.params)
+    if len(args) != k:
+        raise NetlistError(
+            where() + f" {family} takes {k} arguments, got {len(args)}")
+    return closed_forms.make(*args), mode
 
 
 def parse_netlist(text: str, filename: str = "<netlist>") -> Netlist:
@@ -294,10 +284,9 @@ def _format_number(v: float) -> str:
 
 
 def _format_distribution(dist: Distribution) -> str:
-    names = {"gaussian": "gauss", "uniform": "uniform",
-             "gamma": "gamma", "beta": "beta"}
+    name = next(s for s, kind in _SPELLINGS.items() if kind == dist.kind)
     args = ",".join(_format_number(p) for p in dist.params)
-    return f"{names[dist.kind]}({args})"
+    return f"{name}({args})"
 
 
 def print_netlist(nl: Netlist) -> str:

@@ -31,6 +31,8 @@ from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "Distribution",
+    "Family",
+    "FAMILIES",
     "OrthoBasis",
     "QuadratureRule",
     "MultiIndexSet",
@@ -86,9 +88,10 @@ class UnsupportedFamilyError(ValueError):
 class Distribution:
     """Scalar marginal distribution of one random input.
 
-    Named kinds: "gaussian", "uniform", "gamma", "beta".  "custom" wraps a
-    black-box density on a support interval; the density must be strictly
-    positive on the interior of the support and integrate to one.
+    Named kinds are the keys of FAMILIES, which holds their closed forms.
+    "custom" wraps a black-box density on a support interval; the density
+    must be strictly positive on the interior of the support and integrate
+    to one.
     """
 
     kind: str
@@ -135,79 +138,28 @@ class Distribution:
             dist._validate_custom()
         return dist
 
-    # -- density / moments ---------------------------------------------------
+    # -- density, moments, cdf and inverse: closed forms live in FAMILIES ----
 
     def density(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.kind == "gaussian":
-            mu, sig = self.params
-            return np.exp(-0.5 * ((x - mu) / sig) ** 2) / (sig * math.sqrt(2 * math.pi))
-        if self.kind == "uniform":
-            lo, hi = self.params
-            inside = (x >= lo) & (x <= hi)
-            return np.where(inside, 1.0 / (hi - lo), 0.0)
-        if self.kind == "gamma":
-            (k,) = self.params
-            scalar = x.ndim == 0
-            xx = np.atleast_1d(x)
-            out = np.zeros_like(xx)
-            pos = xx > 0
-            out[pos] = np.exp((k - 1) * np.log(xx[pos]) - xx[pos]
-                              - special.gammaln(k))
-            return out[0] if scalar else out
-        if self.kind == "beta":
-            a, b = self.params
-            scalar = x.ndim == 0
-            xx = np.atleast_1d(x)
-            out = np.zeros_like(xx)
-            inside = (xx > 0) & (xx < 1)
-            lb = special.gammaln(a) + special.gammaln(b) - special.gammaln(a + b)
-            out[inside] = np.exp((a - 1) * np.log(xx[inside])
-                                 + (b - 1) * np.log1p(-xx[inside]) - lb)
-            return out[0] if scalar else out
+        if self.kind in FAMILIES:
+            return FAMILIES[self.kind].density(x, *self.params)
         return np.asarray(self.density_fn(x), dtype=float)
 
     def mean(self) -> float:
-        if self.kind == "gaussian":
-            return self.params[0]
-        if self.kind == "uniform":
-            return 0.5 * (self.params[0] + self.params[1])
-        if self.kind == "gamma":
-            return self.params[0]
-        if self.kind == "beta":
-            a, b = self.params
-            return a / (a + b)
+        if self.kind in FAMILIES:
+            return FAMILIES[self.kind].mean(*self.params)
         return self._custom_moments[0]
 
     def stddev(self) -> float:
-        if self.kind == "gaussian":
-            return self.params[1]
-        if self.kind == "uniform":
-            lo, hi = self.params
-            return (hi - lo) / math.sqrt(12.0)
-        if self.kind == "gamma":
-            return math.sqrt(self.params[0])
-        if self.kind == "beta":
-            a, b = self.params
-            return math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
+        if self.kind in FAMILIES:
+            return FAMILIES[self.kind].stddev(*self.params)
         return self._custom_moments[1]
-
-    # -- cdf and inverse -----------------------------------------------------
 
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.kind == "gaussian":
-            mu, sig = self.params
-            return special.ndtr((x - mu) / sig)
-        if self.kind == "uniform":
-            lo, hi = self.params
-            return np.clip((x - lo) / (hi - lo), 0.0, 1.0)
-        if self.kind == "gamma":
-            (k,) = self.params
-            return special.gammainc(k, np.maximum(x, 0.0))
-        if self.kind == "beta":
-            a, b = self.params
-            return special.betainc(a, b, np.clip(x, 0.0, 1.0))
+        if self.kind in FAMILIES:
+            return FAMILIES[self.kind].cdf(x, *self.params)
         return self._custom_cdf_eval(x)
 
     def inv_cdf(self, u) -> np.ndarray:
@@ -215,18 +167,8 @@ class Distribution:
         u = np.asarray(u, dtype=float)
         if np.any((u < 0.0) | (u > 1.0)):
             raise ValueError("quantile argument must lie in [0, 1]")
-        if self.kind == "gaussian":
-            mu, sig = self.params
-            return mu + sig * special.ndtri(u)
-        if self.kind == "uniform":
-            lo, hi = self.params
-            return lo + (hi - lo) * u
-        if self.kind == "gamma":
-            (k,) = self.params
-            return special.gammaincinv(k, u)
-        if self.kind == "beta":
-            a, b = self.params
-            return special.betaincinv(a, b, u)
+        if self.kind in FAMILIES:
+            return FAMILIES[self.kind].inv_cdf(u, *self.params)
         return self._custom_inv_cdf_eval(u)
 
     def median(self) -> float:
@@ -237,21 +179,15 @@ class Distribution:
     def effective_interval(self) -> tuple[float, float]:
         """Finite interval carrying the measure's mass, for quadrature.
 
-        Gaussian supports truncate at +-12 standard deviations (the excluded
-        mass is ~1e-33, negligible against every tolerance here).  The slower
-        gamma tail instead uses a far quantile with headroom, and custom
-        unbounded densities keep the window found by the mass scan.
+        Bounded supports are their own window; a named family with an
+        unbounded support uses its table window, and a custom unbounded
+        density keeps the window found by the mass scan.
         """
         lo, hi = self.support
         if math.isfinite(lo) and math.isfinite(hi):
             return lo, hi
-        if self.kind == "gaussian":
-            mu, sig = self.params
-            return mu - 12.0 * sig, mu + 12.0 * sig
-        if self.kind == "gamma":
-            (k,) = self.params
-            far = float(special.gammaincinv(k, 1.0 - 1e-16))
-            return 0.0, 1.5 * far + 10.0
+        if self.kind in FAMILIES:
+            return FAMILIES[self.kind].window(*self.params)
         self._custom_moments  # materialize the scan
         a, b = self._custom_window
         return a, b
@@ -369,6 +305,124 @@ def _panel_rule(a: float, b: float, panels: int,
 
 
 # ---------------------------------------------------------------------------
+# named families
+
+
+@dataclass(frozen=True)
+class Family:
+    """Closed forms of one named distribution family.
+
+    `params` names the family's parameters in order; they are also its JSON
+    keys.  Every callable takes those parameters after its own arguments.
+    `recurrence(j, *params)` gives the monic recurrence (gamma_j, kappa_j)
+    at the degrees j (a float array); kappa_0 is then fixed to 1.  `window`
+    is the finite interval standing in for an unbounded support.
+    """
+
+    params: tuple[str, ...]
+    make: Callable[..., Distribution]  # the validating constructor
+    density: Callable
+    cdf: Callable
+    inv_cdf: Callable
+    mean: Callable
+    stddev: Callable
+    recurrence: Callable
+    window: Callable | None = None
+
+
+def _density_inside(x: np.ndarray, inside: Callable, log_rho: Callable):
+    """exp(log_rho) where inside holds and 0 elsewhere; 0-d stays 0-d."""
+    scalar = x.ndim == 0
+    xx = np.atleast_1d(x)
+    out = np.zeros_like(xx)
+    mask = inside(xx)
+    out[mask] = np.exp(log_rho(xx[mask]))
+    return out[0] if scalar else out
+
+
+def _legendre_monic(j: np.ndarray, lo: float, hi: float):
+    h = 0.5 * (hi - lo)
+    return np.full_like(j, 0.5 * (lo + hi)), h * h * j * j / (4.0 * j * j - 1.0)
+
+
+def _jacobi_monic_01(j: np.ndarray, a: float, b: float):
+    """Monic recurrence for the beta(a, b) weight on [0, 1].
+
+    Jacobi parameters on [-1, 1] are A = b-1, B = a-1; the affine map to
+    [0, 1] shifts gamma and scales kappa by 1/4.
+    """
+    A, B = b - 1.0, a - 1.0
+    m = len(j)
+    gamma_t = np.empty(m)
+    kappa_t = np.ones(m)
+    for n in range(m):
+        s = 2.0 * n + A + B
+        if n == 0:
+            gamma_t[0] = (B - A) / (A + B + 2.0)
+        else:
+            gamma_t[n] = (B * B - A * A) / (s * (s + 2.0))
+        if n == 1:
+            # the generic formula has a removable 0/0 at A+B = -1
+            kappa_t[1] = 4.0 * (1 + A) * (1 + B) / ((2 + A + B) ** 2 * (3 + A + B))
+        elif n >= 2:
+            kappa_t[n] = (4.0 * n * (n + A) * (n + B) * (n + A + B)
+                          / (s * s * (s + 1.0) * (s - 1.0)))
+    return 0.5 * (gamma_t + 1.0), kappa_t / 4.0
+
+
+# kind -> closed forms: gaussian -> Hermite, uniform -> Legendre,
+# gamma -> Laguerre, beta -> Jacobi.  "custom" is the one kind outside.
+FAMILIES: dict[str, Family] = {
+    "gaussian": Family(
+        params=("mean", "stddev"), make=Distribution.gaussian,
+        density=lambda x, mu, sig: (np.exp(-0.5 * ((x - mu) / sig) ** 2)
+                                    / (sig * math.sqrt(2 * math.pi))),
+        cdf=lambda x, mu, sig: special.ndtr((x - mu) / sig),
+        inv_cdf=lambda u, mu, sig: mu + sig * special.ndtri(u),
+        mean=lambda mu, sig: mu,
+        stddev=lambda mu, sig: sig,
+        recurrence=lambda j, mu, sig: (np.full_like(j, mu), j * sig * sig),
+        # +-12 standard deviations: the excluded mass is ~1e-33, negligible
+        # against every tolerance here
+        window=lambda mu, sig: (mu - 12.0 * sig, mu + 12.0 * sig)),
+    "uniform": Family(
+        params=("lo", "hi"), make=Distribution.uniform,
+        density=lambda x, lo, hi: np.where((x >= lo) & (x <= hi),
+                                           1.0 / (hi - lo), 0.0),
+        cdf=lambda x, lo, hi: np.clip((x - lo) / (hi - lo), 0.0, 1.0),
+        inv_cdf=lambda u, lo, hi: lo + (hi - lo) * u,
+        mean=lambda lo, hi: 0.5 * (lo + hi),
+        stddev=lambda lo, hi: (hi - lo) / math.sqrt(12.0),
+        recurrence=_legendre_monic),
+    "gamma": Family(
+        params=("shape",), make=Distribution.gamma,
+        density=lambda x, k: _density_inside(
+            x, lambda y: y > 0,
+            lambda y: (k - 1) * np.log(y) - y - special.gammaln(k)),
+        cdf=lambda x, k: special.gammainc(k, np.maximum(x, 0.0)),
+        inv_cdf=lambda u, k: special.gammaincinv(k, u),
+        mean=lambda k: k,
+        stddev=lambda k: math.sqrt(k),
+        recurrence=lambda j, k: (2.0 * j + k, j * (j + k - 1.0)),
+        # the slow tail gets a far quantile with headroom
+        window=lambda k: (
+            0.0, 1.5 * float(special.gammaincinv(k, 1.0 - 1e-16)) + 10.0)),
+    "beta": Family(
+        params=("a", "b"), make=Distribution.beta,
+        density=lambda x, a, b: _density_inside(
+            x, lambda y: (y > 0) & (y < 1),
+            lambda y: ((a - 1) * np.log(y) + (b - 1) * np.log1p(-y)
+                       - (special.gammaln(a) + special.gammaln(b)
+                          - special.gammaln(a + b)))),
+        cdf=lambda x, a, b: special.betainc(a, b, np.clip(x, 0.0, 1.0)),
+        inv_cdf=lambda u, a, b: special.betaincinv(a, b, u),
+        mean=lambda a, b: a / (a + b),
+        stddev=lambda a, b: math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1))),
+        recurrence=_jacobi_monic_01),
+}
+
+
+# ---------------------------------------------------------------------------
 # orthonormal bases
 
 
@@ -429,64 +483,19 @@ def _basis_from_monic(gamma: np.ndarray, kappa: np.ndarray, order: int,
 
 
 def make_standard_basis(dist: Distribution, order: int) -> OrthoBasis:
-    """Closed-form recurrence for the named families, shifted and scaled.
-
-    gaussian -> Hermite, uniform -> Legendre, gamma -> Laguerre,
-    beta -> Jacobi.  Custom densities are rejected; use stieltjes_basis.
-    """
+    """Closed-form recurrence of a named family (see FAMILIES), shifted and
+    scaled.  Custom densities are rejected; use stieltjes_basis."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    m = order + 1  # recurrence entries gamma_0..gamma_p, kappa_0..kappa_p
-    j = np.arange(m, dtype=float)
-    if dist.kind == "gaussian":
-        mu, sig = dist.params
-        gamma = np.full(m, mu)
-        kappa = np.where(j == 0, 1.0, j * sig * sig)
-    elif dist.kind == "uniform":
-        lo, hi = dist.params
-        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        gamma = np.full(m, c)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kappa = h * h * j * j / (4.0 * j * j - 1.0)
-        kappa[0] = 1.0
-    elif dist.kind == "gamma":
-        (k,) = dist.params
-        gamma = 2.0 * j + k
-        kappa = j * (j + k - 1.0)
-        kappa[0] = 1.0
-    elif dist.kind == "beta":
-        a, b = dist.params
-        gamma, kappa = _jacobi_monic_01(a, b, m)
-    else:
+    if dist.kind not in FAMILIES:
         raise UnsupportedFamilyError(
             f"no closed-form recurrence for kind '{dist.kind}'; "
             "use stieltjes_basis")
+    # recurrence entries gamma_0..gamma_p, kappa_0..kappa_p
+    j = np.arange(order + 1, dtype=float)
+    gamma, kappa = FAMILIES[dist.kind].recurrence(j, *dist.params)
+    kappa[0] = 1.0
     return _basis_from_monic(gamma, kappa, order, dist)
-
-
-def _jacobi_monic_01(a: float, b: float, m: int):
-    """Monic recurrence for the beta(a, b) weight on [0, 1].
-
-    Jacobi parameters on [-1, 1] are A = b-1, B = a-1; the affine map to
-    [0, 1] shifts gamma and scales kappa by 1/4.
-    """
-    A, B = b - 1.0, a - 1.0
-    gamma_t = np.empty(m)
-    kappa_t = np.empty(m)
-    kappa_t[0] = 1.0
-    for n in range(m):
-        s = 2.0 * n + A + B
-        if n == 0:
-            gamma_t[0] = (B - A) / (A + B + 2.0)
-        else:
-            gamma_t[n] = (B * B - A * A) / (s * (s + 2.0))
-        if n == 1:
-            # the generic formula has a removable 0/0 at A+B = -1
-            kappa_t[1] = 4.0 * (1 + A) * (1 + B) / ((2 + A + B) ** 2 * (3 + A + B))
-        elif n >= 2:
-            kappa_t[n] = (4.0 * n * (n + A) * (n + B) * (n + A + B)
-                          / (s * s * (s + 1.0) * (s - 1.0)))
-    return 0.5 * (gamma_t + 1.0), np.where(np.arange(m) == 0, 1.0, kappa_t / 4.0)
 
 
 def discrete_stieltjes(points: np.ndarray, weights: np.ndarray,
@@ -846,30 +855,20 @@ def gpc_mean_variance(expansion: GpcExpansion) -> tuple[np.ndarray, np.ndarray]:
 
 def _family_dict(basis: OrthoBasis) -> dict:
     dist = basis.distribution
-    entry: dict = {"order": basis.order,
+    kind = "custom" if dist is None else dist.kind
+    entry: dict = {"kind": kind, "order": basis.order,
                    "gamma": [float(v) for v in basis.gamma],
                    "kappa": [float(v) for v in basis.kappa]}
-    if dist is None or dist.kind == "custom":
-        entry["kind"] = "custom"
-        return entry
-    entry["kind"] = dist.kind
-    names = {"gaussian": ("mean", "stddev"), "uniform": ("lo", "hi"),
-             "gamma": ("shape",), "beta": ("a", "b")}[dist.kind]
-    for name, value in zip(names, dist.params):
-        entry[name] = float(value)
+    if kind in FAMILIES:
+        entry.update(zip(FAMILIES[kind].params, map(float, dist.params)))
     return entry
 
 
 def _family_from_dict(entry: dict) -> OrthoBasis:
     kind = entry["kind"]
-    if kind == "gaussian":
-        dist = Distribution.gaussian(entry["mean"], entry["stddev"])
-    elif kind == "uniform":
-        dist = Distribution.uniform(entry["lo"], entry["hi"])
-    elif kind == "gamma":
-        dist = Distribution.gamma(entry["shape"])
-    elif kind == "beta":
-        dist = Distribution.beta(entry["a"], entry["b"])
+    if kind in FAMILIES:
+        family = FAMILIES[kind]
+        dist = family.make(*(entry[name] for name in family.params))
     elif kind == "custom":
         dist = None
     else:

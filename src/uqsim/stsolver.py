@@ -25,7 +25,8 @@ import numpy as np
 
 from .models import StochasticDae
 from .polychaos import (GpcExpansion, MultiIndexSet, OrthoBasis,
-                        expansion_to_json, golub_welsch, tensor_quadrature,
+                        expansion_to_json, golub_welsch, make_standard_basis,
+                        stieltjes_basis, tensor_quadrature,
                         total_degree_index_set, _basis_matrix)
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "select_testing_points",
     "newton_dc",
     "solve_dc",
-    "solve_dc_monolithic",
     "recover_coefficients",
     "integrate_transient",
     "integrate_deterministic",
@@ -77,17 +77,11 @@ class SolverOptions:
 
 
 def standard_bases(model_or_dists, order: int) -> tuple[OrthoBasis, ...]:
-    """Orthonormal basis per random input, from its distribution."""
-    from .polychaos import make_standard_basis, stieltjes_basis
-
+    """Orthonormal basis per random input, from its distribution: the
+    closed-form recurrence of a named family, Stieltjes for a custom one."""
     dists = getattr(model_or_dists, "distributions", model_or_dists)
-    bases = []
-    for dist in dists:
-        if dist.kind == "custom":
-            bases.append(stieltjes_basis(dist, order))
-        else:
-            bases.append(make_standard_basis(dist, order))
-    return tuple(bases)
+    return tuple(stieltjes_basis(dist, order) if dist.kind == "custom"
+                 else make_standard_basis(dist, order) for dist in dists)
 
 
 @dataclass(frozen=True)
@@ -333,52 +327,6 @@ def solve_dc(model: StochasticDae, tps: TestingPointSet,
     return recover_coefficients(X, tps, idx, tuple(bases))
 
 
-def solve_dc_monolithic(model: StochasticDae, tps: TestingPointSet,
-                        bases: Sequence[OrthoBasis], idx: MultiIndexSet,
-                        options: SolverOptions = SolverOptions()
-                        ) -> GpcExpansion:
-    """Reference implementation: one coupled Newton on all nK unknowns.
-
-    The unknown is the stacked coefficient matrix C (K, n); the residual
-    stacks the model equations at every testing point evaluated at
-    x_j = V[j] C.  Exists to validate the decoupled route on small cases.
-    """
-    K, n = tps.n_points, model.n
-    V = tps.V
-    t = 0.0
-    rhs = model.B @ model.u(t)
-
-    def unpack(z):
-        return z.reshape(K, n)
-
-    def residual(z):
-        C = unpack(z)
-        X = V @ C
-        return np.concatenate([
-            model.f(X[j], tps.points[j], t) - rhs for j in range(K)])
-
-    def jacobian(z):
-        C = unpack(z)
-        X = V @ C
-        J = np.zeros((K * n, K * n))
-        for j in range(K):
-            Jf = model.jac_f(X[j], tps.points[j], t)
-            for k in range(K):
-                J[j * n:(j + 1) * n, k * n:(k + 1) * n] = V[j, k] * Jf
-        return J
-
-    nominal = newton_dc(model, model.nominal_parameters(), options=options)
-    C0 = np.zeros((K, n))
-    C0 += np.linalg.solve(V, np.tile(nominal, (K, 1)))
-    tol = options.dc_tol(model.n) * np.sqrt(K)
-    Z, rnorm, ok = _damped_newton(
-        lambda Y, rows: residual(Y[0])[None],
-        lambda Y, rows: jacobian(Y[0])[None], C0.reshape(1, -1), tol,
-        options.newton_max_iter, options.newton_max_damping)
-    _check_converged(rnorm, ok, tol, options)
-    return GpcExpansion(idx, unpack(Z[0]).copy(), tuple(bases))
-
-
 # ---------------------------------------------------------------------------
 # transient integration
 
@@ -412,10 +360,7 @@ class StSolution:
             mean, var = exp.mean_variance()
             rows.append(np.concatenate([[t], mean,
                                         np.sqrt(np.maximum(var, 0.0))]))
-        out = np.array(rows)
-        n = (out.shape[1] - 1) // 2
-        return np.concatenate(
-            [out[:, :1], out[:, 1:1 + n], out[:, 1 + n:]], axis=1)
+        return np.array(rows)
 
     def to_csv(self) -> str:
         n = self.expansions[0].n_outputs
@@ -564,7 +509,10 @@ def _integrate_points(model, points, X0, t_span, options):
         log.append((t, h_step, True, lte))
         for stepper, (x_new, _) in zip(steppers, results):
             stepper.commit(t, h_step, x_new)
-        t += h_step
+        # fixed steps place t at t0 + k*h: accumulating t += h drifts and
+        # can leave a last step of ~1e-13 h on which Newton stalls
+        t = (t + h_step if fixed is None
+             else min(t0 + len(times) * fixed, t1))
         times.append(t)
         states.append(np.array([s.x for s in steppers]))
         if fixed is None:

@@ -14,8 +14,10 @@ from uqsim.polychaos import (Distribution, GpcExpansion, golub_welsch,
                              total_degree_index_set)
 from uqsim.stsolver import (SolverOptions, integrate_transient,
                             recover_coefficients, select_testing_points,
-                            solve_dc, solve_dc_monolithic, standard_bases)
+                            solve_dc, standard_bases)
 from uqsim.montecarlo import integrate_deterministic, sample_parameters
+
+from conftest import solve_dc_monolithic
 
 
 def verdict(n: int, ok: bool, detail: str) -> None:
@@ -112,7 +114,7 @@ def test_criterion_04_decoupling_equivalence():
     tps = select_testing_points(bases, idx)
     tight = SolverOptions(dc_tol_scale=1e-13)
     decoupled = solve_dc(model, tps, bases, idx, tight)
-    monolithic = solve_dc_monolithic(model, tps, bases, idx, tight)
+    monolithic = solve_dc_monolithic(model, tps, bases, idx)
     gap = float(np.max(np.abs(decoupled.coefficients
                               - monolithic.coefficients)))
     elapsed = time.perf_counter() - t0

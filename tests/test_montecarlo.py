@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from uqsim import models, netlist
+from uqsim import cli, models, netlist
 from uqsim.models import algebraic_model
 from uqsim.montecarlo import McResult, run_mc, sample_parameters
 from uqsim.polychaos import (Distribution, GpcExpansion, make_standard_basis,
@@ -154,20 +154,27 @@ class TestResultInvariants:
             assert counts.sum() == mc.n_samples
             assert len(edges) == len(counts) + 1
 
-    def test_histogram_csv_format(self):
-        mc = self.make_result(n=100)
-        csv = mc.histogram_csv(output=1)
-        lines = csv.strip().splitlines()
-        assert lines[0] == "bin_left,bin_right,count"
-        total = 0
-        for row in lines[1:]:
-            left, right, count = row.split(",")
-            assert float(left) < float(right)
-            total += int(count)
-        assert total == 100
+    def run_cli_mc(self, tmp_path, n=100):
+        path = tmp_path / "divider.cir"
+        path.write_text(DIVIDER_VARIED)
+        assert cli.main(["mc", "--netlist", str(path), "--samples", str(n),
+                         "--seed", "9", "--outdir", str(tmp_path)]) == 0
+        return netlist.elaborate(netlist.parse_netlist(DIVIDER_VARIED)).labels
 
-    def test_stats_csv_has_labels(self):
-        mc = self.make_result(n=100)
-        lines = mc.stats_csv().strip().splitlines()
+    def test_histogram_csv_format(self, tmp_path):
+        labels = self.run_cli_mc(tmp_path)
+        lines = (tmp_path / "mc_histogram.csv").read_text().splitlines()
+        assert lines[0] == "output,bin_lo,bin_hi,count"
+        totals = dict.fromkeys(labels, 0)
+        for row in lines[1:]:
+            label, lo, hi, count = row.split(",")
+            assert float(lo) < float(hi)
+            totals[label] += int(count)
+        assert totals == dict.fromkeys(labels, 100)
+
+    def test_stats_csv_has_labels(self, tmp_path):
+        labels = self.run_cli_mc(tmp_path)
+        lines = (tmp_path / "mc_stats.csv").read_text().splitlines()
         assert lines[0] == "output,mean,std,stderr_mean,stderr_std"
+        assert [row.split(",")[0] for row in lines[1:]] == list(labels)
         assert lines[1].startswith("v(1),")

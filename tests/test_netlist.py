@@ -107,6 +107,11 @@ class TestGrammar:
         with pytest.raises(NetlistError, match="malformed variation"):
             parse_netlist("R1 1 0 1k variation=lognormal(1,2)")
 
+    def test_variation_argument_count(self):
+        with pytest.raises(NetlistError,
+                           match="gamma takes 1 arguments, got 2"):
+            parse_netlist("R1 1 0 1k variation=relative:gamma(1,2)")
+
     def test_variation_unknown_param(self):
         with pytest.raises(NetlistError,
                            match="unknown parameter 'tc' of R1"):
@@ -136,6 +141,16 @@ class TestRoundTrip:
     def test_print_parse_round_trip(self):
         nl = parse_netlist(self.RICH)
         assert parse_netlist(print_netlist(nl)) == nl
+
+    @pytest.mark.parametrize("spec", ["gauss(1,0.1)", "gaussian(1,0.1)",
+                                      "uniform(0.9,1.1)", "gamma(2)",
+                                      "beta(2,3)"])
+    def test_every_family_round_trips(self, spec):
+        nl = parse_netlist(f"V1 1 0 1\nR1 1 2 1k variation=relative:{spec}\n"
+                           "R2 2 0 1k\n")
+        text = print_netlist(nl)
+        assert parse_netlist(text) == nl
+        assert ("variation=relative:gauss(" in text) == spec.startswith("gauss")
 
     @given(r1=st.floats(1.0, 1e6), lo=st.floats(0.5, 0.99),
            hi=st.floats(1.01, 1.5), c=st.floats(1e-12, 1e-3))

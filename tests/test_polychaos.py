@@ -323,6 +323,21 @@ def test_json_round_trip_bit_exact():
     assert pc.expansion_to_json(back) == text
 
 
+def test_json_round_trip_every_named_family():
+    dists = [pc.Distribution.gaussian(0.5, 2.0), pc.Distribution.uniform(-1, 3),
+             pc.Distribution.gamma(2.5), pc.Distribution.beta(2.0, 3.0)]
+    bases = tuple(pc.make_standard_basis(d, 2) for d in dists)
+    idx = pc.total_degree_index_set(4, 2)
+    exp = pc.GpcExpansion(idx, np.arange(len(idx), dtype=float), bases)
+    text = pc.expansion_to_json(exp)
+    back = pc.expansion_from_json(text)
+    assert [b.distribution for b in back.bases] == dists
+    assert pc.expansion_to_json(back) == text
+    keys = [sorted(set(f) - {"kind", "order", "gamma", "kappa"})
+            for f in json.loads(text)["families"]]
+    assert keys == [["mean", "stddev"], ["hi", "lo"], ["shape"], ["a", "b"]]
+
+
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
                 min_size=3, max_size=3))
 @settings(max_examples=60, deadline=None)

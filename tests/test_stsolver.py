@@ -17,7 +17,9 @@ from uqsim.stsolver import (SolverError, SolverOptions, _damped_newton,
                             _solve_dc_rows, integrate_deterministic,
                             integrate_transient, newton_dc,
                             recover_coefficients, select_testing_points,
-                            solve_dc, solve_dc_monolithic, standard_bases)
+                            solve_dc, standard_bases)
+
+from conftest import solve_dc_monolithic
 
 HERMITE = Distribution.gaussian(0.0, 1.0)
 
@@ -205,7 +207,7 @@ class TestDecouplingEquivalence:
         bases, idx, tps = setup_problem(dae, 2)
         tight = SolverOptions(dc_tol_scale=1e-13)
         dec = solve_dc(dae, tps, bases, idx, tight)
-        mono = solve_dc_monolithic(dae, tps, bases, idx, tight)
+        mono = solve_dc_monolithic(dae, tps, bases, idx)
         assert np.max(np.abs(dec.coefficients - mono.coefficients)) < 1e-9
 
 
@@ -304,6 +306,18 @@ class TestTransient:
             errs.append(abs(states[-1][1] - (1 - np.exp(-1.0))))
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert abs(slope - 2.0) < 0.1
+
+    def test_fixed_step_span_ends_without_a_sliver(self):
+        # accumulating t += h over 1000 steps of 0.01 left a 1.7e-13 s
+        # last step, on which the h-scaled Newton residual stalled
+        dae = builtin_model("plate_actuator")
+        times, states, _ = integrate_deterministic(
+            dae, dae.nominal_parameters(), (0.0, 10.0), dae.initial_guess(),
+            SolverOptions(fixed_step=0.01))
+        assert len(times) == 1001
+        assert times[-1] == 10.0
+        assert np.min(np.diff(times)) > 0.5 * 0.01
+        assert np.all(np.isfinite(states))
 
     def test_step_underflow_raises_with_time(self):
         dae, bases, idx, tps, x0 = self.rc_setup(order=2)
