@@ -14,7 +14,7 @@ import numpy as np
 
 from uqsim import anova
 from uqsim.models import builtin_model
-from uqsim.montecarlo import newton_dc
+from uqsim.stsolver import newton_dc
 
 
 def main(argv=None) -> int:
@@ -28,8 +28,8 @@ def main(argv=None) -> int:
     model = builtin_model("opamp_like")
     j = model.labels.index(args.output)
 
-    def g(xi):
-        return float(newton_dc(model, xi)[j])
+    def g(x):
+        return newton_dc(model, x.T)[:, j]
 
     t0 = time.perf_counter()
     decomp, exp = anova.adaptive_anova(g, model.distributions, m=args.m,

@@ -102,14 +102,7 @@ def cdf_transform(dist: Distribution):
             raise ValueError(
                 "the transform needs a strictly positive density on the "
                 "support interior; this density touches zero inside it")
-
-    def to_param(u):
-        return dist.inv_cdf(u)
-
-    def to_unit(x):
-        return dist.cdf(x)
-
-    return to_param, to_unit
+    return dist.inv_cdf, dist.cdf
 
 
 def anchor_point(distributions: Sequence[Distribution],
@@ -135,8 +128,10 @@ def anchor_point(distributions: Sequence[Distribution],
 
 def _project_restriction(g: Callable, subset: tuple, anchor: AnchorPoint,
                          bases: Sequence[OrthoBasis], order: int,
-                         condition_cap: float, evaluate) -> GpcExpansion:
-    """Project g with the complement of `subset` frozen at the anchor."""
+                         condition_cap: float) -> GpcExpansion:
+    """Project g with the complement of `subset` frozen at the anchor;
+    one call of g on all K testing points, a (d, K) array, gives K values.
+    """
     sub_bases = tuple(bases[k] for k in subset)
     idx = total_degree_index_set(len(subset), order)
     try:
@@ -144,9 +139,9 @@ def _project_restriction(g: Callable, subset: tuple, anchor: AnchorPoint,
     except (ValueError, SolverError) as err:
         raise SolverError(f"subset {subset}: {err}") from err
     points = np.tile(anchor.q, (tps.n_points, 1))
-    points[:, list(subset)] = np.atleast_2d(tps.points.reshape(tps.n_points,
-                                                               -1))
-    values = np.array([evaluate(pt) for pt in points], dtype=float)
+    points[:, list(subset)] = tps.points
+    values = np.broadcast_to(np.asarray(g(points.T), dtype=float),
+                             (tps.n_points,))
     try:
         return recover_coefficients(values.reshape(-1, 1), tps, idx,
                                     sub_bases)
@@ -159,16 +154,13 @@ def anchored_subterm(g: Callable, subset, anchor: AnchorPoint,
                      condition_cap: float = CONDITION_CAP) -> GpcExpansion:
     """Expansion of g restricted to `subset`, the rest frozen at the anchor.
 
-    subset () returns the zero-variable expansion holding g(anchor).
+    g maps a (d, K) array of K points to their K values.  Subset ()
+    returns the zero-variable expansion holding g(anchor).
     """
     subset = tuple(sorted(int(k) for k in subset))
-    if subset == ():
-        idx = total_degree_index_set(0, 0)
-        value = float(g(np.asarray(anchor.q, dtype=float)))
-        return GpcExpansion(idx, np.array([[value]]), ())
     bases = standard_bases(tuple(distributions), order)
     return _project_restriction(g, subset, anchor, bases, order,
-                                condition_cap, lambda pt: float(g(pt)))
+                                condition_cap)
 
 
 def compose_term(subset, ghat: GpcExpansion, g0: float,
@@ -223,7 +215,9 @@ def adaptive_anova(g: Callable, distributions: Sequence[Distribution],
     theta = Var(g_s)/beta below sigma stop producing supersets.  All
     computed terms enter the assembled expansion regardless of the
     screen.  Returns the decomposition record and the sparse d-variable
-    expansion.
+    expansion.  g maps a (d, K) array of K points (x[k] is coordinate k
+    of every point) to their K values; it is called once for the anchor
+    and once per computed subset, on the new points only.
     """
     distributions = tuple(distributions)
     d = len(distributions)
@@ -241,13 +235,15 @@ def adaptive_anova(g: Callable, distributions: Sequence[Distribution],
 
     cache: dict[bytes, float] = {}
 
-    def evaluate(point: np.ndarray) -> float:
-        key = point.tobytes()
-        if key not in cache:
-            cache[key] = float(g(point))
-        return cache[key]
+    def evaluate(points: np.ndarray) -> np.ndarray:
+        keys = [pt.tobytes() for pt in points.T]
+        new = {key: k for k, key in enumerate(keys) if key not in cache}
+        if new:
+            values = np.asarray(g(points[:, list(new.values())]), dtype=float)
+            cache.update(zip(new, np.broadcast_to(values, (len(new),))))
+        return np.array([cache[key] for key in keys])
 
-    g0 = evaluate(np.asarray(anchor.q, dtype=float))
+    g0 = float(evaluate(np.asarray(anchor.q, dtype=float)[:, None])[0])
     computed: dict[tuple, AnovaTerm] = {}
     all_terms: list[AnovaTerm] = []
     pruned: list[tuple] = []
@@ -269,8 +265,8 @@ def adaptive_anova(g: Callable, distributions: Sequence[Distribution],
         n_by_level.append(len(candidates))
         level_terms = []
         for subset in candidates:
-            ghat = _project_restriction(g, subset, anchor, bases, order,
-                                        condition_cap, evaluate)
+            ghat = _project_restriction(evaluate, subset, anchor, bases,
+                                        order, condition_cap)
             term = compose_term(subset, ghat, g0, computed, pruned)
             computed[subset] = term
             level_terms.append(term)

@@ -25,12 +25,13 @@ import numpy as np
 from . import anova as anova_mod
 from . import hier
 from .models import UnknownModelError, builtin_model
-from .montecarlo import newton_dc, run_mc
-from .netlist import NetlistError, elaborate, parse_netlist
+from .montecarlo import run_mc
+from .netlist import elaborate, parse_netlist
 from .polychaos import (DegenerateMeasureError, GpcExpansion,
                         expansion_to_json, total_degree_index_set)
 from .stsolver import (SolverError, SolverOptions, integrate_transient,
-                       select_testing_points, solve_dc, standard_bases)
+                       newton_dc, select_testing_points, solve_dc,
+                       standard_bases)
 
 EXIT_OK = 0
 EXIT_USER = 1
@@ -71,13 +72,13 @@ class JobConfig:
     solver: dict = field(default_factory=dict)
 
     def solver_options(self) -> SolverOptions:
-        known = {f.name for f in fields(SolverOptions)}
-        bad = set(self.solver) - known
+        if "threads" in self.solver:
+            raise UsageError("threads is not a solver option; set the "
+                             "top-level threads key")
+        bad = set(self.solver) - {f.name for f in fields(SolverOptions)}
         if bad:
             raise UsageError(f"unknown solver option(s): {sorted(bad)}")
-        merged = dict(self.solver)
-        merged["threads"] = self.threads
-        return SolverOptions(**merged)
+        return SolverOptions(**self.solver, threads=self.threads)
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +184,14 @@ def _parse_params(items) -> dict:
     return out
 
 
-def _parse_anchor(text) -> tuple[float, ...] | None:
-    if text is None:
+def _parse_anchor(value) -> tuple[float, ...] | None:
+    if value is None:
         return None
-    if isinstance(text, (int, float)):
-        return (float(text),)
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
+    items = value if isinstance(value, list) else str(value).split(",")
     try:
-        return tuple(float(v) for v in str(text).split(","))
-    except ValueError as err:
-        raise UsageError(f"bad anchor spec {text!r}: {err}") from err
+        return tuple(float(v) for v in items)
+    except (TypeError, ValueError) as err:
+        raise UsageError(f"bad anchor spec {value!r}: {err}") from err
 
 
 def _parse_output(value):
@@ -203,6 +201,14 @@ def _parse_output(value):
         return value
     text = str(value)
     return int(text) if text.lstrip("-").isdigit() else text
+
+
+_INT, _REAL = (int, "an integer"), ((int, float), "a number")
+# JobConfig's numeric keys; m and t_end may be null (unset)
+_NUMERIC_KEYS = {"order": _INT, "samples": _INT, "seed": _INT,
+                 "knots": _INT, "threads": _INT, "sigma": _REAL,
+                 "m": ((int, type(None)), "an integer"),
+                 "t_end": ((int, float, type(None)), "a number")}
 
 
 def build_config(argv) -> JobConfig:
@@ -244,11 +250,15 @@ def build_config(argv) -> JobConfig:
     except TypeError as err:
         raise UsageError(str(err)) from err
 
+    for key, (kind, what) in _NUMERIC_KEYS.items():
+        value = getattr(cfg, key)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise UsageError(f"{key} must be {what}, got {value!r}")
     if cfg.order < 1:
         raise UsageError(f"order must be at least 1, got {cfg.order}")
     if cfg.samples < 1:
         raise UsageError(f"samples must be positive, got {cfg.samples}")
-    if not isinstance(cfg.threads, int) or cfg.threads < 1:
+    if cfg.threads < 1:
         raise UsageError(f"threads must be a positive integer, got "
                          f"{cfg.threads!r}")
     if not isinstance(cfg.params, dict) or not isinstance(cfg.solver, dict):
@@ -415,23 +425,17 @@ def _run_decomposition(cfg: JobConfig):
         raise UsageError("the model has no random inputs to decompose")
     opts = cfg.solver_options()
     j = _output_index(model, cfg.output)
-
+    dists = model.distributions
+    anchor = (None if cfg.anchor is None     # one quantile broadcasts
+              else anova_mod.anchor_point(dists, cfg.anchor))
+    m = cfg.m if cfg.m is not None else min(2, model.d)
     # every evaluation cold-starts from initial_guess(): the Newton
     # tolerance is absolute, so the converged point depends on the start;
     # a warm start from the nominal solution moves S_0 of a 19-stage diode
     # ladder from 0.011906 to 0.011893
-    def g(xi):
-        return float(newton_dc(model, np.asarray(xi, dtype=float),
-                               options=opts)[j])
-
-    dists = model.distributions
-    anchor = None
-    if cfg.anchor is not None:
-        p_unit = cfg.anchor[0] if len(cfg.anchor) == 1 else cfg.anchor
-        anchor = anova_mod.anchor_point(dists, p_unit)
-    m = cfg.m if cfg.m is not None else min(2, model.d)
     decomp, exp = anova_mod.adaptive_anova(
-        g, dists, m=m, sigma=cfg.sigma, order=cfg.order, anchor=anchor,
+        lambda x: newton_dc(model, x.T, options=opts)[:, j], dists, m=m,
+        sigma=cfg.sigma, order=cfg.order, anchor=anchor,
         condition_cap=opts.condition_cap)
     return model, nl, decomp, exp
 
@@ -632,10 +636,7 @@ def main(argv=None) -> int:
             np.linalg.LinAlgError) as err:
         _fail("numeric", err)
         return EXIT_NUMERIC
-    except (UsageError, NetlistError, OSError) as err:
-        _fail("config", err)
-        return EXIT_USER
-    except ValueError as err:
+    except (OSError, ValueError) as err:   # UsageError, NetlistError too
         _fail("config", err)
         return EXIT_USER
 

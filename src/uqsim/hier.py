@@ -95,7 +95,7 @@ def extract_block_surrogate(model: StochasticDae, order: int,
     """Solve a block's DC problem and normalize one output as zeta."""
     bases = standard_bases(model, order)
     idx = total_degree_index_set(model.d, order)
-    tps = select_testing_points(bases, idx)
+    tps = select_testing_points(bases, idx, options.condition_cap)
     exp = solve_dc(model, tps, bases, idx, options)
     if isinstance(output, str):
         if model.labels is None or output not in model.labels:

@@ -247,26 +247,30 @@ def _damped_newton(residual: Callable, jacobian: Callable, x0: np.ndarray,
 
 
 def _check_converged(rnorm: np.ndarray, ok: np.ndarray, tol: float,
-                     options: SolverOptions, where: str = "") -> None:
+                     options: SolverOptions) -> None:
     """Raises SolverError with the worst residual if a row failed."""
     if ok.all():
         return
     worst = float(np.max(rnorm[~ok]))
     raise SolverError(
-        f"Newton did not converge{where} (residual {worst:.3e}, tol "
-        f"{tol:.3e}): {options.newton_max_iter} iterations ran out or the "
-        "Jacobian was singular", residual=worst)
+        f"Newton did not converge at {len(ok) - np.count_nonzero(ok)} of "
+        f"{len(ok)} points (residual {worst:.3e}, tol {tol:.3e}): "
+        f"{options.newton_max_iter} iterations ran out or the Jacobian was "
+        "singular", residual=worst)
 
 
 def newton_dc(model: StochasticDae, xi: np.ndarray,
               x0: np.ndarray | None = None, t: float = 0.0,
               options: SolverOptions = SolverOptions()) -> np.ndarray:
-    """DC operating point at one parameter sample: f(x, xi, t) = B u(t)."""
+    """DC operating point f(x, xi, t) = B u(t): x (n,) at one point xi
+    (d,), or (N, n) at the rows of a stack xi (N, d), solved as one stacked
+    Newton from the one start x0 (default model.initial_guess())."""
+    P = np.asarray(xi, dtype=float)
     start = model.initial_guess() if x0 is None else np.asarray(x0, float)
-    X, rnorm, ok = _solve_dc_rows(model, np.asarray(xi, float)[None],
-                                  start[None], options, t)
+    X, rnorm, ok = _solve_dc_rows(model, np.atleast_2d(P), start[None],
+                                  options, t)
     _check_converged(rnorm, ok, options.dc_tol(model.n), options)
-    return X[0]
+    return X if P.ndim == 2 else X[0]
 
 
 def _solve_dc_rows(model: StochasticDae, P: np.ndarray, X0: np.ndarray,
@@ -320,10 +324,7 @@ def solve_dc(model: StochasticDae, tps: TestingPointSet,
     """Decoupled stochastic DC: one stacked Newton over the K testing
     points, warm-started from the nominal solution, then V^-1."""
     nominal = newton_dc(model, model.nominal_parameters(), options=options)
-    X, rnorm, ok = _solve_dc_rows(model, tps.points, nominal[None], options)
-    _check_converged(rnorm, ok, options.dc_tol(model.n), options,
-                     f" at {int(np.sum(~ok))} of {tps.n_points} testing "
-                     "points")
+    X = newton_dc(model, tps.points, nominal, options=options)
     return recover_coefficients(X, tps, idx, tuple(bases))
 
 

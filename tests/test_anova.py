@@ -207,6 +207,26 @@ def test_count_identities_without_screen():
     assert decomp.pruned == ()
 
 
+def test_g_sees_one_stack_per_subset():
+    # the 3-node rule of order 2 holds the median anchor 1.0 exactly, so
+    # the subsets' testing points repeat the anchor and each other
+    calls = []
+
+    def g(x):
+        calls.append(np.array(x))
+        return x[0] + x[1] * x[2] + np.sin(x[2])
+
+    decomp, _ = anova.adaptive_anova(g, (Distribution.gaussian(1.0, 0.05),)
+                                     * 3, m=2, sigma=0.0, order=2)
+    assert len(calls) == 1 + len(decomp.terms) == 7
+    assert all(x.ndim == 2 and x.shape[0] == 3 for x in calls)
+    points = np.concatenate([x.T for x in calls])
+    assert len({p.tobytes() for p in points}) == len(points)
+    assert decomp.n_evaluations == len(points)
+    # anchor, 2 new points per level-1 subset, 1 per level-2 subset
+    assert decomp.n_evaluations == 1 + 3 * 2 + 3 * 1
+
+
 def test_engineered_screen_reaches_published_counts():
     # 9 strong mains, 44 weak mains, 36 strong pairs within the strong set
     strong = list(range(9))
@@ -301,7 +321,7 @@ def test_full_screen_keeps_univariate_terms():
 
 def test_adaptive_anova_validates_inputs():
     def g(x):
-        return float(x[0])
+        return x[0]
 
     with pytest.raises(ValueError, match="m="):
         anova.adaptive_anova(g, (GAUSS,), m=2, sigma=0.0, order=2)
@@ -311,7 +331,7 @@ def test_adaptive_anova_validates_inputs():
 
 def test_solver_errors_carry_the_subset_tag():
     def g(x):
-        return float(x[0])
+        return x[0]
 
     with pytest.raises(SolverError, match=r"subset \(0,\)"):
         anova.adaptive_anova(g, (GAUSS, GAUSS), m=1, sigma=0.0, order=3,
@@ -331,7 +351,7 @@ def test_sample_count_formula():
 
 def test_sensitivities_single_input():
     def g(x):
-        return float(x[0])
+        return x[0]
 
     _, exp = anova.adaptive_anova(g, (GAUSS, GAUSS), m=2, sigma=0.0,
                                   order=2)

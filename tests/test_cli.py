@@ -269,10 +269,46 @@ def test_bad_subcommand_is_user_error(capsys):
 def test_solver_failure_is_numeric_error(divider, tmp_path, capsys):
     config = tmp_path / "tight.json"
     config.write_text(json.dumps({"solver": {"condition_cap": 1.0 + 1e-9}}))
-    rc = cli.main(["dc", "--netlist", divider, "--order", "3",
-                   "--config", str(config)])
-    assert rc == 2
-    assert capture_error(capsys)["error"] == "numeric"
+    for analysis in ("dc", "hier-extract"):
+        rc = cli.main([analysis, "--netlist", divider, "--order", "3",
+                       "--config", str(config),
+                       "--outdir", str(tmp_path / analysis)])
+        assert rc == 2, analysis
+        assert capture_error(capsys)["error"] == "numeric"
+
+
+@pytest.mark.parametrize("analysis,key,value", [
+    ("mc", "samples", "10"),
+    ("anova", "sigma", "0.1"),
+    ("anova", "m", 1.5),
+    ("dc", "order", 2.5),
+    ("dc", "order", True),
+    ("mc", "seed", 1.0),
+    ("hier-extract", "knots", "51"),
+    ("mc", "t_end", "1e-3"),
+    ("dc", "threads", None),
+    ("anova", "anchor", [None]),
+])
+def test_wrong_type_config_value_is_user_error(tmp_path, capsys, analysis,
+                                               key, value):
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({key: value}))
+    rc = cli.main([analysis, "--model", "builtin:diode-rectifier",
+                   "--config", str(config),
+                   "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    message = capture_error(capsys)["message"]
+    assert key in message and repr(value) in message
+
+
+def test_solver_threads_is_user_error(divider, tmp_path, capsys):
+    # a thread count inside `solver` used to be overwritten silently
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({"solver": {"threads": 4}}))
+    rc = cli.main(["dc", "--netlist", divider, "--config", str(config),
+                   "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "top-level threads" in capture_error(capsys)["message"]
 
 
 def test_transient_without_stop_time_is_user_error(divider, capsys):

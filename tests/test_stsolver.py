@@ -158,6 +158,9 @@ class TestStackedNewton:
         assert ok.all()
         separate = np.array([newton_dc(dae, xi, x0=nominal) for xi in P])
         assert np.max(np.abs(X - separate)) <= 1e-12
+        stacked = newton_dc(dae, P, nominal)
+        assert stacked.shape == (40, dae.n)
+        assert np.max(np.abs(stacked - separate)) <= 1e-12
 
     def test_singular_and_diverging_rows_fail_alone(self):
         # row i solves C[i,0] x + C[i,1] x^2 + C[i,2] = 0
@@ -196,6 +199,8 @@ class TestStackedNewton:
         with pytest.raises(SolverError) as err:
             newton_dc(dae, np.array([0.5]))
         assert err.value.residual == 1.0
+        with pytest.raises(SolverError, match="at 2 of 2 points"):
+            newton_dc(dae, np.array([[0.5], [0.25]]))
         with pytest.raises(SolverError):
             integrate_deterministic(dae, np.array([0.5]), (0.0, 1.0),
                                     np.zeros(1))
