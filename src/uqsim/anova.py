@@ -128,16 +128,26 @@ def anchor_point(distributions: Sequence[Distribution],
 
 def _project_restriction(g: Callable, subset: tuple, anchor: AnchorPoint,
                          bases: Sequence[OrthoBasis], order: int,
-                         condition_cap: float) -> GpcExpansion:
+                         condition_cap: float,
+                         selections: dict) -> GpcExpansion:
     """Project g with the complement of `subset` frozen at the anchor;
     one call of g on all K testing points, a (d, K) array, gives K values.
+
+    `selections` memoizes the testing points by the subset's marginal
+    recurrences (the basis norms follow from kappa), which with `order`
+    and `condition_cap` (fixed by the caller for one dict) are all the
+    selection depends on.
     """
     sub_bases = tuple(bases[k] for k in subset)
     idx = total_degree_index_set(len(subset), order)
-    try:
-        tps = select_testing_points(sub_bases, idx, condition_cap)
-    except (ValueError, SolverError) as err:
-        raise SolverError(f"subset {subset}: {err}") from err
+    key = tuple((b.gamma.tobytes(), b.kappa.tobytes()) for b in sub_bases)
+    tps = selections.get(key)
+    if tps is None:
+        try:
+            tps = select_testing_points(sub_bases, idx, condition_cap)
+        except (ValueError, SolverError) as err:
+            raise SolverError(f"subset {subset}: {err}") from err
+        selections[key] = tps
     points = np.tile(anchor.q, (tps.n_points, 1))
     points[:, list(subset)] = tps.points
     values = np.broadcast_to(np.asarray(g(points.T), dtype=float),
@@ -160,7 +170,7 @@ def anchored_subterm(g: Callable, subset, anchor: AnchorPoint,
     subset = tuple(sorted(int(k) for k in subset))
     bases = standard_bases(tuple(distributions), order)
     return _project_restriction(g, subset, anchor, bases, order,
-                                condition_cap)
+                                condition_cap, {})
 
 
 def compose_term(subset, ghat: GpcExpansion, g0: float,
@@ -234,6 +244,7 @@ def adaptive_anova(g: Callable, distributions: Sequence[Distribution],
     bases = standard_bases(distributions, order)
 
     cache: dict[bytes, float] = {}
+    selections: dict = {}   # testing points by marginal recurrences
 
     def evaluate(points: np.ndarray) -> np.ndarray:
         keys = [pt.tobytes() for pt in points.T]
@@ -266,7 +277,7 @@ def adaptive_anova(g: Callable, distributions: Sequence[Distribution],
         level_terms = []
         for subset in candidates:
             ghat = _project_restriction(evaluate, subset, anchor, bases,
-                                        order, condition_cap)
+                                        order, condition_cap, selections)
             term = compose_term(subset, ghat, g0, computed, pruned)
             computed[subset] = term
             level_terms.append(term)

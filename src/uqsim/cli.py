@@ -28,7 +28,8 @@ from .models import UnknownModelError, builtin_model
 from .montecarlo import run_mc
 from .netlist import elaborate, parse_netlist
 from .polychaos import (DegenerateMeasureError, GpcExpansion,
-                        expansion_to_json, total_degree_index_set)
+                        expansion_to_dict, expansion_to_json,
+                        total_degree_index_set)
 from .stsolver import (SolverError, SolverOptions, integrate_transient,
                        newton_dc, select_testing_points, solve_dc,
                        standard_bases)
@@ -75,9 +76,12 @@ class JobConfig:
         if "threads" in self.solver:
             raise UsageError("threads is not a solver option; set the "
                              "top-level threads key")
-        bad = set(self.solver) - {f.name for f in fields(SolverOptions)}
+        kinds = {f.name: _FIELD_KINDS[f.type] for f in fields(SolverOptions)}
+        bad = set(self.solver) - set(kinds)
         if bad:
             raise UsageError(f"unknown solver option(s): {sorted(bad)}")
+        for key, value in self.solver.items():
+            _check_type(f"solver.{key}", value, kinds[key])
         return SolverOptions(**self.solver, threads=self.threads)
 
 
@@ -204,11 +208,24 @@ def _parse_output(value):
 
 
 _INT, _REAL = (int, "an integer"), ((int, float), "a number")
-# JobConfig's numeric keys; m and t_end may be null (unset)
-_NUMERIC_KEYS = {"order": _INT, "samples": _INT, "seed": _INT,
-                 "knots": _INT, "threads": _INT, "sigma": _REAL,
-                 "m": ((int, type(None)), "an integer"),
-                 "t_end": ((int, float, type(None)), "a number")}
+_OPT_REAL = ((int, float, type(None)), "a number")
+_STR, _OPT_STR = (str, "a string"), ((str, type(None)), "a string")
+# the value types of the annotated dataclass fields, by annotation
+_FIELD_KINDS = {"int": _INT, "float": _REAL, "float | None": _OPT_REAL}
+# JobConfig's scalar keys; m, t_end and the optional names may be null
+_TYPED_KEYS = {"order": _INT, "samples": _INT, "seed": _INT,
+               "knots": _INT, "threads": _INT, "sigma": _REAL,
+               "m": ((int, type(None)), "an integer"), "t_end": _OPT_REAL,
+               "model": _OPT_STR, "netlist": _OPT_STR, "system": _OPT_STR,
+               "out": _OPT_STR, "outdir": _STR}
+
+
+def _check_type(key: str, value, kind) -> None:
+    """UsageError naming `key` unless value is of kind (types, what);
+    a bool is never an int."""
+    types, what = kind
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise UsageError(f"{key} must be {what}, got {value!r}")
 
 
 def build_config(argv) -> JobConfig:
@@ -244,16 +261,19 @@ def build_config(argv) -> JobConfig:
     if "output" in merged:
         merged["output"] = _parse_output(merged["output"])
     if "blocks" in merged:
-        merged["blocks"] = tuple(str(b) for b in merged["blocks"])
+        blocks = merged["blocks"]
+        if not (isinstance(blocks, list)
+                and all(isinstance(b, str) for b in blocks)):
+            raise UsageError(f"blocks must be a list of strings, got "
+                             f"{blocks!r}")
+        merged["blocks"] = tuple(blocks)
     try:
         cfg = JobConfig(analysis=ns.analysis, **merged)
     except TypeError as err:
         raise UsageError(str(err)) from err
 
-    for key, (kind, what) in _NUMERIC_KEYS.items():
-        value = getattr(cfg, key)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise UsageError(f"{key} must be {what}, got {value!r}")
+    for key, kind in _TYPED_KEYS.items():
+        _check_type(key, getattr(cfg, key), kind)
     if cfg.order < 1:
         raise UsageError(f"order must be at least 1, got {cfg.order}")
     if cfg.samples < 1:
@@ -539,7 +559,7 @@ def _run_hier_extract(cfg: JobConfig) -> None:
         "schema": "intermediate-block/1",
         "a": float(surrogate.a),
         "b": float(surrogate.b),
-        "zeta": json.loads(expansion_to_json(surrogate.zeta)),
+        "zeta": expansion_to_dict(surrogate.zeta),
         "density": _density_to_doc(dens),
     }
     name = cfg.out or "block.json"

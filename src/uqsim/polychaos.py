@@ -48,6 +48,7 @@ __all__ = [
     "tensor_quadrature",
     "gpc_eval",
     "gpc_mean_variance",
+    "expansion_to_dict",
     "expansion_to_json",
     "expansion_from_json",
 ]
@@ -878,9 +879,10 @@ def _family_from_dict(entry: dict) -> OrthoBasis:
                       np.sqrt(np.cumprod(kappa)), int(entry["order"]), dist)
 
 
-def expansion_to_json(expansion: GpcExpansion) -> str:
-    """Serialize to the documented JSON schema; binary64 exact round-trip."""
-    doc = {
+def expansion_to_dict(expansion: GpcExpansion) -> dict:
+    """The documented JSON schema as a dict, for embedding in a larger
+    document; expansion_to_json writes it alone."""
+    return {
         "schema": _JSON_SCHEMA,
         "dimension": expansion.dimension,
         "order": expansion.index_set.total_order,
@@ -888,7 +890,11 @@ def expansion_to_json(expansion: GpcExpansion) -> str:
         "indices": [[int(v) for v in row] for row in expansion.index_set.indices],
         "coefficients": [[float(v) for v in row] for row in expansion.coefficients],
     }
-    return json.dumps(doc, indent=1, sort_keys=True)
+
+
+def expansion_to_json(expansion: GpcExpansion) -> str:
+    """Serialize to the documented JSON schema; binary64 exact round-trip."""
+    return json.dumps(expansion_to_dict(expansion), indent=1, sort_keys=True)
 
 
 def expansion_from_json(text: str) -> GpcExpansion:

@@ -4,11 +4,12 @@ The spectral expansion x(t, xi) = sum_k xhat_k(t) Phi_k(xi) is determined by
 collocating the model at K testing points: candidates are the nodes of the
 tensor Gauss grid (order p+1 per dimension), and the K points with the
 largest tensor weights that keep the collocation matrix V[j, k] =
-Phi_k(xi_j) well conditioned are kept.  Because V is square and invertible,
-every Newton iteration and every implicit time step decouples into K
-independent n-by-n solves in point space; the DC solves of all K points
-run as the rows of one stacked Newton.  Coefficients are recovered as
-V^-1 X whenever an expansion is needed.
+Phi_k(xi_j) well conditioned are kept.  Basis rows are evaluated lazily, in
+candidate order, only for the candidates the greedy reaches.  Because V is
+square and invertible, every Newton iteration and every implicit time step
+decouples into K independent n-by-n solves in point space; the DC solves of
+all K points run as the rows of one stacked Newton.  Coefficients are
+recovered as V^-1 X whenever an expansion is needed.
 
 Time integration is trapezoidal with a backward-Euler startup step, one
 shared adaptive step sequence for all testing points, local error estimated
@@ -25,7 +26,7 @@ import numpy as np
 
 from .models import StochasticDae
 from .polychaos import (GpcExpansion, MultiIndexSet, OrthoBasis,
-                        expansion_to_json, golub_welsch, make_standard_basis,
+                        expansion_to_dict, golub_welsch, make_standard_basis,
                         stieltjes_basis, tensor_quadrature,
                         total_degree_index_set, _basis_matrix)
 
@@ -113,7 +114,10 @@ def select_testing_points(bases: Sequence[OrthoBasis], idx: MultiIndexSet,
     A candidate is kept only if it raises the rank of the partial
     collocation matrix and keeps its condition number at or below the cap.
     Ties in weight are broken by ascending lexicographic point order so the
-    selection is deterministic.
+    selection is deterministic.  Basis rows are evaluated lazily, in that
+    candidate order and in doubling chunks of 2K, 4K, ... rows, so the
+    greedy that stops after K accepted points never builds the (N, K)
+    matrix over the whole grid.
     """
     K = len(idx)
     d = idx.dimension
@@ -129,15 +133,11 @@ def select_testing_points(bases: Sequence[OrthoBasis], idx: MultiIndexSet,
     keys = tuple(pts[:, k] for k in reversed(range(d))) + (-grid.weights,)
     candidate_order = np.lexsort(keys)
 
-    Phi = _basis_matrix(idx, tuple(bases), pts)  # (N, K)
-
     chosen: list[int] = []
     ortho = np.zeros((0, K))  # orthonormal row-space basis of V so far
     V_rows = np.zeros((0, K))
-    for cand in candidate_order:
-        if len(chosen) == K:
-            break
-        row = Phi[cand]
+    for cand, row in _candidate_rows(idx, tuple(bases), pts,
+                                     candidate_order, 2 * K):
         resid = row - ortho.T @ (ortho @ row)
         if np.linalg.norm(resid) <= 1e-12 * max(1.0, np.linalg.norm(row)):
             continue  # would not raise the rank
@@ -147,6 +147,8 @@ def select_testing_points(bases: Sequence[OrthoBasis], idx: MultiIndexSet,
             continue
         V_rows = trial
         chosen.append(int(cand))
+        if len(chosen) == K:
+            break
         ortho = np.vstack([ortho, resid / np.linalg.norm(resid)])
     if len(chosen) < K:
         raise SolverError(
@@ -154,6 +156,21 @@ def select_testing_points(bases: Sequence[OrthoBasis], idx: MultiIndexSet,
             f"condition-{condition_cap:g} screens")
     s = np.linalg.svd(V_rows, compute_uv=False)
     return TestingPointSet(pts[chosen], V_rows, float(s[0] / s[-1]))
+
+
+def _candidate_rows(idx: MultiIndexSet, bases: tuple, pts: np.ndarray,
+                    order: np.ndarray, first: int):
+    """Yields (candidate, basis row) in `order`, evaluating the rows in
+    chunks that start at `first` rows and double, so a selection that
+    stops early never evaluates the rest of the grid.  The basis matrix is
+    elementwise in the points, so a row's bits do not depend on its chunk.
+    """
+    lo, size = 0, first
+    while lo < len(order):
+        chunk = order[lo:lo + size]
+        yield from zip(chunk, _basis_matrix(idx, bases, pts[chunk]))
+        lo += size
+        size *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +393,10 @@ class StSolution:
     def expansions_json(self) -> str:
         import json
 
-        docs = [expansion_to_json(e) for e in self.expansions]
         return json.dumps({
             "schema": "st-solution/1",
             "times": [float(t) for t in self.times],
-            "expansions": [json.loads(d) for d in docs],
+            "expansions": [expansion_to_dict(e) for e in self.expansions],
         }, indent=1, sort_keys=True)
 
 

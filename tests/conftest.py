@@ -1,13 +1,14 @@
 """Shared helpers for the test suite.
 
-dc_newton and solve_dc_monolithic are deliberately independent oracles;
-the package's own solvers must agree with them, so they must not import
-from uqsim.stsolver.
+dc_newton, solve_dc_monolithic and select_testing_points_full_grid are
+deliberately independent oracles; the package's own solvers must agree
+with them, so they must not import from uqsim.stsolver.
 """
 
 import numpy as np
 
-from uqsim.polychaos import GpcExpansion
+from uqsim.polychaos import (GpcExpansion, _basis_matrix, golub_welsch,
+                             tensor_quadrature)
 
 
 def damped_newton(residual, jacobian, x0, tol=1e-12, max_iter=80):
@@ -69,3 +70,43 @@ def solve_dc_monolithic(dae, tps, bases, idx):
     C0 = np.linalg.solve(V, np.tile(nominal, (K, 1)))
     C = damped_newton(residual, jacobian, C0.ravel()).reshape(K, n)
     return GpcExpansion(idx, C, tuple(bases))
+
+
+def select_testing_points_full_grid(bases, idx, condition_cap=1e8):
+    """The greedy testing-point selection over a basis matrix built on the
+    whole tensor-Gauss grid up front; returns (points, V, condition).
+
+    The library evaluates basis rows only as the greedy reaches them; its
+    selection must equal this one bit for bit.  A cap no K points meet
+    raises RuntimeError with the library's message.
+    """
+    K, d = len(idx), idx.dimension
+    rules = [golub_welsch(b, idx.total_order + 1) for b in bases]
+    grid = tensor_quadrature(rules)
+    pts = grid.points
+    keys = tuple(pts[:, k] for k in reversed(range(d))) + (-grid.weights,)
+    Phi = _basis_matrix(idx, tuple(bases), pts)  # (N, K)
+
+    chosen = []
+    ortho = np.zeros((0, K))
+    V_rows = np.zeros((0, K))
+    for cand in np.lexsort(keys):
+        if len(chosen) == K:
+            break
+        row = Phi[cand]
+        resid = row - ortho.T @ (ortho @ row)
+        if np.linalg.norm(resid) <= 1e-12 * max(1.0, np.linalg.norm(row)):
+            continue
+        trial = np.vstack([V_rows, row])
+        s = np.linalg.svd(trial, compute_uv=False)
+        if s[0] / s[-1] > condition_cap:
+            continue
+        V_rows = trial
+        chosen.append(int(cand))
+        ortho = np.vstack([ortho, resid / np.linalg.norm(resid)])
+    if len(chosen) < K:
+        raise RuntimeError(
+            f"only {len(chosen)} of {K} testing points satisfy the rank and "
+            f"condition-{condition_cap:g} screens")
+    s = np.linalg.svd(V_rows, compute_uv=False)
+    return pts[chosen], V_rows, float(s[0] / s[-1])

@@ -227,6 +227,37 @@ def test_g_sees_one_stack_per_subset():
     assert decomp.n_evaluations == 1 + 3 * 2 + 3 * 1
 
 
+def test_one_selection_per_subset_signature(monkeypatch):
+    # identical marginals give every subset of one size the same testing
+    # points, so the selection runs once per size, and the result is the
+    # one a fresh selection per subset gives
+    def g(x):
+        return np.sin(x[0]) + x[1] * x[2] + 0.5 * x[3] * x[4]
+
+    def run():
+        return anova.adaptive_anova(g, (UNIF,) * 5, m=2, sigma=0.0,
+                                    order=3)
+
+    sizes = []
+    select, project = anova.select_testing_points, anova._project_restriction
+
+    def counting(bases, idx, condition_cap):
+        sizes.append(idx.dimension)
+        return select(bases, idx, condition_cap)
+
+    monkeypatch.setattr(anova, "select_testing_points", counting)
+    decomp, exp = run()
+    assert decomp.n_by_level == (5, 10)
+    assert sorted(sizes) == [1, 2]
+
+    monkeypatch.setattr(anova, "_project_restriction",
+                        lambda *args: project(*args[:-1], {}))
+    fresh_decomp, fresh_exp = run()
+    assert len(sizes) == 2 + 15
+    assert np.array_equal(exp.coefficients, fresh_exp.coefficients)
+    assert decomp.n_evaluations == fresh_decomp.n_evaluations
+
+
 def test_engineered_screen_reaches_published_counts():
     # 9 strong mains, 44 weak mains, 36 strong pairs within the strong set
     strong = list(range(9))

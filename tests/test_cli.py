@@ -288,17 +288,64 @@ def test_solver_failure_is_numeric_error(divider, tmp_path, capsys):
     ("mc", "t_end", "1e-3"),
     ("dc", "threads", None),
     ("anova", "anchor", [None]),
+    ("dc", "model", 5),
+    ("dc", "netlist", ["a.cir"]),
+    ("dc", "outdir", 7),
+    ("dc", "outdir", None),
+    ("hier-extract", "out", 3),
+    ("hier-propagate", "system", 5),
+    ("hier-propagate", "blocks", 5),
+    ("hier-propagate", "blocks", "ab"),
+    ("hier-propagate", "blocks", [1]),
 ])
 def test_wrong_type_config_value_is_user_error(tmp_path, capsys, analysis,
                                                key, value):
     config = tmp_path / "job.json"
     config.write_text(json.dumps({key: value}))
+    argv = [analysis, "--config", str(config)]
+    # a flag would override the config value under test
+    if analysis != "hier-propagate" and key != "model":
+        argv += ["--model", "builtin:diode-rectifier"]
+    if key != "outdir":
+        argv += ["--outdir", str(tmp_path / "out")]
+    rc = cli.main(argv)
+    assert rc == 1
+    message = capture_error(capsys)["message"]
+    assert key in message and repr(value) in message
+
+
+@pytest.mark.parametrize("analysis,key,value", [
+    ("dc", "newton_max_iter", "5"),
+    ("dc", "newton_max_iter", 5.0),
+    ("dc", "newton_max_damping", True),
+    ("dc", "condition_cap", "1e8"),
+    ("transient", "lte_tol", "1e-6"),
+    ("transient", "fixed_step", "0.1"),
+    ("mc", "dc_tol_scale", None),
+])
+def test_wrong_type_solver_value_is_user_error(tmp_path, capsys, analysis,
+                                               key, value):
+    job = {"solver": {key: value}, "samples": 10}
+    if analysis == "transient":
+        job["t_end"] = 1e-3
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps(job))
     rc = cli.main([analysis, "--model", "builtin:diode-rectifier",
                    "--config", str(config),
                    "--outdir", str(tmp_path / "out")])
     assert rc == 1
     message = capture_error(capsys)["message"]
-    assert key in message and repr(value) in message
+    assert f"solver.{key}" in message and repr(value) in message
+
+
+def test_solver_values_of_the_field_type_are_accepted(divider, tmp_path):
+    # an int where a float is due, and a null fixed_step, are well typed
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({"solver": {
+        "condition_cap": 100000000, "fixed_step": None,
+        "newton_max_iter": 60}}))
+    assert cli.main(["dc", "--netlist", divider, "--config", str(config),
+                     "--outdir", str(tmp_path / "out")]) == 0
 
 
 def test_solver_threads_is_user_error(divider, tmp_path, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from uqsim import models, netlist
+from uqsim import models, netlist, stsolver
 from uqsim.models import algebraic_model, builtin_model
 from uqsim.montecarlo import sample_parameters
 from uqsim.polychaos import (Distribution, GpcExpansion, golub_welsch,
@@ -19,9 +19,12 @@ from uqsim.stsolver import (SolverError, SolverOptions, _damped_newton,
                             recover_coefficients, select_testing_points,
                             solve_dc, standard_bases)
 
-from conftest import solve_dc_monolithic
+from conftest import select_testing_points_full_grid, solve_dc_monolithic
 
 HERMITE = Distribution.gaussian(0.0, 1.0)
+UNIFORM = Distribution.uniform(-1.0, 1.0)
+MIXED = (HERMITE, Distribution.gamma(2.0), Distribution.beta(2.0, 3.0),
+         UNIFORM)
 
 DIVIDER_VARIED = ("V1 1 0 1\nR1 1 2 1k\n"
                   "R2 2 0 1k variation=relative:uniform(0.9,1.1)\n")
@@ -71,6 +74,45 @@ class TestSelection:
         idx = total_degree_index_set(2, 3)
         with pytest.raises(SolverError, match=r"only \d+ of 10"):
             select_testing_points([basis, basis], idx, condition_cap=1.5)
+
+    @pytest.mark.parametrize("dists,order,cap", [
+        ((UNIFORM,) * 8, 3, 1e8),
+        (MIXED, 3, 1e8),
+        # the cap rejects candidates the default cap keeps, so the greedy
+        # reads past the first chunk of 2K rows
+        ((Distribution.gaussian(1.0, 0.1), Distribution.gamma(3.0),
+          Distribution.beta(0.5, 2.0)), 4, 1300.0),
+        (MIXED, 3, 100.0),   # only 34 of 35 points meet it
+    ], ids=["uniform-d8-p3", "mixed-d4-p3", "tight-cap", "failing-cap"])
+    def test_matches_full_grid_reference(self, dists, order, cap):
+        bases = standard_bases(dists, order)
+        idx = total_degree_index_set(len(dists), order)
+        try:
+            points, V, condition = select_testing_points_full_grid(
+                bases, idx, cap)
+        except RuntimeError as err:
+            with pytest.raises(SolverError) as info:
+                select_testing_points(bases, idx, cap)
+            assert str(info.value) == str(err)
+            return
+        tps = select_testing_points(bases, idx, cap)
+        assert np.array_equal(tps.points, points)
+        assert np.array_equal(tps.V, V)
+        assert tps.condition == condition
+
+    def test_evaluates_only_the_rows_it_visits(self, monkeypatch):
+        rows = []
+        basis_matrix = stsolver._basis_matrix
+
+        def counting(idx, bases, points):
+            rows.append(len(points))
+            return basis_matrix(idx, bases, points)
+
+        monkeypatch.setattr(stsolver, "_basis_matrix", counting)
+        bases = standard_bases((UNIFORM,) * 8, 3)
+        tps = select_testing_points(bases, total_degree_index_set(8, 3))
+        assert tps.n_points == 165
+        assert 165 <= sum(rows) < 2000   # of the 4^8 = 65,536 grid nodes
 
     def test_selection_is_deterministic(self):
         basis = make_standard_basis(Distribution.uniform(-1, 1), 2)
