@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import os
 import sys
@@ -33,6 +34,10 @@ from .polychaos import (DegenerateMeasureError, GpcExpansion,
 from .stsolver import (SolverError, SolverOptions, integrate_transient,
                        newton_dc, select_testing_points, solve_dc,
                        standard_bases)
+
+# one job per process: the import-time heap lives until exit, so keep it
+# out of every collection, the one at interpreter shutdown included
+gc.freeze()
 
 EXIT_OK = 0
 EXIT_USER = 1
@@ -278,6 +283,8 @@ def build_config(argv) -> JobConfig:
         raise UsageError(f"order must be at least 1, got {cfg.order}")
     if cfg.samples < 1:
         raise UsageError(f"samples must be positive, got {cfg.samples}")
+    if cfg.seed < 0:
+        raise UsageError(f"seed must be non-negative, got {cfg.seed}")
     if cfg.threads < 1:
         raise UsageError(f"threads must be a positive integer, got "
                          f"{cfg.threads!r}")
@@ -519,12 +526,11 @@ def _density_to_doc(dens: hier.IntermediateDensity) -> dict:
            "support": [float(dens.support[0]), float(dens.support[1])]}
     if dens.kind == "quadrature":
         pts, wts = dens.atoms
-        doc["atoms"] = {"points": [float(v) for v in pts],
-                        "weights": [float(v) for v in wts]}
+        doc["atoms"] = {"points": pts.tolist(), "weights": wts.tolist()}
         doc["exact_degree"] = int(dens.exact_degree)
     else:
-        doc["cdf_knots"] = {"x": [float(v) for v in dens.cdf.x],
-                            "p": [float(v) for v in dens.cdf(dens.cdf.x)]}
+        doc["cdf_knots"] = {"x": dens.cdf.x.tolist(),
+                            "p": dens.cdf(dens.cdf.x).tolist()}
     return doc
 
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -356,6 +358,35 @@ def test_solver_threads_is_user_error(divider, tmp_path, capsys):
                    "--outdir", str(tmp_path / "out")])
     assert rc == 1
     assert "top-level threads" in capture_error(capsys)["message"]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_negative_seed_is_user_error(divider, tmp_path, capsys, via):
+    # numpy used to reject it with a message that did not name the key
+    argv = ["mc", "--netlist", divider, "--samples", "10",
+            "--outdir", str(tmp_path / "out")]
+    if via == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        config = tmp_path / "job.json"
+        config.write_text(json.dumps({"seed": -1}))
+        argv += ["--config", str(config)]
+    assert cli.main(argv) == 1
+    error = capture_error(capsys)
+    assert error["error"] == "config"
+    assert "seed" in error["message"] and "-1" in error["message"]
+
+
+def test_import_freezes_the_heap():
+    # a job process never frees its import-time objects, so importing the
+    # CLI moves them out of the collector's reach
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import uqsim.cli, gc; print(gc.get_freeze_count())"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert int(out) > 0
 
 
 def test_transient_without_stop_time_is_user_error(divider, capsys):

@@ -33,6 +33,25 @@ NONLINEAR_2NODE = ("V1 1 0 1\nR1 1 2 1k variation=relative:uniform(0.9,1.1)\n"
                    "D1 2 0 variation.is=uniform(5e-10,2e-9)\n")
 
 
+def assert_matches_full_grid_reference(dists, order, cap):
+    """The selection equals the full-grid greedy bit for bit, or fails
+    with the same message."""
+    bases = standard_bases(dists, order)
+    idx = total_degree_index_set(len(dists), order)
+    try:
+        points, V, condition = select_testing_points_full_grid(
+            bases, idx, cap)
+    except RuntimeError as err:
+        with pytest.raises(SolverError) as info:
+            select_testing_points(bases, idx, cap)
+        assert str(info.value) == str(err)
+        return
+    tps = select_testing_points(bases, idx, cap)
+    assert np.array_equal(tps.points, points)
+    assert np.array_equal(tps.V, V)
+    assert tps.condition == condition
+
+
 def setup_problem(model, order):
     bases = standard_bases(model, order)
     idx = total_degree_index_set(model.d, order)
@@ -85,20 +104,51 @@ class TestSelection:
         (MIXED, 3, 100.0),   # only 34 of 35 points meet it
     ], ids=["uniform-d8-p3", "mixed-d4-p3", "tight-cap", "failing-cap"])
     def test_matches_full_grid_reference(self, dists, order, cap):
-        bases = standard_bases(dists, order)
-        idx = total_degree_index_set(len(dists), order)
-        try:
-            points, V, condition = select_testing_points_full_grid(
-                bases, idx, cap)
-        except RuntimeError as err:
-            with pytest.raises(SolverError) as info:
-                select_testing_points(bases, idx, cap)
-            assert str(info.value) == str(err)
-            return
-        tps = select_testing_points(bases, idx, cap)
-        assert np.array_equal(tps.points, points)
-        assert np.array_equal(tps.V, V)
-        assert tps.condition == condition
+        assert_matches_full_grid_reference(dists, order, cap)
+
+    @pytest.mark.parametrize("cap", [1e8, 1e3, 1.5])
+    @pytest.mark.parametrize("family", [
+        "uniform", "gaussian", "gamma", "beta", "mixed"])
+    def test_condition_screen_matches_full_grid_reference(self, family,
+                                                          cap):
+        # every accept and reject the bounds make without an SVD must be
+        # the one the exact SVD test makes
+        dist = {"uniform": UNIFORM, "gaussian": HERMITE,
+                "gamma": Distribution.gamma(2.0),
+                "beta": Distribution.beta(2.0, 3.0)}.get(family)
+        for d in range(1, 5):
+            dists = MIXED[:d] if dist is None else (dist,) * d
+            for order in range(5):
+                assert_matches_full_grid_reference(dists, order, cap)
+
+    @pytest.mark.parametrize("cap", [1e8, 1e3, 100.0])
+    def test_an_unvouched_bound_reruns_the_exact_greedy(self, cap,
+                                                        monkeypatch):
+        # a first pass that accepts every candidate on the bound, and
+        # reports that the bound did not hold, must leave no trace
+        greedy = stsolver._greedy
+
+        def accept_all(rows, K, condition_cap, bound):
+            chosen, V, _ = greedy(rows, K, condition_cap,
+                                  np.inf if bound else 0.0)
+            return chosen, V, not bound
+
+        monkeypatch.setattr(stsolver, "_greedy", accept_all)
+        assert_matches_full_grid_reference(MIXED, 3, cap)
+
+    def test_condition_screen_skips_the_svd(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        bases = standard_bases((UNIFORM,) * 8, 3)
+        tps = select_testing_points(bases, total_degree_index_set(8, 3))
+        assert tps.n_points == 165
+        assert len(calls) <= 2   # the SVD on every trial would make 166
 
     def test_evaluates_only_the_rows_it_visits(self, monkeypatch):
         rows = []
