@@ -35,8 +35,12 @@ from .stsolver import (SolverError, SolverOptions, integrate_transient,
                        newton_dc, select_testing_points, solve_dc,
                        standard_bases)
 
-# one job per process: the import-time heap lives until exit, so keep it
-# out of every collection, the one at interpreter shutdown included
+# A console-script or launcher process runs one job and never frees its
+# import-time heap, so keep that heap out of every collection, the one at
+# interpreter shutdown included.  This runs at import, not in main(),
+# because an in-process caller may call main() many times; such a caller
+# only loses the collection of cycles among objects that existed before
+# this import.
 gc.freeze()
 
 EXIT_OK = 0

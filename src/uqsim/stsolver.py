@@ -6,8 +6,8 @@ tensor Gauss grid (order p+1 per dimension), and the K points with the
 largest tensor weights that keep the collocation matrix V[j, k] =
 Phi_k(xi_j) well conditioned are kept.  Basis rows are evaluated lazily, in
 candidate order, only for the candidates the greedy reaches, and the
-condition screen brackets each trial's condition number between two cheap
-bounds, running an SVD only for trials near the cap.  Because V is
+condition screen accepts a trial on a cheap Frobenius-norm bound of its
+condition number, running an SVD only for trials near the cap.  Because V is
 square and invertible, every Newton iteration and every implicit time step
 decouples into K independent n-by-n solves in point space; the DC solves of
 all K points run as the rows of one stacked Newton.  Coefficients are
@@ -126,15 +126,15 @@ def select_testing_points(bases: Sequence[OrthoBasis], idx: MultiIndexSet,
     orthonormal rows it keeps and L lower triangular, so a trial
     [V_rows; row] = L_new Q_new has the singular values of L_new.  Its
     condition number is then at most ||[V_rows; row]||_F ||L_new^-1||_F,
-    a product kept up to date in O(k^2) per candidate, and at least a
-    ratio of singular-value estimates that costs O(kK) (see _greedy).  A
-    trial whose upper bound is at most cap/2 is accepted without an SVD,
-    one whose lower bound exceeds 2 cap is rejected without one, and only
-    the rest get the exact SVD test; the factors of 2 cover rounding.  The
-    upper bound needs Q orthonormal, which Gram-Schmidt keeps only to
-    rounding; should the final Q be off by more than 1/2, the greedy
-    reruns without accepting on the bound.  Either way every accept and
-    reject is the one the SVD test makes.
+    a product kept up to date in O(k^2) per candidate.  A trial whose
+    bound is at most cap/2 is accepted without an SVD; every other trial
+    gets the exact SVD test.  The bound needs Q orthonormal, which
+    Gram-Schmidt keeps only to rounding, so the greedy also keeps
+    ||I - Q Q^T||_F and accepts on the bound only while the trial's Q_new
+    is within 1/2 of orthonormal.  Then, by interlacing, Q_new's singular
+    values are at least sqrt(1/2), so a trial accepted on the bound has a
+    condition number of at most cap/sqrt(2), and every accept and reject
+    is the one the SVD test makes.
     """
     K = len(idx)
     d = idx.dimension
@@ -150,72 +150,44 @@ def select_testing_points(bases: Sequence[OrthoBasis], idx: MultiIndexSet,
     keys = tuple(pts[:, k] for k in reversed(range(d))) + (-grid.weights,)
     candidate_order = np.lexsort(keys)
 
-    def greedy(bound):
-        return _greedy(_candidate_rows(idx, tuple(bases), pts,
-                                       candidate_order, 2 * K),
-                       K, condition_cap, bound)
-
-    chosen, V_rows, vouched = greedy(condition_cap / 2)
-    if not vouched:
-        chosen, V_rows, _ = greedy(0.0)
-    if len(chosen) < K:
-        raise SolverError(
-            f"only {len(chosen)} of {K} testing points satisfy the rank and "
-            f"condition-{condition_cap:g} screens")
-    s = np.linalg.svd(V_rows, compute_uv=False)
-    return TestingPointSet(pts[chosen], V_rows, float(s[0] / s[-1]))
-
-
-def _greedy(candidates, K: int, condition_cap: float, bound: float):
-    """The rank and condition screens over (candidate, basis row) pairs.
-
-    A trial is accepted without an SVD when its Frobenius upper bound on
-    the condition number is at most `bound` (0 accepts none that way),
-    and rejected without one when its lower bound exceeds 2 condition_cap.
-    Returns (chosen candidates, their rows (k, K), vouched).  The upper
-    bound rests on the rows Q of the accepted residuals being orthonormal;
-    vouched says ||I - Q Q^T||_F <= 1/2.  Then, by interlacing, every
-    leading block of rows of Q has singular values of at least sqrt(1/2),
-    so a trial whose bound is at most cap/2 has a condition number of at
-    most cap/sqrt(2).
-    """
     chosen: list[int] = []
     ortho = np.zeros((0, K))  # orthonormal row-space basis of V so far
     V_rows = np.zeros((0, K))
     Linv = np.zeros((K, K))   # L^-1 for V_rows = L @ ortho, in [:k, :k]
     fro2 = inv2 = 0.0         # ||V_rows||_F^2 and ||L^-1||_F^2
-    drift2 = 0.0              # ||I - Q Q^T||_F^2 over the accepted rows q
-    for cand, row in candidates:
+    drift2 = 0.0              # ||I - Q Q^T||_F^2 over the rows of ortho
+    bound2 = (condition_cap / 2) ** 2
+    for cand, row in _candidate_rows(idx, tuple(bases), pts,
+                                     candidate_order, 2 * K):
         c = ortho @ row
         resid = row - ortho.T @ c
         delta = np.linalg.norm(resid)
         if delta <= 1e-12 * max(1.0, np.linalg.norm(row)):
             continue  # would not raise the rank
         k = len(chosen)
+        q = resid / delta
+        g = ortho @ q
+        t_drift2 = drift2 + 2.0 * (g @ g) + (q @ q - 1.0) ** 2
         w = (c @ Linv[:k, :k]) / -delta   # L_new^-1's last row: [w, 1/delta]
-        last2 = w @ w + 1.0 / delta ** 2
         t_fro2 = fro2 + row @ row
-        t_inv2 = inv2 + last2
-        if not t_fro2 * t_inv2 <= bound * bound:
-            # sigma_min(trial) <= |y trial| / |y| for y = [w, 1/delta], and
-            # sigma_max(trial)^2 >= t_fro2 / (k + 1); neither needs ortho
-            yT = w @ V_rows + row / delta
-            if t_fro2 * last2 > (2 * condition_cap) ** 2 * (k + 1) * (yT @ yT):
-                continue
+        t_inv2 = inv2 + w @ w + 1.0 / delta ** 2
+        if not (t_fro2 * t_inv2 <= bound2 and t_drift2 <= 0.25):
             s = np.linalg.svd(np.vstack([V_rows, row]), compute_uv=False)
             if s[0] / s[-1] > condition_cap:
                 continue
         V_rows = np.vstack([V_rows, row])
         chosen.append(int(cand))
-        q = resid / delta
-        g = ortho @ q
-        drift2 += 2.0 * (g @ g) + (q @ q - 1.0) ** 2
         if len(chosen) == K:
             break
         ortho = np.vstack([ortho, q])
         Linv[k, :k], Linv[k, k] = w, 1.0 / delta
-        fro2, inv2 = t_fro2, t_inv2
-    return chosen, V_rows, drift2 <= 0.25
+        fro2, inv2, drift2 = t_fro2, t_inv2, t_drift2
+    if len(chosen) < K:
+        raise SolverError(
+            f"only {len(chosen)} of {K} testing points satisfy the rank and "
+            f"condition-{condition_cap:g} screens")
+    s = np.linalg.svd(V_rows, compute_uv=False)
+    return TestingPointSet(pts[chosen], V_rows, float(s[0] / s[-1]))
 
 
 def _candidate_rows(idx: MultiIndexSet, bases: tuple, pts: np.ndarray,
