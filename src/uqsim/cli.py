@@ -47,10 +47,6 @@ EXIT_OK = 0
 EXIT_USER = 1
 EXIT_NUMERIC = 2
 
-ANALYSES = ("dc", "transient", "anova", "sensitivity", "mc",
-            "hier-extract", "hier-propagate")
-
-
 class UsageError(ValueError):
     """Configuration or input problem attributable to the caller."""
 
@@ -71,7 +67,6 @@ class JobConfig:
     t_end: float | None = None
     output: int | str = 0
     outdir: str = "."
-    threads: int = 1
     density: str = "quadrature"
     knots: int = 51
     blocks: tuple[str, ...] = ()
@@ -82,16 +77,13 @@ class JobConfig:
     solver: dict = field(default_factory=dict)
 
     def solver_options(self) -> SolverOptions:
-        if "threads" in self.solver:
-            raise UsageError("threads is not a solver option; set the "
-                             "top-level threads key")
         kinds = {f.name: _FIELD_KINDS[f.type] for f in fields(SolverOptions)}
         bad = set(self.solver) - set(kinds)
         if bad:
             raise UsageError(f"unknown solver option(s): {sorted(bad)}")
         for key, value in self.solver.items():
             _check_type(f"solver.{key}", value, kinds[key])
-        return SolverOptions(**self.solver, threads=self.threads)
+        return SolverOptions(**self.solver)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +109,6 @@ def _add_common_flags(p: _Parser) -> None:
     p.add_argument("--config", help="JSON config file; flags override it")
     p.add_argument("--order", type=int, help="total polynomial degree")
     p.add_argument("--outdir", help="directory for output artifacts")
-    p.add_argument("--threads", type=int,
-                   help="worker threads; 1 is serial and deterministic")
     p.add_argument("--seed", type=int, help="random seed")
 
 
@@ -216,17 +206,17 @@ def _parse_output(value):
     return int(text) if text.lstrip("-").isdigit() else text
 
 
-_INT, _REAL = (int, "an integer"), ((int, float), "a number")
-_OPT_REAL = ((int, float, type(None)), "a number")
-_STR, _OPT_STR = (str, "a string"), ((str, type(None)), "a string")
-# the value types of the annotated dataclass fields, by annotation
-_FIELD_KINDS = {"int": _INT, "float": _REAL, "float | None": _OPT_REAL}
-# JobConfig's scalar keys; m, t_end and the optional names may be null
-_TYPED_KEYS = {"order": _INT, "samples": _INT, "seed": _INT,
-               "knots": _INT, "threads": _INT, "sigma": _REAL,
-               "m": ((int, type(None)), "an integer"), "t_end": _OPT_REAL,
-               "model": _OPT_STR, "netlist": _OPT_STR, "system": _OPT_STR,
-               "out": _OPT_STR, "outdir": _STR}
+_NONE = type(None)
+# the value types of the scalar dataclass fields, by annotation; a field of
+# another annotation is checked where it is parsed
+_FIELD_KINDS = {
+    "int": (int, "an integer"),
+    "int | None": ((int, _NONE), "an integer"),
+    "float": ((int, float), "a number"),
+    "float | None": ((int, float, _NONE), "a number"),
+    "str": (str, "a string"),
+    "str | None": ((str, _NONE), "a string"),
+}
 
 
 def _check_type(key: str, value, kind) -> None:
@@ -281,17 +271,15 @@ def build_config(argv) -> JobConfig:
     except TypeError as err:
         raise UsageError(str(err)) from err
 
-    for key, kind in _TYPED_KEYS.items():
-        _check_type(key, getattr(cfg, key), kind)
+    for f in fields(JobConfig):
+        if f.type in _FIELD_KINDS:
+            _check_type(f.name, getattr(cfg, f.name), _FIELD_KINDS[f.type])
     if cfg.order < 1:
         raise UsageError(f"order must be at least 1, got {cfg.order}")
     if cfg.samples < 1:
         raise UsageError(f"samples must be positive, got {cfg.samples}")
     if cfg.seed < 0:
         raise UsageError(f"seed must be non-negative, got {cfg.seed}")
-    if cfg.threads < 1:
-        raise UsageError(f"threads must be a positive integer, got "
-                         f"{cfg.threads!r}")
     if not isinstance(cfg.params, dict) or not isinstance(cfg.solver, dict):
         raise UsageError("params and solver config entries must be objects")
     if cfg.density not in ("quadrature", "sampling"):
@@ -316,6 +304,9 @@ def _load_model(cfg: JobConfig):
     if (cfg.netlist is None) == (cfg.model is None):
         raise UsageError("exactly one of --netlist or --model is required")
     if cfg.netlist is not None:
+        if cfg.params:
+            raise UsageError(f"a netlist takes no model parameters, got "
+                             f"{sorted(cfg.params)}")
         try:
             with open(cfg.netlist) as fh:
                 text = fh.read()
@@ -591,11 +582,19 @@ def _load_block(path: str) -> tuple[dict, hier.IntermediateDensity]:
     except json.JSONDecodeError as err:
         raise UsageError(f"block artifact {path} is not valid JSON: {err}") \
             from err
+    if not isinstance(doc, dict):
+        raise UsageError(f"block artifact {path} must hold a JSON object")
     if doc.get("schema") != "intermediate-block/1":
         raise UsageError(f"block artifact {path} has schema "
                          f"{doc.get('schema')!r}, expected "
                          f"'intermediate-block/1'")
-    return doc, _density_from_doc(doc["density"])
+    try:
+        return doc, _density_from_doc(doc["density"])
+    except KeyError as err:
+        raise UsageError(f"block artifact {path} has no key {err}") from err
+    except (TypeError, IndexError, ValueError) as err:
+        raise UsageError(f"block artifact {path} has a malformed density: "
+                         f"{err}") from err
 
 
 def _run_hier_propagate(cfg: JobConfig) -> None:

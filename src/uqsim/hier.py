@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .models import StochasticDae, algebraic_model
+from .models import StochasticDae, _check_params, algebraic_model
 from .polychaos import (Distribution, GpcExpansion, MultiIndexSet, OrthoBasis,
                         QuadratureRule, golub_welsch, stieltjes_basis,
                         tensor_quadrature, total_degree_index_set)
@@ -201,31 +201,23 @@ def _oversampled_rule(dists: Sequence[Distribution], nodes: int
 
 
 def density_by_quadrature(s: Surrogate,
-                          rule: QuadratureRule | None = None,
                           max_degree: int = DEFAULT_ZETA_DEGREE
                           ) -> IntermediateDensity:
     """Pushforward of a parameter-space Gauss rule through zeta(xi).
 
-    The rule must resolve zeta-moments up to max_degree: a zeta-polynomial
-    of degree D composes with the degree-p surrogate to a degree D*p
-    integrand, so each dimension gets ceil((D*p + 1)/2) Gauss nodes when
-    the rule is built here.
+    The rule resolves zeta-moments up to max_degree: a zeta-polynomial of
+    degree D composes with the degree-p surrogate to a degree D*p
+    integrand, so each dimension gets ceil((D*p + 1)/2) Gauss nodes.
     """
     p_surr = max(1, s.zeta.index_set.total_order)
-    if rule is None:
-        nodes = int(np.ceil((max_degree * p_surr + 1) / 2))
-        rule = _oversampled_rule(s.distributions, nodes)
-        exact = max_degree
-    else:
-        if rule.exact_degree is None:
-            raise ValueError("the supplied rule must declare exact_degree")
-        exact = rule.exact_degree // p_surr
+    nodes = int(np.ceil((max_degree * p_surr + 1) / 2))
+    rule = _oversampled_rule(s.distributions, nodes)
     values = s.zeta.eval_many(rule.points).ravel()
     return IntermediateDensity(
         kind="quadrature",
         support=(float(values.min()), float(values.max())),
         atoms=(values, rule.weights),
-        exact_degree=int(exact))
+        exact_degree=int(max_degree))
 
 
 def density_by_sampling(s: Surrogate, n_samples: int = SAMPLING_DEFAULT,
@@ -309,37 +301,43 @@ def propagate_transient(model: StochasticDae, bases: Sequence[OrthoBasis],
                                options=options)
 
 
+def _sum_system(dists) -> StochasticDae:
+    return algebraic_model(lambda z: [float(np.sum(z))], dists, 1,
+                           labels=("sum",))
+
+
+def _rc_zeta_system(dists, r: float = 1e3, c: float = 1e-6,
+                    vin: float = 1.0, spread: float = 0.1) -> StochasticDae:
+    if len(dists) != 1:
+        raise ValueError("rc_zeta takes exactly one intermediate input")
+
+    def f(x, z, t):
+        return np.array([(x[0] - vin) / (r * (1.0 + spread * z[0]))])
+
+    def df_dx(x, z, t):
+        return np.array([[1.0 / (r * (1.0 + spread * z[0]))]])
+
+    return StochasticDae(
+        n=1, d=1, distributions=dists,
+        q=lambda x, z: c * np.asarray(x, dtype=float),
+        f=f, B=np.zeros((1, 0)), u=lambda t: np.zeros(0),
+        dq_dx=lambda x, z: np.array([[c]]), df_dx=df_dx,
+        x0_guess=np.array([vin]), labels=("v_out",))
+
+
+_DEMO_SYSTEMS = {"sum": _sum_system, "rc_zeta": _rc_zeta_system}
+
+
 def demo_system(name: str, densities: Sequence[IntermediateDensity],
                 **params) -> StochasticDae:
     """Registered system-level models taking intermediate inputs.
 
     'sum': y = zeta_1 + ... + zeta_q (algebraic).
     'rc_zeta': one-state RC charging circuit whose time constant is
-    tau0 * (1 + spread * zeta_1); single block only.
+    r * c * (1 + spread * zeta_1); single block only.
     """
-    dists = tuple(d.as_distribution() for d in densities)
-    key = name.replace("-", "_")
-    if key == "sum":
-        return algebraic_model(lambda z: [float(np.sum(z))], dists, 1,
-                               labels=("sum",))
-    if key == "rc_zeta":
-        if len(dists) != 1:
-            raise ValueError("rc_zeta takes exactly one intermediate input")
-        r0 = params.get("r", 1e3)
-        c0 = params.get("c", 1e-6)
-        vin = params.get("vin", 1.0)
-        spread = params.get("spread", 0.1)
-
-        def f(x, z, t):
-            return np.array([(x[0] - vin) / (r0 * (1.0 + spread * z[0]))])
-
-        def df_dx(x, z, t):
-            return np.array([[1.0 / (r0 * (1.0 + spread * z[0]))]])
-
-        return StochasticDae(
-            n=1, d=1, distributions=dists,
-            q=lambda x, z: c0 * np.asarray(x, dtype=float),
-            f=f, B=np.zeros((1, 0)), u=lambda t: np.zeros(0),
-            dq_dx=lambda x, z: np.array([[c0]]), df_dx=df_dx,
-            x0_guess=np.array([vin]), labels=("v_out",))
-    raise KeyError(f"no demo system named '{name}'")
+    factory = _DEMO_SYSTEMS.get(name.replace("-", "_"))
+    if factory is None:
+        raise KeyError(f"no demo system named '{name}'")
+    _check_params(f"demo system '{name}'", factory, params)
+    return factory(tuple(d.as_distribution() for d in densities), **params)

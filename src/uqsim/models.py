@@ -15,6 +15,7 @@ nonlinearly.  Second-order mechanical models are
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -30,7 +31,6 @@ __all__ = [
     "second_order_to_first",
     "algebraic_model",
     "builtin_model",
-    "builtin_second_order",
     "shockley_current",
     "mosfet_current",
     "BUILTIN_MODELS",
@@ -334,12 +334,13 @@ def _diode_rectifier(vin: float = 1.0, r: float = 1e3, i_s: float = 1e-9,
 
 def _plate_actuator(voltage: float = 1.0, damping: float = 0.6,
                     force_const: float = 0.02, k_sigma: float = 0.05,
-                    gap_sigma: float = 0.05) -> SecondOrderModel:
+                    gap_sigma: float = 0.05) -> StochasticDae:
     """Normalized parallel-plate electrostatic actuator, one mechanical DOF.
 
     z'' + b z' + k(xi_0) z = c V^2 / (gap(xi_1) - z)^2 with unit nominal
     mass, stiffness and gap; spring constant and gap carry Gaussian
-    variations.  u(t) is the (constant) applied voltage.
+    variations.  u(t) is the (constant) applied voltage.  Returned in
+    first-order form, x = (z, z').
     """
     dists = (Distribution.gaussian(0.0, 1.0), Distribution.gaussian(0.0, 1.0))
 
@@ -349,7 +350,7 @@ def _plate_actuator(voltage: float = 1.0, damping: float = 0.6,
         v = u[0]
         return np.array([k * z[0] - force_const * v * v / (gap - z[0]) ** 2])
 
-    return SecondOrderModel(
+    return second_order_to_first(SecondOrderModel(
         n=1,
         mass=lambda z, xi: np.array([[1.0]]),
         damping=lambda z, xi: np.array([[damping]]),
@@ -357,7 +358,7 @@ def _plate_actuator(voltage: float = 1.0, damping: float = 0.6,
         distributions=dists,
         u=lambda t: np.array([voltage]),
         z0=np.zeros(1), v0=np.zeros(1),
-        labels=("z",))
+        labels=("z",)))
 
 
 _OPAMP_LIKE_NETLIST = """\
@@ -384,27 +385,34 @@ def _opamp_like() -> StochasticDae:
 BUILTIN_MODELS = {
     "rc_lowpass": _rc_lowpass,
     "diode_rectifier": _diode_rectifier,
-    "plate_actuator": None,  # second-order; converted on request
+    "plate_actuator": _plate_actuator,
     "opamp_like": _opamp_like,
 }
 
 
-def builtin_second_order(name: str, **params) -> SecondOrderModel:
-    if name.replace("-", "_") != "plate_actuator":
-        raise UnknownModelError(
-            f"no builtin second-order model named '{name}'")
-    return _plate_actuator(**params)
-
-
 def builtin_model(name: str, **params) -> StochasticDae:
-    """Benchmark registry; second-order entries are converted on the fly."""
+    """Builtin model `name`; `params` override its factory's defaults."""
     key = name.replace("-", "_")
-    if key == "plate_actuator":
-        return second_order_to_first(_plate_actuator(**params))
     try:
         factory = BUILTIN_MODELS[key]
     except KeyError:
         raise UnknownModelError(
             f"no builtin model named '{name}'; available: "
             f"{', '.join(sorted(BUILTIN_MODELS))}") from None
+    _check_params(f"builtin model '{name}'", factory, params)
     return factory(**params)
+
+
+def _check_params(what: str, factory: Callable, params: dict) -> None:
+    """ValueError unless every key of `params` names a parameter of
+    `factory` that has a default, and every value is a number."""
+    names = [n for n, p in inspect.signature(factory).parameters.items()
+             if p.default is not p.empty]
+    for key, value in params.items():
+        if key not in names:
+            raise ValueError(
+                f"{what} has no parameter {key!r}; it takes "
+                f"{', '.join(names) or 'none'}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"parameter {key} of {what} must be a number, "
+                             f"got {value!r}")

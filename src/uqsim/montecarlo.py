@@ -87,8 +87,7 @@ def _aggregate(samples: np.ndarray, n_failed: int, seed: int,
 
 def run_mc(model: StochasticDae, analysis: str, n: int, seed: int,
            t_end: float | None = None,
-           options: SolverOptions = SolverOptions(),
-           x0: np.ndarray | None = None) -> McResult:
+           options: SolverOptions = SolverOptions()) -> McResult:
     """Monte Carlo over the model's inputs; analysis is 'dc' or 'transient'.
 
     Transient runs integrate from t=0 to t_end (required) and aggregate the
@@ -107,9 +106,8 @@ def run_mc(model: StochasticDae, analysis: str, n: int, seed: int,
         if analysis == "dc":
             x = nominal
         else:
-            start = nominal if x0 is None else x0
             _, states, _ = integrate_deterministic(
-                model, np.zeros(0), (0.0, t_end), start, options)
+                model, np.zeros(0), (0.0, t_end), nominal, options)
             x = states[-1]
         out = _aggregate(np.tile(x, (n, 1)), 0, seed, model.labels)
         zeros = np.zeros(model.n)
@@ -118,7 +116,6 @@ def run_mc(model: StochasticDae, analysis: str, n: int, seed: int,
                        stderr_std=zeros.copy())
 
     budget = int(np.floor(FAILURE_BUDGET * n))
-    start = nominal if x0 is None else x0
     results = np.empty((n, model.n))
     failed = np.zeros(n, dtype=bool)
     chunk = 1
@@ -133,7 +130,7 @@ def run_mc(model: StochasticDae, analysis: str, n: int, seed: int,
         else:
             try:
                 _, states, _ = integrate_deterministic(
-                    model, xis[lo], (0.0, t_end), start, options)
+                    model, xis[lo], (0.0, t_end), nominal, options)
                 results[lo] = states[-1]
             except SolverError:
                 failed[lo] = True

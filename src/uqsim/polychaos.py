@@ -628,17 +628,16 @@ def golub_welsch(basis: OrthoBasis, n: int) -> QuadratureRule:
     return QuadratureRule(vals, w, 1, exact_degree=2 * n - 1)
 
 
-def tensor_quadrature(rules: Sequence[QuadratureRule],
-                      cap: int = TENSOR_DIMENSION_CAP) -> QuadratureRule:
+def tensor_quadrature(rules: Sequence[QuadratureRule]) -> QuadratureRule:
     """Tensor product of univariate rules; refuses above the dimension cap."""
     d = len(rules)
     if d == 0:
         raise ValueError("need at least one rule")
-    if d > cap:
+    if d > TENSOR_DIMENSION_CAP:
         raise ValueError(
-            f"tensor grid in {d} dimensions exceeds the cap of {cap}; use the "
-            "anchored decomposition in the anova module for high-dimensional "
-            "problems")
+            f"tensor grid in {d} dimensions exceeds the cap of "
+            f"{TENSOR_DIMENSION_CAP}; use the anchored decomposition in the "
+            "anova module for high-dimensional problems")
     for r in rules:
         if r.dimension != 1:
             raise ValueError("tensor factors must be univariate rules")

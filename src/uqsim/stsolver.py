@@ -20,7 +20,6 @@ from a polynomial predictor, and error-per-unit-step acceptance.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -73,7 +72,7 @@ class SolverOptions:
     max_step_fraction: float = 0.1
     accepts_before_double: int = 5
     fixed_step: float | None = None   # disables step control when set
-    threads: int = 1                  # transient steppers only
+    threads = 1   # not a field; read by perfbench/launcher.py --env only
 
     def dc_tol(self, n: int) -> float:
         return self.dc_tol_scale * n
@@ -343,12 +342,9 @@ def _solve_dc_rows(model: StochasticDae, P: np.ndarray, X0: np.ndarray,
                           options.newton_max_damping)
 
 
-def _map_points(fn: Callable, items, threads: int):
-    """Index-stable map, optionally on a thread pool."""
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _map_points(fn: Callable, items):
+    # a plain map, kept as a name only because perfbench/tracer.py wraps it
+    return [fn(it) for it in items]
 
 
 def recover_coefficients(values: np.ndarray, tps: TestingPointSet,
@@ -547,7 +543,7 @@ def _integrate_points(model, points, X0, t_span, options):
         def attempt_one(stepper):
             return stepper.attempt(t, h_step)
 
-        results = _map_points(attempt_one, steppers, options.threads)
+        results = _map_points(attempt_one, steppers)
         lte = max(r[1] for r in results)
         target = options.lte_tol * h_step / span  # error per unit time
         if fixed is None and lte > target:

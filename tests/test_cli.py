@@ -209,15 +209,6 @@ def test_writes_sharing_an_artifact_name_do_not_collide(tmp_path,
     assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
 
 
-def test_single_thread_matches_parallel(divider, tmp_path):
-    for threads, name in (("1", "t1"), ("4", "t4")):
-        assert cli.main(["dc", "--netlist", divider, "--order", "3",
-                         "--threads", threads,
-                         "--outdir", str(tmp_path / name)]) == 0
-    assert (tmp_path / "t1" / "dc_stats.csv").read_bytes() == \
-        (tmp_path / "t4" / "dc_stats.csv").read_bytes()
-
-
 # ---------------------------------------------------------------------------
 # failure modes
 
@@ -288,7 +279,7 @@ def test_solver_failure_is_numeric_error(divider, tmp_path, capsys):
     ("mc", "seed", 1.0),
     ("hier-extract", "knots", "51"),
     ("mc", "t_end", "1e-3"),
-    ("dc", "threads", None),
+    ("hier-extract", "density", None),
     ("anova", "anchor", [None]),
     ("dc", "model", 5),
     ("dc", "netlist", ["a.cir"]),
@@ -351,13 +342,30 @@ def test_solver_values_of_the_field_type_are_accepted(divider, tmp_path):
 
 
 def test_solver_threads_is_user_error(divider, tmp_path, capsys):
-    # a thread count inside `solver` used to be overwritten silently
+    # there is no thread count anywhere; inside `solver` it is unknown
     config = tmp_path / "job.json"
     config.write_text(json.dumps({"solver": {"threads": 4}}))
     rc = cli.main(["dc", "--netlist", divider, "--config", str(config),
                    "--outdir", str(tmp_path / "out")])
     assert rc == 1
-    assert "top-level threads" in capture_error(capsys)["message"]
+    message = capture_error(capsys)["message"]
+    assert "unknown solver option" in message and "threads" in message
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_threads_is_user_error(tmp_path, capsys, via):
+    # the thread pool and its option are gone; both spellings are refused
+    argv = ["dc", "--model", "builtin:diode-rectifier",
+            "--outdir", str(tmp_path / "out")]
+    if via == "flag":
+        argv += ["--threads", "2"]
+    else:
+        config = tmp_path / "job.json"
+        config.write_text(json.dumps({"threads": 2}))
+        argv += ["--config", str(config)]
+    assert cli.main(argv) == 1
+    error = capture_error(capsys)
+    assert error["error"] == "config" and "threads" in error["message"]
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])
@@ -400,3 +408,65 @@ def test_unknown_output_label_is_user_error(divider, capsys):
                    "--output", "v(99)"])
     assert rc == 1
     assert "v(99)" in capture_error(capsys)["message"]
+
+
+@pytest.fixture(scope="module")
+def block(tmp_path_factory):
+    out = tmp_path_factory.mktemp("block")
+    assert cli.main(["hier-extract", "--model", "builtin:diode-rectifier",
+                     "--order", "2", "--output", "v(2)",
+                     "--outdir", str(out)]) == 0
+    return str(out / "block.json")
+
+
+@pytest.mark.parametrize("doc,key", [
+    ([1, 2], "JSON object"),
+    ({"schema": "intermediate-block/1"}, "density"),
+    ({"schema": "intermediate-block/1",
+      "density": {"kind": "quadrature", "support": [0.0, 1.0],
+                  "exact_degree": 14}}, "atoms"),
+], ids=["list", "no-density", "no-atoms"])
+def test_malformed_block_is_user_error(tmp_path, capsys, doc, key):
+    path = tmp_path / "block.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main(["hier-propagate", "--blocks", str(path),
+                   "--system", "builtin:sum",
+                   "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    error = capture_error(capsys)
+    assert error["error"] == "config"
+    assert str(path) in error["message"] and key in error["message"]
+
+
+RC_ZETA = ["hier-propagate", "--system", "builtin:rc-zeta",
+           "--blocks", "BLOCK"]
+
+
+@pytest.mark.parametrize("argv,param,named", [
+    (["dc", "--model", "builtin:diode-rectifier"], "bogus=1", "'bogus'"),
+    (["dc", "--netlist", "DIVIDER"], "bogus=1", "'bogus'"),
+    (RC_ZETA, "bogus=1", "'bogus'"),
+    (RC_ZETA, "r=abc", "parameter r "),
+    (["hier-propagate", "--system", "builtin:sum", "--blocks", "BLOCK"],
+     "r=1", "'r'"),
+], ids=["builtin", "netlist", "rc-zeta", "rc-zeta-value", "sum"])
+def test_bad_param_is_user_error(divider, block, tmp_path, capsys, argv,
+                                 param, named):
+    # these used to raise a TypeError or to be ignored silently
+    argv = [{"DIVIDER": divider, "BLOCK": block}.get(a, a) for a in argv]
+    rc = cli.main(argv + ["--param", param,
+                          "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    error = capture_error(capsys)
+    assert error["error"] == "config" and named in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_known_param_reaches_the_model(block, tmp_path):
+    for vin in ("1", "2"):
+        assert cli.main(["hier-propagate", "--system", "builtin:rc-zeta",
+                         "--blocks", block, "--param", f"vin={vin}",
+                         "--outdir", str(tmp_path / vin)]) == 0
+    one, two = (read_stats(tmp_path / v / "hier_stats.csv")["v_out"]
+                for v in ("1", "2"))
+    assert two["mean"] == pytest.approx(2.0 * one["mean"], rel=1e-9)

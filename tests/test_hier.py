@@ -127,15 +127,6 @@ def test_quadrature_density_degree_refusal():
     hier.build_intermediate_basis(dens, 1)       # degree 4 available
 
 
-def test_quadrature_density_supplied_rule_must_declare_exactness():
-    from uqsim.polychaos import QuadratureRule
-
-    s = linear_gaussian_surrogate()
-    rule = QuadratureRule(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 1)
-    with pytest.raises(ValueError, match="exact_degree"):
-        hier.density_by_quadrature(s, rule=rule)
-
-
 def test_quadrature_density_evaluation_is_normalized():
     s = skewed_surrogate()
     dens = hier.density_by_quadrature(s)

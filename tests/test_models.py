@@ -7,8 +7,8 @@ from conftest import dc_newton
 from uqsim import models
 from uqsim.models import (SecondOrderModel, SingularMassError,
                           UnknownModelError, algebraic_model, builtin_model,
-                          builtin_second_order, mosfet_current,
-                          second_order_to_first, shockley_current)
+                          mosfet_current, second_order_to_first,
+                          shockley_current)
 from uqsim.polychaos import Distribution
 
 
@@ -195,8 +195,6 @@ class TestBuiltins:
     def test_unknown_name_raises(self):
         with pytest.raises(UnknownModelError):
             builtin_model("no_such_model")
-        with pytest.raises(UnknownModelError):
-            builtin_second_order("rc_lowpass")
 
     def test_hyphen_alias(self):
         dae = builtin_model("plate-actuator")

@@ -1,7 +1,12 @@
-"""The study scripts in scripts/ run to completion on small inputs."""
+"""The study scripts in scripts/ run to completion on small inputs, and the
+benchmark harness in perfbench/ still finds the library names it reads."""
 
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -24,3 +29,35 @@ def load(name):
 def test_script_runs(name, argv, capsys):
     assert load(name).main(argv) == 0
     assert capsys.readouterr().out
+
+
+PERFBENCH = SCRIPTS.parent / "perfbench"
+
+
+def test_benchmark_harness_reads_the_library(tmp_path):
+    # the benchmark's launcher and tracer reach into private names of the
+    # library; a change that removes one must fail here, not only there
+    env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}
+    out = subprocess.run([sys.executable, str(PERFBENCH / "launcher.py"),
+                          "--env"], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert json.loads(out)["cli_threads"] == 1
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    from uqsim import cli, stsolver
+
+    originals = (stsolver._map_points, stsolver._integrate_points,
+                 stsolver._PointIntegrator.attempt)
+    t = tracer.Tracer()
+    with t.installed():
+        assert cli.main(["transient", "--model", "builtin:rc-lowpass",
+                         "--order", "1", "--t-end", "1e-3",
+                         "--outdir", str(tmp_path)]) == 0
+    assert (stsolver._map_points, stsolver._integrate_points,
+            stsolver._PointIntegrator.attempt) == originals
+    names = {rec[0] for rec in t.spans.values()}
+    assert {"stsolver._map_points", "stsolver._damped_newton"} <= names
+    assert t.layer_metrics()["stsolver.steps_accepted"] > 0
