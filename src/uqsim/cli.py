@@ -658,10 +658,13 @@ def _fail(category: str, err: Exception) -> None:
 
 def main(argv=None) -> int:
     try:
-        cfg = build_config(argv)
-        _DISPATCH[cfg.analysis](cfg)
+        # numpy warnings would reach stderr ahead of the one JSON line;
+        # non-finite values surface as solver or check failures instead
+        with np.errstate(all="ignore"):
+            cfg = build_config(argv)
+            _DISPATCH[cfg.analysis](cfg)
         return EXIT_OK
-    except (SolverError, DegenerateMeasureError, FloatingPointError,
+    except (SolverError, DegenerateMeasureError, ArithmeticError,
             np.linalg.LinAlgError) as err:
         _fail("numeric", err)
         return EXIT_NUMERIC

@@ -51,14 +51,25 @@ def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray],
                  x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     cols = []
-    for i in range(x.size):
-        h = max(FD_STEP, FD_STEP * abs(x[i]))
+    for i, xi in enumerate(x.tolist()):
+        h = max(FD_STEP, FD_STEP * abs(xi))
         xp = x.copy()
         xm = x.copy()
         xp[i] += h
         xm[i] -= h
         cols.append((np.asarray(fn(xp)) - np.asarray(fn(xm))) / (2.0 * h))
-    return np.column_stack(cols)
+    # J[:, i] = cols[i]; a scalar fn gives J of shape (1, n)
+    return np.array(cols).reshape(x.size, -1).T
+
+
+def _rows(fn: Callable, X: np.ndarray, P: np.ndarray, args: tuple,
+          shape: tuple) -> np.ndarray:
+    """fn(x, xi, *args) at each row of X (N, n) and P (N, d), stacked into
+    `shape`; a single row is one direct call, with no list to stack."""
+    if len(X) == 1:
+        return np.asarray(fn(X[0], P[0], *args), dtype=float).reshape(shape)
+    return np.array([fn(x, xi, *args) for x, xi in zip(X, P)],
+                    dtype=float).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -72,9 +83,9 @@ class StochasticDae:
 
     A batched model's q, f, dq_dx and df_dx also accept stacks: x of shape
     (..., n) and xi of shape (..., d) with matching leading axes give
-    (..., n) vectors and (..., n, n) Jacobians.  f_many and jac_f_many
-    evaluate N rows, x (N, n) and xi (N, d), in one call when the model is
-    batched and row by row otherwise.
+    (..., n) vectors and (..., n, n) Jacobians.  q_many, f_many, jac_q_many
+    and jac_f_many evaluate N rows, x (N, n) and xi (N, d), in one call when
+    the model is batched and row by row otherwise.
     """
 
     n: int
@@ -108,20 +119,30 @@ class StochasticDae:
             return np.asarray(self.df_dx(x, xi, t), dtype=float)
         return _fd_jacobian(lambda y: self.f(y, xi, t), x)
 
+    def q_many(self, X: np.ndarray, P: np.ndarray) -> np.ndarray:
+        """q at N rows: X (N, n), P (N, d) -> (N, n)."""
+        if self.batched:
+            return self.q(X, P)
+        return _rows(self.q, X, P, (), X.shape)
+
     def f_many(self, X: np.ndarray, P: np.ndarray, t: float) -> np.ndarray:
         """f at N rows: X (N, n), P (N, d) -> (N, n)."""
         if self.batched:
             return self.f(X, P, t)
-        return np.array([self.f(x, xi, t) for x, xi in zip(X, P)],
-                        dtype=float).reshape(X.shape)
+        return _rows(self.f, X, P, (t,), X.shape)
+
+    def jac_q_many(self, X: np.ndarray, P: np.ndarray) -> np.ndarray:
+        """dq/dx at N rows: X (N, n), P (N, d) -> (N, n, n)."""
+        if self.batched and self.dq_dx is not None:
+            return np.asarray(self.dq_dx(X, P), dtype=float)
+        return _rows(self.jac_q, X, P, (), X.shape + (self.n,))
 
     def jac_f_many(self, X: np.ndarray, P: np.ndarray,
                    t: float) -> np.ndarray:
         """df/dx at N rows: X (N, n), P (N, d) -> (N, n, n)."""
         if self.batched and self.df_dx is not None:
             return np.asarray(self.df_dx(X, P, t), dtype=float)
-        return np.array([self.jac_f(x, xi, t) for x, xi in zip(X, P)],
-                        dtype=float).reshape(X.shape + (self.n,))
+        return _rows(self.jac_f, X, P, (t,), X.shape + (self.n,))
 
     def nominal_parameters(self) -> np.ndarray:
         """Mean of each input; the deterministic reference point."""

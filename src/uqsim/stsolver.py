@@ -9,9 +9,9 @@ candidate order, only for the candidates the greedy reaches, and the
 condition screen accepts a trial on a cheap Frobenius-norm bound of its
 condition number, running an SVD only for trials near the cap.  Because V is
 square and invertible, every Newton iteration and every implicit time step
-decouples into K independent n-by-n solves in point space; the DC solves of
-all K points run as the rows of one stacked Newton.  Coefficients are
-recovered as V^-1 X whenever an expansion is needed.
+decouples into K independent n-by-n solves in point space; the DC solve and
+each implicit time step run the K points as the rows of one stacked Newton.
+Coefficients are recovered as V^-1 X whenever an expansion is needed.
 
 Time integration is trapezoidal with a backward-Euler startup step, one
 shared adaptive step sequence for all testing points, local error estimated
@@ -20,6 +20,7 @@ from a polynomial predictor, and error-per-unit-step acceptance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -343,7 +344,8 @@ def _solve_dc_rows(model: StochasticDae, P: np.ndarray, X0: np.ndarray,
 
 
 def _map_points(fn: Callable, items):
-    # a plain map, kept as a name only because perfbench/tracer.py wraps it
+    # a plain map that nothing calls since transient steps run as one
+    # stacked Newton; kept as a name only because perfbench/tracer.py wraps it
     return [fn(it) for it in items]
 
 
@@ -429,107 +431,109 @@ class StSolution:
 
 
 class _PointIntegrator:
-    """One testing point's implicit stepper sharing the driver's steps."""
+    """The implicit stepper of all parameter points: P (N, d), states X
+    (N, n) and up to three past (t, X) pairs, on the driver's shared steps."""
 
-    def __init__(self, model, xi, x0, options):
+    def __init__(self, model, points, X0, options):
         self.model = model
-        self.xi = np.asarray(xi, dtype=float)
-        self.x = np.array(x0, dtype=float)
+        self.P = np.asarray(points, dtype=float)
+        self.X = np.array(X0, dtype=float)
         self.options = options
         self.history: list[tuple[float, np.ndarray]] = []
-        self.n_solves = 0
 
-    def _implicit_solve(self, t_new, h, theta, q_old, f_old_term):
-        """Solve (q(x) - q_old)/h + theta*g(x,t_new) + (1-theta)*g_old = 0.
+    def _implicit_solve(self, t_new, h, theta, q_old, g_old):
+        """Solve (q(X) - q_old)/h + theta*g(X,t_new) + (1-theta)*g_old = 0,
+        one stacked Newton over every row.
 
         Dividing by h keeps the residual on the scale of f itself, so the
         Newton tolerance stays meaningful for small steps.
         """
-        model = self.model
+        model, P = self.model, self.P
         rhs_new = model.B @ model.u(t_new)
+        old = (1.0 - theta) * g_old
 
         def residual(Y, rows):
-            y = Y[0]
-            g_new = model.f(y, self.xi, t_new) - rhs_new
-            return ((model.q(y, self.xi) - q_old) / h
-                    + theta * g_new + (1.0 - theta) * f_old_term)[None]
+            Pr = P[rows]
+            g_new = model.f_many(Y, Pr, t_new) - rhs_new
+            return ((model.q_many(Y, Pr) - q_old[rows]) / h
+                    + theta * g_new + old[rows])
 
         def jacobian(Y, rows):
-            return (model.jac_q(Y[0], self.xi) / h
-                    + theta * model.jac_f(Y[0], self.xi, t_new))[None]
+            Pr = P[rows]
+            return (model.jac_q_many(Y, Pr) / h
+                    + theta * model.jac_f_many(Y, Pr, t_new))
 
         opt = self.options
         tol = opt.dc_tol(model.n)
-        X, rnorm, ok = _damped_newton(residual, jacobian, self.x[None], tol,
+        X, rnorm, ok = _damped_newton(residual, jacobian, self.X, tol,
                                       opt.newton_max_iter,
                                       opt.newton_max_damping)
         _check_converged(rnorm, ok, tol, opt)
-        self.n_solves += 1
-        return X[0]
+        return X
 
     def attempt(self, t, h):
-        """Try one step; returns (x_new, lte_estimate); does not commit."""
-        model = self.model
-        q_old = model.q(self.x, self.xi)
+        """Try one step; returns (X_new, largest lte estimate); no commit."""
+        model, X = self.model, self.X
+        q_old = model.q_many(X, self.P)
         t_new = t + h
-        if len(self.history) < 1:
+        if not self.history:
             # backward Euler startup: damps any inconsistent algebraic part
-            x_new = self._implicit_solve(t_new, h, 1.0, q_old, 0.0)
-            return x_new, 0.0
-        g_old = (model.f(self.x, self.xi, t) - model.B @ model.u(t))
-        x_new = self._implicit_solve(t_new, h, 0.5, q_old, g_old)
+            return self._implicit_solve(t_new, h, 1.0, q_old,
+                                        np.zeros_like(X)), 0.0
+        g_old = model.f_many(X, self.P, t) - model.B @ model.u(t)
+        X_new = self._implicit_solve(t_new, h, 0.5, q_old, g_old)
 
         # predictor through past states; its mismatch with the corrector
         # estimates the local truncation error
-        past = self.history[-2:] + [(t, self.x)]
-        x_pred = _extrapolate(past, t_new)
+        past = self.history[-2:] + [(t, X)]
+        X_pred = _extrapolate(past, t_new)
         c_corr = h ** 3 / 12.0
-        c_pred = abs(np.prod([t_new - tp for tp, _ in past])) / 6.0
+        c_pred = abs(math.prod(t_new - tp for tp, _ in past)) / 6.0
         if len(past) < 3:
             c_pred = max(c_pred, h ** 2)
-        lte = (np.max(np.abs(x_new - x_pred))
-               * c_corr / (c_pred + c_corr))
-        return x_new, lte
+        lte = np.abs(X_new - X_pred).max() * c_corr / (c_pred + c_corr)
+        return X_new, lte
 
-    def commit(self, t, h, x_new):
-        self.history.append((t, self.x.copy()))
-        if len(self.history) > 3:
-            self.history.pop(0)
-        self.x = x_new
+    def commit(self, t, X_new):
+        self.history = self.history[-2:] + [(t, self.X)]
+        self.X = X_new
 
 
 def _extrapolate(past: list, t_new: float) -> np.ndarray:
     """Newton divided-difference polynomial through past (t, x) pairs."""
     ts = [p[0] for p in past]
-    coeffs = [np.array(p[1], dtype=float) for p in past]
-    # in-place divided differences
+    coeffs = [p[1] for p in past]
+    # divided differences in place in the list; the states are only read
     for level in range(1, len(ts)):
         for i in range(len(ts) - 1, level - 1, -1):
             coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (ts[i] - ts[i - level])
-    out = coeffs[-1].copy()
+    out = coeffs[-1]
     for i in range(len(ts) - 2, -1, -1):
         out = out * (t_new - ts[i]) + coeffs[i]
     return out
 
 
 def _integrate_points(model, points, X0, t_span, options):
-    """Shared-step integration of one stepper per parameter point.
+    """Shared-step integration of the parameter points' one stacked stepper.
 
-    Returns (times, states per time (list of (K, n)), step log, solves).
+    Returns (times, states per time (list of (N, n)), step log, solves).
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t1 > t0:
-        raise ValueError("t_span must satisfy t1 > t0")
+    if not (np.isfinite(t0) and np.isfinite(t1) and t1 > t0):
+        raise ValueError(f"t_span ({t0:g}, {t1:g}) must be finite, t1 > t0")
     span = t1 - t0
-    steppers = [_PointIntegrator(model, xi, x0, options)
-                for xi, x0 in zip(points, X0)]
-
+    min_step = span * options.min_step_fraction
     fixed = options.fixed_step
+    if fixed is not None and not fixed >= min_step:
+        raise ValueError(
+            f"fixed_step {fixed:g} is below the step floor {min_step:g} "
+            f"(min_step_fraction {options.min_step_fraction:g} of the span)")
+    stepper = _PointIntegrator(model, points, X0, options)
+
     h = fixed if fixed is not None else span * min(
         options.max_step_fraction, 1e-3)
-    min_step = span * options.min_step_fraction
     times = [t0]
-    states = [np.array(X0, dtype=float)]
+    states = [stepper.X]
     log = []
     t = t0
     streak = 0
@@ -539,12 +543,7 @@ def _integrate_points(model, points, X0, t_span, options):
                 f"step size underflow at t = {t:.6e} (h = {h:.3e})",
                 time=t)
         h_step = min(h, t1 - t)  # clip only at the end of the span
-
-        def attempt_one(stepper):
-            return stepper.attempt(t, h_step)
-
-        results = _map_points(attempt_one, steppers)
-        lte = max(r[1] for r in results)
+        X_new, lte = stepper.attempt(t, h_step)
         target = options.lte_tol * h_step / span  # error per unit time
         if fixed is None and lte > target:
             log.append((t, h_step, False, lte))
@@ -552,21 +551,19 @@ def _integrate_points(model, points, X0, t_span, options):
             streak = 0
             continue
         log.append((t, h_step, True, lte))
-        for stepper, (x_new, _) in zip(steppers, results):
-            stepper.commit(t, h_step, x_new)
+        stepper.commit(t, X_new)
         # fixed steps place t at t0 + k*h: accumulating t += h drifts and
         # can leave a last step of ~1e-13 h on which Newton stalls
         t = (t + h_step if fixed is None
              else min(t0 + len(times) * fixed, t1))
         times.append(t)
-        states.append(np.array([s.x for s in steppers]))
+        states.append(X_new)
         if fixed is None:
             streak += 1
             if streak >= options.accepts_before_double:
                 h = min(2.0 * h, span * options.max_step_fraction)
                 streak = 0
-    solves = sum(s.n_solves for s in steppers)
-    return np.array(times), states, tuple(log), solves
+    return np.array(times), states, tuple(log), len(X0) * len(log)
 
 
 def integrate_transient(model: StochasticDae, tps: TestingPointSet,

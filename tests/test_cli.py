@@ -403,6 +403,48 @@ def test_transient_without_stop_time_is_user_error(divider, capsys):
     assert "t-end" in capture_error(capsys)["message"]
 
 
+@pytest.mark.parametrize("argv,solver", [
+    (["transient", "--t-end", "inf"], {}),
+    (["mc", "--t-end", "inf", "--samples", "10"], {}),
+    (["transient", "--t-end", "1e-3"], {"fixed_step": -0.1}),
+    (["transient", "--t-end", "1e-3"], {"fixed_step": 0}),
+    (["transient", "--t-end", "1e-3"], {"fixed_step": 1e-300}),
+], ids=["transient-inf", "mc-inf", "step-negative", "step-zero",
+        "step-tiny"])
+def test_bad_span_or_fixed_step_is_user_error(tmp_path, capsys, argv,
+                                              solver):
+    # t_end=inf took no step and reported the start state at t=inf; a
+    # negative or 1e-300 fixed step never returned, and 0 met NaNs
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({"solver": solver}))
+    rc = cli.main(argv + ["--model", "builtin:rc-lowpass",
+                          "--config", str(config),
+                          "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    error = capture_error(capsys)
+    assert error["error"] == "config"
+    assert ("fixed_step" if solver else "t_span") in error["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dc", "--model", "builtin:diode-rectifier", "--param", "r=0"],
+    ["transient", "--model", "builtin:rc-lowpass", "--t-end", "1e300"],
+], ids=["dc-r0", "transient-1e300"])
+def test_numeric_failure_leaves_one_json_line(tmp_path, argv):
+    # r=0 printed two numpy RuntimeWarnings ahead of the JSON line, and
+    # t_end=1e300 died with an OverflowError traceback from h ** 3
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "uqsim.cli"] + argv
+        + ["--outdir", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "numeric"
+
+
 def test_unknown_output_label_is_user_error(divider, capsys):
     rc = cli.main(["anova", "--netlist", divider, "--m", "1",
                    "--output", "v(99)"])

@@ -59,5 +59,6 @@ def test_benchmark_harness_reads_the_library(tmp_path):
     assert (stsolver._map_points, stsolver._integrate_points,
             stsolver._PointIntegrator.attempt) == originals
     names = {rec[0] for rec in t.spans.values()}
-    assert {"stsolver._map_points", "stsolver._damped_newton"} <= names
+    assert {"stsolver._PointIntegrator._implicit_solve",
+            "stsolver._damped_newton"} <= names
     assert t.layer_metrics()["stsolver.steps_accepted"] > 0

@@ -14,7 +14,8 @@ from uqsim.polychaos import (Distribution, GpcExpansion, golub_welsch,
                              make_standard_basis, tensor_quadrature,
                              total_degree_index_set)
 from uqsim.stsolver import (SolverError, SolverOptions, _damped_newton,
-                            _solve_dc_rows, integrate_deterministic,
+                            _integrate_points, _solve_dc_rows,
+                            integrate_deterministic,
                             integrate_transient, newton_dc,
                             recover_coefficients, select_testing_points,
                             solve_dc, standard_bases)
@@ -31,6 +32,9 @@ DIVIDER_VARIED = ("V1 1 0 1\nR1 1 2 1k\n"
 
 NONLINEAR_2NODE = ("V1 1 0 1\nR1 1 2 1k variation=relative:uniform(0.9,1.1)\n"
                    "D1 2 0 variation.is=uniform(5e-10,2e-9)\n")
+
+NONLINEAR_RC = (NONLINEAR_2NODE
+                + "C1 2 0 1u variation=relative:uniform(0.8,1.2)\n")
 
 
 def assert_matches_full_grid_reference(dists, order, cap):
@@ -281,6 +285,9 @@ class TestStackedNewton:
         with pytest.raises(SolverError):
             integrate_deterministic(dae, np.array([0.5]), (0.0, 1.0),
                                     np.zeros(1))
+        with pytest.raises(SolverError, match="at 2 of 2 points"):
+            _integrate_points(dae, np.array([[0.5], [0.25]]),
+                              np.zeros((2, 1)), (0.0, 1.0), SolverOptions())
 
 
 class TestDecouplingEquivalence:
@@ -401,6 +408,40 @@ class TestTransient:
         assert np.min(np.diff(times)) > 0.5 * 0.01
         assert np.all(np.isfinite(states))
 
+    @pytest.mark.parametrize("name", ["plate_actuator", "nonlinear_rc"])
+    def test_stacked_steps_equal_separate_runs(self, name):
+        # with fixed steps, every row of the one stacked stepper takes the
+        # iterates a one-row run takes, bit for bit; the plate actuator is
+        # evaluated row by row, the netlist in batches
+        if name == "nonlinear_rc":
+            dae = netlist.elaborate(netlist.parse_netlist(NONLINEAR_RC))
+            span, x0 = (0.0, 2e-3), np.zeros(dae.n)
+        else:
+            dae = builtin_model(name)
+            span, x0 = (0.0, 1.0), dae.initial_guess()
+        opts = SolverOptions(fixed_step=(span[1] - span[0]) / 40)
+        P = sample_parameters(dae.distributions, 6, seed=2)
+        times, states, log, solves = _integrate_points(
+            dae, P, np.tile(x0, (len(P), 1)), span, opts)
+        assert len(log) == 40 and solves == 40 * len(P)
+        for i, xi in enumerate(P):
+            t_i, s_i, _ = integrate_deterministic(dae, xi, span, x0, opts)
+            assert np.array_equal(t_i, times)
+            assert np.array_equal(s_i, np.array([X[i] for X in states]))
+
+    @pytest.mark.parametrize("t_span,fixed_step", [
+        ((0.0, np.nan), None), ((-np.inf, 1.0), None), ((1.0, 1.0), None),
+        ((0.0, 1.0), np.nan), ((0.0, 1.0), 0.5e-12)])
+    def test_bad_span_or_fixed_step_is_value_error(self, t_span, fixed_step):
+        # the edges of the checks test_cli.py drives with t_end=inf and
+        # fixed steps of -0.1, 0 and 1e-300; the step floor is the one
+        # adaptive steps underflow at, 1e-12 of the span by default
+        dae = builtin_model("rc_lowpass")
+        with pytest.raises(ValueError, match="t_span|fixed_step"):
+            integrate_deterministic(dae, np.array([1.0]), t_span,
+                                    np.zeros(dae.n),
+                                    SolverOptions(fixed_step=fixed_step))
+
     def test_step_underflow_raises_with_time(self):
         dae, bases, idx, tps, x0 = self.rc_setup(order=2)
         with pytest.raises(SolverError, match="underflow at t") as err:
@@ -422,11 +463,13 @@ class TestTransient:
         sol = integrate_transient(dae, tps, bases, idx, (0.0, 1.0), x0=x0,
                                   options=opts)
         mean, var = sol.final().mean_variance()
-        # MC from the same rest state; run_mc starts at the DC point
-        finals = [integrate_deterministic(dae, xi, (0.0, 1.0), start,
-                                          opts)[1][-1]
-                  for xi in sample_parameters(dae.distributions, 2000, 3)]
-        mc = _aggregate(np.array(finals), 0, 3, None)
+        # MC from the same rest state; run_mc starts at the DC point.  One
+        # stacked run gives each sample's fixed-step states bit for bit
+        # (test_stacked_steps_equal_separate_runs)
+        xis = sample_parameters(dae.distributions, 2000, 3)
+        _, states, _, _ = _integrate_points(
+            dae, xis, np.tile(start, (len(xis), 1)), (0.0, 1.0), opts)
+        mc = _aggregate(states[-1], 0, 3, None)
         assert abs(mean[0] - mc.mean[0]) < 3 * mc.stderr[0]
         assert abs(np.sqrt(var[0]) - mc.std[0]) < 3 * mc.stderr_std[0]
 
