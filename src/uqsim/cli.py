@@ -30,7 +30,7 @@ from .montecarlo import run_mc
 from .netlist import elaborate, parse_netlist
 from .polychaos import (DegenerateMeasureError, GpcExpansion,
                         expansion_to_dict, expansion_to_json,
-                        total_degree_index_set)
+                        monotone_cubic, total_degree_index_set)
 from .stsolver import (SolverError, SolverOptions, integrate_transient,
                        newton_dc, select_testing_points, solve_dc,
                        standard_bases)
@@ -537,10 +537,7 @@ def _density_from_doc(doc: dict) -> hier.IntermediateDensity:
         return hier.IntermediateDensity(
             kind="quadrature", support=support, atoms=atoms,
             exact_degree=int(doc["exact_degree"]))
-    from scipy.interpolate import PchipInterpolator
-
-    cdf = PchipInterpolator(np.asarray(doc["cdf_knots"]["x"], dtype=float),
-                            np.asarray(doc["cdf_knots"]["p"], dtype=float))
+    cdf = monotone_cubic(doc["cdf_knots"]["x"], doc["cdf_knots"]["p"])
     return hier.IntermediateDensity(kind="sampled", support=support,
                                     cdf=cdf)
 

@@ -17,12 +17,12 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .models import StochasticDae, _check_params, algebraic_model
 from .polychaos import (Distribution, GpcExpansion, MultiIndexSet, OrthoBasis,
-                        QuadratureRule, golub_welsch, stieltjes_basis,
-                        tensor_quadrature, total_degree_index_set)
+                        PiecewisePoly, QuadratureRule, golub_welsch,
+                        monotone_cubic, stieltjes_basis, tensor_quadrature,
+                        total_degree_index_set)
 from .stsolver import (SolverOptions, integrate_transient,
                        select_testing_points, solve_dc, standard_bases)
 
@@ -119,13 +119,14 @@ class IntermediateDensity:
     block's parameter space; moments of zeta up to exact_degree are exact
     sums over the atoms and no explicit density is ever needed.  kind
     'sampled': cdf is a monotone piecewise-cubic interpolant of the
-    empirical CDF; the density is its derivative.
+    empirical CDF (polychaos.monotone_cubic, the same fit as scipy's PCHIP);
+    the density is its derivative.
     """
 
     kind: str                # "quadrature" | "sampled"
     support: tuple
     atoms: tuple | None = None        # (points, weights)
-    cdf: object | None = None         # PchipInterpolator
+    cdf: PiecewisePoly | None = None  # knots in cdf.x
     exact_degree: int | None = None   # quadrature kind only
 
     @cached_property
@@ -144,7 +145,7 @@ class IntermediateDensity:
         pad = (hi - lo) / max(len(knots), 2)
         xs = np.concatenate([[lo - pad], knots, [hi + pad]])
         ys = np.concatenate([[0.0], cum[first], [1.0]])
-        return PchipInterpolator(xs, ys).derivative()
+        return monotone_cubic(xs, ys).derivative()
 
     def density(self, z) -> np.ndarray:
         """Density evaluation over the interpolant's own span."""
@@ -266,7 +267,7 @@ def density_by_sampling(s: Surrogate, n_samples: int = SAMPLING_DEFAULT,
     ys[0], ys[-1] = 0.0, 1.0
     if len(xs) < 4:
         raise ValueError("degenerate samples: too few distinct quantiles")
-    cdf = PchipInterpolator(xs, ys)
+    cdf = monotone_cubic(xs, ys)
     return IntermediateDensity(kind="sampled", support=(lo, hi), cdf=cdf)
 
 

@@ -10,8 +10,19 @@ with gamma_j = <x pi_j, pi_j> / <pi_j, pi_j> and
 kappa_{j+1} = <pi_{j+1}, pi_{j+1}> / <pi_j, pi_j>, kappa_0 = 1.  The
 normalized members phi_j = pi_j / sqrt(kappa_0 * ... * kappa_j) are
 orthonormal under rho.  Gauss rules come from the eigen-decomposition of the
-symmetric tridiagonal matrix of the recurrence; the multivariate basis is a
-tensor product over a graded-lexicographic total-degree index set.
+symmetric tridiagonal (Jacobi) matrix of the recurrence, built densely and
+handed to np.linalg.eigh: a rule has at most order + 1 nodes, so the dense
+matrix is tiny, and it gives the same nodes and weights, bit for bit, as a
+tridiagonal LAPACK solver without importing scipy.linalg.  The multivariate
+basis is a tensor product over a graded-lexicographic total-degree index set.
+
+scipy is imported only where a closed form needs it: gaussian CDF values, the
+gamma and beta families, and the root search of a custom inverse CDF.  The
+gaussian quantile (`ndtri`) and the monotone cubic (`monotone_cubic`) are
+numpy ports of Cephes `ndtri` and scipy's PCHIP that reproduce those routines'
+bits.  The ndtri tails take their logarithms with `math.log`, one value at a
+time: numpy's vectorized `np.log` may differ from the C library's `log` in the
+last bit, which moves a few samples by an ulp.
 
 All value types here are immutable; operations are pure functions.
 """
@@ -26,8 +37,6 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import special
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "Distribution",
@@ -43,6 +52,9 @@ __all__ = [
     "stieltjes_basis",
     "discrete_stieltjes",
     "golub_welsch",
+    "ndtri",
+    "monotone_cubic",
+    "PiecewisePoly",
     "total_degree_index_set",
     "eval_multivariate_basis",
     "tensor_quadrature",
@@ -227,8 +239,6 @@ class Distribution:
 
     @cached_property
     def _custom_cdf_table(self):
-        from scipy.interpolate import PchipInterpolator
-
         a, b = self.effective_interval()
         cuts = _panel_cuts(a, b, 512)
         gx, gw = np.polynomial.legendre.leggauss(24)
@@ -238,7 +248,7 @@ class Distribution:
             masses[i] = h * float(np.sum(gw * self.density(0.5 * (lo + hi) + h * gx)))
         vals = np.concatenate(([0.0], np.cumsum(masses)))
         vals = np.maximum.accumulate(vals) / vals[-1]
-        return PchipInterpolator(cuts, vals), a, b
+        return monotone_cubic(cuts, vals), a, b
 
     def _custom_cdf_eval(self, x):
         interp, a, b = self._custom_cdf_table
@@ -303,6 +313,166 @@ def _panel_rule(a: float, b: float, panels: int,
         xs.append(0.5 * (lo + hi) + h * gx)
         ws.append(h * gw)
     return np.concatenate(xs), np.concatenate(ws)
+
+
+# ---------------------------------------------------------------------------
+# numpy ports of the scipy routines every run reaches
+
+
+def _special():
+    """scipy.special, imported at first use (see the module docstring)."""
+    from scipy import special
+
+    return special
+
+
+# Cephes ndtri: rational approximations in y - 1/2 on the centre, and in
+# 1/sqrt(-2 log y) on the tails, split at z = 8 (y = exp(-32))
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+             -5.66762857469070293439E1, 1.39312609387279679503E1,
+             -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+             8.63602421390890590575E1, -2.25462687854119370527E2,
+             2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0)
+_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+             5.71628192246421288162E1, 4.40805073893200834700E1,
+             1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+             -8.57456785154685413611E-4)
+_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+             4.13172038254672030440E1, 1.50425385692907503408E1,
+             2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+             3.93881025292474443415E0, 1.33303460815807542389E0,
+             2.01485389549179081538E-1, 1.23716634817820021358E-2,
+             3.01581553508235416007E-4, 2.65806974686737550832E-6,
+             6.23974539184983293730E-9)
+_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+             1.37702099489081330271E0, 2.16236993594496635890E-1,
+             1.34204006088543189037E-2, 3.28014464682127739104E-4,
+             2.89247864745380683936E-6, 6.79019408009981274425E-9)
+_NDTRI_EXP_M2 = 0.13533528323661269189  # exp(-2), the tail branch point
+_SQRT_2PI = 2.50662827463100050242E0
+
+
+def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    ans = np.full_like(x, coef[0])
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """_polevl with an implied leading coefficient 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    """The C library's log per element (see the module docstring)."""
+    return np.array([math.log(v) for v in x.tolist()])
+
+
+def ndtri(u):
+    """Standard-normal quantile, bit for bit scipy.special.ndtri.
+
+    0 and 1 map to -inf and inf; NaN and values outside [0, 1] give NaN;
+    0-d input gives a scalar.
+    """
+    u = np.asarray(u, dtype=float)
+    y0 = np.atleast_1d(u)
+    out = np.full(y0.shape, np.nan)
+    out[y0 == 0.0] = -np.inf
+    out[y0 == 1.0] = np.inf
+    upper = y0 > 1.0 - _NDTRI_EXP_M2
+    y = np.where(upper, 1.0 - y0, y0)
+    centre = (y > _NDTRI_EXP_M2) & (y0 < 1.0)
+    yc = y[centre] - 0.5
+    y2 = yc * yc
+    x = yc + yc * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))
+    out[centre] = x * _SQRT_2PI
+    tail = ~centre & (y0 > 0.0) & (y0 < 1.0)
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+    z = 1.0 / x
+    x1 = np.where(x < 8.0, z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1),
+                  z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2))
+    x = x - _libm_log(x) / x - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    return out[0] if u.ndim == 0 else out
+
+
+class PiecewisePoly:
+    """Piecewise polynomial on the breakpoints x, laid out as scipy's PPoly.
+
+    c[k, i] multiplies (t - x[i]) ** (K - 1 - k) on interval i.  Points
+    outside [x[0], x[-1]] extrapolate the end pieces.
+    """
+
+    def __init__(self, x: np.ndarray, c: np.ndarray):
+        self.x = x
+        self.c = c
+
+    def __call__(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        flat = t.ravel()
+        i = np.clip(np.searchsorted(self.x, flat, "right") - 1,
+                    0, len(self.x) - 2)
+        s = flat - self.x[i]
+        # PPoly's summation order: ascending powers, not Horner
+        res = np.zeros_like(flat)
+        z = np.ones_like(flat)
+        for row in self.c[::-1]:
+            res += row[i] * z
+            z *= s
+        return res.reshape(t.shape)
+
+    def derivative(self) -> "PiecewisePoly":
+        k = len(self.c) - 1
+        return PiecewisePoly(self.x,
+                             self.c[:-1] * np.arange(k, 0, -1.0)[:, None])
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, kept shape-preserving."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def monotone_cubic(x, y) -> PiecewisePoly:
+    """Fritsch-Butland monotone cubic through (x, y), bit for bit scipy's
+    PCHIP interpolant: weighted-harmonic-mean slopes inside, zero where
+    the data turn, and one-sided end slopes."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
+        raise ValueError("a monotone cubic needs two or more (x, y) knots")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("monotone cubic knots must be finite")
+    h = np.diff(x)
+    if np.any(h <= 0):
+        raise ValueError("monotone cubic abscissae must increase strictly")
+    m = np.diff(y) / h
+    d = np.full_like(y, m[0])
+    if len(x) > 2:
+        turn = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            d[1:-1] = np.where(turn, 0.0, 1.0 / whmean)
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return PiecewisePoly(x, np.stack((t / h, (m - d[:-1]) / h - t,
+                                      d[:-1], y[:-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +548,8 @@ FAMILIES: dict[str, Family] = {
         params=("mean", "stddev"), make=Distribution.gaussian,
         density=lambda x, mu, sig: (np.exp(-0.5 * ((x - mu) / sig) ** 2)
                                     / (sig * math.sqrt(2 * math.pi))),
-        cdf=lambda x, mu, sig: special.ndtr((x - mu) / sig),
-        inv_cdf=lambda u, mu, sig: mu + sig * special.ndtri(u),
+        cdf=lambda x, mu, sig: _special().ndtr((x - mu) / sig),
+        inv_cdf=lambda u, mu, sig: mu + sig * ndtri(u),
         mean=lambda mu, sig: mu,
         stddev=lambda mu, sig: sig,
         recurrence=lambda j, mu, sig: (np.full_like(j, mu), j * sig * sig),
@@ -399,24 +569,24 @@ FAMILIES: dict[str, Family] = {
         params=("shape",), make=Distribution.gamma,
         density=lambda x, k: _density_inside(
             x, lambda y: y > 0,
-            lambda y: (k - 1) * np.log(y) - y - special.gammaln(k)),
-        cdf=lambda x, k: special.gammainc(k, np.maximum(x, 0.0)),
-        inv_cdf=lambda u, k: special.gammaincinv(k, u),
+            lambda y: (k - 1) * np.log(y) - y - _special().gammaln(k)),
+        cdf=lambda x, k: _special().gammainc(k, np.maximum(x, 0.0)),
+        inv_cdf=lambda u, k: _special().gammaincinv(k, u),
         mean=lambda k: k,
         stddev=lambda k: math.sqrt(k),
         recurrence=lambda j, k: (2.0 * j + k, j * (j + k - 1.0)),
         # the slow tail gets a far quantile with headroom
         window=lambda k: (
-            0.0, 1.5 * float(special.gammaincinv(k, 1.0 - 1e-16)) + 10.0)),
+            0.0, 1.5 * float(_special().gammaincinv(k, 1.0 - 1e-16)) + 10.0)),
     "beta": Family(
         params=("a", "b"), make=Distribution.beta,
         density=lambda x, a, b: _density_inside(
             x, lambda y: (y > 0) & (y < 1),
             lambda y: ((a - 1) * np.log(y) + (b - 1) * np.log1p(-y)
-                       - (special.gammaln(a) + special.gammaln(b)
-                          - special.gammaln(a + b)))),
-        cdf=lambda x, a, b: special.betainc(a, b, np.clip(x, 0.0, 1.0)),
-        inv_cdf=lambda u, a, b: special.betaincinv(a, b, u),
+                       - (_special().gammaln(a) + _special().gammaln(b)
+                          - _special().gammaln(a + b)))),
+        cdf=lambda x, a, b: _special().betainc(a, b, np.clip(x, 0.0, 1.0)),
+        inv_cdf=lambda u, a, b: _special().betaincinv(a, b, u),
         mean=lambda a, b: a / (a + b),
         stddev=lambda a, b: math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1))),
         recurrence=_jacobi_monic_01),
@@ -610,7 +780,8 @@ def golub_welsch(basis: OrthoBasis, n: int) -> QuadratureRule:
 
     The symmetric tridiagonal matrix has diagonal gamma_0..gamma_{n-1} and
     off-diagonal sqrt(kappa_1)..sqrt(kappa_{n-1}); its eigenvalues are the
-    nodes and the squared first eigenvector components the weights.
+    nodes and the squared first eigenvector components the weights.  n is
+    at most order + 1, so the matrix is built densely.
     """
     if n < 1:
         raise ValueError("rule size must be at least 1")
@@ -618,11 +789,11 @@ def golub_welsch(basis: OrthoBasis, n: int) -> QuadratureRule:
         raise ValueError(
             f"{n}-point rule needs recurrence depth {n} but the basis holds "
             f"order {basis.order} (max {basis.order + 1} points)")
-    diag = basis.gamma[:n]
     off = np.sqrt(basis.kappa[1:n])
+    jacobi = np.diag(basis.gamma[:n]) + np.diag(off, 1) + np.diag(off, -1)
     try:
-        vals, vecs = eigh_tridiagonal(diag, off)
-    except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
+        vals, vecs = np.linalg.eigh(jacobi)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - exotic
         raise RuntimeError(f"Gauss-rule eigensolver failed: {exc}") from exc
     w = vecs[0, :] ** 2
     return QuadratureRule(vals, w, 1, exact_degree=2 * n - 1)

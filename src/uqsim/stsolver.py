@@ -543,7 +543,12 @@ def _integrate_points(model, points, X0, t_span, options):
                 f"step size underflow at t = {t:.6e} (h = {h:.3e})",
                 time=t)
         h_step = min(h, t1 - t)  # clip only at the end of the span
-        X_new, lte = stepper.attempt(t, h_step)
+        try:
+            X_new, lte = stepper.attempt(t, h_step)
+        except OverflowError as exc:  # e.g. h ** 3 of a span near 1e300
+            raise OverflowError(
+                f"step h = {h_step:.3e} at t = {t:.6e} overflows double "
+                f"precision over the span {span:.3e}") from exc
         target = options.lte_tol * h_step / span  # error per unit time
         if fixed is None and lte > target:
             log.append((t, h_step, False, lte))

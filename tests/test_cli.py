@@ -397,6 +397,104 @@ def test_import_freezes_the_heap():
     assert int(out) > 0
 
 
+# scipy costs most of a job's start-up; every analysis the benchmark runs
+# must finish without importing it, while gamma, beta and custom inputs
+# still load it at first use
+SCIPY_PROBE = """
+import json, sys
+from uqsim import cli
+rc = cli.main(json.loads(sys.argv[1])) if len(sys.argv) > 1 else 0
+print(json.dumps([rc, sorted(m for m in sys.modules
+                             if m.split(".")[0] == "scipy")]))
+"""
+
+CUSTOM_MC = """
+import json, sys
+import numpy as np
+from uqsim.models import algebraic_model
+from uqsim.montecarlo import run_mc
+from uqsim.polychaos import Distribution
+tri = Distribution.custom(lambda x: 1.0 - np.abs(x), (-1.0, 1.0))
+res = run_mc(algebraic_model(lambda xi: xi, [tri], 1), "dc", 200, seed=3)
+ok = res.n_failed == 0 and abs(float(res.mean[0])) < 0.1
+print(json.dumps([0 if ok else 1, sorted(m for m in sys.modules
+                                         if m.split(".")[0] == "scipy")]))
+"""
+
+
+def scipy_modules_after(code, *args):
+    """(return code, scipy modules loaded) of `code` in a fresh process."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    rc, modules = json.loads(proc.stdout.strip().splitlines()[-1])
+    return rc, modules
+
+
+@pytest.fixture(scope="module")
+def scipy_free_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("scipy_free")
+    uniform = root / "uniform.cir"
+    uniform.write_text(DIVIDER.replace("relative:gauss(1,0.05)",
+                                       "relative:uniform(0.9,1.1)"))
+    gauss = root / "gauss.cir"
+    gauss.write_text(DIVIDER)
+    gamma = root / "gamma.cir"
+    gamma.write_text(DIVIDER.replace("relative:gauss(1,0.05)",
+                                     "relative:gamma(20)"))
+    # a sampled-density block for hier-propagate to read
+    assert cli.main(["hier-extract", "--model", "builtin:diode-rectifier",
+                     "--order", "2", "--output", "v(2)", "--density",
+                     "sampling", "--samples", "10000",
+                     "--outdir", str(root / "block")]) == 0
+    return {"uniform": str(uniform), "gauss": str(gauss),
+            "gamma": str(gamma), "block": str(root / "block" / "block.json"),
+            "out": str(root / "out")}
+
+
+SCIPY_FREE_JOBS = {
+    "import": None,
+    "dc-uniform": ["dc", "--netlist", "{uniform}", "--order", "2"],
+    "transient": ["transient", "--model", "builtin:rc-lowpass",
+                  "--order", "2", "--t-end", "1e-3"],
+    "mc-gauss": ["mc", "--netlist", "{gauss}", "--samples", "500",
+                 "--seed", "1"],
+    "sensitivity": ["sensitivity", "--netlist", "{gauss}", "--order", "2",
+                    "--m", "1", "--output", "v(2)"],
+    "anova": ["anova", "--netlist", "{gauss}", "--order", "2", "--m", "1",
+              "--output", "v(2)"],
+    "hier-extract-sampling": [
+        "hier-extract", "--model", "builtin:diode-rectifier", "--order", "2",
+        "--output", "v(2)", "--density", "sampling", "--samples", "10000"],
+    "hier-propagate": ["hier-propagate", "--blocks", "{block}", "--system",
+                       "builtin:sum", "--order", "2"],
+}
+
+
+@pytest.mark.parametrize("job", sorted(SCIPY_FREE_JOBS))
+def test_benchmarked_analyses_never_import_scipy(scipy_free_inputs, job):
+    argv = SCIPY_FREE_JOBS[job]
+    if argv is None:
+        rc, modules = scipy_modules_after(SCIPY_PROBE)
+    else:
+        argv = [a.format(**scipy_free_inputs) for a in argv]
+        argv += ["--outdir", os.path.join(scipy_free_inputs["out"], job)]
+        rc, modules = scipy_modules_after(SCIPY_PROBE, json.dumps(argv))
+    assert rc == 0
+    assert modules == []
+
+
+def test_gamma_and_custom_inputs_load_scipy_lazily(scipy_free_inputs):
+    argv = ["mc", "--netlist", scipy_free_inputs["gamma"], "--samples", "200",
+            "--seed", "1", "--outdir",
+            os.path.join(scipy_free_inputs["out"], "mc-gamma")]
+    rc, modules = scipy_modules_after(SCIPY_PROBE, json.dumps(argv))
+    assert rc == 0 and "scipy.special" in modules
+    rc, modules = scipy_modules_after(CUSTOM_MC)
+    assert rc == 0 and "scipy.optimize" in modules
+
+
 def test_transient_without_stop_time_is_user_error(divider, capsys):
     rc = cli.main(["transient", "--netlist", divider, "--order", "2"])
     assert rc == 1
@@ -426,13 +524,15 @@ def test_bad_span_or_fixed_step_is_user_error(tmp_path, capsys, argv,
     assert ("fixed_step" if solver else "t_span") in error["message"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["dc", "--model", "builtin:diode-rectifier", "--param", "r=0"],
-    ["transient", "--model", "builtin:rc-lowpass", "--t-end", "1e300"],
+@pytest.mark.parametrize("argv,words", [
+    (["dc", "--model", "builtin:diode-rectifier", "--param", "r=0"], []),
+    (["transient", "--model", "builtin:rc-lowpass", "--t-end", "1e300"],
+     ["span 1.000e+300", "h = 1.000e+297"]),
 ], ids=["dc-r0", "transient-1e300"])
-def test_numeric_failure_leaves_one_json_line(tmp_path, argv):
+def test_numeric_failure_leaves_one_json_line(tmp_path, argv, words):
     # r=0 printed two numpy RuntimeWarnings ahead of the JSON line, and
-    # t_end=1e300 died with an OverflowError traceback from h ** 3
+    # t_end=1e300 died with an OverflowError traceback from h ** 3, then
+    # with a message naming neither the span nor the step
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "uqsim.cli"] + argv
@@ -442,7 +542,10 @@ def test_numeric_failure_leaves_one_json_line(tmp_path, argv):
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "numeric"
+    error = json.loads(lines[0])
+    assert error["error"] == "numeric"
+    for word in words:
+        assert word in error["message"]
 
 
 def test_unknown_output_label_is_user_error(divider, capsys):
