@@ -126,12 +126,12 @@ def anchor_point(distributions: Sequence[Distribution],
 # anchored terms
 
 
-def _project_restriction(g: Callable, subset: tuple, anchor: AnchorPoint,
-                         bases: Sequence[OrthoBasis], order: int,
-                         condition_cap: float,
-                         selections: dict) -> GpcExpansion:
-    """Project g with the complement of `subset` frozen at the anchor;
-    one call of g on all K testing points, a (d, K) array, gives K values.
+def _restriction_points(subset: tuple, anchor: AnchorPoint,
+                        bases: Sequence[OrthoBasis], order: int,
+                        condition_cap: float, selections: dict):
+    """Testing points of g restricted to `subset`, the complement frozen
+    at the anchor: (points (K, d), index set, TestingPointSet, the subset's
+    bases).
 
     `selections` memoizes the testing points by the subset's marginal
     recurrences (the basis norms follow from kappa), which with `order`
@@ -150,8 +150,12 @@ def _project_restriction(g: Callable, subset: tuple, anchor: AnchorPoint,
         selections[key] = tps
     points = np.tile(anchor.q, (tps.n_points, 1))
     points[:, list(subset)] = tps.points
-    values = np.broadcast_to(np.asarray(g(points.T), dtype=float),
-                             (tps.n_points,))
+    return points, idx, tps, sub_bases
+
+
+def _project(subset: tuple, values: np.ndarray, idx: MultiIndexSet, tps,
+             sub_bases: tuple) -> GpcExpansion:
+    """The restriction's expansion from its values at the testing points."""
     try:
         return recover_coefficients(values.reshape(-1, 1), tps, idx,
                                     sub_bases)
@@ -169,8 +173,11 @@ def anchored_subterm(g: Callable, subset, anchor: AnchorPoint,
     """
     subset = tuple(sorted(int(k) for k in subset))
     bases = standard_bases(tuple(distributions), order)
-    return _project_restriction(g, subset, anchor, bases, order,
-                                condition_cap, {})
+    points, *spec = _restriction_points(subset, anchor, bases, order,
+                                        condition_cap, {})
+    values = np.broadcast_to(np.asarray(g(points.T), dtype=float),
+                             (len(points),))
+    return _project(subset, values, *spec)
 
 
 def compose_term(subset, ghat: GpcExpansion, g0: float,
@@ -226,8 +233,11 @@ def adaptive_anova(g: Callable, distributions: Sequence[Distribution],
     computed terms enter the assembled expansion regardless of the
     screen.  Returns the decomposition record and the sparse d-variable
     expansion.  g maps a (d, K) array of K points (x[k] is coordinate k
-    of every point) to their K values; it is called once for the anchor
-    and once per computed subset, on the new points only.
+    of every point) to their K values.  It is called once for the anchor
+    and once per level, on all new testing points of the level's subsets
+    in one stack, each point once; a g that treats its points
+    independently, like a stacked Newton, gives every term the bits a
+    call per subset gives it.
     """
     distributions = tuple(distributions)
     d = len(distributions)
@@ -274,10 +284,17 @@ def adaptive_anova(g: Callable, distributions: Sequence[Distribution],
                        for t in itertools.combinations(s, level - 1))
             ]
         n_by_level.append(len(candidates))
+        # the level's points in one stack, then its terms in order
+        specs = [_restriction_points(subset, anchor, bases, order,
+                                     condition_cap, selections)
+                 for subset in candidates]
+        if specs:
+            values = evaluate(np.concatenate([sp[0] for sp in specs]).T)
         level_terms = []
-        for subset in candidates:
-            ghat = _project_restriction(evaluate, subset, anchor, bases,
-                                        order, condition_cap, selections)
+        lo = 0
+        for subset, (points, *spec) in zip(candidates, specs):
+            ghat = _project(subset, values[lo:lo + len(points)], *spec)
+            lo += len(points)
             term = compose_term(subset, ghat, g0, computed, pruned)
             computed[subset] = term
             level_terms.append(term)

@@ -26,7 +26,7 @@ import numpy as np
 from . import anova as anova_mod
 from . import hier
 from .models import UnknownModelError, builtin_model
-from .montecarlo import run_mc
+from .montecarlo import chunk_rows, run_mc
 from .netlist import elaborate, parse_netlist
 from .polychaos import (DegenerateMeasureError, GpcExpansion,
                         expansion_to_dict, expansion_to_json,
@@ -451,13 +451,21 @@ def _run_decomposition(cfg: JobConfig):
     anchor = (None if cfg.anchor is None     # one quantile broadcasts
               else anova_mod.anchor_point(dists, cfg.anchor))
     m = cfg.m if cfg.m is not None else min(2, model.d)
-    # every evaluation cold-starts from initial_guess(): the Newton
-    # tolerance is absolute, so the converged point depends on the start;
-    # a warm start from the nominal solution moves S_0 of a 19-stage diode
-    # ladder from 0.011906 to 0.011893
+    rows = chunk_rows(model.n)
+
+    def g(x):
+        # every evaluation cold-starts from initial_guess(): the Newton
+        # tolerance is absolute, so the converged point depends on the
+        # start; a warm start from the nominal solution moves S_0 of a
+        # 19-stage diode ladder from 0.011906 to 0.011893.  A level's
+        # points are solved in stacks of at most `rows`, as MC DC is
+        P = x.T
+        return np.concatenate([newton_dc(model, P[lo:lo + rows],
+                                         options=opts)[:, j]
+                               for lo in range(0, len(P), rows)])
+
     decomp, exp = anova_mod.adaptive_anova(
-        lambda x: newton_dc(model, x.T, options=opts)[:, j], dists, m=m,
-        sigma=cfg.sigma, order=cfg.order, anchor=anchor,
+        g, dists, m=m, sigma=cfg.sigma, order=cfg.order, anchor=anchor,
         condition_cap=opts.condition_cap)
     return model, nl, decomp, exp
 

@@ -313,17 +313,19 @@ def _rc_zeta_system(dists, r: float = 1e3, c: float = 1e-6,
         raise ValueError("rc_zeta takes exactly one intermediate input")
 
     def f(x, z, t):
-        return np.array([(x[0] - vin) / (r * (1.0 + spread * z[0]))])
+        x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
+        return (x[..., :1] - vin) / (r * (1.0 + spread * z[..., :1]))
 
     def df_dx(x, z, t):
-        return np.array([[1.0 / (r * (1.0 + spread * z[0]))]])
+        z = np.asarray(z, dtype=float)
+        return (1.0 / (r * (1.0 + spread * z[..., :1])))[..., None]
 
     return StochasticDae(
         n=1, d=1, distributions=dists,
         q=lambda x, z: c * np.asarray(x, dtype=float),
         f=f, B=np.zeros((1, 0)), u=lambda t: np.zeros(0),
-        dq_dx=lambda x, z: np.array([[c]]), df_dx=df_dx,
-        x0_guess=np.array([vin]), labels=("v_out",))
+        dq_dx=lambda x, z: np.full(np.shape(x) + (1,), c), df_dx=df_dx,
+        x0_guess=np.array([vin]), labels=("v_out",), batched=True)
 
 
 _DEMO_SYSTEMS = {"sum": _sum_system, "rc_zeta": _rc_zeta_system}

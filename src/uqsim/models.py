@@ -49,27 +49,36 @@ class UnknownModelError(KeyError):
 
 def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray],
                  x: np.ndarray) -> np.ndarray:
+    """Central differences of fn at x (n,), or at every row of a stack x
+    (N, n) that fn maps in one call; column i steps x_i by
+    max(FD_STEP, FD_STEP |x_i|), so each row of a stack gets the bits a
+    call at that row alone gives it.  A scalar fn gives J of shape (1, n).
+    """
     x = np.asarray(x, dtype=float)
     cols = []
-    for i, xi in enumerate(x.tolist()):
-        h = max(FD_STEP, FD_STEP * abs(xi))
+    for i in range(x.shape[-1]):
+        h = np.maximum(FD_STEP, FD_STEP * np.abs(x[..., i]))
         xp = x.copy()
         xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        cols.append((np.asarray(fn(xp)) - np.asarray(fn(xm))) / (2.0 * h))
-    # J[:, i] = cols[i]; a scalar fn gives J of shape (1, n)
-    return np.array(cols).reshape(x.size, -1).T
+        xp[..., i] += h
+        xm[..., i] -= h
+        cols.append((np.asarray(fn(xp)) - np.asarray(fn(xm)))
+                    / (2.0 * h)[..., None])
+    return np.stack(cols, axis=-1)
 
 
-def _rows(fn: Callable, X: np.ndarray, P: np.ndarray, args: tuple,
-          shape: tuple) -> np.ndarray:
-    """fn(x, xi, *args) at each row of X (N, n) and P (N, d), stacked into
-    `shape`; a single row is one direct call, with no list to stack."""
-    if len(X) == 1:
-        return np.asarray(fn(X[0], P[0], *args), dtype=float).reshape(shape)
-    return np.array([fn(x, xi, *args) for x, xi in zip(X, P)],
-                    dtype=float).reshape(shape)
+def _rows(fn: Callable, X: np.ndarray, P: np.ndarray, shape: tuple,
+          *t) -> np.ndarray:
+    """fn(x, xi[, t]) at each row of X (N, n) and P (N, d), stacked into
+    `shape`.  A float t goes to every row; an (N,) array of times gives
+    each row its own, as a float.  A single row is one direct call."""
+    if t and isinstance(t[0], np.ndarray):
+        out = [fn(x, xi, ti) for x, xi, ti in zip(X, P, t[0].tolist())]
+    elif len(X) == 1:
+        return np.asarray(fn(X[0], P[0], *t), dtype=float).reshape(shape)
+    else:
+        out = [fn(x, xi, *t) for x, xi in zip(X, P)]
+    return np.array(out, dtype=float).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -85,7 +94,16 @@ class StochasticDae:
     (..., n) and xi of shape (..., d) with matching leading axes give
     (..., n) vectors and (..., n, n) Jacobians.  q_many, f_many, jac_q_many
     and jac_f_many evaluate N rows, x (N, n) and xi (N, d), in one call when
-    the model is batched and row by row otherwise.
+    the model is batched and row by row otherwise; a batched model without
+    a Jacobian gets the finite differences above over the whole stack,
+    with each row's bits.
+
+    Stacked rows share one time t, a float, except in a Monte Carlo
+    transient, where each sample steps on its own clock: there f_many and
+    jac_f_many take an (N,) array of per-row times.  A row-by-row model
+    still sees each row's time as a float; a batched model's f and df_dx
+    get the array, so a batched f that reads t must broadcast it over the
+    stack.  u is called with one float time at a time.
     """
 
     n: int
@@ -123,26 +141,31 @@ class StochasticDae:
         """q at N rows: X (N, n), P (N, d) -> (N, n)."""
         if self.batched:
             return self.q(X, P)
-        return _rows(self.q, X, P, (), X.shape)
+        return _rows(self.q, X, P, X.shape)
 
-    def f_many(self, X: np.ndarray, P: np.ndarray, t: float) -> np.ndarray:
-        """f at N rows: X (N, n), P (N, d) -> (N, n)."""
+    def f_many(self, X: np.ndarray, P: np.ndarray, t) -> np.ndarray:
+        """f at N rows: X (N, n), P (N, d) -> (N, n); t is a float, or an
+        (N,) array of per-row times."""
         if self.batched:
             return self.f(X, P, t)
-        return _rows(self.f, X, P, (t,), X.shape)
+        return _rows(self.f, X, P, X.shape, t)
 
     def jac_q_many(self, X: np.ndarray, P: np.ndarray) -> np.ndarray:
         """dq/dx at N rows: X (N, n), P (N, d) -> (N, n, n)."""
-        if self.batched and self.dq_dx is not None:
+        if not self.batched:
+            return _rows(self.jac_q, X, P, X.shape + (self.n,))
+        if self.dq_dx is not None:
             return np.asarray(self.dq_dx(X, P), dtype=float)
-        return _rows(self.jac_q, X, P, (), X.shape + (self.n,))
+        return _fd_jacobian(lambda Y: self.q(Y, P), X)
 
-    def jac_f_many(self, X: np.ndarray, P: np.ndarray,
-                   t: float) -> np.ndarray:
-        """df/dx at N rows: X (N, n), P (N, d) -> (N, n, n)."""
-        if self.batched and self.df_dx is not None:
+    def jac_f_many(self, X: np.ndarray, P: np.ndarray, t) -> np.ndarray:
+        """df/dx at N rows: X (N, n), P (N, d) -> (N, n, n); t as in
+        f_many."""
+        if not self.batched:
+            return _rows(self.jac_f, X, P, X.shape + (self.n,), t)
+        if self.df_dx is not None:
             return np.asarray(self.df_dx(X, P, t), dtype=float)
-        return _rows(self.jac_f, X, P, (t,), X.shape + (self.n,))
+        return _fd_jacobian(lambda Y: self.f(Y, P, t), X)
 
     def nominal_parameters(self) -> np.ndarray:
         """Mean of each input; the deterministic reference point."""
@@ -162,7 +185,13 @@ class StochasticDae:
 
 @dataclass(frozen=True)
 class SecondOrderModel:
-    """M(z, xi) z'' + D(z, xi) z' + force(z, u, xi) = 0."""
+    """M(z, xi) z'' + D(z, xi) z' + force(z, u, xi) = 0.
+
+    A batched model's mass, damping and force also accept stacks, z
+    (N, n) and xi (N, d), giving (N, n, n) or (n, n) matrices and (N, n)
+    forces; its u gets f's time, a float or an (N,) array of per-row times,
+    and returns (m,) or (N, m).
+    """
 
     n: int
     mass: Callable
@@ -173,6 +202,7 @@ class SecondOrderModel:
     z0: np.ndarray
     v0: np.ndarray
     labels: tuple[str, ...] | None = None
+    batched: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "distributions", tuple(self.distributions))
@@ -185,7 +215,8 @@ def second_order_to_first(model: SecondOrderModel) -> StochasticDae:
 
     q is the identity, so the residual dx/dt + f(x, xi, t) = 0 reproduces the
     second-order balance exactly: the z-rows give z' = v and the v-rows give
-    M v' + D v + force = 0 after multiplying through by M.
+    M v' + D v + force = 0 after multiplying through by M.  The result is
+    batched when the model is.
     """
     n = model.n
     xi_nom = np.array([d.mean() if d is not None else 0.0
@@ -203,14 +234,16 @@ def second_order_to_first(model: SecondOrderModel) -> StochasticDae:
         return np.array(x, dtype=float)
 
     def dq_dx(x, xi):
-        return np.eye(2 * n)
+        return np.broadcast_to(np.eye(2 * n), np.shape(x) + (2 * n,))
 
     def f(x, xi, t):
-        z, v = x[:n], x[n:]
+        z, v = x[..., :n], x[..., n:]
         M = np.asarray(model.mass(z, xi), dtype=float)
-        accel_rhs = (np.asarray(model.damping(z, xi), dtype=float) @ v
+        D = np.asarray(model.damping(z, xi), dtype=float)
+        accel_rhs = ((D @ v[..., None])[..., 0]
                      + np.asarray(model.force(z, model.u(t), xi), dtype=float))
-        return np.concatenate([-v, np.linalg.solve(M, accel_rhs)])
+        accel = np.linalg.solve(M, accel_rhs[..., None])[..., 0]
+        return np.concatenate([-v, accel], axis=-1)
 
     labels = None
     if model.labels is not None:
@@ -221,7 +254,7 @@ def second_order_to_first(model: SecondOrderModel) -> StochasticDae:
         q=q, f=f, B=np.zeros((2 * n, 0)), u=lambda t: np.zeros(0),
         dq_dx=dq_dx, df_dx=None,
         x0_guess=np.concatenate([model.z0, model.v0]),
-        labels=labels)
+        labels=labels, batched=model.batched)
 
 
 def algebraic_model(fn: Callable, distributions: Sequence,
@@ -366,10 +399,13 @@ def _plate_actuator(voltage: float = 1.0, damping: float = 0.6,
     dists = (Distribution.gaussian(0.0, 1.0), Distribution.gaussian(0.0, 1.0))
 
     def force(z, u, xi):
-        k = 1.0 + k_sigma * xi[0]
-        gap = 1.0 + gap_sigma * xi[1]
-        v = u[0]
-        return np.array([k * z[0] - force_const * v * v / (gap - z[0]) ** 2])
+        k = 1.0 + k_sigma * xi[..., 0]
+        gap = 1.0 + gap_sigma * xi[..., 1]
+        v = u[..., 0]
+        # float_power squares with libm pow, as a numpy scalar's ** 2 does;
+        # an array's ** 2 is x*x, which rounds differently
+        pull = force_const * v * v / np.float_power(gap - z[..., 0], 2)
+        return (k * z[..., 0] - pull)[..., None]
 
     return second_order_to_first(SecondOrderModel(
         n=1,
@@ -379,7 +415,7 @@ def _plate_actuator(voltage: float = 1.0, damping: float = 0.6,
         distributions=dists,
         u=lambda t: np.array([voltage]),
         z0=np.zeros(1), v0=np.zeros(1),
-        labels=("z",)))
+        labels=("z",), batched=True))
 
 
 _OPAMP_LIKE_NETLIST = """\

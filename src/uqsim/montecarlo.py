@@ -1,11 +1,13 @@
 """Monte Carlo reference engine.
 
 Validation oracle for the spectral solvers: inverse-CDF sampling from a
-seeded PCG64 generator, one deterministic solve per sample (DC samples as
-the rows of stacked Newton solves), aggregation with standard errors, and
-histogram export.  Sampling is materialized
-up front so results are bit-identical for a fixed (model, n, seed)
-regardless of how the solves are scheduled.
+seeded PCG64 generator, one deterministic solve per sample, aggregation
+with standard errors, and histogram export.  Samples are solved as the rows
+of stacked solves: DC samples in stacked Newton solves, transient samples
+in the stacked stepper, each on its own clock so that it takes the steps a
+one-sample run takes.  Sampling is materialized up front so results are
+bit-identical for a fixed (model, n, seed) regardless of how the solves
+are scheduled.
 """
 
 from __future__ import annotations
@@ -16,15 +18,22 @@ from typing import Sequence
 import numpy as np
 
 from .models import StochasticDae
-from .stsolver import (SolverError, SolverOptions, _solve_dc_rows,
-                       integrate_deterministic, newton_dc)
+from .stsolver import (SolverError, SolverOptions, _integrate_points,
+                       _solve_dc_rows, integrate_deterministic, newton_dc)
 
 __all__ = ["McResult", "sample_parameters", "run_mc"]
 
 FAILURE_BUDGET = 1e-3  # abort when more than this fraction of samples fail
 HISTOGRAM_BINS = 50
-# DC samples are solved in stacks whose Jacobians take about this many bytes
-CHUNK_BYTES = 1 << 21
+# samples are solved in stacks whose Jacobians take about this many bytes;
+# building them (netlist stamps, finite differences) takes a few times more
+CHUNK_BYTES = 1 << 20
+
+
+def chunk_rows(n: int) -> int:
+    """Rows per stacked solve of an n-state model: CHUNK_BYTES of (n, n)
+    Jacobians, and at least one."""
+    return max(1, CHUNK_BYTES // (8 * n * (n + 1)))
 
 
 def sample_parameters(distributions: Sequence, n: int, seed: int
@@ -118,9 +127,7 @@ def run_mc(model: StochasticDae, analysis: str, n: int, seed: int,
     budget = int(np.floor(FAILURE_BUDGET * n))
     results = np.empty((n, model.n))
     failed = np.zeros(n, dtype=bool)
-    chunk = 1
-    if analysis == "dc":
-        chunk = max(1, CHUNK_BYTES // (8 * model.n * (model.n + 1)))
+    chunk = chunk_rows(model.n)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
         if analysis == "dc":
@@ -128,12 +135,12 @@ def run_mc(model: StochasticDae, analysis: str, n: int, seed: int,
                 model, xis[lo:hi], nominal[None], options)
             failed[lo:hi] = ~ok
         else:
-            try:
-                _, states, _ = integrate_deterministic(
-                    model, xis[lo], (0.0, t_end), nominal, options)
-                results[lo] = states[-1]
-            except SolverError:
-                failed[lo] = True
+            # each sample on its own clock; a failed one's state is NaN
+            _, (X,), _, _ = _integrate_points(
+                model, xis[lo:hi], np.tile(nominal, (hi - lo, 1)),
+                (0.0, t_end), options, own_clocks=True)
+            results[lo:hi] = X
+            failed[lo:hi] = np.isnan(X).any(axis=1)
         n_failed = int(np.count_nonzero(failed[:hi]))
         if n_failed > budget:
             raise SolverError(

@@ -142,7 +142,10 @@ def _parse_variation(value: str, where: Callable[[], str]):
     if len(args) != k:
         raise NetlistError(
             where() + f" {family} takes {k} arguments, got {len(args)}")
-    return closed_forms.make(*args), mode
+    try:
+        return closed_forms.make(*args), mode
+    except ValueError as err:   # a parameter out of the family's range
+        raise NetlistError(where() + f" {err}") from err
 
 
 def parse_netlist(text: str, filename: str = "<netlist>") -> Netlist:

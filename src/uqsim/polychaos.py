@@ -93,6 +93,12 @@ class UnsupportedFamilyError(ValueError):
     pass
 
 
+def _require_finite(family: str, **params) -> None:
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{family} {name} must be finite, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # distributions
 
@@ -116,6 +122,7 @@ class Distribution:
 
     @staticmethod
     def gaussian(mean: float, stddev: float) -> "Distribution":
+        _require_finite("gaussian", mean=mean, stddev=stddev)
         if stddev <= 0.0:
             raise ValueError(f"gaussian stddev must be positive, got {stddev}")
         return Distribution("gaussian", (float(mean), float(stddev)),
@@ -123,6 +130,7 @@ class Distribution:
 
     @staticmethod
     def uniform(lo: float, hi: float) -> "Distribution":
+        _require_finite("uniform", lo=lo, hi=hi)
         if not hi > lo:
             raise ValueError(f"uniform requires lo < hi, got [{lo}, {hi}]")
         return Distribution("uniform", (float(lo), float(hi)),
@@ -130,12 +138,14 @@ class Distribution:
 
     @staticmethod
     def gamma(shape: float) -> "Distribution":
+        _require_finite("gamma", shape=shape)
         if shape <= 0.0:
             raise ValueError(f"gamma shape must be positive, got {shape}")
         return Distribution("gamma", (float(shape),), (0.0, math.inf))
 
     @staticmethod
     def beta(a: float, b: float) -> "Distribution":
+        _require_finite("beta", a=a, b=b)
         if a <= 0.0 or b <= 0.0:
             raise ValueError(f"beta parameters must be positive, got ({a}, {b})")
         return Distribution("beta", (float(a), float(b)), (0.0, 1.0))
@@ -645,7 +655,7 @@ class OrthoBasis:
 def _basis_from_monic(gamma: np.ndarray, kappa: np.ndarray, order: int,
                       dist: Distribution | None) -> OrthoBasis:
     kappa = np.asarray(kappa, dtype=float)
-    floor_hits = np.nonzero(kappa[1:] <= KAPPA_FLOOR)[0]
+    floor_hits = np.nonzero(~(kappa[1:] > KAPPA_FLOOR))[0]   # NaN too
     if floor_hits.size:
         j = int(floor_hits[0]) + 1
         raise DegenerateMeasureError(j, float(kappa[j]))

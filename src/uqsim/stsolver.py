@@ -13,9 +13,11 @@ decouples into K independent n-by-n solves in point space; the DC solve and
 each implicit time step run the K points as the rows of one stacked Newton.
 Coefficients are recovered as V^-1 X whenever an expansion is needed.
 
-Time integration is trapezoidal with a backward-Euler startup step, one
-shared adaptive step sequence for all testing points, local error estimated
-from a polynomial predictor, and error-per-unit-step acceptance.
+Time integration is trapezoidal with a backward-Euler startup step, local
+error estimated from a polynomial predictor, and error-per-unit-step
+acceptance.  The testing points share one adaptive step sequence; the same
+stacked stepper also runs Monte Carlo samples, each on its own clock with
+the step sequence of a one-sample run.
 """
 
 from __future__ import annotations
@@ -432,75 +434,137 @@ class StSolution:
 
 class _PointIntegrator:
     """The implicit stepper of all parameter points: P (N, d), states X
-    (N, n) and up to three past (t, X) pairs, on the driver's shared steps."""
+    (N, n), and the last two accepted states of each row with their
+    clocks' times.
 
-    def __init__(self, model, points, X0, options):
+    With `shared`, all rows are on one clock: a step's time reaches the
+    model as a float and a Newton failure at any row raises SolverError.
+    Otherwise row i is on clock i: the model gets an (N,) array of per-row
+    times, and a row that fails is reported in the converged mask.  The
+    methods take `rows`, an index array of clocks (the rows, with own
+    clocks) or slice(None) for all, and per-clock arrays over them.
+    """
+
+    def __init__(self, model, points, X0, options, shared):
         self.model = model
         self.P = np.asarray(points, dtype=float)
         self.X = np.array(X0, dtype=float)
         self.options = options
-        self.history: list[tuple[float, np.ndarray]] = []
+        self.shared = shared
+        clocks = 1 if shared else len(self.X)
+        self.past_t = (np.zeros(clocks), np.zeros(clocks))   # older, newer
+        self.past_X = (np.zeros_like(self.X), np.zeros_like(self.X))
 
-    def _implicit_solve(self, t_new, h, theta, q_old, g_old):
-        """Solve (q(X) - q_old)/h + theta*g(X,t_new) + (1-theta)*g_old = 0,
-        one stacked Newton over every row.
+    def _time(self, t):
+        return float(t[0]) if self.shared else t
+
+    def _rhs(self, t):
+        """B u(t): (n,) at a float t, (len(t), n) at per-row times."""
+        B, u = self.model.B, self.model.u
+        if not isinstance(t, np.ndarray):
+            return B @ u(t)
+        return np.array([B @ u(ti) for ti in t.tolist()]).reshape(len(t), -1)
+
+    def _implicit_solve(self, rows, t_new, h, theta, q_old, g_old):
+        """Solve (q(X) - q_old)/h + theta*g(X,t_new) + (1-theta)*g_old = 0
+        at `rows`, one stacked Newton; returns (X, converged mask).
 
         Dividing by h keeps the residual on the scale of f itself, so the
         Newton tolerance stays meaningful for small steps.
         """
-        model, P = self.model, self.P
-        rhs_new = model.B @ model.u(t_new)
+        model, P = self.model, self.P[rows]
+        t_new = self._time(t_new)
+        rhs_new = self._rhs(t_new)
         old = (1.0 - theta) * g_old
+        h = h[:, None]
+        own = not self.shared
 
-        def residual(Y, rows):
-            Pr = P[rows]
-            g_new = model.f_many(Y, Pr, t_new) - rhs_new
-            return ((model.q_many(Y, Pr) - q_old[rows]) / h
-                    + theta * g_new + old[rows])
+        def residual(Y, at):
+            Pr = P[at]
+            g_new = (model.f_many(Y, Pr, t_new[at] if own else t_new)
+                     - (rhs_new[at] if own else rhs_new))
+            return ((model.q_many(Y, Pr) - q_old[at]) / (h[at] if own else h)
+                    + theta * g_new + old[at])
 
-        def jacobian(Y, rows):
-            Pr = P[rows]
-            return (model.jac_q_many(Y, Pr) / h
-                    + theta * model.jac_f_many(Y, Pr, t_new))
+        def jacobian(Y, at):
+            Pr = P[at]
+            return (model.jac_q_many(Y, Pr) / (h[at] if own else h)[..., None]
+                    + theta * model.jac_f_many(Y, Pr,
+                                               t_new[at] if own else t_new))
 
         opt = self.options
         tol = opt.dc_tol(model.n)
-        X, rnorm, ok = _damped_newton(residual, jacobian, self.X, tol,
+        X, rnorm, ok = _damped_newton(residual, jacobian, self.X[rows], tol,
                                       opt.newton_max_iter,
                                       opt.newton_max_damping)
-        _check_converged(rnorm, ok, tol, opt)
-        return X
+        if self.shared:
+            _check_converged(rnorm, ok, tol, opt)
+        return X, ok
 
-    def attempt(self, t, h):
-        """Try one step; returns (X_new, largest lte estimate); no commit."""
-        model, X = self.model, self.X
-        q_old = model.q_many(X, self.P)
+    def attempt(self, rows, t, h, steps):
+        """Try one step of `rows` from their clocks' times t by steps h,
+        after `steps` accepted steps; returns (X_new, lte estimate per
+        clock, converged mask per row); no commit."""
+        model, P, X = self.model, self.P[rows], self.X[rows]
+        q_old = model.q_many(X, P)
         t_new = t + h
-        if not self.history:
-            # backward Euler startup: damps any inconsistent algebraic part
-            return self._implicit_solve(t_new, h, 1.0, q_old,
-                                        np.zeros_like(X)), 0.0
-        g_old = model.f_many(X, self.P, t) - model.B @ model.u(t)
-        X_new = self._implicit_solve(t_new, h, 0.5, q_old, g_old)
+        if not steps[0]:
+            # backward Euler startup: damps any inconsistent algebraic part.
+            # It is every clock's first step and always accepted, so the
+            # clocks are all at their first step or all past it
+            X_new, ok = self._implicit_solve(rows, t_new, h, 1.0, q_old,
+                                             np.zeros_like(X))
+            return X_new, np.zeros(len(t)), ok
+        t_old = self._time(t)
+        g_old = model.f_many(X, P, t_old) - self._rhs(t_old)
+        X_new, ok = self._implicit_solve(rows, t_new, h, 0.5, q_old, g_old)
 
         # predictor through past states; its mismatch with the corrector
-        # estimates the local truncation error
-        past = self.history[-2:] + [(t, X)]
-        X_pred = _extrapolate(past, t_new)
-        c_corr = h ** 3 / 12.0
-        c_pred = abs(math.prod(t_new - tp for tp, _ in past)) / 6.0
-        if len(past) < 3:
-            c_pred = max(c_pred, h ** 2)
-        lte = np.abs(X_new - X_pred).max() * c_corr / (c_pred + c_corr)
-        return X_new, lte
+        # estimates the local truncation error.  Per clock, this is the
+        # arithmetic of Python floats: float_power is libm pow, as float
+        # ** is, where np.power rounds differently
+        c_corr = np.float_power(h, 3) / 12.0
+        if math.isinf(c_corr.max()):
+            raise OverflowError("h ** 3 overflows")
+        deep = steps >= 2   # two past states: a quadratic predictor
+        n_deep = np.count_nonzero(deep)
+        if n_deep == len(deep):
+            groups = ((2, _ALL),)
+        elif not n_deep:
+            groups = ((1, _ALL),)
+        else:
+            groups = ((1, ~deep), (2, deep))
+        X_pred, c_pred = np.empty_like(X_new), np.empty(len(t))
+        for k, sel in groups:
+            at = rows if sel is _ALL else _subset(rows, sel)
+            tn = t_new[sel]
+            past = [(self.past_t[j][at], self.past_X[j][at])
+                    for j in range(2 - k, 2)] + [(t[sel], X[sel])]
+            X_pred[sel] = _extrapolate(
+                [(tp[:, None], xp) for tp, xp in past], tn[:, None])
+            prod = tn - past[0][0]
+            for tp, _ in past[1:]:
+                prod = prod * (tn - tp)
+            c_pred[sel] = np.abs(prod) / 6.0
+        if n_deep < len(deep):
+            c_pred = np.where(deep, c_pred,
+                              np.maximum(c_pred, np.float_power(h, 2)))
+        err = np.abs(X_new - X_pred).reshape(len(t), -1).max(axis=1)
+        return X_new, err * c_corr / (c_pred + c_corr), ok
 
-    def commit(self, t, X_new):
-        self.history = self.history[-2:] + [(t, self.X)]
-        self.X = X_new
+    def commit(self, rows, t, X_new):
+        """Accept the steps of `rows` from their clocks' times t to X_new."""
+        (older_t, newer_t), (older_X, newer_X) = self.past_t, self.past_X
+        older_t[rows] = newer_t[rows]
+        newer_t[rows] = t
+        older_X[rows] = newer_X[rows]
+        newer_X[rows] = self.X[rows]
+        self.X[rows] = X_new
 
 
-def _extrapolate(past: list, t_new: float) -> np.ndarray:
-    """Newton divided-difference polynomial through past (t, x) pairs."""
+def _extrapolate(past: list, t_new):
+    """Newton divided-difference polynomial through past (t, x) pairs;
+    the times may be (N, 1) columns of per-row times for x (N, n)."""
     ts = [p[0] for p in past]
     coeffs = [p[1] for p in past]
     # divided differences in place in the list; the states are only read
@@ -513,10 +577,26 @@ def _extrapolate(past: list, t_new: float) -> np.ndarray:
     return out
 
 
-def _integrate_points(model, points, X0, t_span, options):
-    """Shared-step integration of the parameter points' one stacked stepper.
+def _subset(live, mask):
+    """The clocks of `live` (an index array, or slice(None)) in mask."""
+    return np.flatnonzero(mask) if live is _ALL else live[mask]
 
-    Returns (times, states per time (list of (N, n)), step log, solves).
+
+def _integrate_points(model, points, X0, t_span, options, own_clocks=False):
+    """Integrates the parameter points as one stacked stepper.
+
+    Each clock keeps its time, next step, accepts since the last doubling
+    and accepted step count.  By default all rows share one clock: a
+    step's error estimate is the largest over the rows, a Newton failure or
+    step underflow raises SolverError, and the result is (times (T,),
+    states per time (list of (N, n)), step log, solves).
+
+    With own_clocks, each row has a clock and takes the steps a one-row
+    run of it takes, as Monte Carlo samples do.  A row whose Newton fails
+    or whose step underflows stops with NaN states; the others go on.  The
+    result is (end time per row (N,), [final states (N, n)], step log,
+    solves).  Either way the log holds one entry (t, h, accepted, lte) per
+    clock attempt, and solves counts row attempts.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (np.isfinite(t0) and np.isfinite(t1) and t1 > t0):
@@ -528,47 +608,93 @@ def _integrate_points(model, points, X0, t_span, options):
         raise ValueError(
             f"fixed_step {fixed:g} is below the step floor {min_step:g} "
             f"(min_step_fraction {options.min_step_fraction:g} of the span)")
-    stepper = _PointIntegrator(model, points, X0, options)
+    shared = not own_clocks
+    stepper = _PointIntegrator(model, points, X0, options, shared)
+    C = len(stepper.past_t[0])
 
-    h = fixed if fixed is not None else span * min(
-        options.max_step_fraction, 1e-3)
+    t = np.full(C, t0)
+    h = np.full(C, fixed if fixed is not None else span * min(
+        options.max_step_fraction, 1e-3))
+    streak = np.zeros(C, dtype=int)
+    steps = np.zeros(C, dtype=int)
+    live = _ALL          # the clocks still stepping
+    end = t1 - 1e-14 * span
     times = [t0]
-    states = [stepper.X]
+    states = [stepper.X.copy()]
     log = []
-    t = t0
-    streak = 0
-    while t < t1 - 1e-14 * span:
-        if fixed is None and h < min_step:
-            raise SolverError(
-                f"step size underflow at t = {t:.6e} (h = {h:.3e})",
-                time=t)
-        h_step = min(h, t1 - t)  # clip only at the end of the span
+    solves = 0
+    while True:
+        if fixed is None:
+            small = h[live] < min_step
+            if np.count_nonzero(small):
+                if shared:
+                    raise SolverError(
+                        f"step size underflow at t = {t[0]:.6e} "
+                        f"(h = {h[0]:.3e})", time=float(t[0]))
+                stepper.X[_subset(live, small)] = np.nan
+                live = _subset(live, ~small)
+                if not live.size:
+                    break
+        t_live = t[live]
+        h_step = np.minimum(h[live], t1 - t_live)  # clip only at the end
         try:
-            X_new, lte = stepper.attempt(t, h_step)
+            X_new, lte, ok = stepper.attempt(live, t_live, h_step,
+                                             steps[live])
         except OverflowError as exc:  # e.g. h ** 3 of a span near 1e300
+            i = int(np.argmax(h_step))
             raise OverflowError(
-                f"step h = {h_step:.3e} at t = {t:.6e} overflows double "
-                f"precision over the span {span:.3e}") from exc
-        target = options.lte_tol * h_step / span  # error per unit time
-        if fixed is None and lte > target:
-            log.append((t, h_step, False, lte))
-            h = 0.5 * h_step
-            streak = 0
-            continue
-        log.append((t, h_step, True, lte))
-        stepper.commit(t, X_new)
+                f"step h = {h_step[i]:.3e} at t = {t_live[i]:.6e} overflows "
+                f"double precision over the span {span:.3e}") from exc
+        solves += len(X_new)
+        if fixed is None:
+            reject = lte > options.lte_tol * h_step / span  # per unit time
+        else:
+            reject = np.zeros(len(lte), dtype=bool)
+        if not shared and np.count_nonzero(ok) < len(ok):
+            stepper.X[_subset(live, ~ok)] = np.nan   # these rows stop
+            live = _subset(live, ok)
+            t_live, h_step, lte = t_live[ok], h_step[ok], lte[ok]
+            X_new, reject = X_new[ok], reject[ok]
+            if not live.size:
+                break
+        accept = ~reject
+        log.extend(zip(t_live.tolist(), h_step.tolist(), accept.tolist(),
+                       lte.tolist()))
+
+        acc = live
+        if np.count_nonzero(reject):
+            back = _subset(live, reject)
+            h[back] = 0.5 * h_step[reject]
+            streak[back] = 0
+            if not np.count_nonzero(accept):
+                continue
+            acc = _subset(live, accept)
+            t_live, h_step = t_live[accept], h_step[accept]
+            X_new = X_new[accept]
+        stepper.commit(acc, t_live, X_new)
+        steps[acc] += 1
         # fixed steps place t at t0 + k*h: accumulating t += h drifts and
         # can leave a last step of ~1e-13 h on which Newton stalls
-        t = (t + h_step if fixed is None
-             else min(t0 + len(times) * fixed, t1))
-        times.append(t)
-        states.append(X_new)
+        t[acc] = (t_live + h_step if fixed is None
+                  else np.minimum(t0 + steps[acc] * fixed, t1))
+        if shared:
+            times.append(float(t[0]))
+            states.append(X_new)
         if fixed is None:
-            streak += 1
-            if streak >= options.accepts_before_double:
-                h = min(2.0 * h, span * options.max_step_fraction)
-                streak = 0
-    return np.array(times), states, tuple(log), len(X0) * len(log)
+            streak[acc] += 1
+            grow = streak >= options.accepts_before_double
+            if np.count_nonzero(grow):
+                h[grow] = np.minimum(2.0 * h[grow],
+                                     span * options.max_step_fraction)
+                streak[grow] = 0
+        running = t[live] < end
+        if np.count_nonzero(running) < len(running):
+            live = _subset(live, running)
+            if not live.size:
+                break
+    if shared:
+        return np.array(times), states, tuple(log), solves
+    return t, [stepper.X], tuple(log), solves
 
 
 def integrate_transient(model: StochasticDae, tps: TestingPointSet,

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqsim import anova
+from uqsim import anova, netlist
 from uqsim.montecarlo import sample_parameters
 from uqsim.polychaos import (Distribution, GpcExpansion, MultiIndexSet,
                              make_standard_basis, total_degree_index_set)
-from uqsim.stsolver import SolverError, recover_coefficients, \
+from uqsim.stsolver import SolverError, newton_dc, recover_coefficients, \
     select_testing_points, standard_bases
 
 GAUSS = Distribution.gaussian(0.0, 1.0)
@@ -207,7 +207,7 @@ def test_count_identities_without_screen():
     assert decomp.pruned == ()
 
 
-def test_g_sees_one_stack_per_subset():
+def test_g_sees_one_stack_per_level():
     # the 3-node rule of order 2 holds the median anchor 1.0 exactly, so
     # the subsets' testing points repeat the anchor and each other
     calls = []
@@ -218,13 +218,49 @@ def test_g_sees_one_stack_per_subset():
 
     decomp, _ = anova.adaptive_anova(g, (Distribution.gaussian(1.0, 0.05),)
                                      * 3, m=2, sigma=0.0, order=2)
-    assert len(calls) == 1 + len(decomp.terms) == 7
+    assert len(calls) == 1 + decomp.m == 3
     assert all(x.ndim == 2 and x.shape[0] == 3 for x in calls)
     points = np.concatenate([x.T for x in calls])
     assert len({p.tobytes() for p in points}) == len(points)
     assert decomp.n_evaluations == len(points)
     # anchor, 2 new points per level-1 subset, 1 per level-2 subset
     assert decomp.n_evaluations == 1 + 3 * 2 + 3 * 1
+    assert [x.shape[1] for x in calls] == [1, 3 * 2, 3 * 1]
+
+
+def ladder_netlist(stages: int) -> str:
+    """Diode ladder with one relative resistor variation per stage."""
+    lines = ["V1 n0 0 1.0"]
+    for k in range(1, stages + 1):
+        lines.append(f"R{k} n{k - 1} n{k} 1k "
+                     "variation=relative:uniform(0.9,1.1)")
+        lines.append(f"D{k} n{k} 0 is=1e-9 nvt=0.02585")
+    return "\n".join(lines) + "\n"
+
+
+def test_level_stack_equals_one_subset_per_call():
+    # a stacked Newton treats its rows independently, so solving all of a
+    # level's points in one stack gives every term the bits that one
+    # call per subset gives it
+    model = netlist.elaborate(netlist.parse_netlist(ladder_netlist(4)))
+    calls = []
+
+    def g(x):
+        calls.append(x.shape[1])
+        return newton_dc(model, x.T)[:, -2]
+
+    dists = model.distributions
+    decomp, _ = anova.adaptive_anova(g, dists, m=2, sigma=0.0, order=2)
+    assert len(calls) == 3 and decomp.n_by_level == (4, 6)
+    assert decomp.g0 == float(g(decomp.anchor.q[:, None])[0])
+    ref = {}
+    for term in decomp.terms:
+        ghat = anova.anchored_subterm(g, term.subset, decomp.anchor, dists, 2)
+        ref[term.subset] = anova.compose_term(term.subset, ghat, decomp.g0,
+                                              ref)
+        assert np.array_equal(term.expansion.coefficients,
+                              ref[term.subset].expansion.coefficients)
+        assert term.variance == ref[term.subset].variance
 
 
 def test_one_selection_per_subset_signature(monkeypatch):
@@ -239,7 +275,7 @@ def test_one_selection_per_subset_signature(monkeypatch):
                                     order=3)
 
     sizes = []
-    select, project = anova.select_testing_points, anova._project_restriction
+    select, points = anova.select_testing_points, anova._restriction_points
 
     def counting(bases, idx, condition_cap):
         sizes.append(idx.dimension)
@@ -250,8 +286,8 @@ def test_one_selection_per_subset_signature(monkeypatch):
     assert decomp.n_by_level == (5, 10)
     assert sorted(sizes) == [1, 2]
 
-    monkeypatch.setattr(anova, "_project_restriction",
-                        lambda *args: project(*args[:-1], {}))
+    monkeypatch.setattr(anova, "_restriction_points",
+                        lambda *args: points(*args[:-1], {}))
     fresh_decomp, fresh_exp = run()
     assert len(sizes) == 2 + 15
     assert np.array_equal(exp.coefficients, fresh_exp.coefficients)

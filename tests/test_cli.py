@@ -548,6 +548,64 @@ def test_numeric_failure_leaves_one_json_line(tmp_path, argv, words):
         assert word in error["message"]
 
 
+@pytest.mark.parametrize("variation,words", [
+    ("gauss(1e400,1)", ["gaussian mean must be finite", "inf"]),
+    ("gauss(1,1e400)", ["gaussian stddev must be finite", "inf"]),
+    ("uniform(0,1e400)", ["uniform hi must be finite", "inf"]),
+], ids=["gauss-mean", "gauss-stddev", "uniform-hi"])
+def test_non_finite_variation_is_a_located_user_error(tmp_path, variation,
+                                                      words):
+    # an infinite mean exited 1 with "quadrature weights must be strictly
+    # positive", naming neither element nor parameter; an infinite stddev
+    # or bound crashed in the Gauss-rule eigensolver with a traceback
+    netlist = tmp_path / "bad.cir"
+    netlist.write_text(f"V1 1 0 1\nR1 1 2 1k variation={variation}\n"
+                       "R2 2 0 1k\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "uqsim.cli", "dc", "--netlist", str(netlist),
+         "--order", "2", "--outdir", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "config"
+    assert error["message"].startswith("bad.cir:2:11: ")
+    for word in words:
+        assert word in error["message"]
+
+
+def test_anova_stacks_stay_within_the_chunk(tmp_path, monkeypatch):
+    # an 18-stage ladder has n = 20 unknowns (19 nodes and the source
+    # current); its second level holds 1530 new points, which one stack
+    # would hold in 4.9 MB of Jacobians
+    from uqsim.montecarlo import chunk_rows
+
+    lines = ["V1 n0 0 1.0"]
+    for k in range(1, 19):
+        lines += [f"R{k} n{k - 1} n{k} 1k variation=relative:uniform(0.9,1.1)",
+                  f"D{k} n{k} 0 is=1e-9 nvt=0.02585"]
+    path = tmp_path / "ladder18.cir"
+    path.write_text("\n".join(lines) + "\n")
+    sizes = []
+    newton_dc = cli.newton_dc
+
+    def recording(model, xi, *args, **kwargs):
+        sizes.append((model.n, len(np.atleast_2d(xi))))
+        return newton_dc(model, xi, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "newton_dc", recording)
+    rc = cli.main(["anova", "--netlist", str(path), "--order", "3", "--m",
+                   "2", "--output", "v(n18)", "--outdir", str(tmp_path)])
+    assert rc == 0
+    assert {n for n, _ in sizes} == {20}
+    rows = chunk_rows(20)
+    assert max(size for _, size in sizes) == rows
+    assert sum(size for _, size in sizes) == 1 + 18 * 4 + 153 * 10 > 2 * rows
+
+
 def test_unknown_output_label_is_user_error(divider, capsys):
     rc = cli.main(["anova", "--netlist", divider, "--m", "1",
                    "--output", "v(99)"])

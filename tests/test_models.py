@@ -124,6 +124,21 @@ class TestJacobians:
             scale = max(1.0, np.max(np.abs(analytic)))
             assert np.max(np.abs(analytic - fd)) / scale < 1e-5
 
+    def test_stacked_fd_equals_rows(self):
+        # a batched model without df_dx gets column-by-column differences
+        # over the whole stack, with each row's step: the per-row bits
+        dae = builtin_model("plate_actuator")
+        assert dae.batched and dae.df_dx is None
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(64, 2)) * 10.0 ** rng.integers(-9, 2, (64, 1))
+        X[0] = 0.0
+        P = rng.normal(size=(64, 2))
+        J = dae.jac_f_many(X, P, 0.0)
+        rows = np.array([dae.jac_f(x, p, 0.0) for x, p in zip(X, P)])
+        assert np.array_equal(J, rows)
+        fd = models._fd_jacobian(lambda Y: dae.f(Y, P, 0.0), X)
+        assert np.array_equal(fd, rows)
+
     def test_fd_step_respects_magnitude(self):
         # quadratic in a large variable still differentiates accurately
         def fn(x):

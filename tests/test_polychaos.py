@@ -137,6 +137,34 @@ def test_stieltjes_degenerate_measure_names_degree():
     assert "degree 1" in str(err.value)
 
 
+@pytest.mark.parametrize("make,args,name", [
+    (pc.Distribution.gaussian, (math.inf, 1.0), "mean"),
+    (pc.Distribution.gaussian, (math.nan, 1.0), "mean"),
+    (pc.Distribution.gaussian, (0.0, math.inf), "stddev"),
+    (pc.Distribution.gaussian, (0.0, math.nan), "stddev"),
+    (pc.Distribution.uniform, (-math.inf, 0.0), "lo"),
+    (pc.Distribution.uniform, (math.nan, 1.0), "lo"),
+    (pc.Distribution.uniform, (0.0, math.inf), "hi"),
+    (pc.Distribution.gamma, (math.inf,), "shape"),
+    (pc.Distribution.gamma, (math.nan,), "shape"),
+    (pc.Distribution.beta, (math.inf, 2.0), "a"),
+    (pc.Distribution.beta, (2.0, math.nan), "b"),
+])
+def test_non_finite_parameters_are_rejected(make, args, name):
+    # each was accepted (or, for a NaN lo, refused as "lo < hi") and failed
+    # later in the Gauss rule or the basis
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        make(*args)
+
+
+def test_nan_recurrence_is_degenerate():
+    # the floor test kappa <= KAPPA_FLOOR let NaN through to a NaN basis
+    kappa = np.array([1.0, np.nan, 1.0])
+    with pytest.raises(pc.DegenerateMeasureError) as err:
+        pc._basis_from_monic(np.zeros(3), kappa, 2, None)
+    assert err.value.degree == 1
+
+
 def test_stieltjes_two_atom_measure_degenerates_at_two():
     # a two-point measure supports degrees 0 and 1 only
     rule = pc.QuadratureRule(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 1,

@@ -429,6 +429,63 @@ class TestTransient:
             assert np.array_equal(t_i, times)
             assert np.array_equal(s_i, np.array([X[i] for X in states]))
 
+    @pytest.mark.parametrize("name", ["plate_actuator", "nonlinear_rc"])
+    def test_own_clocks_equal_separate_adaptive_runs(self, name):
+        # adaptive steps: on its own clock, each row of one stacked stepper
+        # takes the steps, rejections and iterates of a one-sample run, bit
+        # for bit, though the rows reject different steps
+        if name == "nonlinear_rc":
+            dae = netlist.elaborate(netlist.parse_netlist(NONLINEAR_RC))
+            span, x0 = (0.0, 2e-4), np.zeros(dae.n)
+        else:
+            dae = builtin_model(name)
+            span, x0 = (0.0, 1.0), dae.initial_guess()
+        P = sample_parameters(dae.distributions, 4, seed=0)
+        t_end, (X,), log, solves = _integrate_points(
+            dae, P, np.tile(x0, (len(P), 1)), span, SolverOptions(),
+            own_clocks=True)
+        logs = []
+        for i, xi in enumerate(P):
+            times, states, _ = integrate_deterministic(dae, xi, span, x0)
+            assert np.array_equal(X[i], states[-1])
+            assert t_end[i] == times[-1]
+            logs.append(_integrate_points(dae, xi[None], x0[None], span,
+                                          SolverOptions())[2])
+        assert len({sum(not entry[2] for entry in lg) for lg in logs}) > 1
+        assert solves == len(log) == sum(map(len, logs))
+        assert sorted(log) == sorted(entry for lg in logs for entry in lg)
+
+    def test_failed_row_stops_alone(self):
+        # dx/dt = -xi x, except that rows with xi > 0.9 have no solution
+        # after t = 0.3: a one-sample run of such a row fails there; on its
+        # own clock the row stops with NaN states, and the other rows end
+        # where they end without it
+        def f(x, xi, t):
+            broken = (xi[..., :1] > 0.9) & (np.asarray(t)[..., None] > 0.3)
+            return np.where(broken, np.nan, xi[..., :1] * x)
+
+        dae = models.StochasticDae(
+            n=1, d=1, distributions=(UNIFORM,),
+            q=lambda x, xi: np.array(x, dtype=float), f=f,
+            B=np.zeros((1, 0)), u=lambda t: np.zeros(0),
+            dq_dx=lambda x, xi: np.ones(np.shape(x) + (1,)),
+            df_dx=lambda x, xi, t: xi[..., :1, None] * np.ones((1, 1)),
+            batched=True)
+        span, x0 = (0.0, 1.0), np.ones(1)
+        with pytest.raises(SolverError, match="did not converge"):
+            integrate_deterministic(dae, np.array([0.95]), span, x0)
+        P = np.array([[0.2], [0.95], [0.5], [0.7]])
+        t_end, (X,), _, _ = _integrate_points(
+            dae, P, np.ones((4, 1)), span, SolverOptions(), own_clocks=True)
+        _, (ref,), _, _ = _integrate_points(
+            dae, np.delete(P, 1, axis=0), np.ones((3, 1)), span,
+            SolverOptions(), own_clocks=True)
+        assert np.isnan(X[1]).all() and 0.0 < t_end[1] <= 0.3
+        assert np.array_equal(np.delete(X, 1, axis=0), ref)
+        assert np.array_equal(np.delete(t_end, 1), [1.0, 1.0, 1.0])
+        assert np.allclose(ref[:, 0], np.exp(-np.array([0.2, 0.5, 0.7])),
+                           rtol=1e-3)
+
     @pytest.mark.parametrize("t_span,fixed_step", [
         ((0.0, np.nan), None), ((-np.inf, 1.0), None), ((1.0, 1.0), None),
         ((0.0, 1.0), np.nan), ((0.0, 1.0), 0.5e-12)])
