@@ -429,28 +429,44 @@ class TestTransient:
             assert np.array_equal(t_i, times)
             assert np.array_equal(s_i, np.array([X[i] for X in states]))
 
-    @pytest.mark.parametrize("name", ["plate_actuator", "nonlinear_rc"])
+    @pytest.mark.parametrize("name", ["plate_actuator", "nonlinear_rc",
+                                      "forced", "forced_row_by_row"])
     def test_own_clocks_equal_separate_adaptive_runs(self, name):
         # adaptive steps: on its own clock, each row of one stacked stepper
         # takes the steps, rejections and iterates of a one-sample run, bit
-        # for bit, though the rows reject different steps
+        # for bit, though the rows reject different steps; a model whose f
+        # reads t gets each row's own time
+        opts = SolverOptions()
         if name == "nonlinear_rc":
             dae = netlist.elaborate(netlist.parse_netlist(NONLINEAR_RC))
             span, x0 = (0.0, 2e-4), np.zeros(dae.n)
+        elif name.startswith("forced"):
+            # dx/dt = -xi x + sin(20 t), xi ~ U(-1, 1)
+            dae = models.StochasticDae(
+                n=1, d=1, distributions=(UNIFORM,),
+                q=lambda x, xi: np.array(x, dtype=float),
+                f=lambda x, xi, t: (xi[..., :1] * x
+                                    - np.sin(20.0 * np.asarray(t))[..., None]),
+                B=np.zeros((1, 0)), u=lambda t: np.zeros(0),
+                dq_dx=lambda x, xi: np.ones(np.shape(x) + (1,)),
+                df_dx=lambda x, xi, t: xi[..., :1, None] * np.ones((1, 1)),
+                batched=name == "forced")
+            span, x0 = (0.0, 0.5), np.zeros(1)
+            opts = SolverOptions(lte_tol=1e-3)
         else:
             dae = builtin_model(name)
             span, x0 = (0.0, 1.0), dae.initial_guess()
         P = sample_parameters(dae.distributions, 4, seed=0)
         t_end, (X,), log, solves = _integrate_points(
-            dae, P, np.tile(x0, (len(P), 1)), span, SolverOptions(),
-            own_clocks=True)
+            dae, P, np.tile(x0, (len(P), 1)), span, opts, own_clocks=True)
         logs = []
         for i, xi in enumerate(P):
-            times, states, _ = integrate_deterministic(dae, xi, span, x0)
+            times, states, _ = integrate_deterministic(dae, xi, span, x0,
+                                                       opts)
             assert np.array_equal(X[i], states[-1])
             assert t_end[i] == times[-1]
             logs.append(_integrate_points(dae, xi[None], x0[None], span,
-                                          SolverOptions())[2])
+                                          opts)[2])
         assert len({sum(not entry[2] for entry in lg) for lg in logs}) > 1
         assert solves == len(log) == sum(map(len, logs))
         assert sorted(log) == sorted(entry for lg in logs for entry in lg)
