@@ -502,6 +502,21 @@ class TestTransient:
         assert np.allclose(ref[:, 0], np.exp(-np.array([0.2, 0.5, 0.7])),
                            rtol=1e-3)
 
+    def test_underflow_stops_rows_on_own_clocks(self):
+        # with lte_tol 0 a step is rejected unless its error estimate is
+        # exactly 0, so every row underflows: a one-sample run raises at
+        # some time, and on its own clock the row stops there, NaN
+        dae, bases, idx, tps, x0 = self.rc_setup(order=2)
+        opts = SolverOptions(lte_tol=0.0)
+        X0 = tps.V @ x0.coefficients
+        t_end, (X,), _, _ = _integrate_points(
+            dae, tps.points, X0, (0.0, 1e-3), opts, own_clocks=True)
+        assert np.isnan(X).all()
+        for i, xi in enumerate(tps.points):
+            with pytest.raises(SolverError, match="underflow") as err:
+                integrate_deterministic(dae, xi, (0.0, 1e-3), X0[i], opts)
+            assert t_end[i] == err.value.time
+
     @pytest.mark.parametrize("t_span,fixed_step", [
         ((0.0, np.nan), None), ((-np.inf, 1.0), None), ((1.0, 1.0), None),
         ((0.0, 1.0), np.nan), ((0.0, 1.0), 0.5e-12)])
