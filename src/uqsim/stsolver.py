@@ -22,6 +22,7 @@ the step sequence of a one-sample run.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -582,6 +583,28 @@ def _subset(live, mask):
     return np.flatnonzero(mask) if live is _ALL else live[mask]
 
 
+@dataclass(frozen=True)
+class _RowSteps:
+    """Step log of rows on their own clocks, as counts: accepted and
+    rejected step attempts per row, (N,) each.  Iterating gives one
+    (t, h, accepted, lte) entry per row attempt with only the accepted
+    flag kept (t, h and lte are None), so a reader that counts entries
+    reads the totals of one-row runs, in memory that does not grow with
+    the number of steps."""
+
+    accepted: np.ndarray
+    rejected: np.ndarray
+
+    def __len__(self):
+        return int(self.accepted.sum() + self.rejected.sum())
+
+    def __iter__(self):
+        yield from itertools.repeat((None, None, True, None),
+                                    int(self.accepted.sum()))
+        yield from itertools.repeat((None, None, False, None),
+                                    int(self.rejected.sum()))
+
+
 def _integrate_points(model, points, X0, t_span, options, own_clocks=False):
     """Integrates the parameter points as one stacked stepper.
 
@@ -594,9 +617,9 @@ def _integrate_points(model, points, X0, t_span, options, own_clocks=False):
     With own_clocks, each row has a clock and takes the steps a one-row
     run of it takes, as Monte Carlo samples do.  A row whose Newton fails
     or whose step underflows stops with NaN states; the others go on.  The
-    result is (end time per row (N,), [final states (N, n)], step log,
-    solves).  Either way the log holds one entry (t, h, accepted, lte) per
-    clock attempt, and solves counts row attempts.
+    result is (end time per row (N,), [final states (N, n)], step counts
+    (_RowSteps), solves).  The log or counts have one entry per clock
+    attempt, and solves counts row attempts.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (np.isfinite(t0) and np.isfinite(t1) and t1 > t0):
@@ -616,7 +639,8 @@ def _integrate_points(model, points, X0, t_span, options, own_clocks=False):
     h = np.full(C, fixed if fixed is not None else span * min(
         options.max_step_fraction, 1e-3))
     streak = np.zeros(C, dtype=int)
-    steps = np.zeros(C, dtype=int)
+    steps = np.zeros(C, dtype=int)        # accepted
+    rejected = np.zeros(C, dtype=int)
     live = _ALL          # the clocks still stepping
     end = t1 - 1e-14 * span
     times = [t0]
@@ -658,14 +682,16 @@ def _integrate_points(model, points, X0, t_span, options, own_clocks=False):
             if not live.size:
                 break
         accept = ~reject
-        log.extend(zip(t_live.tolist(), h_step.tolist(), accept.tolist(),
-                       lte.tolist()))
+        if shared:
+            log.append((float(t_live[0]), float(h_step[0]),
+                        bool(accept[0]), float(lte[0])))
 
         acc = live
         if np.count_nonzero(reject):
             back = _subset(live, reject)
             h[back] = 0.5 * h_step[reject]
             streak[back] = 0
+            rejected[back] += 1
             if not np.count_nonzero(accept):
                 continue
             acc = _subset(live, accept)
@@ -694,7 +720,7 @@ def _integrate_points(model, points, X0, t_span, options, own_clocks=False):
                 break
     if shared:
         return np.array(times), states, tuple(log), solves
-    return t, [stepper.X], tuple(log), solves
+    return t, [stepper.X], _RowSteps(steps, rejected), solves
 
 
 def integrate_transient(model: StochasticDae, tps: TestingPointSet,

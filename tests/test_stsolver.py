@@ -457,19 +457,21 @@ class TestTransient:
             dae = builtin_model(name)
             span, x0 = (0.0, 1.0), dae.initial_guess()
         P = sample_parameters(dae.distributions, 4, seed=0)
-        t_end, (X,), log, solves = _integrate_points(
+        t_end, (X,), steps, solves = _integrate_points(
             dae, P, np.tile(x0, (len(P), 1)), span, opts, own_clocks=True)
-        logs = []
+        counts = []
         for i, xi in enumerate(P):
             times, states, _ = integrate_deterministic(dae, xi, span, x0,
                                                        opts)
             assert np.array_equal(X[i], states[-1])
             assert t_end[i] == times[-1]
-            logs.append(_integrate_points(dae, xi[None], x0[None], span,
-                                          opts)[2])
-        assert len({sum(not entry[2] for entry in lg) for lg in logs}) > 1
-        assert solves == len(log) == sum(map(len, logs))
-        assert sorted(log) == sorted(entry for lg in logs for entry in lg)
+            log = _integrate_points(dae, xi[None], x0[None], span, opts)[2]
+            accepted = sum(1 for entry in log if entry[2])
+            counts.append((accepted, len(log) - accepted))
+        assert list(zip(steps.accepted, steps.rejected)) == counts
+        assert len({rejected for _, rejected in counts}) > 1
+        assert solves == len(steps) == sum(map(sum, counts))
+        assert sum(1 for e in steps if e[2]) == sum(steps.accepted)
 
     def test_failed_row_stops_alone(self):
         # dx/dt = -xi x, except that rows with xi > 0.9 have no solution
