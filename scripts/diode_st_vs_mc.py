@@ -13,7 +13,6 @@ import numpy as np
 
 from uqsim.models import builtin_model
 from uqsim.montecarlo import run_mc
-from uqsim.polychaos import total_degree_index_set
 from uqsim.stsolver import select_testing_points, solve_dc, standard_bases
 
 
@@ -28,10 +27,8 @@ def main(argv=None) -> int:
     labels = model.labels
 
     t0 = time.perf_counter()
-    bases = standard_bases(model, args.order)
-    idx = total_degree_index_set(model.d, args.order)
-    tps = select_testing_points(bases, idx)
-    exp = solve_dc(model, tps, bases, idx)
+    tps = select_testing_points(standard_bases(model, args.order), args.order)
+    exp = solve_dc(model, tps)
     st_time = time.perf_counter() - t0
     st_mean, st_var = exp.mean_variance()
     st_std = np.sqrt(np.maximum(st_var, 0.0))

@@ -36,8 +36,8 @@ def main(argv=None) -> int:
     dens = hier.density_by_quadrature(surrogate)
     basis, _ = hier.build_intermediate_basis(dens, args.order)
     system = hier.demo_system("rc_zeta", [dens], spread=args.spread)
-    idx = total_degree_index_set(1, args.order)
-    x0 = GpcExpansion(idx, np.zeros((len(idx), system.n)), (basis,))
+    x0 = GpcExpansion(total_degree_index_set(1, 0), np.zeros((1, system.n)),
+                      (basis,))
     sol = hier.propagate_transient(system, (basis,), args.order,
                                    (0.0, args.t_end), x0=x0)
     hier_time = time.perf_counter() - t0

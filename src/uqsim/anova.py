@@ -22,8 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .polychaos import (Distribution, GpcExpansion, MultiIndexSet, OrthoBasis,
-                        total_degree_index_set)
+from .polychaos import Distribution, GpcExpansion, MultiIndexSet, OrthoBasis
 from .stsolver import (CONDITION_CAP, SolverError, recover_coefficients,
                        select_testing_points, standard_bases)
 
@@ -33,7 +32,6 @@ __all__ = [
     "AnovaDecomposition",
     "cdf_transform",
     "anchor_point",
-    "anchored_subterm",
     "compose_term",
     "adaptive_anova",
     "sample_count",
@@ -130,54 +128,33 @@ def _restriction_points(subset: tuple, anchor: AnchorPoint,
                         bases: Sequence[OrthoBasis], order: int,
                         condition_cap: float, selections: dict):
     """Testing points of g restricted to `subset`, the complement frozen
-    at the anchor: (points (K, d), index set, TestingPointSet, the subset's
-    bases).
+    at the anchor: (points (K, d), the subset's TestingPointSet).
 
-    `selections` memoizes the testing points by the subset's marginal
+    `selections` memoizes the selection by the subset's marginal
     recurrences (the basis norms follow from kappa), which with `order`
-    and `condition_cap` (fixed by the caller for one dict) are all the
-    selection depends on.
+    and `condition_cap` (fixed by the caller for one dict) are all it
+    depends on; the returned set carries the subset's own bases.
     """
     sub_bases = tuple(bases[k] for k in subset)
-    idx = total_degree_index_set(len(subset), order)
     key = tuple((b.gamma.tobytes(), b.kappa.tobytes()) for b in sub_bases)
     tps = selections.get(key)
     if tps is None:
         try:
-            tps = select_testing_points(sub_bases, idx, condition_cap)
+            tps = select_testing_points(sub_bases, order, condition_cap)
         except (ValueError, SolverError) as err:
             raise SolverError(f"subset {subset}: {err}") from err
         selections[key] = tps
     points = np.tile(anchor.q, (tps.n_points, 1))
     points[:, list(subset)] = tps.points
-    return points, idx, tps, sub_bases
+    return points, replace(tps, bases=sub_bases)
 
 
-def _project(subset: tuple, values: np.ndarray, idx: MultiIndexSet, tps,
-             sub_bases: tuple) -> GpcExpansion:
+def _project(subset: tuple, values: np.ndarray, tps) -> GpcExpansion:
     """The restriction's expansion from its values at the testing points."""
     try:
-        return recover_coefficients(values.reshape(-1, 1), tps, idx,
-                                    sub_bases)
+        return recover_coefficients(values.reshape(-1, 1), tps)
     except SolverError as err:
         raise SolverError(f"subset {subset}: {err}") from err
-
-
-def anchored_subterm(g: Callable, subset, anchor: AnchorPoint,
-                     distributions: Sequence[Distribution], order: int,
-                     condition_cap: float = CONDITION_CAP) -> GpcExpansion:
-    """Expansion of g restricted to `subset`, the rest frozen at the anchor.
-
-    g maps a (d, K) array of K points to their K values.  Subset ()
-    returns the zero-variable expansion holding g(anchor).
-    """
-    subset = tuple(sorted(int(k) for k in subset))
-    bases = standard_bases(tuple(distributions), order)
-    points, *spec = _restriction_points(subset, anchor, bases, order,
-                                        condition_cap, {})
-    values = np.broadcast_to(np.asarray(g(points.T), dtype=float),
-                             (len(points),))
-    return _project(subset, values, *spec)
 
 
 def compose_term(subset, ghat: GpcExpansion, g0: float,
@@ -292,8 +269,8 @@ def adaptive_anova(g: Callable, distributions: Sequence[Distribution],
             values = evaluate(np.concatenate([sp[0] for sp in specs]).T)
         level_terms = []
         lo = 0
-        for subset, (points, *spec) in zip(candidates, specs):
-            ghat = _project(subset, values[lo:lo + len(points)], *spec)
+        for subset, (points, tps) in zip(candidates, specs):
+            ghat = _project(subset, values[lo:lo + len(points)], tps)
             lo += len(points)
             term = compose_term(subset, ghat, g0, computed, pruned)
             computed[subset] = term

@@ -26,7 +26,7 @@ import numpy as np
 from . import anova as anova_mod
 from . import hier
 from .models import UnknownModelError, builtin_model
-from .montecarlo import chunk_rows, run_mc
+from .montecarlo import run_mc
 from .netlist import elaborate, parse_netlist
 from .polychaos import (DegenerateMeasureError, GpcExpansion,
                         expansion_to_dict, expansion_to_json,
@@ -395,10 +395,9 @@ def _print_stats(labels, mean, std) -> None:
 def _run_dc(cfg: JobConfig) -> None:
     model, _ = _load_model(cfg)
     opts = cfg.solver_options()
-    bases = standard_bases(model, cfg.order)
-    idx = total_degree_index_set(model.d, cfg.order)
-    tps = select_testing_points(bases, idx, opts.condition_cap)
-    exp = solve_dc(model, tps, bases, idx, opts)
+    tps = select_testing_points(standard_bases(model, cfg.order), cfg.order,
+                                opts.condition_cap)
+    exp = solve_dc(model, tps, opts)
     mean, var = exp.mean_variance()
     std = np.sqrt(np.maximum(var, 0.0))
     labels = model.labels or tuple(f"x{j}" for j in range(model.n))
@@ -424,11 +423,9 @@ def _run_transient(cfg: JobConfig) -> None:
     model, nl = _load_model(cfg)
     t_end = _resolve_t_end(cfg, nl)
     opts = cfg.solver_options()
-    bases = standard_bases(model, cfg.order)
-    idx = total_degree_index_set(model.d, cfg.order)
-    tps = select_testing_points(bases, idx, opts.condition_cap)
-    sol = integrate_transient(model, tps, bases, idx, (0.0, t_end),
-                              options=opts)
+    tps = select_testing_points(standard_bases(model, cfg.order), cfg.order,
+                                opts.condition_cap)
+    sol = integrate_transient(model, tps, (0.0, t_end), options=opts)
     _write(_artifact(cfg, "transient_stats.csv"), sol.to_csv())
     _write(_artifact(cfg, "transient_expansions.json"),
            sol.expansions_json())
@@ -451,18 +448,13 @@ def _run_decomposition(cfg: JobConfig):
     anchor = (None if cfg.anchor is None     # one quantile broadcasts
               else anova_mod.anchor_point(dists, cfg.anchor))
     m = cfg.m if cfg.m is not None else min(2, model.d)
-    rows = chunk_rows(model.n)
 
     def g(x):
         # every evaluation cold-starts from initial_guess(): the Newton
         # tolerance is absolute, so the converged point depends on the
         # start; a warm start from the nominal solution moves S_0 of a
-        # 19-stage diode ladder from 0.011906 to 0.011893.  A level's
-        # points are solved in stacks of at most `rows`, as MC DC is
-        P = x.T
-        return np.concatenate([newton_dc(model, P[lo:lo + rows],
-                                         options=opts)[:, j]
-                               for lo in range(0, len(P), rows)])
+        # 19-stage diode ladder from 0.011906 to 0.011893
+        return newton_dc(model, x.T, options=opts)[:, j]
 
     decomp, exp = anova_mod.adaptive_anova(
         g, dists, m=m, sigma=cfg.sigma, order=cfg.order, anchor=anchor,
@@ -621,9 +613,9 @@ def _run_hier_propagate(cfg: JobConfig) -> None:
                   for d in densities)
     if cfg.t_end is not None:
         x0 = None
-        if cfg.x0 == "zero":
-            idx = total_degree_index_set(len(bases), cfg.order)
-            x0 = GpcExpansion(idx, np.zeros((len(idx), system.n)), bases)
+        if cfg.x0 == "zero":   # the constant expansion 0
+            x0 = GpcExpansion(total_degree_index_set(len(bases), 0),
+                              np.zeros((1, system.n)), bases)
         sol = hier.propagate_transient(system, bases, cfg.order,
                                        (0.0, cfg.t_end), x0=x0,
                                        options=opts)

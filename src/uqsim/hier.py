@@ -19,10 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .models import StochasticDae, _check_params, algebraic_model
-from .polychaos import (Distribution, GpcExpansion, MultiIndexSet, OrthoBasis,
+from .polychaos import (Distribution, GpcExpansion, OrthoBasis,
                         PiecewisePoly, QuadratureRule, golub_welsch,
-                        monotone_cubic, stieltjes_basis, tensor_quadrature,
-                        total_degree_index_set)
+                        monotone_cubic, stieltjes_basis, tensor_quadrature)
 from .stsolver import (SolverOptions, integrate_transient,
                        select_testing_points, solve_dc, standard_bases)
 
@@ -93,10 +92,9 @@ def extract_block_surrogate(model: StochasticDae, order: int,
                             options: SolverOptions = SolverOptions()
                             ) -> Surrogate:
     """Solve a block's DC problem and normalize one output as zeta."""
-    bases = standard_bases(model, order)
-    idx = total_degree_index_set(model.d, order)
-    tps = select_testing_points(bases, idx, options.condition_cap)
-    exp = solve_dc(model, tps, bases, idx, options)
+    tps = select_testing_points(standard_bases(model, order), order,
+                                options.condition_cap)
+    exp = solve_dc(model, tps, options)
     if isinstance(output, str):
         if model.labels is None or output not in model.labels:
             raise ValueError(f"model has no output labeled '{output}'")
@@ -288,18 +286,17 @@ def propagate_dc(model: StochasticDae, bases: Sequence[OrthoBasis],
                  order: int, options: SolverOptions = SolverOptions()
                  ) -> GpcExpansion:
     """Stochastic testing DC with the intermediate-variable bases."""
-    idx = total_degree_index_set(model.d, order)
-    tps = select_testing_points(bases, idx, options.condition_cap)
-    return solve_dc(model, tps, bases, idx, options)
+    tps = select_testing_points(bases, order, options.condition_cap)
+    return solve_dc(model, tps, options)
 
 
 def propagate_transient(model: StochasticDae, bases: Sequence[OrthoBasis],
                         order: int, t_span, x0: GpcExpansion | None = None,
                         options: SolverOptions = SolverOptions()):
-    idx = total_degree_index_set(model.d, order)
-    tps = select_testing_points(bases, idx, options.condition_cap)
-    return integrate_transient(model, tps, bases, idx, t_span, x0=x0,
-                               options=options)
+    """Stochastic testing transient with the intermediate-variable bases;
+    x0 as in integrate_transient."""
+    tps = select_testing_points(bases, order, options.condition_cap)
+    return integrate_transient(model, tps, t_span, x0=x0, options=options)
 
 
 def _sum_system(dists) -> StochasticDae:

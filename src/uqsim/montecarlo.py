@@ -19,21 +19,13 @@ import numpy as np
 
 from .models import StochasticDae
 from .stsolver import (SolverError, SolverOptions, _integrate_points,
-                       _solve_dc_rows, integrate_deterministic, newton_dc)
+                       _solve_dc_rows, chunk_rows, integrate_deterministic,
+                       newton_dc)
 
 __all__ = ["McResult", "sample_parameters", "run_mc"]
 
 FAILURE_BUDGET = 1e-3  # abort when more than this fraction of samples fail
 HISTOGRAM_BINS = 50
-# samples are solved in stacks whose Jacobians take about this many bytes;
-# building them (netlist stamps, finite differences) takes a few times more
-CHUNK_BYTES = 1 << 20
-
-
-def chunk_rows(n: int) -> int:
-    """Rows per stacked solve of an n-state model: CHUNK_BYTES of (n, n)
-    Jacobians, and at least one."""
-    return max(1, CHUNK_BYTES // (8 * n * (n + 1)))
 
 
 def sample_parameters(distributions: Sequence, n: int, seed: int
@@ -127,6 +119,8 @@ def run_mc(model: StochasticDae, analysis: str, n: int, seed: int,
     budget = int(np.floor(FAILURE_BUDGET * n))
     results = np.empty((n, model.n))
     failed = np.zeros(n, dtype=bool)
+    # stacks of the stacked DC solve's size, so the failure budget is
+    # checked after each and transient stacks stay as small
     chunk = chunk_rows(model.n)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)

@@ -11,7 +11,9 @@ condition number, running an SVD only for trials near the cap.  Because V is
 square and invertible, every Newton iteration and every implicit time step
 decouples into K independent n-by-n solves in point space; the DC solve and
 each implicit time step run the K points as the rows of one stacked Newton.
-Coefficients are recovered as V^-1 X whenever an expansion is needed.
+Coefficients are recovered as V^-1 X whenever an expansion is needed; a
+TestingPointSet carries the bases and total-degree index set it was
+selected for, and every expansion recovered from it is on them.
 
 Time integration is trapezoidal with a backward-Euler startup step, local
 error estimated from a polynomial predictor, and error-per-unit-step
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,6 +53,13 @@ __all__ = [
 
 CONDITION_CAP = 1e8
 RECOVERY_RESIDUAL_CAP = 1e-12
+MIN_STEP_FRACTION = 1e-12       # of the span; adaptive steps underflow below
+MAX_STEP_FRACTION = 0.1
+ACCEPTS_BEFORE_DOUBLE = 5
+# stacked DC solves run in stacks whose Jacobians take about this many
+# bytes; building them (netlist stamps, finite differences) takes a few
+# times more
+CHUNK_BYTES = 1 << 20
 
 
 class SolverError(RuntimeError):
@@ -72,11 +81,21 @@ class SolverOptions:
     newton_max_damping: int = 8
     condition_cap: float = CONDITION_CAP
     lte_tol: float = 1e-6             # transient error per unit time
-    min_step_fraction: float = 1e-12  # of the span; underflow below this
-    max_step_fraction: float = 0.1
-    accepts_before_double: int = 5
     fixed_step: float | None = None   # disables step control when set
     threads = 1   # not a field; read by perfbench/launcher.py --env only
+
+    def __post_init__(self):
+        # field, least value, whether the least value itself is allowed
+        for key, least, closed in (
+                ("dc_tol_scale", 0, True), ("newton_max_iter", 1, True),
+                ("newton_max_damping", 0, True), ("condition_cap", 1, True),
+                ("lte_tol", 0, True), ("fixed_step", 0, False)):
+            value = getattr(self, key)
+            if value is not None and not (
+                    least <= value < math.inf and (closed or value > least)):
+                raise ValueError(f"solver option {key} must be finite and "
+                                 f"{'at least' if closed else 'above'} "
+                                 f"{least}, got {value!r}")
 
     def dc_tol(self, n: int) -> float:
         return self.dc_tol_scale * n
@@ -92,11 +111,14 @@ def standard_bases(model_or_dists, order: int) -> tuple[OrthoBasis, ...]:
 
 @dataclass(frozen=True)
 class TestingPointSet:
-    """K selected points, the collocation matrix V, and its condition."""
+    """K selected points, the collocation matrix V, its condition, and the
+    bases and index set the points were selected for."""
 
     points: np.ndarray   # (K, d)
     V: np.ndarray        # (K, K), V[j, k] = Phi_k(points[j])
     condition: float
+    bases: tuple         # one OrthoBasis per dimension
+    index_set: MultiIndexSet
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -111,10 +133,11 @@ class TestingPointSet:
         return self.points.shape[0]
 
 
-def select_testing_points(bases: Sequence[OrthoBasis], idx: MultiIndexSet,
+def select_testing_points(bases: Sequence[OrthoBasis], order: int,
                           condition_cap: float = CONDITION_CAP
                           ) -> TestingPointSet:
-    """Greedy selection of K tensor-Gauss nodes by descending weight.
+    """Greedy selection of K tensor-Gauss nodes by descending weight, for
+    the total-degree-`order` expansion over `bases`.
 
     A candidate is kept only if it raises the rank of the partial
     collocation matrix and keeps its condition number at or below the cap.
@@ -139,13 +162,13 @@ def select_testing_points(bases: Sequence[OrthoBasis], idx: MultiIndexSet,
     condition number of at most cap/sqrt(2), and every accept and reject
     is the one the SVD test makes.
     """
+    bases = tuple(bases)
+    d = len(bases)
+    idx = total_degree_index_set(d, order)
     K = len(idx)
-    d = idx.dimension
     if d == 0:
-        return TestingPointSet(np.zeros((1, 0)), np.ones((1, 1)), 1.0)
-    if len(bases) != d:
-        raise ValueError("need one basis per dimension")
-    order = idx.total_order
+        return TestingPointSet(np.zeros((1, 0)), np.ones((1, 1)), 1.0, bases,
+                               idx)
     rules = [golub_welsch(b, order + 1) for b in bases]
     grid = tensor_quadrature(rules)
 
@@ -160,7 +183,7 @@ def select_testing_points(bases: Sequence[OrthoBasis], idx: MultiIndexSet,
     fro2 = inv2 = 0.0         # ||V_rows||_F^2 and ||L^-1||_F^2
     drift2 = 0.0              # ||I - Q Q^T||_F^2 over the rows of ortho
     bound2 = (condition_cap / 2) ** 2
-    for cand, row in _candidate_rows(idx, tuple(bases), pts,
+    for cand, row in _candidate_rows(idx, bases, pts,
                                      candidate_order, 2 * K):
         c = ortho @ row
         resid = row - ortho.T @ c
@@ -190,7 +213,8 @@ def select_testing_points(bases: Sequence[OrthoBasis], idx: MultiIndexSet,
             f"only {len(chosen)} of {K} testing points satisfy the rank and "
             f"condition-{condition_cap:g} screens")
     s = np.linalg.svd(V_rows, compute_uv=False)
-    return TestingPointSet(pts[chosen], V_rows, float(s[0] / s[-1]))
+    return TestingPointSet(pts[chosen], V_rows, float(s[0] / s[-1]), bases,
+                           idx)
 
 
 def _candidate_rows(idx: MultiIndexSet, bases: tuple, pts: np.ndarray,
@@ -311,18 +335,28 @@ def _check_converged(rnorm: np.ndarray, ok: np.ndarray, tol: float,
         "singular", residual=worst)
 
 
+def chunk_rows(n: int) -> int:
+    """Rows per stacked solve of an n-state model: CHUNK_BYTES of (n, n)
+    Jacobians, and at least one."""
+    return max(1, CHUNK_BYTES // (8 * n * (n + 1)))
+
+
 def newton_dc(model: StochasticDae, xi: np.ndarray,
               x0: np.ndarray | None = None, t: float = 0.0,
               options: SolverOptions = SolverOptions()) -> np.ndarray:
     """DC operating point f(x, xi, t) = B u(t): x (n,) at one point xi
-    (d,), or (N, n) at the rows of a stack xi (N, d), solved as one stacked
-    Newton from the one start x0 (default model.initial_guess())."""
-    P = np.asarray(xi, dtype=float)
+    (d,), or (N, n) at the rows of a stack xi (N, d), from the one start x0
+    (default model.initial_guess()).  Stacked Newtons of chunk_rows(n) rows
+    keep the Jacobians within CHUNK_BYTES; rows do not interact, so a row's
+    bits do not depend on its chunk."""
+    P = np.atleast_2d(np.asarray(xi, dtype=float))
     start = model.initial_guess() if x0 is None else np.asarray(x0, float)
-    X, rnorm, ok = _solve_dc_rows(model, np.atleast_2d(P), start[None],
-                                  options, t)
+    rows = chunk_rows(model.n)
+    chunks = [_solve_dc_rows(model, P[lo:lo + rows], start[None], options, t)
+              for lo in range(0, max(len(P), 1), rows)]   # 0 rows: one chunk
+    X, rnorm, ok = (np.concatenate(parts) for parts in zip(*chunks))
     _check_converged(rnorm, ok, options.dc_tol(model.n), options)
-    return X if P.ndim == 2 else X[0]
+    return X if np.ndim(xi) == 2 else X[0]
 
 
 def _solve_dc_rows(model: StochasticDae, P: np.ndarray, X0: np.ndarray,
@@ -352,10 +386,10 @@ def _map_points(fn: Callable, items):
     return [fn(it) for it in items]
 
 
-def recover_coefficients(values: np.ndarray, tps: TestingPointSet,
-                         idx: MultiIndexSet,
-                         bases: Sequence[OrthoBasis]) -> GpcExpansion:
-    """Solve V xhat = values with one refinement pass; checks the residual."""
+def recover_coefficients(values: np.ndarray, tps: TestingPointSet
+                         ) -> GpcExpansion:
+    """The expansion on tps's basis taking `values` at its points: V xhat =
+    values with one refinement pass; checks the residual."""
     X = np.asarray(values, dtype=float).reshape(tps.n_points, -1)
     coeffs = np.linalg.solve(tps.V, X)
     coeffs += np.linalg.solve(tps.V, X - tps.V @ coeffs)  # refinement
@@ -365,17 +399,16 @@ def recover_coefficients(values: np.ndarray, tps: TestingPointSet,
         raise SolverError(
             f"coefficient recovery residual {rel:.3e} exceeds "
             f"{RECOVERY_RESIDUAL_CAP:g}; V may be ill conditioned")
-    return GpcExpansion(idx, coeffs, tuple(bases))
+    return GpcExpansion(tps.index_set, coeffs, tps.bases)
 
 
 def solve_dc(model: StochasticDae, tps: TestingPointSet,
-             bases: Sequence[OrthoBasis], idx: MultiIndexSet,
              options: SolverOptions = SolverOptions()) -> GpcExpansion:
-    """Decoupled stochastic DC: one stacked Newton over the K testing
-    points, warm-started from the nominal solution, then V^-1."""
+    """Decoupled stochastic DC on tps's basis: one stacked Newton over the
+    K testing points, warm-started from the nominal solution, then V^-1."""
     nominal = newton_dc(model, model.nominal_parameters(), options=options)
     X = newton_dc(model, tps.points, nominal, options=options)
-    return recover_coefficients(X, tps, idx, tuple(bases))
+    return recover_coefficients(X, tps)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +419,6 @@ def solve_dc(model: StochasticDae, tps: TestingPointSet,
 class StSolution:
     """Transient result: expansion series on a shared time grid."""
 
-    index_set: MultiIndexSet
-    bases: tuple
     times: np.ndarray
     expansions: tuple            # one GpcExpansion per time point
     step_log: tuple              # (t_start, h, accepted, lte_estimate)
@@ -625,19 +656,19 @@ def _integrate_points(model, points, X0, t_span, options, own_clocks=False):
     if not (np.isfinite(t0) and np.isfinite(t1) and t1 > t0):
         raise ValueError(f"t_span ({t0:g}, {t1:g}) must be finite, t1 > t0")
     span = t1 - t0
-    min_step = span * options.min_step_fraction
+    min_step = span * MIN_STEP_FRACTION
     fixed = options.fixed_step
     if fixed is not None and not fixed >= min_step:
         raise ValueError(
             f"fixed_step {fixed:g} is below the step floor {min_step:g} "
-            f"(min_step_fraction {options.min_step_fraction:g} of the span)")
+            f"({MIN_STEP_FRACTION:g} of the span)")
     shared = not own_clocks
     stepper = _PointIntegrator(model, points, X0, options, shared)
     C = len(stepper.past_t[0])
 
     t = np.full(C, t0)
     h = np.full(C, fixed if fixed is not None else span * min(
-        options.max_step_fraction, 1e-3))
+        MAX_STEP_FRACTION, 1e-3))
     streak = np.zeros(C, dtype=int)
     steps = np.zeros(C, dtype=int)        # accepted
     rejected = np.zeros(C, dtype=int)
@@ -708,10 +739,9 @@ def _integrate_points(model, points, X0, t_span, options, own_clocks=False):
             states.append(X_new)
         if fixed is None:
             streak[acc] += 1
-            grow = streak >= options.accepts_before_double
+            grow = streak >= ACCEPTS_BEFORE_DOUBLE
             if np.count_nonzero(grow):
-                h[grow] = np.minimum(2.0 * h[grow],
-                                     span * options.max_step_fraction)
+                h[grow] = np.minimum(2.0 * h[grow], span * MAX_STEP_FRACTION)
                 streak[grow] = 0
         running = t[live] < end
         if np.count_nonzero(running) < len(running):
@@ -724,20 +754,21 @@ def _integrate_points(model, points, X0, t_span, options, own_clocks=False):
 
 
 def integrate_transient(model: StochasticDae, tps: TestingPointSet,
-                        bases: Sequence[OrthoBasis], idx: MultiIndexSet,
                         t_span, x0: GpcExpansion | None = None,
                         options: SolverOptions = SolverOptions()
                         ) -> StSolution:
-    """Integrate the stochastic DAE; one shared step sequence for all points."""
+    """Integrate the stochastic DAE on tps's basis, one shared step sequence
+    for all points, from x0 (default: solve_dc's) evaluated at the testing
+    points, so x0 may have any order."""
     if x0 is None:
-        x0 = solve_dc(model, tps, bases, idx, options)
-    X0 = tps.V @ np.asarray(x0.coefficients)
+        x0 = solve_dc(model, tps, options)
+    elif x0.dimension != tps.points.shape[1]:
+        raise ValueError(f"x0 has {x0.dimension} random inputs, the testing "
+                         f"points {tps.points.shape[1]}")
     times, states, log, solves = _integrate_points(
-        model, tps.points, X0, t_span, options)
-    expansions = tuple(recover_coefficients(X, tps, idx, tuple(bases))
-                       for X in states)
-    return StSolution(index_set=idx, bases=tuple(bases), times=times,
-                      expansions=expansions, step_log=log,
+        model, tps.points, x0.eval_many(tps.points), t_span, options)
+    expansions = tuple(recover_coefficients(X, tps) for X in states)
+    return StSolution(times=times, expansions=expansions, step_log=log,
                       n_point_solves=solves, labels=model.labels)
 
 

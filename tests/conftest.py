@@ -39,7 +39,7 @@ def dc_newton(dae, xi, x0=None, t=0.0, tol=1e-12, max_iter=80):
                          tol, max_iter)
 
 
-def solve_dc_monolithic(dae, tps, bases, idx):
+def solve_dc_monolithic(dae, tps):
     """Stochastic DC as one coupled Newton on all nK unknowns.
 
     The unknown is the stacked coefficient matrix C (K, n); the residual
@@ -69,7 +69,7 @@ def solve_dc_monolithic(dae, tps, bases, idx):
     nominal = dc_newton(dae, dae.nominal_parameters())
     C0 = np.linalg.solve(V, np.tile(nominal, (K, 1)))
     C = damped_newton(residual, jacobian, C0.ravel()).reshape(K, n)
-    return GpcExpansion(idx, C, tuple(bases))
+    return GpcExpansion(tps.index_set, C, tps.bases)
 
 
 def select_testing_points_full_grid(bases, idx, condition_cap=1e8):

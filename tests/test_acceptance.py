@@ -109,12 +109,10 @@ def test_criterion_03_quadrature_orthonormality():
 def test_criterion_04_decoupling_equivalence():
     t0 = time.perf_counter()
     model = builtin_model("diode_rectifier")      # 2 nodes, d=2 nonlinear
-    bases = standard_bases(model, 2)
-    idx = total_degree_index_set(model.d, 2)
-    tps = select_testing_points(bases, idx)
+    tps = select_testing_points(standard_bases(model, 2), 2)
     tight = SolverOptions(dc_tol_scale=1e-13)
-    decoupled = solve_dc(model, tps, bases, idx, tight)
-    monolithic = solve_dc_monolithic(model, tps, bases, idx)
+    decoupled = solve_dc(model, tps, tight)
+    monolithic = solve_dc_monolithic(model, tps)
     gap = float(np.max(np.abs(decoupled.coefficients
                               - monolithic.coefficients)))
     elapsed = time.perf_counter() - t0
@@ -126,10 +124,8 @@ def test_criterion_04_decoupling_equivalence():
 def test_criterion_05_spectral_vs_mc_diode():
     t0 = time.perf_counter()
     model = builtin_model("diode_rectifier")
-    bases = standard_bases(model, 3)
-    idx = total_degree_index_set(model.d, 3)
-    tps = select_testing_points(bases, idx)
-    exp = solve_dc(model, tps, bases, idx)
+    tps = select_testing_points(standard_bases(model, 3), 3)
+    exp = solve_dc(model, tps)
     st_mean, st_var = exp.mean_variance()
     st_std = np.sqrt(np.maximum(st_var, 0.0))
 
@@ -209,13 +205,11 @@ def test_criterion_07_anchored_anova_exactness():
             vals = term.expansion.eval_many(frozen).ravel()
             vanish = max(vanish, float(np.max(np.abs(vals))))
 
-    bases = standard_bases(dists, 3)
-    idx = total_degree_index_set(3, 3)
-    tps = select_testing_points(bases, idx)
+    tps = select_testing_points(standard_bases(dists, 3), 3)
     vals = np.array([g(p) for p in tps.points]).reshape(-1, 1)
-    direct = recover_coefficients(vals, tps, idx, bases)
+    direct = recover_coefficients(vals, tps)
     by_alpha = {tuple(a): float(c) for a, c in
-                zip(idx.indices, direct.scalar_coefficients())}
+                zip(tps.index_set.indices, direct.scalar_coefficients())}
     projection = 0.0
     for alpha, c in zip(exp.index_set.indices, exp.scalar_coefficients()):
         projection = max(projection,

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from uqsim import anova, netlist
 from uqsim.montecarlo import sample_parameters
 from uqsim.polychaos import (Distribution, GpcExpansion, MultiIndexSet,
-                             make_standard_basis, total_degree_index_set)
+                             make_standard_basis)
 from uqsim.stsolver import SolverError, newton_dc, recover_coefficients, \
     select_testing_points, standard_bases
 
@@ -97,25 +97,41 @@ def anchor2():
     return anova.anchor_point((GAUSS, GAUSS), 0.5)
 
 
+def anchored_subterm(g, subset, anchor, distributions, order):
+    """Expansion of g restricted to `subset`, the rest frozen at the
+    anchor, from a selection of its own: the per-subset reference that
+    adaptive_anova's terms are compared against.  g maps a (d, K) array
+    of K points to their K values; subset () gives the zero-variable
+    expansion holding g(anchor)."""
+    subset = tuple(sorted(int(k) for k in subset))
+    bases = standard_bases(tuple(distributions), order)
+    tps = select_testing_points(tuple(bases[k] for k in subset), order)
+    points = np.tile(anchor.q, (tps.n_points, 1))
+    points[:, list(subset)] = tps.points
+    values = np.broadcast_to(np.asarray(g(points.T), dtype=float),
+                             (len(points),))
+    return recover_coefficients(values.reshape(-1, 1), tps)
+
+
 def test_anchored_subterm_empty_subset_is_anchor_run():
     anchor = anchor2()
-    exp = anova.anchored_subterm(lambda x: 5.0 + x[0], (), anchor,
-                                 (GAUSS, GAUSS), 2)
+    exp = anchored_subterm(lambda x: 5.0 + x[0], (), anchor,
+                           (GAUSS, GAUSS), 2)
     assert exp.index_set.dimension == 0
     assert float(exp.coefficients[0, 0]) == pytest.approx(5.0, abs=1e-14)
 
 
 def test_anchored_subterm_additive_slice():
-    exp = anova.anchored_subterm(lambda x: x[0] + x[1], (0,), anchor2(),
-                                 (GAUSS, GAUSS), 2)
+    exp = anchored_subterm(lambda x: x[0] + x[1], (0,), anchor2(),
+                           (GAUSS, GAUSS), 2)
     coeffs = exp.scalar_coefficients()
     np.testing.assert_allclose(coeffs, [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_anchored_subterm_product_slice_vanishes():
     # freezing the second factor at its zero anchor kills the product
-    exp = anova.anchored_subterm(lambda x: x[0] * x[1], (0,), anchor2(),
-                                 (GAUSS, GAUSS), 2)
+    exp = anchored_subterm(lambda x: x[0] * x[1], (0,), anchor2(),
+                           (GAUSS, GAUSS), 2)
     np.testing.assert_allclose(exp.scalar_coefficients(), 0.0, atol=1e-12)
 
 
@@ -128,10 +144,10 @@ def test_compose_term_recovers_pure_interaction():
 
     lower = {}
     for s in [(0,), (1,)]:
-        ghat = anova.anchored_subterm(g, s, anchor, dists, 2)
+        ghat = anchored_subterm(g, s, anchor, dists, 2)
         lower[s] = anova.compose_term(s, ghat, 0.0, {})
         assert lower[s].variance == pytest.approx(0.0, abs=1e-24)
-    ghat = anova.anchored_subterm(g, (0, 1), anchor, dists, 2)
+    ghat = anchored_subterm(g, (0, 1), anchor, dists, 2)
     term = anova.compose_term((0, 1), ghat, 0.0, lower)
     idx = term.expansion.index_set
     coeffs = term.expansion.scalar_coefficients()
@@ -151,9 +167,9 @@ def test_compose_term_additive_interaction_vanishes():
     g0 = float(g(anchor.q))
     lower = {}
     for s in [(0,), (1,)]:
-        ghat = anova.anchored_subterm(g, s, anchor, dists, 2)
+        ghat = anchored_subterm(g, s, anchor, dists, 2)
         lower[s] = anova.compose_term(s, ghat, g0, {})
-    ghat = anova.anchored_subterm(g, (0, 1), anchor, dists, 2)
+    ghat = anchored_subterm(g, (0, 1), anchor, dists, 2)
     term = anova.compose_term((0, 1), ghat, g0, lower)
     np.testing.assert_allclose(term.expansion.scalar_coefficients(), 0.0,
                                atol=1e-10)
@@ -161,8 +177,8 @@ def test_compose_term_additive_interaction_vanishes():
 
 
 def test_compose_term_missing_subset_is_internal_error():
-    ghat = anova.anchored_subterm(lambda x: x[0] * x[1], (0, 1), anchor2(),
-                                  (GAUSS, GAUSS), 2)
+    ghat = anchored_subterm(lambda x: x[0] * x[1], (0, 1), anchor2(),
+                            (GAUSS, GAUSS), 2)
     with pytest.raises(RuntimeError, match="invariant"):
         anova.compose_term((0, 1), ghat, 0.0, {})
     # declaring the subsets pruned treats them as zero instead
@@ -255,7 +271,7 @@ def test_level_stack_equals_one_subset_per_call():
     assert decomp.g0 == float(g(decomp.anchor.q[:, None])[0])
     ref = {}
     for term in decomp.terms:
-        ghat = anova.anchored_subterm(g, term.subset, decomp.anchor, dists, 2)
+        ghat = anchored_subterm(g, term.subset, decomp.anchor, dists, 2)
         ref[term.subset] = anova.compose_term(term.subset, ghat, decomp.g0,
                                               ref)
         assert np.array_equal(term.expansion.coefficients,
@@ -277,9 +293,9 @@ def test_one_selection_per_subset_signature(monkeypatch):
     sizes = []
     select, points = anova.select_testing_points, anova._restriction_points
 
-    def counting(bases, idx, condition_cap):
-        sizes.append(idx.dimension)
-        return select(bases, idx, condition_cap)
+    def counting(bases, order, condition_cap):
+        sizes.append(len(bases))
+        return select(bases, order, condition_cap)
 
     monkeypatch.setattr(anova, "select_testing_points", counting)
     decomp, exp = run()
@@ -292,6 +308,19 @@ def test_one_selection_per_subset_signature(monkeypatch):
     assert len(sizes) == 2 + 15
     assert np.array_equal(exp.coefficients, fresh_exp.coefficients)
     assert decomp.n_evaluations == fresh_decomp.n_evaluations
+
+
+def test_memoized_selection_keeps_each_subsets_bases():
+    # equal marginals share one selection; each term still expands on the
+    # bases of its own inputs
+    dists = tuple(Distribution.uniform(-1.0, 1.0) for _ in range(3))
+    decomp, exp = anova.adaptive_anova(lambda x: x[0] * x[1] + x[2], dists,
+                                       m=2, sigma=0.0, order=2)
+    for term in decomp.terms:
+        assert all(b.distribution is dists[k] for b, k in
+                   zip(term.expansion.bases, term.subset))
+    assert all(b.distribution is dist
+               for b, dist in zip(exp.bases, dists))
 
 
 def test_engineered_screen_reaches_published_counts():
@@ -358,13 +387,12 @@ def test_assembly_matches_direct_projection():
         return 1.0 + x[0] * x[1] + 0.5 * x[2] ** 3 - x[0] * x[1] * x[2]
 
     _, assembled = anova.adaptive_anova(g, dists, m=3, sigma=0.0, order=3)
-    bases = standard_bases(dists, 3)
-    idx = total_degree_index_set(3, 3)
-    tps = select_testing_points(bases, idx)
+    tps = select_testing_points(standard_bases(dists, 3), 3)
     vals = np.array([g(p) for p in tps.points]).reshape(-1, 1)
-    direct = recover_coefficients(vals, tps, idx, bases)
+    direct = recover_coefficients(vals, tps)
     direct_by_alpha = {tuple(a): float(c) for a, c in
-                       zip(idx.indices, direct.scalar_coefficients())}
+                       zip(tps.index_set.indices,
+                           direct.scalar_coefficients())}
     for alpha, c in zip(assembled.index_set.indices,
                         assembled.scalar_coefficients()):
         assert float(c) == pytest.approx(

@@ -331,6 +331,27 @@ def test_wrong_type_solver_value_is_user_error(tmp_path, capsys, analysis,
     assert f"solver.{key}" in message and repr(value) in message
 
 
+@pytest.mark.parametrize("key,value", [
+    ("dc_tol_scale", -1), ("newton_max_iter", -1), ("newton_max_iter", 0),
+    ("newton_max_damping", -1), ("condition_cap", -1),
+    ("condition_cap", 0.5), ("lte_tol", -1), ("lte_tol", float("nan")),
+    ("fixed_step", float("inf")),
+    # step-control constants, not options
+    ("min_step_fraction", 0), ("min_step_fraction", -1),
+    ("max_step_fraction", -0.1), ("accepts_before_double", 5),
+])
+def test_out_of_range_solver_value_is_user_error(tmp_path, capsys, key,
+                                                 value):
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({"solver": {key: value}}))
+    rc = cli.main(["transient", "--model", "builtin:rc-lowpass",
+                   "--t-end", "1e-3", "--config", str(config),
+                   "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    error = capture_error(capsys)
+    assert error["error"] == "config" and key in error["message"]
+
+
 def test_solver_values_of_the_field_type_are_accepted(divider, tmp_path):
     # an int where a float is due, and a null fixed_step, are well typed
     config = tmp_path / "job.json"
@@ -581,7 +602,8 @@ def test_anova_stacks_stay_within_the_chunk(tmp_path, monkeypatch):
     # an 18-stage ladder has n = 20 unknowns (19 nodes and the source
     # current); its second level holds 1530 new points, which one stack
     # would hold in 4.9 MB of Jacobians
-    from uqsim.montecarlo import chunk_rows
+    from uqsim import stsolver
+    from uqsim.stsolver import chunk_rows
 
     lines = ["V1 n0 0 1.0"]
     for k in range(1, 19):
@@ -590,13 +612,13 @@ def test_anova_stacks_stay_within_the_chunk(tmp_path, monkeypatch):
     path = tmp_path / "ladder18.cir"
     path.write_text("\n".join(lines) + "\n")
     sizes = []
-    newton_dc = cli.newton_dc
+    solve_dc_rows = stsolver._solve_dc_rows
 
     def recording(model, xi, *args, **kwargs):
         sizes.append((model.n, len(np.atleast_2d(xi))))
-        return newton_dc(model, xi, *args, **kwargs)
+        return solve_dc_rows(model, xi, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "newton_dc", recording)
+    monkeypatch.setattr(stsolver, "_solve_dc_rows", recording)
     rc = cli.main(["anova", "--netlist", str(path), "--order", "3", "--m",
                    "2", "--output", "v(n18)", "--outdir", str(tmp_path)])
     assert rc == 0

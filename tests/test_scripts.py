@@ -1,10 +1,12 @@
-"""The study scripts in scripts/ run to completion on small inputs, and the
-benchmark harness in perfbench/ still finds the library names it reads."""
+"""The study scripts in scripts/ and the README's Python examples run to
+completion, and the benchmark harness in perfbench/ still finds the
+library names it reads."""
 
 import importlib.util
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -29,6 +31,18 @@ def load(name):
 def test_script_runs(name, argv, capsys):
     assert load(name).main(argv) == 0
     assert capsys.readouterr().out
+
+
+def test_readme_examples_run():
+    # the blocks build on each other, so they share one namespace
+    text = (SCRIPTS.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.S | re.M)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["var"].shape == (namespace["model"].n,)
+    assert namespace["S"].shape == namespace["T"].shape == (2,)
 
 
 PERFBENCH = SCRIPTS.parent / "perfbench"

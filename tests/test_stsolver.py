@@ -47,35 +47,30 @@ def assert_matches_full_grid_reference(dists, order, cap):
             bases, idx, cap)
     except RuntimeError as err:
         with pytest.raises(SolverError) as info:
-            select_testing_points(bases, idx, cap)
+            select_testing_points(bases, order, cap)
         assert str(info.value) == str(err)
         return
-    tps = select_testing_points(bases, idx, cap)
+    tps = select_testing_points(bases, order, cap)
     assert np.array_equal(tps.points, points)
     assert np.array_equal(tps.V, V)
     assert tps.condition == condition
 
 
 def setup_problem(model, order):
-    bases = standard_bases(model, order)
-    idx = total_degree_index_set(model.d, order)
-    tps = select_testing_points(bases, idx)
-    return bases, idx, tps
+    return select_testing_points(standard_bases(model, order), order)
 
 
 class TestSelection:
     def test_d1_p1_hermite_two_points(self):
         basis = make_standard_basis(HERMITE, 1)
-        idx = total_degree_index_set(1, 1)
-        tps = select_testing_points([basis], idx)
+        tps = select_testing_points([basis], 1)
         assert np.allclose(tps.points.ravel(), [-1.0, 1.0], atol=1e-12)
         assert np.allclose(tps.V, [[1.0, -1.0], [1.0, 1.0]], atol=1e-12)
         assert tps.condition < 1.01
 
     def test_d2_p3_selects_10_of_16(self):
         basis = make_standard_basis(HERMITE, 3)
-        idx = total_degree_index_set(2, 3)
-        tps = select_testing_points([basis, basis], idx)
+        tps = select_testing_points([basis, basis], 3)
         assert tps.n_points == 10
         # independent full-rank check
         assert abs(np.linalg.det(tps.V)) > 1e-12
@@ -87,16 +82,14 @@ class TestSelection:
 
     def test_d4_p3_selects_35_of_256(self):
         basis = make_standard_basis(HERMITE, 3)
-        idx = total_degree_index_set(4, 3)
-        tps = select_testing_points([basis] * 4, idx)
+        tps = select_testing_points([basis] * 4, 3)
         assert tps.n_points == 35
         assert tps.condition <= 1e8
 
     def test_condition_cap_enforced(self):
         basis = make_standard_basis(HERMITE, 3)
-        idx = total_degree_index_set(2, 3)
         with pytest.raises(SolverError, match=r"only \d+ of 10"):
-            select_testing_points([basis, basis], idx, condition_cap=1.5)
+            select_testing_points([basis, basis], 3, condition_cap=1.5)
 
     @pytest.mark.parametrize("dists,order,cap", [
         ((UNIFORM,) * 8, 3, 1e8),
@@ -135,7 +128,7 @@ class TestSelection:
 
         monkeypatch.setattr(np.linalg, "svd", counting)
         bases = standard_bases((UNIFORM,) * 8, 3)
-        tps = select_testing_points(bases, total_degree_index_set(8, 3))
+        tps = select_testing_points(bases, 3)
         assert tps.n_points == 165
         assert len(calls) <= 2   # the SVD on every trial would make 166
 
@@ -149,23 +142,22 @@ class TestSelection:
 
         monkeypatch.setattr(stsolver, "_basis_matrix", counting)
         bases = standard_bases((UNIFORM,) * 8, 3)
-        tps = select_testing_points(bases, total_degree_index_set(8, 3))
+        tps = select_testing_points(bases, 3)
         assert tps.n_points == 165
         assert 165 <= sum(rows) < 2000   # of the 4^8 = 65,536 grid nodes
 
     def test_selection_is_deterministic(self):
         basis = make_standard_basis(Distribution.uniform(-1, 1), 2)
-        idx = total_degree_index_set(3, 2)
-        a = select_testing_points([basis] * 3, idx)
-        b = select_testing_points([basis] * 3, idx)
+        a = select_testing_points([basis] * 3, 2)
+        b = select_testing_points([basis] * 3, 2)
         assert np.array_equal(a.points, b.points)
 
 
 class TestSolveDc:
     def test_divider_mean_matches_integral(self):
         dae = netlist.elaborate(netlist.parse_netlist(DIVIDER_VARIED))
-        bases, idx, tps = setup_problem(dae, 2)
-        exp = solve_dc(dae, tps, bases, idx)
+        tps = setup_problem(dae, 2)
+        exp = solve_dc(dae, tps)
         mean, _ = exp.mean_variance()
         exact = quad(lambda r: r / (1 + r), 0.9, 1.1)[0] / 0.2
         # the K=3 collocation mean equals the 3-point Gauss quadrature of
@@ -175,9 +167,9 @@ class TestSolveDc:
     def test_d0_reduces_to_deterministic(self):
         dae = netlist.elaborate(
             netlist.parse_netlist("V1 1 0 1\nR1 1 2 1k\nR2 2 0 1k\n"))
-        bases, idx, tps = setup_problem(dae, 2)
+        tps = setup_problem(dae, 2)
         assert tps.n_points == 1
-        exp = solve_dc(dae, tps, bases, idx)
+        exp = solve_dc(dae, tps)
         mean, var = exp.mean_variance()
         assert np.allclose(mean, [1.0, 0.5, -5e-4], atol=1e-9)
         assert np.max(var) == 0.0
@@ -186,8 +178,8 @@ class TestSolveDc:
         from uqsim.montecarlo import run_mc
 
         dae = builtin_model("diode_rectifier")
-        bases, idx, tps = setup_problem(dae, 3)
-        exp = solve_dc(dae, tps, bases, idx)
+        tps = setup_problem(dae, 3)
+        exp = solve_dc(dae, tps)
         mean, var = exp.mean_variance()
         mc = run_mc(dae, "dc", n=20000, seed=11)
         out = 1  # rectified node voltage
@@ -203,8 +195,8 @@ class TestSolveDc:
                              1.0 + 0.1 * xi[1] ** 2])
 
         dae = algebraic_model(poly, dists, n_outputs=2)
-        bases, idx, tps = setup_problem(dae, 2)
-        exp = solve_dc(dae, tps, bases, idx)
+        tps = setup_problem(dae, 2)
+        exp = solve_dc(dae, tps)
         rng = np.random.default_rng(5)
         for _ in range(20):
             xi = np.array([rng.normal(), rng.uniform(-1, 1)])
@@ -242,6 +234,24 @@ class TestStackedNewton:
         stacked = newton_dc(dae, P, nominal)
         assert stacked.shape == (40, dae.n)
         assert np.max(np.abs(stacked - separate)) <= 1e-12
+
+    def test_chunks_do_not_change_a_bit(self, monkeypatch):
+        dae = builtin_model("diode_rectifier")
+        P = sample_parameters(dae.distributions, 40, seed=1)
+        whole = newton_dc(dae, P)
+        sizes = []
+        solve_dc_rows = stsolver._solve_dc_rows
+
+        def recording(model, rows, *args):
+            sizes.append(len(rows))
+            return solve_dc_rows(model, rows, *args)
+
+        monkeypatch.setattr(stsolver, "_solve_dc_rows", recording)
+        # 8 * n * (n + 1) = 96 bytes of Jacobian per row of the 3-state model
+        monkeypatch.setattr(stsolver, "CHUNK_BYTES", 96 * 16)
+        assert np.array_equal(newton_dc(dae, P), whole)
+        assert sizes == [16, 16, 8]
+        assert newton_dc(dae, P[:0]).shape == (0, dae.n)
 
     def test_singular_and_diverging_rows_fail_alone(self):
         # row i solves C[i,0] x + C[i,1] x^2 + C[i,2] = 0
@@ -293,29 +303,27 @@ class TestStackedNewton:
 class TestDecouplingEquivalence:
     def test_nonlinear_two_node_identical(self):
         dae = netlist.elaborate(netlist.parse_netlist(NONLINEAR_2NODE))
-        bases, idx, tps = setup_problem(dae, 2)
+        tps = setup_problem(dae, 2)
         tight = SolverOptions(dc_tol_scale=1e-13)
-        dec = solve_dc(dae, tps, bases, idx, tight)
-        mono = solve_dc_monolithic(dae, tps, bases, idx)
+        dec = solve_dc(dae, tps, tight)
+        mono = solve_dc_monolithic(dae, tps)
         assert np.max(np.abs(dec.coefficients - mono.coefficients)) < 1e-9
 
 
 class TestRecovery:
     def test_round_trip(self):
         basis = make_standard_basis(HERMITE, 3)
-        idx = total_degree_index_set(2, 3)
-        tps = select_testing_points([basis, basis], idx)
+        tps = select_testing_points([basis, basis], 3)
         rng = np.random.default_rng(9)
-        coeffs = rng.normal(size=(len(idx), 2))
+        coeffs = rng.normal(size=(len(tps.index_set), 2))
         values = tps.V @ coeffs
-        rec = recover_coefficients(values, tps, idx, (basis, basis))
+        rec = recover_coefficients(values, tps)
         assert np.max(np.abs(rec.coefficients - coeffs)) < 1e-10
 
     def test_constant_values(self):
         basis = make_standard_basis(HERMITE, 2)
-        idx = total_degree_index_set(1, 2)
-        tps = select_testing_points([basis], idx)
-        rec = recover_coefficients(np.full((3, 1), 4.2), tps, idx, (basis,))
+        tps = select_testing_points([basis], 2)
+        rec = recover_coefficients(np.full((3, 1), 4.2), tps)
         assert abs(rec.coefficients[0, 0] - 4.2) < 1e-12
         assert np.max(np.abs(rec.coefficients[1:])) < 1e-12
 
@@ -327,10 +335,9 @@ class TestRecovery:
         # still matches it
         p = 3
         basis_p = make_standard_basis(HERMITE, p)
-        idx = total_degree_index_set(1, p)
-        tps = select_testing_points([basis_p], idx)
+        tps = select_testing_points([basis_p], p)
         values = (tps.points[:, 0] ** 4).reshape(-1, 1)
-        rec = recover_coefficients(values, tps, idx, (basis_p,))
+        rec = recover_coefficients(values, tps)
         rule = golub_welsch(basis_p, p + 1)
         projected_mean = float(rule.weights @ rule.points.ravel() ** 4)
         assert abs(projected_mean - 3.0) < 1e-10  # E[xi^4], rule is exact
@@ -342,16 +349,16 @@ class TestRecovery:
 class TestTransient:
     def rc_setup(self, order=3):
         dae = builtin_model("rc_lowpass")
-        bases, idx, tps = setup_problem(dae, order)
+        tps = setup_problem(dae, order)
         # consistent start: source on, capacitor empty, branch current -1/R
         X0 = np.array([[1.0, 0.0, -1.0 / (1e3 * pt[0])] for pt in tps.points])
-        x0 = recover_coefficients(X0, tps, idx, bases)
-        return dae, bases, idx, tps, x0
+        x0 = recover_coefficients(X0, tps)
+        return dae, tps, x0
 
     def test_rc_mean_matches_quadrature_of_closed_form(self):
-        dae, bases, idx, tps, x0 = self.rc_setup()
+        dae, tps, x0 = self.rc_setup()
         tol = 1e-6
-        sol = integrate_transient(dae, tps, bases, idx, (0.0, 1e-3), x0=x0,
+        sol = integrate_transient(dae, tps, (0.0, 1e-3), x0=x0,
                                   options=SolverOptions(lte_tol=tol))
         mean, _ = sol.final().mean_variance()
         exact = quad(lambda r: 1 - np.exp(-1e-3 / (1e3 * r * 1e-6)),
@@ -360,22 +367,48 @@ class TestTransient:
 
     def test_zero_input_stays_zero(self):
         dae = builtin_model("rc_lowpass", vin=0.0)
-        bases, idx, tps = setup_problem(dae, 2)
-        zero = GpcExpansion(idx, np.zeros((len(idx), dae.n)), bases)
-        sol = integrate_transient(dae, tps, bases, idx, (0.0, 1e-3), x0=zero)
+        tps = setup_problem(dae, 2)
+        idx = tps.index_set
+        zero = GpcExpansion(idx, np.zeros((len(idx), dae.n)), tps.bases)
+        sol = integrate_transient(dae, tps, (0.0, 1e-3), x0=zero)
         for exp in sol.expansions:
             assert np.max(np.abs(exp.coefficients)) < 1e-12
 
     def test_default_start_is_dc(self):
-        dae, bases, idx, tps, _ = self.rc_setup(order=2)
-        sol = integrate_transient(dae, tps, bases, idx, (0.0, 1e-4))
+        dae, tps, _ = self.rc_setup(order=2)
+        sol = integrate_transient(dae, tps, (0.0, 1e-4))
         mean, _ = sol.final().mean_variance()
         # already at the charged operating point, nothing moves
         assert abs(mean[1] - 1.0) < 1e-6
 
+    def test_start_on_a_lower_order_is_lifted(self):
+        # an order-1 start on order-1 bases is the order-3 expansion whose
+        # coefficients of degree 2 and 3 are zero; both start the same run
+        dae, tps, _ = self.rc_setup()
+        _, tps1, x0 = self.rc_setup(order=1)
+        idx = tps.index_set
+        lifted = np.zeros((len(idx), dae.n))
+        lifted[:len(x0.index_set)] = x0.coefficients   # graded order
+        lifted = GpcExpansion(idx, lifted, tps.bases)
+        low = integrate_transient(dae, tps, (0.0, 1e-3), x0=x0)
+        high = integrate_transient(dae, tps, (0.0, 1e-3), x0=lifted)
+        assert np.array_equal(low.times, high.times)
+        for a, b in zip(low.expansions, high.expansions):
+            assert a.index_set is tps.index_set
+            assert np.allclose(a.coefficients, b.coefficients, rtol=1e-12,
+                               atol=1e-15)
+
+    def test_start_on_other_inputs_is_value_error(self):
+        dae, tps, _ = self.rc_setup()
+        other = GpcExpansion(total_degree_index_set(2, 0),
+                             np.zeros((1, dae.n)),
+                             standard_bases(MIXED[:2], 0))
+        with pytest.raises(ValueError, match="random inputs"):
+            integrate_transient(dae, tps, (0.0, 1e-3), x0=other)
+
     def test_times_increasing_and_log_recorded(self):
-        dae, bases, idx, tps, x0 = self.rc_setup()
-        sol = integrate_transient(dae, tps, bases, idx, (0.0, 1e-3), x0=x0)
+        dae, tps, x0 = self.rc_setup()
+        sol = integrate_transient(dae, tps, (0.0, 1e-3), x0=x0)
         assert np.all(np.diff(sol.times) > 0)
         assert sol.times[0] == 0.0
         assert sol.times[-1] == pytest.approx(1e-3, rel=1e-12)
@@ -508,7 +541,7 @@ class TestTransient:
         # with lte_tol 0 a step is rejected unless its error estimate is
         # exactly 0, so every row underflows: a one-sample run raises at
         # some time, and on its own clock the row stops there, NaN
-        dae, bases, idx, tps, x0 = self.rc_setup(order=2)
+        dae, tps, x0 = self.rc_setup(order=2)
         opts = SolverOptions(lte_tol=0.0)
         X0 = tps.V @ x0.coefficients
         t_end, (X,), _, _ = _integrate_points(
@@ -525,7 +558,7 @@ class TestTransient:
     def test_bad_span_or_fixed_step_is_value_error(self, t_span, fixed_step):
         # the edges of the checks test_cli.py drives with t_end=inf and
         # fixed steps of -0.1, 0 and 1e-300; the step floor is the one
-        # adaptive steps underflow at, 1e-12 of the span by default
+        # adaptive steps underflow at, 1e-12 of the span
         dae = builtin_model("rc_lowpass")
         with pytest.raises(ValueError, match="t_span|fixed_step"):
             integrate_deterministic(dae, np.array([1.0]), t_span,
@@ -533,9 +566,9 @@ class TestTransient:
                                     SolverOptions(fixed_step=fixed_step))
 
     def test_step_underflow_raises_with_time(self):
-        dae, bases, idx, tps, x0 = self.rc_setup(order=2)
+        dae, tps, x0 = self.rc_setup(order=2)
         with pytest.raises(SolverError, match="underflow at t") as err:
-            integrate_transient(dae, tps, bases, idx, (0.0, 1e-3), x0=x0,
+            integrate_transient(dae, tps, (0.0, 1e-3), x0=x0,
                                 options=SolverOptions(lte_tol=0.0))
         assert err.value.time is not None
 
@@ -543,14 +576,15 @@ class TestTransient:
         from uqsim.montecarlo import _aggregate
 
         dae = builtin_model("plate_actuator", voltage=1.0)
-        bases, idx, tps = setup_problem(dae, 2)
+        tps = setup_problem(dae, 2)
+        idx = tps.index_set
         # fixed shared step so the discretization bias cancels in the
         # comparison and only the stochastic approximation is tested
         opts = SolverOptions(fixed_step=0.05)
         start = dae.initial_guess()
         x0 = GpcExpansion(
-            idx, np.outer(np.eye(len(idx))[0], start), bases)
-        sol = integrate_transient(dae, tps, bases, idx, (0.0, 1.0), x0=x0,
+            idx, np.outer(np.eye(len(idx))[0], start), tps.bases)
+        sol = integrate_transient(dae, tps, (0.0, 1.0), x0=x0,
                                   options=opts)
         mean, var = sol.final().mean_variance()
         # MC from the same rest state; run_mc starts at the DC point.  One
@@ -567,10 +601,10 @@ class TestTransient:
 class TestSolutionExport:
     def test_csv_and_json_schema(self):
         dae = builtin_model("rc_lowpass")
-        bases, idx, tps = setup_problem(dae, 2)
+        tps = setup_problem(dae, 2)
         X0 = np.array([[1.0, 0.0, -1.0 / (1e3 * pt[0])] for pt in tps.points])
-        x0 = recover_coefficients(X0, tps, idx, bases)
-        sol = integrate_transient(dae, tps, bases, idx, (0.0, 2e-4), x0=x0)
+        x0 = recover_coefficients(X0, tps)
+        sol = integrate_transient(dae, tps, (0.0, 2e-4), x0=x0)
         csv = sol.to_csv()
         header = csv.splitlines()[0].split(",")
         assert header[0] == "t"
