@@ -18,9 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .models import StochasticDae
-from .stsolver import (SolverError, SolverOptions, _integrate_points,
-                       _solve_dc_rows, chunk_rows, integrate_deterministic,
-                       newton_dc)
+from .stsolver import (SolverError, SolverOptions, _chunk_rows,
+                       _integrate_points, _solve_dc_rows,
+                       integrate_deterministic, newton_dc)
 
 __all__ = ["McResult", "sample_parameters", "run_mc"]
 
@@ -121,7 +121,7 @@ def run_mc(model: StochasticDae, analysis: str, n: int, seed: int,
     failed = np.zeros(n, dtype=bool)
     # stacks of the stacked DC solve's size, so the failure budget is
     # checked after each and transient stacks stay as small
-    chunk = chunk_rows(model.n)
+    chunk = _chunk_rows(model.n)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
         if analysis == "dc":

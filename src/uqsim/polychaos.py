@@ -977,8 +977,12 @@ class GpcExpansion:
         return gpc_eval(self, point, check_support)
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
-        """(N, n) values at N points; no support checking."""
-        points = np.asarray(points, dtype=float).reshape(-1, self.dimension)
+        """(N, n) values at N points, given as (N, d), or as (N,) when
+        d = 1; no support checking."""
+        points = np.asarray(points, dtype=float)
+        # an (N, 0) stack keeps its N rows, which reshape(-1, 0) cannot infer
+        points = points.reshape(
+            len(points) if points.ndim == 2 else -1, self.dimension)
         return _basis_matrix(self.index_set, self.bases, points) @ self.coefficients
 
     def mean_variance(self) -> tuple[np.ndarray, np.ndarray]:

@@ -85,17 +85,16 @@ class SolverOptions:
     threads = 1   # not a field; read by perfbench/launcher.py --env only
 
     def __post_init__(self):
-        # field, least value, whether the least value itself is allowed
-        for key, least, closed in (
-                ("dc_tol_scale", 0, True), ("newton_max_iter", 1, True),
-                ("newton_max_damping", 0, True), ("condition_cap", 1, True),
-                ("lte_tol", 0, True), ("fixed_step", 0, False)):
+        for key, least in (("dc_tol_scale", 0), ("newton_max_iter", 1),
+                           ("newton_max_damping", 0), ("condition_cap", 1),
+                           ("lte_tol", 0)):
             value = getattr(self, key)
-            if value is not None and not (
-                    least <= value < math.inf and (closed or value > least)):
+            if not least <= value < math.inf:
                 raise ValueError(f"solver option {key} must be finite and "
-                                 f"{'at least' if closed else 'above'} "
-                                 f"{least}, got {value!r}")
+                                 f"at least {least}, got {value!r}")
+        if self.fixed_step is not None and not 0 < self.fixed_step < math.inf:
+            raise ValueError("solver option fixed_step must be finite and "
+                             f"above 0, got {self.fixed_step!r}")
 
     def dc_tol(self, n: int) -> float:
         return self.dc_tol_scale * n
@@ -335,7 +334,7 @@ def _check_converged(rnorm: np.ndarray, ok: np.ndarray, tol: float,
         "singular", residual=worst)
 
 
-def chunk_rows(n: int) -> int:
+def _chunk_rows(n: int) -> int:
     """Rows per stacked solve of an n-state model: CHUNK_BYTES of (n, n)
     Jacobians, and at least one."""
     return max(1, CHUNK_BYTES // (8 * n * (n + 1)))
@@ -346,12 +345,12 @@ def newton_dc(model: StochasticDae, xi: np.ndarray,
               options: SolverOptions = SolverOptions()) -> np.ndarray:
     """DC operating point f(x, xi, t) = B u(t): x (n,) at one point xi
     (d,), or (N, n) at the rows of a stack xi (N, d), from the one start x0
-    (default model.initial_guess()).  Stacked Newtons of chunk_rows(n) rows
+    (default model.initial_guess()).  Stacked Newtons of _chunk_rows(n) rows
     keep the Jacobians within CHUNK_BYTES; rows do not interact, so a row's
     bits do not depend on its chunk."""
     P = np.atleast_2d(np.asarray(xi, dtype=float))
     start = model.initial_guess() if x0 is None else np.asarray(x0, float)
-    rows = chunk_rows(model.n)
+    rows = _chunk_rows(model.n)
     chunks = [_solve_dc_rows(model, P[lo:lo + rows], start[None], options, t)
               for lo in range(0, max(len(P), 1), rows)]   # 0 rows: one chunk
     X, rnorm, ok = (np.concatenate(parts) for parts in zip(*chunks))

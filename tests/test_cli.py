@@ -73,6 +73,21 @@ def test_transient_uses_netlist_stop_time(tmp_path):
     assert len(doc["times"]) == len(doc["expansions"])
 
 
+def test_transient_without_variation_has_zero_std(tmp_path):
+    path = tmp_path / "rc.cir"
+    path.write_text(RC.replace(" variation=relative:gauss(1,0.05)", ""))
+    rc = cli.main(["transient", "--netlist", str(path), "--order", "2",
+                   "--outdir", str(tmp_path / "out")])
+    assert rc == 0
+    lines = (tmp_path / "out" / "transient_stats.csv").read_text().split()
+    header = lines[0].split(",")
+    rows = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+    assert rows[-1, 0] == pytest.approx(2e-3, rel=1e-12)
+    assert rows[-1, header.index("mean_v(2)")] == pytest.approx(1.0, abs=1e-6)
+    std = [k for k, name in enumerate(header) if name.startswith("std_")]
+    assert len(std) == 3 and np.all(rows[:, std] == 0.0)
+
+
 def test_mc_seed_reproducible(divider, tmp_path):
     args = ["mc", "--netlist", divider, "--samples", "500", "--seed", "7"]
     for name in ("a", "b"):
@@ -603,7 +618,7 @@ def test_anova_stacks_stay_within_the_chunk(tmp_path, monkeypatch):
     # current); its second level holds 1530 new points, which one stack
     # would hold in 4.9 MB of Jacobians
     from uqsim import stsolver
-    from uqsim.stsolver import chunk_rows
+    from uqsim.stsolver import _chunk_rows
 
     lines = ["V1 n0 0 1.0"]
     for k in range(1, 19):
@@ -623,7 +638,7 @@ def test_anova_stacks_stay_within_the_chunk(tmp_path, monkeypatch):
                    "2", "--output", "v(n18)", "--outdir", str(tmp_path)])
     assert rc == 0
     assert {n for n, _ in sizes} == {20}
-    rows = chunk_rows(20)
+    rows = _chunk_rows(20)
     assert max(size for _, size in sizes) == rows
     assert sum(size for _, size in sizes) == 1 + 18 * 4 + 153 * 10 > 2 * rows
 

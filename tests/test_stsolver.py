@@ -381,6 +381,26 @@ class TestTransient:
         # already at the charged operating point, nothing moves
         assert abs(mean[1] - 1.0) < 1e-6
 
+    def test_d0_equals_the_deterministic_run(self):
+        # no random inputs: one testing point on the empty basis, so the
+        # run is integrate_deterministic's with zero variance
+        dae = netlist.elaborate(
+            netlist.parse_netlist("V1 1 0 1\nR1 1 2 1k\nC1 2 0 1u\n"))
+        tps = setup_problem(dae, 2)
+        start = np.array([1.0, 0.0, -1e-3])   # capacitor empty
+        x0 = GpcExpansion(total_degree_index_set(0, 0), start[None], ())
+        sol = integrate_transient(dae, tps, (0.0, 1e-3), x0=x0)
+        times, states, _ = integrate_deterministic(
+            dae, np.zeros(0), (0.0, 1e-3), start)
+        assert np.array_equal(sol.times, times)
+        mean, var = sol.final().mean_variance()
+        assert np.allclose(mean, states[-1], rtol=1e-12, atol=1e-15)
+        assert mean[1] > 0.6 and np.max(var) == 0.0
+        # and from solve_dc's start, the charged operating point
+        mean, var = integrate_transient(
+            dae, tps, (0.0, 1e-4)).final().mean_variance()
+        assert abs(mean[1] - 1.0) < 1e-6 and np.max(var) == 0.0
+
     def test_start_on_a_lower_order_is_lifted(self):
         # an order-1 start on order-1 bases is the order-3 expansion whose
         # coefficients of degree 2 and 3 are zero; both start the same run
