@@ -39,8 +39,6 @@ from .polychaos import (
     expansion_from_json,
     expansion_to_json,
     golub_welsch,
-    gpc_eval,
-    gpc_mean_variance,
     make_standard_basis,
     stieltjes_basis,
     tensor_quadrature,

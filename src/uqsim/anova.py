@@ -107,7 +107,11 @@ def anchor_point(distributions: Sequence[Distribution],
                  p_unit=0.5) -> AnchorPoint:
     """Anchor at given per-coordinate quantiles (scalar broadcasts)."""
     d = len(distributions)
-    p = np.broadcast_to(np.asarray(p_unit, dtype=float), (d,)).copy()
+    p = np.asarray(p_unit, dtype=float).ravel()
+    if p.size not in (1, d):
+        raise ValueError(f"anchor has {p.size} quantiles; give 1 or one per "
+                         f"random input ({d})")
+    p = np.broadcast_to(p, (d,)).copy()
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise ValueError("anchor quantiles must lie strictly inside (0, 1)")
     q = np.empty(d)

@@ -68,7 +68,6 @@ class JobConfig:
     output: int | str = 0
     outdir: str = "."
     density: str = "quadrature"
-    knots: int = 51
     blocks: tuple[str, ...] = ()
     system: str | None = None
     out: str | None = None
@@ -105,11 +104,14 @@ def _add_model_flags(p: _Parser) -> None:
                    metavar="KEY=VALUE", help="builtin model parameter")
 
 
-def _add_common_flags(p: _Parser) -> None:
+def _add_common_flags(p: _Parser, order: bool = True,
+                      seed: bool = False) -> None:
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--order", type=int, help="total polynomial degree")
+    if order:
+        p.add_argument("--order", type=int, help="total polynomial degree")
     p.add_argument("--outdir", help="directory for output artifacts")
-    p.add_argument("--seed", type=int, help="random seed")
+    if seed:
+        p.add_argument("--seed", type=int, help="random seed")
 
 
 def build_parser() -> _Parser:
@@ -139,7 +141,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("mc", help="Monte Carlo reference")
     _add_model_flags(p)
-    _add_common_flags(p)
+    _add_common_flags(p, order=False, seed=True)
     p.add_argument("--samples", type=int, help="number of samples")
     p.add_argument("--t-end", type=float, dest="t_end",
                    help="end time; runs a transient MC when given")
@@ -147,14 +149,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("hier-extract",
                        help="extract a block surrogate and its density")
     _add_model_flags(p)
-    _add_common_flags(p)
+    _add_common_flags(p, seed=True)
     p.add_argument("--output", help="output index or label to extract")
     p.add_argument("--density", choices=("quadrature", "sampling"),
                    help="density construction route")
     p.add_argument("--samples", type=int,
                    help="sample count for the sampling route")
-    p.add_argument("--knots", type=int,
-                   help="CDF knot count for the sampling route")
     p.add_argument("--out", help="artifact filename (default block.json)")
 
     p = sub.add_parser("hier-propagate",
@@ -229,8 +229,12 @@ def _check_type(key: str, value, kind) -> None:
 
 def build_config(argv) -> JobConfig:
     ns = build_parser().parse_args(argv)
+    # the namespace holds every flag of the analysis, set or not; a config
+    # file may give exactly those, and solver options
+    allowed = {"params" if k == "param" else k
+               for k in vars(ns)} - {"analysis", "config"} | {"solver"}
     flags = {k: v for k, v in vars(ns).items()
-             if v is not None and k != "config"}
+             if v is not None and k not in ("analysis", "config")}
     if "param" in flags:
         flags["params"] = _parse_params(flags.pop("param"))
 
@@ -248,12 +252,11 @@ def build_config(argv) -> JobConfig:
         if not isinstance(file_cfg, dict):
             raise UsageError(f"config {ns.config} must hold a JSON object")
 
-    allowed = {f.name for f in fields(JobConfig)}
     unknown = set(file_cfg) - allowed
     if unknown:
-        raise UsageError(f"unknown config key(s): {sorted(unknown)}")
+        raise UsageError(f"config key(s) {sorted(unknown)} unknown to "
+                         f"{ns.analysis}")
     merged = {**file_cfg, **flags}
-    merged.pop("analysis", None)
 
     if "anchor" in merged:
         merged["anchor"] = _parse_anchor(merged["anchor"])
@@ -315,11 +318,8 @@ def _load_model(cfg: JobConfig):
                 from err
         nl = parse_netlist(text, filename=os.path.basename(cfg.netlist))
         return elaborate(nl), nl
-    name = cfg.model
-    if name.startswith("builtin:"):
-        name = name[len("builtin:"):]
     try:
-        return builtin_model(name.replace("-", "_"), **cfg.params), None
+        return builtin_model(cfg.model, **cfg.params), None
     except UnknownModelError as err:
         # KeyError quotes its payload; unwrap for a clean one-line message
         raise UsageError(err.args[0]) from err
@@ -329,17 +329,6 @@ def _input_labels(model, nl) -> tuple[str, ...]:
     if nl is not None and len(nl.variations) == model.d:
         return tuple(f"{v.element}.{v.param}" for v in nl.variations)
     return tuple(f"xi{k}" for k in range(model.d))
-
-
-def _output_index(model, output) -> int:
-    if isinstance(output, int):
-        if not 0 <= output < model.n:
-            raise UsageError(f"output index {output} out of range for a "
-                             f"model with {model.n} outputs")
-        return output
-    if model.labels and output in model.labels:
-        return model.labels.index(output)
-    raise UsageError(f"model has no output labeled {output!r}")
 
 
 def _write(path: str, text: str) -> None:
@@ -399,11 +388,10 @@ def _run_dc(cfg: JobConfig) -> None:
                                 opts.condition_cap)
     exp = solve_dc(model, tps, opts)
     mean, var = exp.mean_variance()
-    std = np.sqrt(np.maximum(var, 0.0))
-    labels = model.labels or tuple(f"x{j}" for j in range(model.n))
-    _write(_artifact(cfg, "dc_stats.csv"), _stats_csv(labels, mean, std))
+    std = np.sqrt(var)
+    _write(_artifact(cfg, "dc_stats.csv"), _stats_csv(model.labels, mean, std))
     _write(_artifact(cfg, "dc_expansion.json"), expansion_to_json(exp))
-    _print_stats(labels, mean, std)
+    _print_stats(model.labels, mean, std)
     print(f"dc: order {cfg.order}, {tps.n_points} testing points; wrote "
           f"dc_stats.csv, dc_expansion.json in {cfg.outdir}")
 
@@ -430,9 +418,7 @@ def _run_transient(cfg: JobConfig) -> None:
     _write(_artifact(cfg, "transient_expansions.json"),
            sol.expansions_json())
     mean, var = sol.final().mean_variance()
-    std = np.sqrt(np.maximum(var, 0.0))
-    labels = model.labels or tuple(f"x{j}" for j in range(model.n))
-    _print_stats(labels, mean, std)
+    _print_stats(model.labels, mean, np.sqrt(var))
     print(f"transient: {len(sol.times)} accepted steps to t={t_end:g}, "
           f"{sol.n_point_solves} point solves; wrote transient_stats.csv, "
           f"transient_expansions.json in {cfg.outdir}")
@@ -443,7 +429,7 @@ def _run_decomposition(cfg: JobConfig):
     if model.d == 0:
         raise UsageError("the model has no random inputs to decompose")
     opts = cfg.solver_options()
-    j = _output_index(model, cfg.output)
+    j = model.output_index(cfg.output)
     dists = model.distributions
     anchor = (None if cfg.anchor is None     # one quantile broadcasts
               else anova_mod.anchor_point(dists, cfg.anchor))
@@ -498,19 +484,17 @@ def _run_mc(cfg: JobConfig) -> None:
     analysis = "transient" if cfg.t_end is not None else "dc"
     result = run_mc(model, analysis, cfg.samples, cfg.seed,
                     t_end=cfg.t_end, options=opts)
-    labels = result.labels or tuple(f"x{j}" for j in range(model.n))
-    std = np.sqrt(np.maximum(result.variance, 0.0))
     extra = (("stderr_mean", result.stderr),
              ("stderr_std", result.stderr_std))
     _write(_artifact(cfg, "mc_stats.csv"),
-           _stats_csv(labels, result.mean, std, extra))
+           _stats_csv(result.labels, result.mean, result.std, extra))
     lines = ["output,bin_lo,bin_hi,count"]
-    for label, (edges, counts) in zip(labels, result.histograms):
+    for label, (edges, counts) in zip(result.labels, result.histograms):
         for b in range(len(counts)):
             lines.append(f"{label},{float(edges[b])!r},"
                          f"{float(edges[b + 1])!r},{int(counts[b])}")
     _write(_artifact(cfg, "mc_histogram.csv"), "\n".join(lines) + "\n")
-    _print_stats(labels, result.mean, std)
+    _print_stats(result.labels, result.mean, result.std)
     print(f"mc: {result.n_samples} {analysis} samples, seed {result.seed}, "
           f"{result.n_failed} failed; wrote mc_stats.csv, mc_histogram.csv "
           f"in {cfg.outdir}")
@@ -545,12 +529,12 @@ def _density_from_doc(doc: dict) -> hier.IntermediateDensity:
 def _run_hier_extract(cfg: JobConfig) -> None:
     model, _ = _load_model(cfg)
     opts = cfg.solver_options()
-    j = _output_index(model, cfg.output)
+    j = model.output_index(cfg.output)
     surrogate = hier.extract_block_surrogate(model, cfg.order, output=j,
                                              options=opts)
     if cfg.density == "sampling":
         dens = hier.density_by_sampling(surrogate, n_samples=cfg.samples,
-                                        seed=cfg.seed, knots=cfg.knots)
+                                        seed=cfg.seed)
     else:
         dens = hier.density_by_quadrature(surrogate)
     doc = {
@@ -563,10 +547,9 @@ def _run_hier_extract(cfg: JobConfig) -> None:
     name = cfg.out or "block.json"
     _write(_artifact(cfg, name),
            json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    label = (model.labels[j] if model.labels else f"x{j}")
-    print(f"hier-extract: output {label!r}, level a={surrogate.a!r}, "
-          f"spread b={surrogate.b!r}, {cfg.density} density; wrote {name} "
-          f"in {cfg.outdir}")
+    print(f"hier-extract: output {model.labels[j]!r}, level "
+          f"a={surrogate.a!r}, spread b={surrogate.b!r}, {cfg.density} "
+          f"density; wrote {name} in {cfg.outdir}")
 
 
 def _load_block(path: str) -> tuple[dict, hier.IntermediateDensity]:
@@ -600,12 +583,8 @@ def _run_hier_propagate(cfg: JobConfig) -> None:
     if cfg.system is None:
         raise UsageError("hier-propagate needs --system")
     densities = [_load_block(path)[1] for path in cfg.blocks]
-    name = cfg.system
-    if name.startswith("builtin:"):
-        name = name[len("builtin:"):]
     try:
-        system = hier.demo_system(name.replace("-", "_"), densities,
-                                  **cfg.params)
+        system = hier.demo_system(cfg.system, densities, **cfg.params)
     except KeyError as err:
         raise UsageError(err.args[0]) from err
     opts = cfg.solver_options()
@@ -624,11 +603,11 @@ def _run_hier_propagate(cfg: JobConfig) -> None:
     else:
         exp = hier.propagate_dc(system, bases, cfg.order, options=opts)
     mean, var = exp.mean_variance()
-    std = np.sqrt(np.maximum(var, 0.0))
-    labels = system.labels or tuple(f"x{j}" for j in range(system.n))
-    _write(_artifact(cfg, "hier_stats.csv"), _stats_csv(labels, mean, std))
+    std = np.sqrt(var)
+    _write(_artifact(cfg, "hier_stats.csv"),
+           _stats_csv(system.labels, mean, std))
     _write(_artifact(cfg, "hier_expansion.json"), expansion_to_json(exp))
-    _print_stats(labels, mean, std)
+    _print_stats(system.labels, mean, std)
     wrote = "hier_stats.csv, hier_expansion.json"
     if cfg.t_end is not None:
         wrote += ", hier_waveform.csv"

@@ -63,10 +63,6 @@ class Surrogate:
     def distributions(self) -> tuple:
         return tuple(b.distribution for b in self.expansion.bases)
 
-    @property
-    def dimension(self) -> int:
-        return self.expansion.dimension
-
 
 def normalize_surrogate(expansion: GpcExpansion) -> Surrogate:
     """a = mean, b = stddev from coefficients; rejects zero variance."""
@@ -92,15 +88,12 @@ def extract_block_surrogate(model: StochasticDae, order: int,
                             options: SolverOptions = SolverOptions()
                             ) -> Surrogate:
     """Solve a block's DC problem and normalize one output as zeta."""
+    j = model.output_index(output)
     tps = select_testing_points(standard_bases(model, order), order,
                                 options.condition_cap)
     exp = solve_dc(model, tps, options)
-    if isinstance(output, str):
-        if model.labels is None or output not in model.labels:
-            raise ValueError(f"model has no output labeled '{output}'")
-        output = model.labels.index(output)
     scalar = GpcExpansion(exp.index_set,
-                          exp.coefficients[:, output].reshape(-1, 1),
+                          exp.coefficients[:, j].reshape(-1, 1),
                           exp.bases)
     return normalize_surrogate(scalar)
 
@@ -220,8 +213,7 @@ def density_by_quadrature(s: Surrogate,
 
 
 def density_by_sampling(s: Surrogate, n_samples: int = SAMPLING_DEFAULT,
-                        seed: int = 0, knots: int = CDF_KNOTS
-                        ) -> IntermediateDensity:
+                        seed: int = 0) -> IntermediateDensity:
     """Monotone piecewise-cubic CDF fit over surrogate samples.
 
     Knot levels are deterministic: a uniform bulk grid plus refined tail
@@ -252,7 +244,7 @@ def density_by_sampling(s: Surrogate, n_samples: int = SAMPLING_DEFAULT,
     hi = min(z_max, float(q3 + 3 * iqr))
     z = z[(z >= lo) & (z <= hi)]
 
-    bulk_n = max(9, knots - 2 * len(_TAIL_LEVELS) - 2)
+    bulk_n = CDF_KNOTS - 2 * len(_TAIL_LEVELS) - 2
     grid = np.array(sorted(set(
         [0.0, 1.0] + list(_TAIL_LEVELS) + [1.0 - t for t in _TAIL_LEVELS]
         + list(np.linspace(0.025, 0.975, bulk_n)))))
@@ -336,7 +328,8 @@ def demo_system(name: str, densities: Sequence[IntermediateDensity],
     'rc_zeta': one-state RC charging circuit whose time constant is
     r * c * (1 + spread * zeta_1); single block only.
     """
-    factory = _DEMO_SYSTEMS.get(name.replace("-", "_"))
+    factory = _DEMO_SYSTEMS.get(
+        name.removeprefix("builtin:").replace("-", "_"))
     if factory is None:
         raise KeyError(f"no demo system named '{name}'")
     _check_params(f"demo system '{name}'", factory, params)

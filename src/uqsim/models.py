@@ -88,7 +88,8 @@ class StochasticDae:
     q(x, xi) -> n-vector of charges/fluxes; f(x, xi, t) -> n-vector of
     resistive/source terms; B is the n-by-m incidence of the linear inputs
     u(t) -> m-vector.  Jacobians are optional; central finite differences
-    with step max(1e-7, 1e-7|x_i|) stand in when they are missing.
+    with step max(1e-7, 1e-7|x_i|) stand in when they are missing.  The
+    states are the outputs; unlabeled, they are "x0".."x{n-1}".
 
     A batched model's q, f, dq_dx and df_dx also accept stacks: x of shape
     (..., n) and xi of shape (..., d) with matching leading axes give
@@ -126,6 +127,20 @@ class StochasticDae:
         object.__setattr__(self, "distributions", tuple(self.distributions))
         if len(self.distributions) != self.d:
             raise ValueError("need one distribution entry per random input")
+        if self.labels is None:
+            object.__setattr__(self, "labels",
+                               tuple(f"x{j}" for j in range(self.n)))
+
+    def output_index(self, output: int | str) -> int:
+        """Position of an output given by index or by label."""
+        if isinstance(output, int):
+            if not 0 <= output < self.n:
+                raise ValueError(f"output index {output} out of range for a "
+                                 f"model with {self.n} outputs")
+            return output
+        if output in self.labels:
+            return self.labels.index(output)
+        raise ValueError(f"model has no output labeled {output!r}")
 
     def jac_q(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         if self.dq_dx is not None:
@@ -448,8 +463,9 @@ BUILTIN_MODELS = {
 
 
 def builtin_model(name: str, **params) -> StochasticDae:
-    """Builtin model `name`; `params` override its factory's defaults."""
-    key = name.replace("-", "_")
+    """Builtin model `name`, also spelled `builtin:name`, with hyphens or
+    underscores; `params` override its factory's defaults."""
+    key = name.removeprefix("builtin:").replace("-", "_")
     try:
         factory = BUILTIN_MODELS[key]
     except KeyError:

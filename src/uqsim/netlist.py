@@ -39,7 +39,6 @@ __all__ = [
     "Analysis",
     "Netlist",
     "parse_netlist",
-    "print_netlist",
     "elaborate",
 ]
 
@@ -280,45 +279,6 @@ def parse_netlist(text: str, filename: str = "<netlist>") -> Netlist:
                     f"(only {e.name} touches it)")
 
     return Netlist(tuple(elements), tuple(variations), tuple(analyses))
-
-
-def _format_number(v: float) -> str:
-    return repr(float(v))
-
-
-def _format_distribution(dist: Distribution) -> str:
-    name = next(s for s, kind in _SPELLINGS.items() if kind == dist.kind)
-    args = ",".join(_format_number(p) for p in dist.params)
-    return f"{name}({args})"
-
-
-def print_netlist(nl: Netlist) -> str:
-    """Canonical text form; parsing it back gives an equal Netlist."""
-    vars_by_element: dict[str, list] = {}
-    for v in nl.variations:
-        vars_by_element.setdefault(v.element, []).append(v)
-    lines = []
-    for e in nl.elements:
-        principal, takes_value, extra_keys = _KIND_INFO[e.kind]
-        parts = [e.name, *e.nodes]
-        if takes_value:
-            parts.append(_format_number(e.params[principal]))
-        for k in extra_keys:
-            if k in e.params:
-                parts.append(f"{k}={_format_number(e.params[k])}")
-        for v in vars_by_element.get(e.name, ()):
-            key = ("variation" if v.param == principal
-                   else f"variation.{v.param}")
-            prefix = "relative:" if v.mode == "relative" else ""
-            parts.append(f"{key}={prefix}{_format_distribution(v.distribution)}")
-        lines.append(" ".join(parts))
-    for a in nl.analyses:
-        if a.kind == "op":
-            lines.append(".op")
-        else:
-            lines.append(".tran " + " ".join(_format_number(x)
-                                             for x in a.args))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

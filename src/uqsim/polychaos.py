@@ -56,10 +56,7 @@ __all__ = [
     "monotone_cubic",
     "PiecewisePoly",
     "total_degree_index_set",
-    "eval_multivariate_basis",
     "tensor_quadrature",
-    "gpc_eval",
-    "gpc_mean_variance",
     "expansion_to_dict",
     "expansion_to_json",
     "expansion_from_json",
@@ -193,9 +190,6 @@ class Distribution:
         if self.kind in FAMILIES:
             return FAMILIES[self.kind].inv_cdf(u, *self.params)
         return self._custom_inv_cdf_eval(u)
-
-    def median(self) -> float:
-        return float(self.inv_cdf(0.5))
 
     # -- numerics for custom densities --------------------------------------
 
@@ -646,11 +640,6 @@ class OrthoBasis:
             out[..., j + 1] = pi / self.norms[j + 1]
         return out
 
-    def eval_one(self, j: int, x) -> np.ndarray:
-        if not 0 <= j <= self.order:
-            raise ValueError(f"degree {j} outside basis order {self.order}")
-        return self.eval_table(x)[..., j]
-
 
 def _basis_from_monic(gamma: np.ndarray, kappa: np.ndarray, order: int,
                       dist: Distribution | None) -> OrthoBasis:
@@ -907,17 +896,6 @@ def total_degree_index_set(dimension: int, order: int) -> MultiIndexSet:
     return idx
 
 
-def eval_multivariate_basis(index_set: MultiIndexSet,
-                            bases: Sequence[OrthoBasis],
-                            point: np.ndarray) -> np.ndarray:
-    """Vector of the K multivariate basis values H_alpha(point)."""
-    point = np.asarray(point, dtype=float)
-    if point.shape != (index_set.dimension,):
-        raise ValueError(
-            f"point must have shape ({index_set.dimension},), got {point.shape}")
-    return _basis_matrix(index_set, bases, point[None, :])[0]
-
-
 def _basis_matrix(index_set: MultiIndexSet, bases: Sequence[OrthoBasis],
                   points: np.ndarray) -> np.ndarray:
     """(N, K) matrix of basis values at N points."""
@@ -974,64 +952,61 @@ class GpcExpansion:
         return self.coefficients.shape[1]
 
     def eval(self, point, check_support: bool = True) -> np.ndarray:
-        return gpc_eval(self, point, check_support)
+        """Values at one parameter point.
+
+        Points outside a marginal's support are legal (polynomial
+        extrapolation) but trigger a RuntimeWarning when check_support is
+        set.
+        """
+        point = np.asarray(point, dtype=float)
+        values = self.eval_many(point[None])[0]
+        if check_support:
+            for k, basis in enumerate(self.bases):
+                dist = basis.distribution
+                if dist is None:
+                    continue
+                lo, hi = dist.support
+                if not lo <= point[k] <= hi:
+                    warnings.warn(
+                        f"evaluation point {point[k]:.6g} lies outside the "
+                        f"support of input {k}; extrapolating",
+                        RuntimeWarning, stacklevel=2)
+        return values
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """(N, n) values at N points, given as (N, d), or as (N,) when
         d = 1; no support checking."""
         points = np.asarray(points, dtype=float)
-        # an (N, 0) stack keeps its N rows, which reshape(-1, 0) cannot infer
-        points = points.reshape(
-            len(points) if points.ndim == 2 else -1, self.dimension)
+        if points.ndim == 1 and self.dimension == 1:
+            points = points[:, None]
+        if points.ndim != 2 or points.shape[1] != self.dimension:
+            raise ValueError(
+                f"points of shape {points.shape} are not (N, "
+                f"{self.dimension}): the expansion has {self.dimension} "
+                f"random inputs")
         return _basis_matrix(self.index_set, self.bases, points) @ self.coefficients
 
     def mean_variance(self) -> tuple[np.ndarray, np.ndarray]:
-        return gpc_mean_variance(self)
+        """Mean and variance per output, read off the orthonormal
+        coefficients."""
+        c = self.coefficients
+        zero = tuple([0] * self.dimension)
+        if zero in self.index_set:
+            k0 = self.index_set.position(zero)
+            mean = c[k0].copy()
+        else:
+            k0 = -1
+            mean = np.zeros(c.shape[1])
+        mask = np.ones(c.shape[0], dtype=bool)
+        if k0 >= 0:
+            mask[k0] = False
+        var = np.sum(c[mask] ** 2, axis=0)
+        return mean, var
 
     def scalar_coefficients(self) -> np.ndarray:
         if self.n_outputs != 1:
             raise ValueError("expansion holds more than one output")
         return self.coefficients[:, 0]
-
-
-def gpc_eval(expansion: GpcExpansion, point, check_support: bool = True
-             ) -> np.ndarray:
-    """Evaluate the expansion at one parameter point.
-
-    Points outside a marginal's support are legal (polynomial extrapolation)
-    but trigger a RuntimeWarning when check_support is set.
-    """
-    point = np.asarray(point, dtype=float)
-    if check_support:
-        for k, basis in enumerate(expansion.bases):
-            dist = basis.distribution
-            if dist is None:
-                continue
-            lo, hi = dist.support
-            if not lo <= point[k] <= hi:
-                warnings.warn(
-                    f"evaluation point {point[k]:.6g} lies outside the "
-                    f"support of input {k}; extrapolating", RuntimeWarning,
-                    stacklevel=2)
-    H = eval_multivariate_basis(expansion.index_set, expansion.bases, point)
-    return H @ expansion.coefficients
-
-
-def gpc_mean_variance(expansion: GpcExpansion) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and variance per output, read off the orthonormal coefficients."""
-    c = expansion.coefficients
-    zero = tuple([0] * expansion.dimension)
-    if zero in expansion.index_set:
-        k0 = expansion.index_set.position(zero)
-        mean = c[k0].copy()
-    else:
-        k0 = -1
-        mean = np.zeros(c.shape[1])
-    mask = np.ones(c.shape[0], dtype=bool)
-    if k0 >= 0:
-        mask[k0] = False
-    var = np.sum(c[mask] ** 2, axis=0)
-    return mean, var
 
 
 # ---------------------------------------------------------------------------

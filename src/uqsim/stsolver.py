@@ -422,7 +422,7 @@ class StSolution:
     expansions: tuple            # one GpcExpansion per time point
     step_log: tuple              # (t_start, h, accepted, lte_estimate)
     n_point_solves: int
-    labels: tuple | None = None
+    labels: tuple
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -434,22 +434,14 @@ class StSolution:
     def final(self) -> GpcExpansion:
         return self.expansions[-1]
 
-    def mean_std_table(self) -> np.ndarray:
-        """(T, 1 + 2*n) array: t, then mean and std per output."""
-        rows = []
+    def to_csv(self) -> str:
+        """One row per time: t, then mean and std per output."""
+        header = ["t"] + [f"mean_{l}" for l in self.labels] + [
+            f"std_{l}" for l in self.labels]
+        lines = [",".join(header)]
         for t, exp in zip(self.times, self.expansions):
             mean, var = exp.mean_variance()
-            rows.append(np.concatenate([[t], mean,
-                                        np.sqrt(np.maximum(var, 0.0))]))
-        return np.array(rows)
-
-    def to_csv(self) -> str:
-        n = self.expansions[0].n_outputs
-        labels = self.labels or tuple(f"x{i}" for i in range(n))
-        header = ["t"] + [f"mean_{l}" for l in labels] + [
-            f"std_{l}" for l in labels]
-        lines = [",".join(header)]
-        for row in self.mean_std_table():
+            row = np.concatenate([[t], mean, np.sqrt(var)])
             lines.append(",".join(repr(float(v)) for v in row))
         return "\n".join(lines) + "\n"
 
@@ -761,9 +753,6 @@ def integrate_transient(model: StochasticDae, tps: TestingPointSet,
     points, so x0 may have any order."""
     if x0 is None:
         x0 = solve_dc(model, tps, options)
-    elif x0.dimension != tps.points.shape[1]:
-        raise ValueError(f"x0 has {x0.dimension} random inputs, the testing "
-                         f"points {tps.points.shape[1]}")
     times, states, log, solves = _integrate_points(
         model, tps.points, x0.eval_many(tps.points), t_span, options)
     expansions = tuple(recover_coefficients(X, tps) for X in states)

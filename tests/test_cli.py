@@ -292,7 +292,7 @@ def test_solver_failure_is_numeric_error(divider, tmp_path, capsys):
     ("dc", "order", 2.5),
     ("dc", "order", True),
     ("mc", "seed", 1.0),
-    ("hier-extract", "knots", "51"),
+    ("hier-extract", "seed", "51"),
     ("mc", "t_end", "1e-3"),
     ("hier-extract", "density", None),
     ("anova", "anchor", [None]),
@@ -333,7 +333,9 @@ def test_wrong_type_config_value_is_user_error(tmp_path, capsys, analysis,
 ])
 def test_wrong_type_solver_value_is_user_error(tmp_path, capsys, analysis,
                                                key, value):
-    job = {"solver": {key: value}, "samples": 10}
+    job = {"solver": {key: value}}
+    if analysis == "mc":
+        job["samples"] = 10
     if analysis == "transient":
         job["t_end"] = 1e-3
     config = tmp_path / "job.json"
@@ -641,6 +643,55 @@ def test_anova_stacks_stay_within_the_chunk(tmp_path, monkeypatch):
     rows = _chunk_rows(20)
     assert max(size for _, size in sizes) == rows
     assert sum(size for _, size in sizes) == 1 + 18 * 4 + 153 * 10 > 2 * rows
+
+
+RC_TRANSIENT = ["transient", "--model", "builtin:rc-lowpass",
+                "--t-end", "1e-3"]
+DIODE = ["--model", "builtin:diode-rectifier"]
+
+
+@pytest.mark.parametrize("argv,config,named", [
+    (RC_TRANSIENT, {"x0": "zero"}, "x0"),
+    (RC_TRANSIENT, {"knots": 7}, "knots"),
+    (RC_TRANSIENT, {"density": "sampling"}, "density"),
+    (RC_TRANSIENT, {"system": "sum"}, "system"),
+    (RC_TRANSIENT, {"samples": 10}, "samples"),
+    (["dc"] + DIODE, {"seed": 1}, "seed"),
+    (["dc"] + DIODE, {"analysis": "mc"}, "analysis"),
+    (["mc"] + DIODE, {"order": 3}, "order"),
+    (["hier-propagate", "--system", "sum"], {"netlist": "a.cir"},
+     "netlist"),
+    (["dc", "--seed", "1"] + DIODE, None, "--seed"),
+    (RC_TRANSIENT + ["--seed", "1"], None, "--seed"),
+    (["anova", "--seed", "1"] + DIODE, None, "--seed"),
+    (["sensitivity", "--seed", "1"] + DIODE, None, "--seed"),
+    (["hier-propagate", "--system", "sum", "--seed", "1"], None, "--seed"),
+    (["mc", "--order", "3"] + DIODE, None, "--order"),
+    (["hier-extract", "--knots", "51"] + DIODE, None, "--knots"),
+])
+def test_key_or_flag_the_analysis_does_not_read_is_user_error(
+        tmp_path, capsys, argv, config, named):
+    # each of these was accepted and ignored
+    if config is not None:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    rc = cli.main(argv + ["--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    error = capture_error(capsys)
+    assert error["error"] == "config" and named in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_anchor_of_wrong_length_is_user_error(tmp_path, capsys):
+    # numpy's broadcast error named neither the key nor the counts
+    rc = cli.main(["anova", "--anchor", "0.5,0.5,0.5", "--output", "1",
+                   "--outdir", str(tmp_path)] + DIODE)
+    assert rc == 1
+    error = capture_error(capsys)
+    assert error["error"] == "config"
+    assert "anchor has 3 quantiles" in error["message"]
+    assert "(2)" in error["message"]
 
 
 def test_unknown_output_label_is_user_error(divider, capsys):

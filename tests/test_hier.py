@@ -315,6 +315,11 @@ def test_demo_system_validation():
         hier.demo_system("rc_zeta", [d1, d1])
 
 
+def test_demo_system_takes_the_builtin_spelling():
+    d1 = hier.density_by_quadrature(skewed_surrogate())
+    assert hier.demo_system("builtin:rc-zeta", [d1]).labels == ("v_out",)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -215,6 +215,24 @@ class TestBuiltins:
         dae = builtin_model("plate-actuator")
         assert dae.n == 2 and dae.d == 2
 
+    def test_builtin_prefix(self):
+        dae = builtin_model("builtin:plate-actuator")
+        assert dae.labels == builtin_model("plate_actuator").labels
+
+    def test_outputs_resolve_by_index_or_label(self):
+        dae = builtin_model("diode_rectifier")
+        assert dae.output_index(1) == dae.output_index("v(2)") == 1
+        with pytest.raises(ValueError, match="out of range"):
+            dae.output_index(3)
+        with pytest.raises(ValueError, match="no output labeled 'v[(]9[)]'"):
+            dae.output_index("v(9)")
+
+    def test_unlabeled_outputs_are_x_j(self):
+        dae = algebraic_model(lambda xi: [xi[0], 1.0],
+                              (Distribution.gaussian(0.0, 1.0),), 2)
+        assert dae.labels == ("x0", "x1")
+        assert dae.output_index("x1") == 1
+
     def test_rc_lowpass_structure(self):
         dae = builtin_model("rc_lowpass")
         assert dae.n == 3 and dae.d == 1

@@ -46,6 +46,29 @@ def test_readme_examples_run():
 
 
 PERFBENCH = SCRIPTS.parent / "perfbench"
+PACKAGE = SCRIPTS.parent / "src" / "uqsim"
+
+
+def test_every_public_name_has_a_user():
+    # a name only the tests use is test code and belongs in tests/; its own
+    # definition, __all__ lists and the package's re-exports do not count
+    modules = sorted(p for p in PACKAGE.glob("*.py")
+                     if p.name != "__init__.py")
+    texts = [re.sub(r"^__all__ = \[.*?\]", "", path.read_text(),
+                    flags=re.S | re.M) for path in modules]
+    texts += [path.read_text() for path in sorted(SCRIPTS.glob("*.py"))
+              + sorted(PERFBENCH.glob("*.py"))]
+    texts.append((SCRIPTS.parent / "README.md").read_text())
+    corpus = "\n".join(texts)
+    unused = []
+    for path in modules:
+        module = importlib.import_module(f"uqsim.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            definition = rf"^(?:(?:def|class) {name}\b|{name} =).*$"
+            uses = re.sub(definition, "", corpus, flags=re.M)
+            if not re.search(rf"\b{name}\b", uses):
+                unused.append(f"{path.stem}.{name}")
+    assert unused == []
 
 
 def test_benchmark_harness_reads_the_library(tmp_path):
