@@ -200,6 +200,9 @@ def _parse_anchor(value) -> tuple[float, ...] | None:
 def _parse_output(value):
     if value is None:
         return 0
+    if isinstance(value, bool):
+        raise UsageError(f"output must be an index or a label, got "
+                         f"{value!r}")
     if isinstance(value, int):
         return value
     text = str(value)
@@ -502,26 +505,31 @@ def _run_mc(cfg: JobConfig) -> None:
 
 def _density_to_doc(dens: hier.IntermediateDensity) -> dict:
     doc = {"kind": dens.kind,
-           "support": [float(dens.support[0]), float(dens.support[1])]}
+           "support": [float(dens.support[0]), float(dens.support[1])],
+           "cdf_knots": {"x": dens.cdf.x.tolist(),
+                         "p": dens.cdf(dens.cdf.x).tolist()}}
     if dens.kind == "quadrature":
         pts, wts = dens.atoms
         doc["atoms"] = {"points": pts.tolist(), "weights": wts.tolist()}
         doc["exact_degree"] = int(dens.exact_degree)
-    else:
-        doc["cdf_knots"] = {"x": dens.cdf.x.tolist(),
-                            "p": dens.cdf(dens.cdf.x).tolist()}
     return doc
 
 
 def _density_from_doc(doc: dict) -> hier.IntermediateDensity:
+    if doc["kind"] == "quadrature" and "cdf_knots" not in doc:
+        # a block holding the whole pushforward: compress it as extraction
+        # does
+        return hier.IntermediateDensity.from_pushforward(
+            doc["atoms"]["points"], doc["atoms"]["weights"],
+            int(doc["exact_degree"]))
     support = (float(doc["support"][0]), float(doc["support"][1]))
+    cdf = monotone_cubic(doc["cdf_knots"]["x"], doc["cdf_knots"]["p"])
     if doc["kind"] == "quadrature":
         atoms = (np.asarray(doc["atoms"]["points"], dtype=float),
                  np.asarray(doc["atoms"]["weights"], dtype=float))
         return hier.IntermediateDensity(
-            kind="quadrature", support=support, atoms=atoms,
+            kind="quadrature", support=support, cdf=cdf, atoms=atoms,
             exact_degree=int(doc["exact_degree"]))
-    cdf = monotone_cubic(doc["cdf_knots"]["x"], doc["cdf_knots"]["p"])
     return hier.IntermediateDensity(kind="sampled", support=support,
                                     cdf=cdf)
 

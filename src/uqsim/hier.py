@@ -2,12 +2,13 @@
 
 Each subsystem's scalar gPC surrogate y_i = f_i(xi_i) is compressed into a
 normalized variable zeta_i = (y_i - a_i)/b_i with zero mean and unit
-variance.  The density of zeta_i is represented either by the pushforward
-of a Gauss rule in the block's own parameter space (exact moments, no
-explicit density needed) or by a monotone piecewise-cubic CDF fitted to
-samples.  A custom orthonormal basis and Gauss rule are then built for
-zeta_i with the Stieltjes procedure, and the system level treats the
-zeta_i as fresh independent inputs for the stochastic testing solver.
+variance.  The density of zeta_i is represented either by a small Gauss
+rule with the moments of the pushforward of a Gauss rule in the block's own
+parameter space (exact moments, no explicit density needed) or by a
+monotone piecewise-cubic CDF fitted to samples.  A custom orthonormal
+basis and Gauss rule are then built for zeta_i with the Stieltjes
+procedure, and the system level treats the zeta_i as fresh independent
+inputs for the stochastic testing solver.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from typing import Sequence
 import numpy as np
 
 from .models import StochasticDae, _check_params, algebraic_model
-from .polychaos import (Distribution, GpcExpansion, OrthoBasis,
-                        PiecewisePoly, QuadratureRule, golub_welsch,
-                        monotone_cubic, stieltjes_basis, tensor_quadrature)
+from .polychaos import (DegenerateMeasureError, Distribution, GpcExpansion,
+                        OrthoBasis, PiecewisePoly, QuadratureRule,
+                        golub_welsch, monotone_cubic, stieltjes_basis,
+                        tensor_quadrature)
 from .stsolver import (SolverOptions, integrate_transient,
                        select_testing_points, solve_dc, standard_bases)
 
@@ -42,6 +44,13 @@ DEFAULT_ZETA_DEGREE = 14   # pushforward rules resolve moments to this degree
 SAMPLING_MIN = 10_000
 SAMPLING_DEFAULT = 100_000
 CDF_KNOTS = 51
+# a quadrature density refuses a pushforward rule above this many nodes
+# (the 22^4 rule of a 4-input block at order 3 has 234,256) and evaluates
+# zeta on this many rule rows at a time; a power of two, so chunk edges
+# fall on the row blocks of the matrix-vector kernel and every value keeps
+# the bits of a one-shot evaluation
+PUSHFORWARD_NODE_CAP = 2 ** 20
+PUSHFORWARD_CHUNK = 2 ** 14
 # quantile levels reserved for tail resolution on top of the uniform bulk
 _TAIL_LEVELS = (0.0005, 0.001, 0.002, 0.005, 0.01)
 
@@ -106,37 +115,67 @@ def extract_block_surrogate(model: StochasticDae, order: int,
 class IntermediateDensity:
     """Density of one intermediate variable zeta.
 
-    kind 'quadrature': atoms is the pushforward of a Gauss rule in the
-    block's parameter space; moments of zeta up to exact_degree are exact
-    sums over the atoms and no explicit density is ever needed.  kind
-    'sampled': cdf is a monotone piecewise-cubic interpolant of the
-    empirical CDF (polychaos.monotone_cubic, the same fit as scipy's PCHIP);
-    the density is its derivative.
+    Both kinds carry cdf, a monotone piecewise-cubic CDF table
+    (polychaos.monotone_cubic, the same fit as scipy's PCHIP) whose
+    derivative is the smooth density behind density() and
+    as_distribution().  kind 'quadrature' also carries atoms, an n-node
+    Gauss rule (points, weights) with the moments of the block's
+    pushforward measure up to exact_degree, n = exact_degree//2 + 1;
+    propagation reads zeta only through these moments, so no explicit
+    density is ever integrated.  kind 'sampled' integrates the derivative
+    of its fitted CDF.  support is the hull of the pushforward values or
+    of the kept samples.
     """
 
     kind: str                # "quadrature" | "sampled"
     support: tuple
-    atoms: tuple | None = None        # (points, weights)
-    cdf: PiecewisePoly | None = None  # knots in cdf.x
+    cdf: PiecewisePoly                # knots in cdf.x
+    atoms: tuple | None = None        # (points, weights); quadrature only
     exact_degree: int | None = None   # quadrature kind only
+
+    @classmethod
+    def from_pushforward(cls, values, weights, exact_degree: int
+                         ) -> "IntermediateDensity":
+        """Quadrature density of the measure sum_i weights_i at values_i.
+
+        atoms become the exact_degree//2 + 1 node Gauss rule of the measure
+        (discrete Stieltjes, then Golub-Welsch; Gautschi 2004, sec. 2.2),
+        whose moments match the measure's to degree 2n - 1 >=
+        exact_degree.  A measure of only j numerically
+        distinct values raises DegenerateMeasureError at degree j and is
+        its own j-node Gauss rule, so it keeps j nodes.  The CDF table
+        interpolates the midpoint CDF of the sorted values at the
+        CDF_KNOTS levels, with levels 0 and 1 one knot spacing beyond the
+        hull.
+        """
+        rule = QuadratureRule(values, weights, 1)
+        order = np.argsort(rule.points, kind="stable")
+        z, w = rule.points[order], rule.weights[order]
+        if not (np.all(np.isfinite(z)) and z[-1] > z[0]):
+            raise ValueError("pushforward values must be finite and span an "
+                             "interval")
+        n = int(exact_degree) // 2 + 1
+        try:
+            basis = stieltjes_basis(None, n - 1, integrator=rule)
+        except DegenerateMeasureError as err:
+            n = err.degree
+            basis = stieltjes_basis(None, n - 1, integrator=rule)
+        gauss = golub_welsch(basis, n)
+
+        cum = np.cumsum(w)
+        levels = _cdf_levels()
+        xs = np.interp(levels, (cum - 0.5 * w) / cum[-1], z)
+        pad = (z[-1] - z[0]) / (CDF_KNOTS - 1)
+        xs[0], xs[-1] = z[0] - pad, z[-1] + pad
+        xs, first = np.unique(xs, return_index=True)
+        return cls(kind="quadrature", support=(float(z[0]), float(z[-1])),
+                   cdf=monotone_cubic(xs, levels[first]),
+                   atoms=(gauss.points, gauss.weights),
+                   exact_degree=int(exact_degree))
 
     @cached_property
     def _pdf(self):
-        if self.kind == "sampled":
-            return self.cdf.derivative()
-        # smooth stand-in for plotting/validation: monotone fit of the
-        # atom CDF (moment integrals never use this); the half-atom mass
-        # beyond the outermost atoms gets one atom-spacing of room
-        pts, wts = self.atoms
-        order = np.argsort(pts)
-        pts, wts = pts[order], wts[order]
-        cum = np.cumsum(wts) - 0.5 * wts
-        knots, first = np.unique(pts, return_index=True)
-        lo, hi = self.support
-        pad = (hi - lo) / max(len(knots), 2)
-        xs = np.concatenate([[lo - pad], knots, [hi + pad]])
-        ys = np.concatenate([[0.0], cum[first], [1.0]])
-        return monotone_cubic(xs, ys).derivative()
+        return self.cdf.derivative()
 
     def density(self, z) -> np.ndarray:
         """Density evaluation over the interpolant's own span."""
@@ -161,7 +200,7 @@ class IntermediateDensity:
         knots = np.asarray(self.cdf.x)
         n_seg = int(np.ceil((degree + 3) / 2)) + 1
         gl_x, gl_w = np.polynomial.legendre.leggauss(n_seg)
-        pdf = self.cdf.derivative()
+        pdf = self._pdf
         pts, wts = [], []
         for a, b in zip(knots[:-1], knots[1:]):
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -186,6 +225,15 @@ class IntermediateDensity:
             validate=False)
 
 
+def _cdf_levels() -> np.ndarray:
+    """CDF_KNOTS levels from 0 to 1: a uniform bulk grid plus the
+    _TAIL_LEVELS at each end."""
+    bulk_n = CDF_KNOTS - 2 * len(_TAIL_LEVELS) - 2
+    return np.array(sorted(set(
+        [0.0, 1.0] + list(_TAIL_LEVELS) + [1.0 - t for t in _TAIL_LEVELS]
+        + list(np.linspace(0.025, 0.975, bulk_n)))))
+
+
 def _oversampled_rule(dists: Sequence[Distribution], nodes: int
                       ) -> QuadratureRule:
     return tensor_quadrature([golub_welsch(basis, nodes)
@@ -195,21 +243,32 @@ def _oversampled_rule(dists: Sequence[Distribution], nodes: int
 def density_by_quadrature(s: Surrogate,
                           max_degree: int = DEFAULT_ZETA_DEGREE
                           ) -> IntermediateDensity:
-    """Pushforward of a parameter-space Gauss rule through zeta(xi).
+    """Pushforward of a parameter-space Gauss rule through zeta(xi),
+    compressed to a Gauss rule in zeta (IntermediateDensity.from_pushforward).
 
     The rule resolves zeta-moments up to max_degree: a zeta-polynomial of
     degree D composes with the degree-p surrogate to a degree D*p
-    integrand, so each dimension gets ceil((D*p + 1)/2) Gauss nodes.
+    integrand, so each of the d dimensions gets ceil((D*p + 1)/2) Gauss
+    nodes.  A rule of more than PUSHFORWARD_NODE_CAP nodes is refused
+    before it is built.  zeta is evaluated on PUSHFORWARD_CHUNK rule rows
+    at a time, so of the whole rule only its points, values and weights
+    are held.
     """
     p_surr = max(1, s.zeta.index_set.total_order)
     nodes = int(np.ceil((max_degree * p_surr + 1) / 2))
+    d = len(s.distributions)
+    if nodes ** d > PUSHFORWARD_NODE_CAP:
+        raise ValueError(
+            f"the quadrature density needs {nodes}^{d} = {nodes ** d:,} "
+            f"pushforward nodes, above the bound of "
+            f"{PUSHFORWARD_NODE_CAP:,}; use --density sampling or a lower "
+            "--order")
     rule = _oversampled_rule(s.distributions, nodes)
-    values = s.zeta.eval_many(rule.points).ravel()
-    return IntermediateDensity(
-        kind="quadrature",
-        support=(float(values.min()), float(values.max())),
-        atoms=(values, rule.weights),
-        exact_degree=int(max_degree))
+    values = np.concatenate([
+        s.zeta.eval_many(rule.points[i:i + PUSHFORWARD_CHUNK]).ravel()
+        for i in range(0, len(rule), PUSHFORWARD_CHUNK)])
+    return IntermediateDensity.from_pushforward(values, rule.weights,
+                                                max_degree)
 
 
 def density_by_sampling(s: Surrogate, n_samples: int = SAMPLING_DEFAULT,
@@ -244,10 +303,7 @@ def density_by_sampling(s: Surrogate, n_samples: int = SAMPLING_DEFAULT,
     hi = min(z_max, float(q3 + 3 * iqr))
     z = z[(z >= lo) & (z <= hi)]
 
-    bulk_n = CDF_KNOTS - 2 * len(_TAIL_LEVELS) - 2
-    grid = np.array(sorted(set(
-        [0.0, 1.0] + list(_TAIL_LEVELS) + [1.0 - t for t in _TAIL_LEVELS]
-        + list(np.linspace(0.025, 0.975, bulk_n)))))
+    grid = _cdf_levels()
     xs = np.quantile(z, grid)
     xs[1:-1] = 0.25 * xs[:-2] + 0.5 * xs[1:-1] + 0.25 * xs[2:]
     xs = np.maximum.accumulate(xs)

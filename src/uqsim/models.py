@@ -133,6 +133,9 @@ class StochasticDae:
 
     def output_index(self, output: int | str) -> int:
         """Position of an output given by index or by label."""
+        if isinstance(output, bool):
+            raise ValueError(f"output must be an index or a label, got "
+                             f"{output!r}")
         if isinstance(output, int):
             if not 0 <= output < self.n:
                 raise ValueError(f"output index {output} out of range for a "

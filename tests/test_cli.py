@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from uqsim import cli
+from uqsim import cli, hier
 from uqsim.anova import sample_count
 from uqsim.polychaos import expansion_from_json
 
@@ -305,6 +307,8 @@ def test_solver_failure_is_numeric_error(divider, tmp_path, capsys):
     ("hier-propagate", "blocks", 5),
     ("hier-propagate", "blocks", "ab"),
     ("hier-propagate", "blocks", [1]),
+    ("anova", "output", True),
+    ("hier-extract", "output", True),
 ])
 def test_wrong_type_config_value_is_user_error(tmp_path, capsys, analysis,
                                                key, value):
@@ -708,6 +712,95 @@ def block(tmp_path_factory):
                      "--order", "2", "--output", "v(2)",
                      "--outdir", str(out)]) == 0
     return str(out / "block.json")
+
+
+def ladder_netlist(stages: int) -> str:
+    """Diode-RC ladder with one relative resistor variation per stage."""
+    lines = ["V1 n0 0 1.0"]
+    for k in range(1, stages + 1):
+        lines += [f"R{k} n{k - 1} n{k} 1k variation=relative:uniform(0.9,1.1)",
+                  f"D{k} n{k} 0 is=1e-9 nvt=0.02585", f"C{k} n{k} 0 1u"]
+    return "\n".join(lines) + "\n"
+
+
+def test_ladder_block_holds_a_compact_rule(tmp_path):
+    # the 22^4 pushforward atoms of a 4-stage ladder at order 3 once made a
+    # 12 MB block; the 8-node rule and the CDF table keep it small
+    path = tmp_path / "ladder4.cir"
+    path.write_text(ladder_netlist(4))
+    assert cli.main(["hier-extract", "--netlist", str(path), "--order", "3",
+                     "--output", "v(n4)", "--outdir", str(tmp_path)]) == 0
+    block = tmp_path / "block.json"
+    assert block.stat().st_size < 10_000
+    dens = json.loads(block.read_text())["density"]
+    assert dens["exact_degree"] == 14 and len(dens["atoms"]["points"]) == 8
+    assert len(dens["cdf_knots"]["x"]) == 51
+
+
+def test_pushforward_beyond_the_node_bound_is_refused_up_front(
+        tmp_path, capsys, monkeypatch):
+    # a 6-stage ladder at order 3 needs 22^6 = 113M nodes, 5.4 GB of
+    # points; the guard fails the test should the rule ever be built
+    def guard(rules):
+        raise AssertionError(f"built a {np.prod([len(r) for r in rules])}"
+                             f"-node rule")
+
+    monkeypatch.setattr(hier, "tensor_quadrature", guard)
+    path = tmp_path / "ladder6.cir"
+    path.write_text(ladder_netlist(6))
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        rc = cli.main(["hier-extract", "--netlist", str(path), "--order",
+                       "3", "--output", "v(n6)", "--outdir", str(tmp_path)])
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    error = capture_error(capsys)
+    assert error["error"] == "config"
+    for words in ("22^6 = 113,379,904", f"{hier.PUSHFORWARD_NODE_CAP:,}",
+                  "--density sampling", "--order"):
+        assert words in error["message"]
+    assert elapsed < 1.0
+    assert peak < 20e6
+    assert not (tmp_path / "block.json").exists()
+
+
+def test_block_with_the_whole_pushforward_loads_alike(tmp_path, monkeypatch):
+    # a block once held every pushforward atom and no cdf_knots; it loads
+    # through the compression that extraction runs, so it propagates to
+    # the same bytes
+    pushforward = []
+    original = hier.IntermediateDensity.from_pushforward
+
+    def recording(values, weights, exact_degree):
+        pushforward.append((values, weights))
+        return original(values, weights, exact_degree)
+
+    monkeypatch.setattr(hier.IntermediateDensity, "from_pushforward",
+                        recording)
+    assert cli.main(["hier-extract", "--model", "builtin:diode-rectifier",
+                     "--order", "2", "--output", "v(2)",
+                     "--outdir", str(tmp_path / "new")]) == 0
+    (values, weights), = pushforward
+    doc = json.loads((tmp_path / "new" / "block.json").read_text())
+    doc["density"] = {
+        "kind": "quadrature",
+        "support": [float(values.min()), float(values.max())],
+        "atoms": {"points": values.tolist(), "weights": weights.tolist()},
+        "exact_degree": doc["density"]["exact_degree"]}
+    (tmp_path / "old").mkdir()
+    (tmp_path / "old" / "block.json").write_text(json.dumps(doc))
+    for name in ("new", "old"):
+        assert cli.main(["hier-propagate", "--blocks",
+                         str(tmp_path / name / "block.json"), "--system",
+                         "sum", "--order", "3", "--outdir",
+                         str(tmp_path / name)]) == 0
+    for artifact in ("hier_stats.csv", "hier_expansion.json"):
+        assert ((tmp_path / "new" / artifact).read_bytes()
+                == (tmp_path / "old" / artifact).read_bytes())
 
 
 @pytest.mark.parametrize("doc,key", [

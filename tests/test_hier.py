@@ -139,6 +139,75 @@ def test_quadrature_density_evaluation_is_normalized():
     assert dens.density(np.array([lo - span, hi + span])) == pytest.approx(0.0)
 
 
+def three_input_surrogate():
+    # nonlinear in two uniforms and a Gaussian, cubic surrogate
+    unif = Distribution.uniform(-1.0, 1.0)
+    block = algebraic_model(
+        lambda xi: [np.exp(0.4 * xi[0]) + 0.3 * xi[1] + 0.2 * xi[0] * xi[2]],
+        (unif, unif, GAUSS), 1)
+    return hier.extract_block_surrogate(block, 3)
+
+
+def full_pushforward(s, max_degree=hier.DEFAULT_ZETA_DEGREE):
+    """All values and weights of the parameter-space rule, in one shot."""
+    p = s.zeta.index_set.total_order
+    rule = hier._oversampled_rule(s.distributions,
+                                  int(np.ceil((max_degree * p + 1) / 2)))
+    return s.zeta.eval_many(rule.points).ravel(), rule.weights
+
+
+def test_quadrature_density_keeps_the_pushforward_moments():
+    s = three_input_surrogate()
+    values, weights = full_pushforward(s)
+    dens = hier.density_by_quadrature(s)
+    pts, wts = dens.atoms
+    assert len(values) == 22 ** 3 and len(pts) == 8
+    assert dens.exact_degree == 14
+    for k in range(16):     # 8 Gauss nodes are exact to degree 15
+        full = np.sum(weights * values ** k)
+        scale = np.sum(weights * np.abs(values) ** k)
+        assert abs(np.sum(wts * pts ** k) - full) <= 1e-12 * scale, k
+    assert dens.support == (values.min(), values.max())
+    assert np.all(np.diff(dens.cdf(dens.cdf.x)) >= 0.0)
+
+
+def test_chunked_pushforward_keeps_its_bits(monkeypatch):
+    # rows of the basis matrix are independent; a chunk that is a multiple
+    # of the matrix-vector kernel's row block keeps every value's bits
+    s = three_input_surrogate()
+    one_shot = hier.IntermediateDensity.from_pushforward(
+        *full_pushforward(s), hier.DEFAULT_ZETA_DEGREE)
+    monkeypatch.setattr(hier, "PUSHFORWARD_CHUNK", 64)
+    chunked = hier.density_by_quadrature(s)
+    assert len(full_pushforward(s)[0]) > 100 * 64
+    for a, b in zip(chunked.atoms, one_shot.atoms):
+        assert a.tobytes() == b.tobytes()
+    assert chunked.cdf.x.tobytes() == one_shot.cdf.x.tobytes()
+    assert chunked.cdf.c.tobytes() == one_shot.cdf.c.tobytes()
+    assert chunked.support == one_shot.support
+
+
+def test_chi_square_like_pushforward_degenerates_at_degree_eight():
+    # the 15-node Gauss-Hermite pushforward of zeta = (xi^2 - 1)/sqrt(2)
+    # has 8 distinct values: claimed exact to degree 99, it compresses to
+    # those 8 and the basis still fails where the full atoms failed
+    xi, w = np.polynomial.hermite_e.hermegauss(15)
+    dens = hier.IntermediateDensity.from_pushforward(
+        (xi ** 2 - 1.0) / np.sqrt(2.0), w / w.sum(), exact_degree=99)
+    assert len(dens.atoms[0]) == 8
+    hier.build_intermediate_basis(dens, 7)
+    with pytest.raises(DegenerateMeasureError) as err:
+        hier.build_intermediate_basis(dens, 10)
+    assert err.value.degree == 8
+    # the surrogate's own rule resolves degree 14 and builds every basis
+    # it allows
+    s = hier.normalize_surrogate(hermite_expansion([1.0, 0.0, np.sqrt(2.0)]))
+    dens = hier.density_by_quadrature(s)
+    assert len(dens.atoms[0]) == 8
+    for order in range(7):
+        hier.build_intermediate_basis(dens, order)
+
+
 # ---------------------------------------------------------------------------
 # basis and rule construction
 
@@ -172,10 +241,8 @@ def test_uniform_unit_variance_two_point_rule():
 
 
 def test_two_atom_measure_degenerates_at_degree_two():
-    dens = hier.IntermediateDensity(
-        kind="quadrature", support=(-1.0, 1.0),
-        atoms=(np.array([-1.0, 1.0]), np.array([0.5, 0.5])),
-        exact_degree=99)
+    dens = hier.IntermediateDensity.from_pushforward(
+        np.array([-1.0, 1.0]), np.array([0.5, 0.5]), exact_degree=99)
     with pytest.raises(DegenerateMeasureError) as err:
         hier.build_intermediate_basis(dens, 3)
     assert err.value.degree == 2

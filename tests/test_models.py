@@ -226,6 +226,9 @@ class TestBuiltins:
             dae.output_index(3)
         with pytest.raises(ValueError, match="no output labeled 'v[(]9[)]'"):
             dae.output_index("v(9)")
+        # a bool is an int to Python, and True indexed a column mask
+        with pytest.raises(ValueError, match="output must be"):
+            dae.output_index(True)
 
     def test_unlabeled_outputs_are_x_j(self):
         dae = algebraic_model(lambda xi: [xi[0], 1.0],
