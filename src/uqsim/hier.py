@@ -22,8 +22,8 @@ import numpy as np
 from .models import StochasticDae, _check_params, algebraic_model
 from .polychaos import (DegenerateMeasureError, Distribution, GpcExpansion,
                         OrthoBasis, PiecewisePoly, QuadratureRule,
-                        golub_welsch, monotone_cubic, stieltjes_basis,
-                        tensor_quadrature)
+                        _tensor_weights, golub_welsch, monotone_cubic,
+                        stieltjes_basis)
 from .stsolver import (SolverOptions, integrate_transient,
                        select_testing_points, solve_dc, standard_bases)
 
@@ -45,12 +45,9 @@ SAMPLING_MIN = 10_000
 SAMPLING_DEFAULT = 100_000
 CDF_KNOTS = 51
 # a quadrature density refuses a pushforward rule above this many nodes
-# (the 22^4 rule of a 4-input block at order 3 has 234,256) and evaluates
-# zeta on this many rule rows at a time; a power of two, so chunk edges
-# fall on the row blocks of the matrix-vector kernel and every value keeps
-# the bits of a one-shot evaluation
+# (the 22^4 rule of a 4-input block at order 3 has 234,256): zeta's values
+# and the weights, 16 bytes per node, are all it holds of the rule
 PUSHFORWARD_NODE_CAP = 2 ** 20
-PUSHFORWARD_CHUNK = 2 ** 14
 # quantile levels reserved for tail resolution on top of the uniform bulk
 _TAIL_LEVELS = (0.0005, 0.001, 0.002, 0.005, 0.01)
 
@@ -234,12 +231,6 @@ def _cdf_levels() -> np.ndarray:
         + list(np.linspace(0.025, 0.975, bulk_n)))))
 
 
-def _oversampled_rule(dists: Sequence[Distribution], nodes: int
-                      ) -> QuadratureRule:
-    return tensor_quadrature([golub_welsch(basis, nodes)
-                              for basis in standard_bases(dists, nodes - 1)])
-
-
 def density_by_quadrature(s: Surrogate,
                           max_degree: int = DEFAULT_ZETA_DEGREE
                           ) -> IntermediateDensity:
@@ -250,9 +241,10 @@ def density_by_quadrature(s: Surrogate,
     degree D composes with the degree-p surrogate to a degree D*p
     integrand, so each of the d dimensions gets ceil((D*p + 1)/2) Gauss
     nodes.  A rule of more than PUSHFORWARD_NODE_CAP nodes is refused
-    before it is built.  zeta is evaluated on PUSHFORWARD_CHUNK rule rows
-    at a time, so of the whole rule only its points, values and weights
-    are held.
+    before anything is built.  Only the d one-dimensional rules are built:
+    zeta is evaluated on their tensor grid axis by axis
+    (GpcExpansion.eval_grid), so of the whole rule only the values and the
+    weights are held.
     """
     p_surr = max(1, s.zeta.index_set.total_order)
     nodes = int(np.ceil((max_degree * p_surr + 1) / 2))
@@ -263,12 +255,11 @@ def density_by_quadrature(s: Surrogate,
             f"pushforward nodes, above the bound of "
             f"{PUSHFORWARD_NODE_CAP:,}; use --density sampling or a lower "
             "--order")
-    rule = _oversampled_rule(s.distributions, nodes)
-    values = np.concatenate([
-        s.zeta.eval_many(rule.points[i:i + PUSHFORWARD_CHUNK]).ravel()
-        for i in range(0, len(rule), PUSHFORWARD_CHUNK)])
-    return IntermediateDensity.from_pushforward(values, rule.weights,
-                                                max_degree)
+    rules = [golub_welsch(basis, nodes)
+             for basis in standard_bases(s.distributions, nodes - 1)]
+    values = s.zeta.eval_grid([r.points for r in rules]).ravel()
+    return IntermediateDensity.from_pushforward(
+        values, _tensor_weights(rules), max_degree)
 
 
 def density_by_sampling(s: Surrogate, n_samples: int = SAMPLING_DEFAULT,

@@ -73,6 +73,19 @@ TENSOR_DIMENSION_CAP = 8
 _JSON_SCHEMA = "gpc-expansion/1"
 
 
+def _frozen(values, dtype=float) -> np.ndarray:
+    """values as a read-only array: the value types below freeze a copy,
+    never the caller's array.  An array that is read-only already is taken
+    as it is, so a builder hands a large fresh array over without a copy
+    by freezing it first (tensor_quadrature)."""
+    if (isinstance(values, np.ndarray) and not values.flags.writeable
+            and values.dtype == dtype):
+        return values
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
 class DegenerateMeasureError(ValueError):
     """The measure cannot support an orthonormal family at some degree."""
 
@@ -619,9 +632,7 @@ class OrthoBasis:
 
     def __post_init__(self):
         for name in ("gamma", "kappa", "norms"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
         if len(self.gamma) != self.order + 1 or len(self.kappa) != self.order + 1:
             raise ValueError("recurrence arrays must hold order+1 entries")
         if self.kappa[0] != 1.0:
@@ -757,10 +768,8 @@ class QuadratureRule:
     exact_degree: int | None = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        pts.setflags(write=False)
-        w.setflags(write=False)
+        pts = _frozen(self.points)
+        w = _frozen(self.weights)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
         if np.any(w <= 0.0):
@@ -813,12 +822,20 @@ def tensor_quadrature(rules: Sequence[QuadratureRule]) -> QuadratureRule:
             raise ValueError("tensor factors must be univariate rules")
     grids = np.meshgrid(*[r.points for r in rules], indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    pts.setflags(write=False)
+    degs = [r.exact_degree for r in rules]
+    exact = None if any(g is None for g in degs) else min(degs)
+    return QuadratureRule(pts, _tensor_weights(rules), d, exact_degree=exact)
+
+
+def _tensor_weights(rules: Sequence[QuadratureRule]) -> np.ndarray:
+    """Read-only weights of the tensor product of univariate rules, first
+    axis slowest, as tensor_quadrature orders its nodes."""
     w = np.ones(1)
     for r in rules:
         w = np.multiply.outer(w, r.weights).reshape(-1)
-    degs = [r.exact_degree for r in rules]
-    exact = None if any(g is None for g in degs) else min(degs)
-    return QuadratureRule(pts, w, d, exact_degree=exact)
+    w.setflags(write=False)
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -834,10 +851,9 @@ class MultiIndexSet:
     indices: np.ndarray  # (K, d) integer array
 
     def __post_init__(self):
-        arr = np.asarray(self.indices, dtype=np.int64)
+        arr = _frozen(self.indices, np.int64)
         if arr.ndim != 2 or arr.shape[1] != self.dimension:
             raise ValueError("indices must form a (K, d) array")
-        arr.setflags(write=False)
         object.__setattr__(self, "indices", arr)
 
     def __len__(self) -> int:
@@ -930,14 +946,13 @@ class GpcExpansion:
     bases: tuple[OrthoBasis, ...]
 
     def __post_init__(self):
-        arr = np.asarray(self.coefficients, dtype=float)
+        arr = _frozen(self.coefficients)
         if arr.ndim == 1:
             arr = arr[:, None]
         if arr.shape[0] != len(self.index_set):
             raise ValueError(
                 f"coefficient count {arr.shape[0]} does not match the "
                 f"index set size {len(self.index_set)}")
-        arr.setflags(write=False)
         object.__setattr__(self, "coefficients", arr)
         object.__setattr__(self, "bases", tuple(self.bases))
         if len(self.bases) != self.index_set.dimension:
@@ -985,6 +1000,37 @@ class GpcExpansion:
                 f"{self.dimension}): the expansion has {self.dimension} "
                 f"random inputs")
         return _basis_matrix(self.index_set, self.bases, points) @ self.coefficients
+
+    def eval_grid(self, axes: Sequence) -> np.ndarray:
+        """(N, n) values on the tensor grid of the 1-D node arrays in axes,
+        N = prod(len(a) for a in axes), in tensor_quadrature's node order
+        (first axis slowest).
+
+        Sum factorization (Orszag 1980): the coefficients are scattered
+        into a dense tensor over the per-axis degrees 0..p_k, which is
+        contracted with one basis table per axis.  Neither the (N, d)
+        grid nor an (N, K) basis matrix is built; the values match
+        eval_many at the grid points up to rounding.
+        """
+        if len(axes) != self.dimension:
+            raise ValueError(
+                f"{len(axes)} node arrays given, but the expansion has "
+                f"{self.dimension} random inputs")
+        idx = self.index_set.indices
+        shape = tuple(idx.max(axis=0, initial=0) + 1)
+        dense = np.zeros(shape + (self.n_outputs,))
+        dense[tuple(idx.T)] = self.coefficients
+        for k, (basis, x) in enumerate(zip(self.bases, axes)):
+            x = np.asarray(x, dtype=float)
+            if x.ndim != 1:
+                raise ValueError(f"node array {k} is not one-dimensional")
+            if shape[k] > basis.order + 1:
+                raise ValueError(
+                    f"index set uses degree {shape[k] - 1} in dimension {k} "
+                    f"but the basis there has order {basis.order}")
+            table = basis.eval_table(x)[:, :shape[k]]
+            dense = np.moveaxis(np.tensordot(table, dense, axes=(1, k)), 0, k)
+        return dense.reshape(-1, self.n_outputs)
 
     def mean_variance(self) -> tuple[np.ndarray, np.ndarray]:
         """Mean and variance per output, read off the orthonormal

@@ -740,12 +740,12 @@ def test_ladder_block_holds_a_compact_rule(tmp_path):
 def test_pushforward_beyond_the_node_bound_is_refused_up_front(
         tmp_path, capsys, monkeypatch):
     # a 6-stage ladder at order 3 needs 22^6 = 113M nodes, 5.4 GB of
-    # points; the guard fails the test should the rule ever be built
-    def guard(rules):
-        raise AssertionError(f"built a {np.prod([len(r) for r in rules])}"
-                             f"-node rule")
+    # points; the guard fails the test should even one axis of the rule be
+    # built
+    def guard(basis, nodes):
+        raise AssertionError(f"built a {nodes}-node axis rule")
 
-    monkeypatch.setattr(hier, "tensor_quadrature", guard)
+    monkeypatch.setattr(hier, "golub_welsch", guard)
     path = tmp_path / "ladder6.cir"
     path.write_text(ladder_netlist(6))
     tracemalloc.start()

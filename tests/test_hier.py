@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqsim import hier
+from uqsim import hier, polychaos
 from uqsim.models import algebraic_model
 from uqsim.polychaos import (DegenerateMeasureError, Distribution,
                              GpcExpansion, expansion_from_json,
-                             expansion_to_json, make_standard_basis,
+                             expansion_to_json, golub_welsch,
+                             make_standard_basis, tensor_quadrature,
                              total_degree_index_set)
-from uqsim.stsolver import SolverOptions
+from uqsim.stsolver import SolverOptions, standard_bases
 
 GAUSS = Distribution.gaussian(0.0, 1.0)
 UNIF01 = Distribution.uniform(0.0, 1.0)
@@ -148,11 +149,18 @@ def three_input_surrogate():
     return hier.extract_block_surrogate(block, 3)
 
 
+def pushforward_rules(s, max_degree):
+    """The one-dimensional Gauss rules of the pushforward's tensor rule."""
+    p = max(1, s.zeta.index_set.total_order)
+    nodes = int(np.ceil((max_degree * p + 1) / 2))
+    return [golub_welsch(b, nodes)
+            for b in standard_bases(s.distributions, nodes - 1)]
+
+
 def full_pushforward(s, max_degree=hier.DEFAULT_ZETA_DEGREE):
-    """All values and weights of the parameter-space rule, in one shot."""
-    p = s.zeta.index_set.total_order
-    rule = hier._oversampled_rule(s.distributions,
-                                  int(np.ceil((max_degree * p + 1) / 2)))
+    """Reference: the materialized (N, d) tensor rule, zeta evaluated there
+    point by point with eval_many."""
+    rule = tensor_quadrature(pushforward_rules(s, max_degree))
     return s.zeta.eval_many(rule.points).ravel(), rule.weights
 
 
@@ -171,20 +179,84 @@ def test_quadrature_density_keeps_the_pushforward_moments():
     assert np.all(np.diff(dens.cdf(dens.cdf.x)) >= 0.0)
 
 
-def test_chunked_pushforward_keeps_its_bits(monkeypatch):
-    # rows of the basis matrix are independent; a chunk that is a multiple
-    # of the matrix-vector kernel's row block keeps every value's bits
+FAMILIES = {
+    "uniform": Distribution.uniform(-1.0, 2.0),
+    "gaussian": Distribution.gaussian(0.5, 2.0),
+    "gamma": Distribution.gamma(2.5),
+    "beta": Distribution.beta(2.0, 3.5),
+}
+
+
+def random_surrogate(family, d, p):
+    """Surrogate whose zeta has seeded random coefficients on the
+    total-degree set; 'mixed' cycles through the four families."""
+    if family == "mixed":
+        dists = [list(FAMILIES.values())[k % 4] for k in range(d)]
+    else:
+        dists = [FAMILIES[family]] * d
+    bases = standard_bases(dists, p)
+    idx = total_degree_index_set(d, p)
+    rng = np.random.default_rng(100 * d + p)
+    exp = GpcExpansion(idx, rng.standard_normal((len(idx), 1)), bases)
+    return hier.Surrogate(expansion=exp, a=0.0, b=1.0, zeta=exp)
+
+
+@pytest.mark.parametrize("p", range(4))
+@pytest.mark.parametrize("d", range(1, 5))
+@pytest.mark.parametrize("family", [*FAMILIES, "mixed"])
+def test_grid_evaluation_matches_the_materialized_rule(family, d, p,
+                                                       monkeypatch):
+    s = random_surrogate(family, d, p)
+    zeta = s.zeta
+    rules = pushforward_rules(s, 4)
+    values, weights = full_pushforward(s, 4)
+    grid = zeta.eval_grid([r.points for r in rules]).ravel()
+    # within a few ulps of the sum of |c_alpha Phi_alpha(x)|
+    rule = tensor_quadrature(rules)
+    scale = np.abs(polychaos._basis_matrix(zeta.index_set, zeta.bases,
+                                           rule.points)) \
+        @ np.abs(zeta.scalar_coefficients())
+    assert np.all(np.abs(grid - values) <= 8 * np.finfo(float).eps * scale)
+    # node order: output k is phi_1(xi_k) alone, so column k must equal
+    # phi_1 at tensor_quadrature's k-th coordinate
+    if p >= 1:
+        unit = np.zeros((len(zeta.index_set), d))
+        for k in range(d):
+            unit[zeta.index_set.position(np.eye(d, dtype=int)[k]), k] = 1.0
+        cols = GpcExpansion(zeta.index_set, unit, zeta.bases).eval_grid(
+            [r.points for r in rules])
+        for k in range(d):
+            np.testing.assert_array_equal(
+                cols[:, k], zeta.bases[k].eval_table(rule.points[:, k])[:, 1])
+        # the density's pushforward is exactly the grid values, with the
+        # materialized rule's weights bit for bit
+        seen = []
+        monkeypatch.setattr(
+            hier.IntermediateDensity, "from_pushforward",
+            lambda v, w, degree: seen.append((v, w)))
+        hier.density_by_quadrature(s, 4)
+        (v, w), = seen
+        assert v.tobytes() == grid.tobytes()
+        assert w.tobytes() == weights.tobytes()
+
+
+def test_quadrature_density_evaluates_no_basis_matrix(monkeypatch):
     s = three_input_surrogate()
-    one_shot = hier.IntermediateDensity.from_pushforward(
-        *full_pushforward(s), hier.DEFAULT_ZETA_DEGREE)
-    monkeypatch.setattr(hier, "PUSHFORWARD_CHUNK", 64)
-    chunked = hier.density_by_quadrature(s)
-    assert len(full_pushforward(s)[0]) > 100 * 64
-    for a, b in zip(chunked.atoms, one_shot.atoms):
-        assert a.tobytes() == b.tobytes()
-    assert chunked.cdf.x.tobytes() == one_shot.cdf.x.tobytes()
-    assert chunked.cdf.c.tobytes() == one_shot.cdf.c.tobytes()
-    assert chunked.support == one_shot.support
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(GpcExpansion, "eval_many",
+                        counting("eval_many", GpcExpansion.eval_many))
+    monkeypatch.setattr(polychaos, "_basis_matrix",
+                        counting("_basis_matrix", polychaos._basis_matrix))
+    dens = hier.density_by_quadrature(s)
+    assert len(dens.atoms[0]) == 8
+    assert calls == []
 
 
 def test_chi_square_like_pushforward_degenerates_at_degree_eight():

@@ -285,6 +285,29 @@ def test_tensor_quadrature_and_cap():
         pc.tensor_quadrature([r] * 9)
 
 
+def test_value_types_freeze_copies_not_the_callers_arrays():
+    points, weights = np.array([0.0, 1.0]), np.array([0.5, 0.5])
+    rule = pc.QuadratureRule(points, weights, 1)
+    points[0], weights[0] = 3.0, 0.25      # the caller's arrays stay writable
+    assert rule.points.tolist() == [0.0, 1.0]
+    assert rule.weights.tolist() == [0.5, 0.5]
+    with pytest.raises(ValueError, match="read-only"):
+        rule.points[0] = 3.0
+    # an array that is read-only already is taken without a copy
+    assert pc.QuadratureRule(rule.points, rule.weights, 1).points is rule.points
+    gamma, kappa, norms = np.zeros(2), np.ones(2), np.ones(2)
+    basis = pc.OrthoBasis(gamma, kappa, norms, 1, None)
+    gamma[0] = kappa[1] = norms[1] = 2.0
+    assert basis.gamma[0] == 0.0 and basis.kappa[1] == basis.norms[1] == 1.0
+    indices = np.array([[0], [1]])
+    idx = pc.MultiIndexSet(1, 1, indices)
+    coeffs = np.array([1.0, 2.0])
+    exp = pc.GpcExpansion(idx, coeffs, (basis,))
+    indices[1, 0], coeffs[0] = 5, 9.0
+    assert idx.indices.tolist() == [[0], [1]]
+    assert exp.coefficients.tolist() == [[1.0], [2.0]]
+
+
 # --- expansions --------------------------------------------------------------
 
 def _toy_expansion():
@@ -294,6 +317,19 @@ def _toy_expansion():
     rng = np.random.default_rng(7)
     coeffs = rng.normal(size=(len(idx), 2))
     return pc.GpcExpansion(idx, coeffs, bases)
+
+
+def test_eval_grid_refuses_mismatched_axes():
+    exp = _toy_expansion()
+    with pytest.raises(ValueError, match="2 random inputs"):
+        exp.eval_grid([np.zeros(3)])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        exp.eval_grid([np.zeros(3), np.zeros((3, 1))])
+    low = pc.make_standard_basis(pc.Distribution.uniform(-1, 1), 2)
+    short = pc.GpcExpansion(exp.index_set, exp.coefficients,
+                            (exp.bases[0], low))
+    with pytest.raises(ValueError, match="order 2"):
+        short.eval_grid([np.zeros(3), np.zeros(3)])
 
 
 def test_mean_variance_reads_coefficients():
