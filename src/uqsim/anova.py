@@ -22,7 +22,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .polychaos import Distribution, GpcExpansion, MultiIndexSet, OrthoBasis
+from .polychaos import (Distribution, GpcExpansion, MultiIndexSet, OrthoBasis,
+                        _frozen)
 from .stsolver import (CONDITION_CAP, SolverError, recover_coefficients,
                        select_testing_points, standard_bases)
 
@@ -54,10 +55,7 @@ class AnchorPoint:
     p_unit: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        p = np.asarray(self.p_unit, dtype=float)
-        q.setflags(write=False)
-        p.setflags(write=False)
+        q, p = _frozen(self.q), _frozen(self.p_unit)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p_unit", p)
         if q.shape != p.shape:

@@ -391,7 +391,7 @@ def _p1evl(x: np.ndarray, coef: tuple) -> np.ndarray:
 
 def _libm_log(x: np.ndarray) -> np.ndarray:
     """The C library's log per element (see the module docstring)."""
-    return np.array([math.log(v) for v in x.tolist()])
+    return np.fromiter(map(math.log, x.tolist()), float, len(x))
 
 
 def ndtri(u):
@@ -1035,24 +1035,29 @@ class GpcExpansion:
     def mean_variance(self) -> tuple[np.ndarray, np.ndarray]:
         """Mean and variance per output, read off the orthonormal
         coefficients."""
-        c = self.coefficients
-        zero = tuple([0] * self.dimension)
-        if zero in self.index_set:
-            k0 = self.index_set.position(zero)
-            mean = c[k0].copy()
-        else:
-            k0 = -1
-            mean = np.zeros(c.shape[1])
-        mask = np.ones(c.shape[0], dtype=bool)
-        if k0 >= 0:
-            mask[k0] = False
-        var = np.sum(c[mask] ** 2, axis=0)
-        return mean, var
+        return _mean_variance(self.index_set, self.coefficients)
 
     def scalar_coefficients(self) -> np.ndarray:
         if self.n_outputs != 1:
             raise ValueError("expansion holds more than one output")
         return self.coefficients[:, 0]
+
+
+def _mean_variance(index_set: MultiIndexSet, c: np.ndarray):
+    """Mean and variance per output of orthonormal coefficients c
+    (..., K, n) on index_set; a stack of expansions gets each one's bits."""
+    zero = tuple([0] * index_set.dimension)
+    mask = np.ones(c.shape[-2], dtype=bool)
+    if zero in index_set:
+        k0 = index_set.position(zero)
+        mean = c[..., k0, :].copy()
+        mask[k0] = False
+    else:
+        mean = np.zeros(c.shape[:-2] + c.shape[-1:])
+    # C order, as c[mask] of one expansion is: the order of the additions
+    # follows the layout, and so do the bits
+    rest = np.ascontiguousarray(c[..., mask, :])
+    return mean, np.sum(rest ** 2, axis=-2)
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,15 @@ condition number, running an SVD only for trials near the cap.  Because V is
 square and invertible, every Newton iteration and every implicit time step
 decouples into K independent n-by-n solves in point space; the DC solve and
 each implicit time step run the K points as the rows of one stacked Newton.
-Coefficients are recovered as V^-1 X whenever an expansion is needed; a
-TestingPointSet carries the bases and total-degree index set it was
-selected for, and every expansion recovered from it is on them.
+Coefficients are recovered as V^-1 X, all states of a transient in one
+stacked solve; a TestingPointSet carries the bases and total-degree index
+set it was selected for, and every expansion recovered from it is on them.
 
 Time integration is trapezoidal with a backward-Euler startup step, local
 error estimated from a polynomial predictor, and error-per-unit-step
-acceptance.  The testing points share one adaptive step sequence; the same
-stacked stepper also runs Monte Carlo samples, each on its own clock with
-the step sequence of a one-sample run.
+acceptance.  The testing points share one adaptive step sequence on a
+clock of Python floats; the same stacked stepper runs Monte Carlo samples
+on own clocks, kept in arrays, each with the steps of a one-sample run.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from .models import StochasticDae
 from .polychaos import (GpcExpansion, MultiIndexSet, OrthoBasis,
                         expansion_to_dict, golub_welsch, make_standard_basis,
                         stieltjes_basis, tensor_quadrature,
-                        total_degree_index_set, _basis_matrix)
+                        total_degree_index_set, _basis_matrix, _frozen,
+                        _mean_variance)
 
 __all__ = [
     "SolverError",
@@ -120,12 +121,8 @@ class TestingPointSet:
     index_set: MultiIndexSet
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        V = np.asarray(self.V, dtype=float)
-        pts.setflags(write=False)
-        V.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "points", _frozen(self.points))
+        object.__setattr__(self, "V", _frozen(self.V))
 
     @property
     def n_points(self) -> int:
@@ -390,15 +387,35 @@ def recover_coefficients(values: np.ndarray, tps: TestingPointSet
     """The expansion on tps's basis taking `values` at its points: V xhat =
     values with one refinement pass; checks the residual."""
     X = np.asarray(values, dtype=float).reshape(tps.n_points, -1)
-    coeffs = np.linalg.solve(tps.V, X)
-    coeffs += np.linalg.solve(tps.V, X - tps.V @ coeffs)  # refinement
-    rel = (np.linalg.norm(tps.V @ coeffs - X)
-           / max(np.linalg.norm(X), 1e-300))
-    if rel > RECOVERY_RESIDUAL_CAP:
+    return GpcExpansion(tps.index_set, _recover([X], tps)[0], tps.bases)
+
+
+def _recover(states, tps: TestingPointSet, times=None) -> np.ndarray:
+    """Read-only coefficients (T, K, n) of T states (K, n) at tps's points.
+    V broadcasts over stacks of states near CHUNK_BYTES, one LAPACK solve
+    and refinement per state: the bits of a one-state recovery.  The worst
+    state whose residual exceeds the cap raises SolverError, naming its
+    time when `times` are given."""
+    V, C = tps.V, np.empty((len(states),) + np.shape(states[0]))
+    rel = np.empty(len(states))
+    rows = max(1, CHUNK_BYTES // (8 * C[0].size))
+    for lo in range(0, len(C), rows):
+        X = np.stack(states[lo:lo + rows])
+        c = np.linalg.solve(V, X)
+        c += np.linalg.solve(V, X - V @ c)  # refinement
+        size = np.maximum(np.linalg.norm(X, axis=(1, 2)), 1e-300)
+        rel[lo:lo + rows] = np.linalg.norm(V @ c - X, axis=(1, 2)) / size
+        C[lo:lo + rows] = c
+    i = int(np.argmax(np.where(rel > RECOVERY_RESIDUAL_CAP, rel, -1.0)))
+    if rel[i] > RECOVERY_RESIDUAL_CAP:
+        t = None if times is None else float(times[i])
         raise SolverError(
-            f"coefficient recovery residual {rel:.3e} exceeds "
-            f"{RECOVERY_RESIDUAL_CAP:g}; V may be ill conditioned")
-    return GpcExpansion(tps.index_set, coeffs, tps.bases)
+            f"coefficient recovery residual {rel[i]:.3e}"
+            + ("" if t is None else f" at t = {t:.6e}")
+            + f" exceeds {RECOVERY_RESIDUAL_CAP:g}; V may be ill conditioned",
+            residual=float(rel[i]), time=t)
+    C.setflags(write=False)
+    return C
 
 
 def solve_dc(model: StochasticDae, tps: TestingPointSet,
@@ -416,7 +433,7 @@ def solve_dc(model: StochasticDae, tps: TestingPointSet,
 
 @dataclass(frozen=True)
 class StSolution:
-    """Transient result: expansion series on a shared time grid."""
+    """Transient result: expansion series on one index set and time grid."""
 
     times: np.ndarray
     expansions: tuple            # one GpcExpansion per time point
@@ -425,10 +442,9 @@ class StSolution:
     labels: tuple
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
+        times = _frozen(self.times)
         if times.size > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("time points must be strictly increasing")
-        times.setflags(write=False)
         object.__setattr__(self, "times", times)
 
     def final(self) -> GpcExpansion:
@@ -438,12 +454,12 @@ class StSolution:
         """One row per time: t, then mean and std per output."""
         header = ["t"] + [f"mean_{l}" for l in self.labels] + [
             f"std_{l}" for l in self.labels]
-        lines = [",".join(header)]
-        for t, exp in zip(self.times, self.expansions):
-            mean, var = exp.mean_variance()
-            row = np.concatenate([[t], mean, np.sqrt(var)])
-            lines.append(",".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
+        exps = self.expansions
+        mean, var = _mean_variance(exps[0].index_set,
+                                   np.stack([e.coefficients for e in exps]))
+        table = np.column_stack([self.times, mean, np.sqrt(var)]).tolist()
+        return "\n".join([",".join(header)] + [
+            ",".join(map(repr, row)) for row in table]) + "\n"
 
     def expansions_json(self) -> str:
         import json
@@ -457,29 +473,23 @@ class StSolution:
 
 class _PointIntegrator:
     """The implicit stepper of all parameter points: P (N, d), states X
-    (N, n), and the last two accepted states of each row with their
-    clocks' times.
+    (N, n), and the last two accepted states with their clocks' times.
 
-    With `shared`, all rows are on one clock: a step's time reaches the
-    model as a float and a Newton failure at any row raises SolverError.
-    Otherwise row i is on clock i: the model gets an (N,) array of per-row
-    times, and a row that fails is reported in the converged mask.  The
-    methods take `rows`, an index array of clocks (the rows, with own
-    clocks) or slice(None) for all, and per-clock arrays over them.
+    With `shared`, all rows are on one clock of Python floats (rows is
+    slice(None)), and a Newton failure at any row raises SolverError.
+    Otherwise row i is on clock i: the methods take `rows`, an index array
+    of clocks or slice(None), and per-clock arrays over them, the model
+    gets per-row times, and a row that fails is reported in the mask.
     """
 
     def __init__(self, model, points, X0, options, shared):
-        self.model = model
+        self.model, self.options, self.shared = model, options, shared
         self.P = np.asarray(points, dtype=float)
         self.X = np.array(X0, dtype=float)
-        self.options = options
-        self.shared = shared
-        clocks = 1 if shared else len(self.X)
-        self.past_t = (np.zeros(clocks), np.zeros(clocks))   # older, newer
-        self.past_X = (np.zeros_like(self.X), np.zeros_like(self.X))
-
-    def _time(self, t):
-        return float(t[0]) if self.shared else t
+        self.past = []   # shared clock: up to two (t, X), older first
+        if not shared:   # own clocks: past times and states, older, newer
+            self.past_t = (np.zeros(len(self.X)), np.zeros(len(self.X)))
+            self.past_X = (np.zeros_like(self.X), np.zeros_like(self.X))
 
     def _rhs(self, t):
         """B u(t): (n,) at a float t, (len(t), n) at per-row times."""
@@ -496,11 +506,10 @@ class _PointIntegrator:
         Newton tolerance stays meaningful for small steps.
         """
         model, P = self.model, self.P[rows]
-        t_new = self._time(t_new)
         rhs_new = self._rhs(t_new)
         old = (1.0 - theta) * g_old
-        h = h[:, None]
         own = not self.shared
+        h = h[:, None] if own else h
 
         def residual(Y, at):
             Pr = P[at]
@@ -511,7 +520,7 @@ class _PointIntegrator:
 
         def jacobian(Y, at):
             Pr = P[at]
-            return (model.jac_q_many(Y, Pr) / (h[at] if own else h)[..., None]
+            return (model.jac_q_many(Y, Pr) / (h[at][..., None] if own else h)
                     + theta * model.jac_f_many(Y, Pr,
                                                t_new[at] if own else t_new))
 
@@ -531,20 +540,27 @@ class _PointIntegrator:
         model, P, X = self.model, self.P[rows], self.X[rows]
         q_old = model.q_many(X, P)
         t_new = t + h
-        if not steps[0]:
+        if not (steps if self.shared else steps[0]):
             # backward Euler startup: damps any inconsistent algebraic part.
             # It is every clock's first step and always accepted, so the
             # clocks are all at their first step or all past it
             X_new, ok = self._implicit_solve(rows, t_new, h, 1.0, q_old,
                                              np.zeros_like(X))
-            return X_new, np.zeros(len(t)), ok
-        t_old = self._time(t)
-        g_old = model.f_many(X, P, t_old) - self._rhs(t_old)
+            return X_new, 0.0 if self.shared else np.zeros(len(t)), ok
+        g_old = model.f_many(X, P, t) - self._rhs(t)
         X_new, ok = self._implicit_solve(rows, t_new, h, 0.5, q_old, g_old)
 
         # predictor through past states; its mismatch with the corrector
-        # estimates the local truncation error.  Per clock, this is the
-        # arithmetic of Python floats: float_power is libm pow, as float
+        # estimates the local truncation error
+        if self.shared:
+            past = self.past + [(t, X)]
+            X_pred = _extrapolate(past, t_new)
+            c_pred = abs(math.prod(t_new - tp for tp, _ in past)) / 6.0
+            c_corr = h ** 3 / 12.0    # libm pow; overflows as OverflowError
+            c_pred = max(c_pred, h ** 2) if steps < 2 else c_pred
+            err = np.abs(X_new - X_pred).max()
+            return X_new, err * c_corr / (c_pred + c_corr), ok
+        # per clock, the same arithmetic: float_power is libm pow, as float
         # ** is, where np.power rounds differently
         c_corr = np.float_power(h, 3) / 12.0
         if math.isinf(c_corr.max()):
@@ -560,15 +576,11 @@ class _PointIntegrator:
         X_pred, c_pred = np.empty_like(X_new), np.empty(len(t))
         for k, sel in groups:
             at = rows if sel is _ALL else _subset(rows, sel)
-            tn = t_new[sel]
-            past = [(self.past_t[j][at], self.past_X[j][at])
-                    for j in range(2 - k, 2)] + [(t[sel], X[sel])]
-            X_pred[sel] = _extrapolate(
-                [(tp[:, None], xp) for tp, xp in past], tn[:, None])
-            prod = tn - past[0][0]
-            for tp, _ in past[1:]:
-                prod = prod * (tn - tp)
-            c_pred[sel] = np.abs(prod) / 6.0
+            tn = t_new[sel][:, None]
+            past = [(self.past_t[j][at][:, None], self.past_X[j][at])
+                    for j in range(2 - k, 2)] + [(t[sel][:, None], X[sel])]
+            X_pred[sel] = _extrapolate(past, tn)
+            c_pred[sel] = abs(math.prod(tn - tp for tp, _ in past))[:, 0] / 6.0
         if n_deep < len(deep):
             c_pred = np.where(deep, c_pred,
                               np.maximum(c_pred, np.float_power(h, 2)))
@@ -577,6 +589,9 @@ class _PointIntegrator:
 
     def commit(self, rows, t, X_new):
         """Accept the steps of `rows` from their clocks' times t to X_new."""
+        if self.shared:
+            self.past, self.X = self.past[-1:] + [(t, self.X)], X_new
+            return
         (older_t, newer_t), (older_X, newer_X) = self.past_t, self.past_X
         older_t[rows] = newer_t[rows]
         newer_t[rows] = t
@@ -605,6 +620,17 @@ def _subset(live, mask):
     return np.flatnonzero(mask) if live is _ALL else live[mask]
 
 
+def _attempt(stepper, rows, t, h, steps, span):
+    """stepper.attempt; an overflowing h ** 3 names step, time and span."""
+    try:
+        return stepper.attempt(rows, t, h, steps)
+    except OverflowError as exc:
+        i = int(np.argmax(h))
+        raise OverflowError(
+            f"step h = {np.ravel(h)[i]:.3e} at t = {np.ravel(t)[i]:.6e} "
+            f"overflows double precision over the span {span:.3e}") from exc
+
+
 @dataclass(frozen=True)
 class _RowSteps:
     """Step log of rows on their own clocks, as counts: accepted and
@@ -630,85 +656,93 @@ class _RowSteps:
 def _integrate_points(model, points, X0, t_span, options, own_clocks=False):
     """Integrates the parameter points as one stacked stepper.
 
-    Each clock keeps its time, next step, accepts since the last doubling
-    and accepted step count.  By default all rows share one clock: a
-    step's error estimate is the largest over the rows, a Newton failure or
-    step underflow raises SolverError, and the result is (times (T,),
-    states per time (list of (N, n)), step log, solves).
-
-    With own_clocks, each row has a clock and takes the steps a one-row
-    run of it takes, as Monte Carlo samples do.  A row whose Newton fails
-    or whose step underflows stops with NaN states; the others go on.  The
-    result is (end time per row (N,), [final states (N, n)], step counts
-    (_RowSteps), solves).  The log or counts have one entry per clock
-    attempt, and solves counts row attempts.
+    A clock keeps its time, next step, accepts since the last doubling and
+    accepted step count.  By default all rows share one clock of Python
+    floats: a step's error estimate is the largest over the rows, a Newton
+    failure or step underflow raises SolverError, and the result is (times
+    (T,), states per time (list of (N, n)), step log of one (t, h,
+    accepted, lte) per attempt, solves).  With own_clocks, each row has a
+    clock, kept in arrays, and takes the steps of a one-row run, as Monte
+    Carlo samples do; a row whose Newton fails or step underflows stops
+    with NaN states.  The result is (end time per row (N,), [final states
+    (N, n)], step counts (_RowSteps), solves).  solves counts row attempts.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (np.isfinite(t0) and np.isfinite(t1) and t1 > t0):
         raise ValueError(f"t_span ({t0:g}, {t1:g}) must be finite, t1 > t0")
     span = t1 - t0
-    min_step = span * MIN_STEP_FRACTION
     fixed = options.fixed_step
-    if fixed is not None and not fixed >= min_step:
-        raise ValueError(
-            f"fixed_step {fixed:g} is below the step floor {min_step:g} "
-            f"({MIN_STEP_FRACTION:g} of the span)")
-    shared = not own_clocks
-    stepper = _PointIntegrator(model, points, X0, options, shared)
-    C = len(stepper.past_t[0])
+    if fixed is not None and not fixed >= span * MIN_STEP_FRACTION:
+        raise ValueError(f"fixed_step {fixed:g} is below the step floor "
+                         f"{span * MIN_STEP_FRACTION:g} "
+                         f"({MIN_STEP_FRACTION:g} of the span)")
+    stepper = _PointIntegrator(model, points, X0, options, not own_clocks)
+    h = fixed if fixed is not None else span * min(MAX_STEP_FRACTION, 1e-3)
+    return (_own_clocks if own_clocks else _shared_clock)(
+        stepper, t0, t1, h, options)
 
-    t = np.full(C, t0)
-    h = np.full(C, fixed if fixed is not None else span * min(
-        MAX_STEP_FRACTION, 1e-3))
-    streak = np.zeros(C, dtype=int)
-    steps = np.zeros(C, dtype=int)        # accepted
-    rejected = np.zeros(C, dtype=int)
+
+def _shared_clock(stepper, t0, t1, h, options):
+    span, fixed = t1 - t0, options.fixed_step
+    times, states, log = [t0], [stepper.X], []
+    t, steps, streak = t0, 0, 0
+    while t < t1 - 1e-14 * span:
+        if fixed is None and h < span * MIN_STEP_FRACTION:
+            raise SolverError(
+                f"step size underflow at t = {t:.6e} (h = {h:.3e})", time=t)
+        h_step = min(h, t1 - t)  # clip only at the end of the span
+        X_new, lte, _ = _attempt(stepper, _ALL, t, h_step, steps, span)
+        accept = (fixed is not None   # else the error per unit time decides
+                  or not lte > options.lte_tol * h_step / span)
+        log.append((t, h_step, accept, float(lte)))
+        if not accept:
+            h, streak = 0.5 * h_step, 0
+            continue
+        stepper.commit(_ALL, t, X_new)
+        steps += 1
+        # fixed steps place t at t0 + k*h: accumulating t += h drifts and
+        # can leave a last step of ~1e-13 h on which Newton stalls
+        t = t + h_step if fixed is None else min(t0 + steps * fixed, t1)
+        times.append(t)
+        states.append(X_new)
+        if fixed is None:
+            streak += 1
+            if streak >= ACCEPTS_BEFORE_DOUBLE:
+                h, streak = min(2.0 * h, span * MAX_STEP_FRACTION), 0
+    return np.array(times), states, tuple(log), len(stepper.X) * len(log)
+
+
+def _own_clocks(stepper, t0, t1, h0, options):
+    span, fixed = t1 - t0, options.fixed_step
+    N = len(stepper.X)
+    t, h = np.full(N, t0), np.full(N, h0)
+    # accepts since the last doubling, accepted and rejected steps
+    streak, steps, rejected = (np.zeros(N, dtype=int) for _ in range(3))
     live = _ALL          # the clocks still stepping
-    end = t1 - 1e-14 * span
-    times = [t0]
-    states = [stepper.X.copy()]
-    log = []
     solves = 0
     while True:
         if fixed is None:
-            small = h[live] < min_step
+            small = h[live] < span * MIN_STEP_FRACTION
             if np.count_nonzero(small):
-                if shared:
-                    raise SolverError(
-                        f"step size underflow at t = {t[0]:.6e} "
-                        f"(h = {h[0]:.3e})", time=float(t[0]))
                 stepper.X[_subset(live, small)] = np.nan
                 live = _subset(live, ~small)
                 if not live.size:
                     break
         t_live = t[live]
         h_step = np.minimum(h[live], t1 - t_live)  # clip only at the end
-        try:
-            X_new, lte, ok = stepper.attempt(live, t_live, h_step,
-                                             steps[live])
-        except OverflowError as exc:  # e.g. h ** 3 of a span near 1e300
-            i = int(np.argmax(h_step))
-            raise OverflowError(
-                f"step h = {h_step[i]:.3e} at t = {t_live[i]:.6e} overflows "
-                f"double precision over the span {span:.3e}") from exc
+        X_new, lte, ok = _attempt(stepper, live, t_live, h_step, steps[live],
+                                  span)
         solves += len(X_new)
-        if fixed is None:
-            reject = lte > options.lte_tol * h_step / span  # per unit time
-        else:
-            reject = np.zeros(len(lte), dtype=bool)
-        if not shared and np.count_nonzero(ok) < len(ok):
+        reject = (lte > options.lte_tol * h_step / span   # per unit time
+                  if fixed is None else np.zeros(len(lte), dtype=bool))
+        if np.count_nonzero(ok) < len(ok):
             stepper.X[_subset(live, ~ok)] = np.nan   # these rows stop
             live = _subset(live, ok)
-            t_live, h_step, lte = t_live[ok], h_step[ok], lte[ok]
+            t_live, h_step = t_live[ok], h_step[ok]
             X_new, reject = X_new[ok], reject[ok]
             if not live.size:
                 break
-        accept = ~reject
-        if shared:
-            log.append((float(t_live[0]), float(h_step[0]),
-                        bool(accept[0]), float(lte[0])))
-
-        acc = live
+        accept, acc = ~reject, live
         if np.count_nonzero(reject):
             back = _subset(live, reject)
             h[back] = 0.5 * h_step[reject]
@@ -721,26 +755,19 @@ def _integrate_points(model, points, X0, t_span, options, own_clocks=False):
             X_new = X_new[accept]
         stepper.commit(acc, t_live, X_new)
         steps[acc] += 1
-        # fixed steps place t at t0 + k*h: accumulating t += h drifts and
-        # can leave a last step of ~1e-13 h on which Newton stalls
         t[acc] = (t_live + h_step if fixed is None
                   else np.minimum(t0 + steps[acc] * fixed, t1))
-        if shared:
-            times.append(float(t[0]))
-            states.append(X_new)
         if fixed is None:
             streak[acc] += 1
             grow = streak >= ACCEPTS_BEFORE_DOUBLE
             if np.count_nonzero(grow):
                 h[grow] = np.minimum(2.0 * h[grow], span * MAX_STEP_FRACTION)
                 streak[grow] = 0
-        running = t[live] < end
+        running = t[live] < t1 - 1e-14 * span
         if np.count_nonzero(running) < len(running):
             live = _subset(live, running)
             if not live.size:
                 break
-    if shared:
-        return np.array(times), states, tuple(log), solves
     return t, [stepper.X], _RowSteps(steps, rejected), solves
 
 
@@ -750,12 +777,14 @@ def integrate_transient(model: StochasticDae, tps: TestingPointSet,
                         ) -> StSolution:
     """Integrate the stochastic DAE on tps's basis, one shared step sequence
     for all points, from x0 (default: solve_dc's) evaluated at the testing
-    points, so x0 may have any order."""
+    points, so x0 may have any order; every stored state is recovered in
+    one stacked solve."""
     if x0 is None:
         x0 = solve_dc(model, tps, options)
     times, states, log, solves = _integrate_points(
         model, tps.points, x0.eval_many(tps.points), t_span, options)
-    expansions = tuple(recover_coefficients(X, tps) for X in states)
+    expansions = tuple(GpcExpansion(tps.index_set, c, tps.bases)
+                       for c in _recover(states, tps, times))
     return StSolution(times=times, expansions=expansions, step_log=log,
                       n_point_solves=solves, labels=model.labels)
 

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from uqsim import cli, hier
+from uqsim import cli, hier, stsolver
 from uqsim.anova import sample_count
 from uqsim.polychaos import expansion_from_json
 
@@ -712,6 +712,25 @@ def block(tmp_path_factory):
                      "--order", "2", "--output", "v(2)",
                      "--outdir", str(out)]) == 0
     return str(out / "block.json")
+
+
+def test_recovery_failure_names_its_time(block, tmp_path, capsys,
+                                         monkeypatch):
+    # a stored state whose recovery residual exceeds the cap is one JSON
+    # line naming that state's time.  rc-zeta from zero moves, so its
+    # states recover with residuals above a cap of 0 (the start, all
+    # zeros, recovers exactly); `uqsim transient` starts at the DC point
+    # and its states stay there
+    monkeypatch.setattr(stsolver, "RECOVERY_RESIDUAL_CAP", 0.0)
+    rc = cli.main(["hier-propagate", "--blocks", block,
+                   "--system", "builtin:rc-zeta", "--order", "3",
+                   "--t-end", "0.002", "--x0", "zero",
+                   "--outdir", str(tmp_path / "out")])
+    assert rc == 2
+    error = capture_error(capsys)
+    assert error["error"] == "numeric"
+    assert "recovery residual" in error["message"]
+    assert " at t = " in error["message"]
 
 
 def ladder_netlist(stages: int) -> str:

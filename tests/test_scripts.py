@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
@@ -99,3 +100,29 @@ def test_benchmark_harness_reads_the_library(tmp_path):
     assert {"stsolver._PointIntegrator._implicit_solve",
             "stsolver._damped_newton"} <= names
     assert t.layer_metrics()["stsolver.steps_accepted"] > 0
+
+
+def test_shared_clock_solves_once_per_step_log_entry(monkeypatch):
+    # the tracer counts point_solves as _implicit_solve spans and steps as
+    # step-log entries: on the shared clock each attempt, accepted or not,
+    # is one entry, one attempt and one implicit solve
+    from uqsim import models, stsolver
+
+    counts = {"attempt": 0, "_implicit_solve": 0}
+    for name in counts:
+        def counting(self, *args, _fn=getattr(stsolver._PointIntegrator,
+                                              name), _name=name):
+            counts[_name] += 1
+            return _fn(self, *args)
+
+        monkeypatch.setattr(stsolver._PointIntegrator, name, counting)
+    dae = models.builtin_model("rc_lowpass")
+    tps = stsolver.select_testing_points(stsolver.standard_bases(dae, 1), 1)
+    # from an empty capacitor: the steps grow and some are rejected
+    X0 = np.array([[1.0, 0.0, -1.0 / (1e3 * pt[0])] for pt in tps.points])
+    sol = stsolver.integrate_transient(
+        dae, tps, (0.0, 1e-3), x0=stsolver.recover_coefficients(X0, tps))
+    log = sol.step_log
+    assert counts == {"attempt": len(log), "_implicit_solve": len(log)}
+    assert sum(1 for entry in log if not entry[2]) > 0   # some rejected
+    assert sol.n_point_solves == tps.n_points * len(log)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from uqsim import models, netlist, stsolver
+from uqsim import anova, hier, models, netlist, stsolver
 from uqsim.models import algebraic_model, builtin_model
 from uqsim.montecarlo import sample_parameters
 from uqsim.polychaos import (Distribution, GpcExpansion, golub_welsch,
@@ -616,6 +616,93 @@ class TestTransient:
         mc = _aggregate(states[-1], 0, 3, None)
         assert abs(mean[0] - mc.mean[0]) < 3 * mc.stderr[0]
         assert abs(np.sqrt(var[0]) - mc.std[0]) < 3 * mc.stderr_std[0]
+
+
+class TestStackedRecovery:
+    @staticmethod
+    def system(name):
+        """(model, order, span) of a system that moves from zero states."""
+        if name == "rc_zeta":   # hier's rc-zeta system, as prop-rc runs it
+            return hier._rc_zeta_system((UNIFORM,)), 3, (0.0, 2e-3)
+        if name == "rc_zeta_p11":
+            return hier._rc_zeta_system((UNIFORM,)), 11, (0.0, 2e-3)
+        dae = netlist.elaborate(netlist.parse_netlist(NONLINEAR_RC))
+        return dae, int(name[-1]), (0.0, 2e-4)
+
+    def run(self, name):
+        dae, order, span = self.system(name)
+        tps = setup_problem(dae, order)
+        idx = tps.index_set
+        zero = GpcExpansion(idx, np.zeros((len(idx), dae.n)), tps.bases)
+        return dae, tps, span, integrate_transient(dae, tps, span, x0=zero)
+
+    @pytest.mark.parametrize("name,K,n", [("rc_zeta", 4, 1),
+                                          ("nonlinear_rc_p3", 20, 3)])
+    def test_expansions_equal_one_state_recoveries(self, name, K, n):
+        # every stored state gets the bits of its own recover_coefficients;
+        # one solve on the (K, T*n) side-by-side states changes most states
+        # of both systems by an ulp, so this fails for that layout
+        dae, tps, span, sol = self.run(name)
+        assert (tps.n_points, dae.n) == (K, n)
+        times, states, _, _ = _integrate_points(
+            dae, tps.points, np.zeros((K, n)), span, SolverOptions())
+        assert np.array_equal(times, sol.times)
+        for X, exp in zip(states, sol.expansions):
+            assert np.array_equal(recover_coefficients(X, tps).coefficients,
+                                  exp.coefficients)
+            assert not exp.coefficients.flags.writeable
+
+    def test_transient_runs_one_recovery(self, monkeypatch):
+        # all states in one stacked recovery, not one recovery per state
+        calls = []
+        recover = stsolver._recover
+
+        def counting(states, tps, times=None):
+            calls.append(len(states))
+            return recover(states, tps, times)
+
+        monkeypatch.setattr(stsolver, "_recover", counting)
+        sol = self.run("rc_zeta")[-1]
+        assert calls == [len(sol.times)] and len(sol.times) > 100
+
+    @pytest.mark.parametrize("name", ["nonlinear_rc_p2", "rc_zeta_p11"])
+    def test_csv_equals_per_expansion_reference(self, name):
+        # K >= 10, so each variance sums at least 9 squares, where the
+        # order of the additions shows in the bits
+        _, tps, _, sol = self.run(name)
+        assert tps.n_points >= 10
+        lines = [",".join(["t"] + [f"mean_{l}" for l in sol.labels]
+                          + [f"std_{l}" for l in sol.labels])]
+        for t, exp in zip(sol.times, sol.expansions):
+            mean, var = exp.mean_variance()
+            row = np.concatenate([[t], mean, np.sqrt(var)])
+            lines.append(",".join(repr(float(v)) for v in row))
+        assert sol.to_csv() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("build", ["TestingPointSet", "StSolution",
+                                   "AnchorPoint"])
+def test_value_types_leave_the_callers_arrays_writable(build):
+    # each froze the caller's own arrays: writing to them afterwards
+    # raised "assignment destination is read-only"
+    if build == "TestingPointSet":
+        args = [np.array([[0.5], [-0.5]]), np.array([[1.0, 0.5], [1.0, -0.5]])]
+        value = stsolver.TestingPointSet(*args, 1.0, (),
+                                         total_degree_index_set(0, 0))
+        held = (value.points, value.V)
+    elif build == "StSolution":
+        args = [np.array([0.0, 1.0])]
+        value = stsolver.StSolution(times=args[0], expansions=(), step_log=(),
+                                    n_point_solves=0, labels=())
+        held = (value.times,)
+    else:
+        args = [np.array([0.25, 0.5]), np.array([0.5, 0.5])]
+        value = anova.AnchorPoint(*args)
+        held = (value.q, value.p_unit)
+    for arr in args:
+        arr[0] = 2.0          # the caller's arrays stay writable
+    for arr in held:
+        assert not arr.flags.writeable and 2.0 not in arr
 
 
 class TestSolutionExport:
