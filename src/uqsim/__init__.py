@@ -41,7 +41,6 @@ from .polychaos import (
     golub_welsch,
     make_standard_basis,
     stieltjes_basis,
-    tensor_quadrature,
     total_degree_index_set,
 )
 from .stsolver import (

@@ -110,7 +110,7 @@ def anchor_point(distributions: Sequence[Distribution],
         raise ValueError(f"anchor has {p.size} quantiles; give 1 or one per "
                          f"random input ({d})")
     p = np.broadcast_to(p, (d,)).copy()
-    if np.any((p <= 0.0) | (p >= 1.0)):
+    if not np.all((p > 0.0) & (p < 1.0)):   # NaN fails too
         raise ValueError("anchor quantiles must lie strictly inside (0, 1)")
     q = np.empty(d)
     for k, dist in enumerate(distributions):
@@ -222,7 +222,7 @@ def adaptive_anova(g: Callable, distributions: Sequence[Distribution],
     d = len(distributions)
     if not 1 <= m <= d:
         raise ValueError(f"effective dimension m={m} must lie in 1..{d}")
-    if sigma < 0.0:
+    if not sigma >= 0.0:   # NaN fails too
         raise ValueError("the screen threshold sigma must be nonnegative")
     if anchor is None:
         anchor = anchor_point(distributions, 0.5)

@@ -652,7 +652,8 @@ def main(argv=None) -> int:
             np.linalg.LinAlgError) as err:
         _fail("numeric", err)
         return EXIT_NUMERIC
-    except (OSError, ValueError) as err:   # UsageError, NetlistError too
+    # UsageError, NetlistError too; MemoryError: inputs too large to hold
+    except (OSError, ValueError, MemoryError) as err:
         _fail("config", err)
         return EXIT_USER
 

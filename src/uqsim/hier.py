@@ -20,10 +20,10 @@ from typing import Sequence
 import numpy as np
 
 from .models import StochasticDae, _check_params, algebraic_model
-from .polychaos import (DegenerateMeasureError, Distribution, GpcExpansion,
-                        OrthoBasis, PiecewisePoly, QuadratureRule,
-                        _tensor_weights, golub_welsch, monotone_cubic,
-                        stieltjes_basis)
+from .polychaos import (TENSOR_NODE_CAP, DegenerateMeasureError,
+                        Distribution, GpcExpansion, OrthoBasis, PiecewisePoly,
+                        QuadratureRule, _tensor_weights, golub_welsch,
+                        monotone_cubic, stieltjes_basis)
 from .stsolver import (SolverOptions, integrate_transient,
                        select_testing_points, solve_dc, standard_bases)
 
@@ -44,10 +44,6 @@ DEFAULT_ZETA_DEGREE = 14   # pushforward rules resolve moments to this degree
 SAMPLING_MIN = 10_000
 SAMPLING_DEFAULT = 100_000
 CDF_KNOTS = 51
-# a quadrature density refuses a pushforward rule above this many nodes
-# (the 22^4 rule of a 4-input block at order 3 has 234,256): zeta's values
-# and the weights, 16 bytes per node, are all it holds of the rule
-PUSHFORWARD_NODE_CAP = 2 ** 20
 # quantile levels reserved for tail resolution on top of the uniform bulk
 _TAIL_LEVELS = (0.0005, 0.001, 0.002, 0.005, 0.01)
 
@@ -240,7 +236,7 @@ def density_by_quadrature(s: Surrogate,
     The rule resolves zeta-moments up to max_degree: a zeta-polynomial of
     degree D composes with the degree-p surrogate to a degree D*p
     integrand, so each of the d dimensions gets ceil((D*p + 1)/2) Gauss
-    nodes.  A rule of more than PUSHFORWARD_NODE_CAP nodes is refused
+    nodes.  A rule of more than TENSOR_NODE_CAP nodes is refused
     before anything is built.  Only the d one-dimensional rules are built:
     zeta is evaluated on their tensor grid axis by axis
     (GpcExpansion.eval_grid), so of the whole rule only the values and the
@@ -249,11 +245,11 @@ def density_by_quadrature(s: Surrogate,
     p_surr = max(1, s.zeta.index_set.total_order)
     nodes = int(np.ceil((max_degree * p_surr + 1) / 2))
     d = len(s.distributions)
-    if nodes ** d > PUSHFORWARD_NODE_CAP:
+    if nodes ** d > TENSOR_NODE_CAP:
         raise ValueError(
             f"the quadrature density needs {nodes}^{d} = {nodes ** d:,} "
             f"pushforward nodes, above the bound of "
-            f"{PUSHFORWARD_NODE_CAP:,}; use --density sampling or a lower "
+            f"{TENSOR_NODE_CAP:,}; use --density sampling or a lower "
             "--order")
     rules = [golub_welsch(basis, nodes)
              for basis in standard_bases(s.distributions, nodes - 1)]

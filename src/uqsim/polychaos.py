@@ -56,7 +56,6 @@ __all__ = [
     "monotone_cubic",
     "PiecewisePoly",
     "total_degree_index_set",
-    "tensor_quadrature",
     "expansion_to_dict",
     "expansion_to_json",
     "expansion_from_json",
@@ -67,8 +66,10 @@ __all__ = [
 # unit scale; standardize wildly scaled parameters before building a basis).
 KAPPA_FLOOR = 1e-20
 
-# Tensor-product quadrature is refused above this dimension by default.
-TENSOR_DIMENSION_CAP = 8
+# A tensor Gauss rule of more than this many nodes is refused before it is
+# built; testing-point selection and a quadrature density hold 16 bytes of
+# it per node (the 22^4 pushforward rule of a 4-input block has 234,256).
+TENSOR_NODE_CAP = 2 ** 20
 
 _JSON_SCHEMA = "gpc-expansion/1"
 
@@ -77,7 +78,7 @@ def _frozen(values, dtype=float) -> np.ndarray:
     """values as a read-only array: the value types below freeze a copy,
     never the caller's array.  An array that is read-only already is taken
     as it is, so a builder hands a large fresh array over without a copy
-    by freezing it first (tensor_quadrature)."""
+    by freezing it first (recover_coefficients)."""
     if (isinstance(values, np.ndarray) and not values.flags.writeable
             and values.dtype == dtype):
         return values
@@ -807,30 +808,9 @@ def golub_welsch(basis: OrthoBasis, n: int) -> QuadratureRule:
     return QuadratureRule(vals, w, 1, exact_degree=2 * n - 1)
 
 
-def tensor_quadrature(rules: Sequence[QuadratureRule]) -> QuadratureRule:
-    """Tensor product of univariate rules; refuses above the dimension cap."""
-    d = len(rules)
-    if d == 0:
-        raise ValueError("need at least one rule")
-    if d > TENSOR_DIMENSION_CAP:
-        raise ValueError(
-            f"tensor grid in {d} dimensions exceeds the cap of "
-            f"{TENSOR_DIMENSION_CAP}; use the anchored decomposition in the "
-            "anova module for high-dimensional problems")
-    for r in rules:
-        if r.dimension != 1:
-            raise ValueError("tensor factors must be univariate rules")
-    grids = np.meshgrid(*[r.points for r in rules], indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    pts.setflags(write=False)
-    degs = [r.exact_degree for r in rules]
-    exact = None if any(g is None for g in degs) else min(degs)
-    return QuadratureRule(pts, _tensor_weights(rules), d, exact_degree=exact)
-
-
 def _tensor_weights(rules: Sequence[QuadratureRule]) -> np.ndarray:
-    """Read-only weights of the tensor product of univariate rules, first
-    axis slowest, as tensor_quadrature orders its nodes."""
+    """Read-only weights of the tensor product of univariate rules, by flat
+    node index, first axis slowest."""
     w = np.ones(1)
     for r in rules:
         w = np.multiply.outer(w, r.weights).reshape(-1)
@@ -1003,8 +983,8 @@ class GpcExpansion:
 
     def eval_grid(self, axes: Sequence) -> np.ndarray:
         """(N, n) values on the tensor grid of the 1-D node arrays in axes,
-        N = prod(len(a) for a in axes), in tensor_quadrature's node order
-        (first axis slowest).
+        N = prod(len(a) for a in axes), by flat node index, first axis
+        slowest.
 
         Sum factorization (Orszag 1980): the coefficients are scattered
         into a dense tensor over the per-axis degrees 0..p_k, which is

@@ -2,10 +2,11 @@
 
 The spectral expansion x(t, xi) = sum_k xhat_k(t) Phi_k(xi) is determined by
 collocating the model at K testing points: candidates are the nodes of the
-tensor Gauss grid (order p+1 per dimension), and the K points with the
+tensor Gauss rule (order p+1 per dimension), and the K points with the
 largest tensor weights that keep the collocation matrix V[j, k] =
-Phi_k(xi_j) well conditioned are kept.  Basis rows are evaluated lazily, in
-candidate order, only for the candidates the greedy reaches, and the
+Phi_k(xi_j) well conditioned are kept.  Candidates are ordered by their
+tensor weights alone; a candidate's point, and its basis row, are built
+from its flat node index only when the greedy reaches it, and the
 condition screen accepts a trial on a cheap Frobenius-norm bound of its
 condition number, running an SVD only for trials near the cap.  Because V is
 square and invertible, every Newton iteration and every implicit time step
@@ -32,11 +33,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .models import StochasticDae
-from .polychaos import (GpcExpansion, MultiIndexSet, OrthoBasis,
-                        expansion_to_dict, golub_welsch, make_standard_basis,
-                        stieltjes_basis, tensor_quadrature,
+from .polychaos import (TENSOR_NODE_CAP, GpcExpansion, MultiIndexSet,
+                        OrthoBasis, expansion_to_dict, golub_welsch,
+                        make_standard_basis, stieltjes_basis,
                         total_degree_index_set, _basis_matrix, _frozen,
-                        _mean_variance)
+                        _mean_variance, _tensor_weights)
 
 __all__ = [
     "SolverError",
@@ -138,10 +139,14 @@ def select_testing_points(bases: Sequence[OrthoBasis], order: int,
     A candidate is kept only if it raises the rank of the partial
     collocation matrix and keeps its condition number at or below the cap.
     Ties in weight are broken by ascending lexicographic point order so the
-    selection is deterministic.  Basis rows are evaluated lazily, in that
-    candidate order and in doubling chunks of 2K, 4K, ... rows, so the
-    greedy that stops after K accepted points never builds the (N, K)
-    matrix over the whole grid.
+    selection is deterministic: each axis's Gauss nodes ascend and the
+    first axis is slowest, so a stable sort of the tensor weights leaves
+    tied candidates in that order.  Only the d one-dimensional rules and
+    the tensor weights are built; a rule of more than TENSOR_NODE_CAP
+    nodes is refused before either is.  Points and basis rows are made
+    from flat node indices, in candidate order and in doubling chunks of
+    2K, 4K, ... rows, so the greedy that stops after K accepted points
+    never builds the (N, d) grid or the (N, K) basis matrix.
 
     The condition screen runs an SVD only for trials near the cap.  The
     rank screen writes the accepted rows as V_rows = L Q, with Q the
@@ -160,17 +165,20 @@ def select_testing_points(bases: Sequence[OrthoBasis], order: int,
     """
     bases = tuple(bases)
     d = len(bases)
+    nodes = (order + 1) ** d
+    if nodes > TENSOR_NODE_CAP:
+        raise ValueError(
+            f"testing-point selection needs {order + 1}^{d} = {nodes:,} "
+            f"tensor Gauss nodes, above the bound of {TENSOR_NODE_CAP:,}; "
+            "use a lower --order, or the anova analysis")
     idx = total_degree_index_set(d, order)
     K = len(idx)
     if d == 0:
         return TestingPointSet(np.zeros((1, 0)), np.ones((1, 1)), 1.0, bases,
                                idx)
     rules = [golub_welsch(b, order + 1) for b in bases]
-    grid = tensor_quadrature(rules)
-
-    pts = grid.points
-    keys = tuple(pts[:, k] for k in reversed(range(d))) + (-grid.weights,)
-    candidate_order = np.lexsort(keys)
+    axes = [r.points for r in rules]
+    candidate_order = np.argsort(-_tensor_weights(rules), kind="stable")
 
     chosen: list[int] = []
     ortho = np.zeros((0, K))  # orthonormal row-space basis of V so far
@@ -179,7 +187,7 @@ def select_testing_points(bases: Sequence[OrthoBasis], order: int,
     fro2 = inv2 = 0.0         # ||V_rows||_F^2 and ||L^-1||_F^2
     drift2 = 0.0              # ||I - Q Q^T||_F^2 over the rows of ortho
     bound2 = (condition_cap / 2) ** 2
-    for cand, row in _candidate_rows(idx, bases, pts,
+    for cand, row in _candidate_rows(idx, bases, axes,
                                      candidate_order, 2 * K):
         c = ortho @ row
         resid = row - ortho.T @ c
@@ -209,21 +217,30 @@ def select_testing_points(bases: Sequence[OrthoBasis], order: int,
             f"only {len(chosen)} of {K} testing points satisfy the rank and "
             f"condition-{condition_cap:g} screens")
     s = np.linalg.svd(V_rows, compute_uv=False)
-    return TestingPointSet(pts[chosen], V_rows, float(s[0] / s[-1]), bases,
-                           idx)
+    return TestingPointSet(_node_points(axes, chosen), V_rows,
+                           float(s[0] / s[-1]), bases, idx)
 
 
-def _candidate_rows(idx: MultiIndexSet, bases: tuple, pts: np.ndarray,
+def _node_points(axes: list, flat) -> np.ndarray:
+    """(len(flat), d) nodes of the tensor rule on the 1-D node arrays in
+    axes, at flat node indices (first axis slowest)."""
+    digits = np.unravel_index(flat, tuple(len(a) for a in axes))
+    return np.stack([a[i] for a, i in zip(axes, digits)], axis=-1)
+
+
+def _candidate_rows(idx: MultiIndexSet, bases: tuple, axes: list,
                     order: np.ndarray, first: int):
-    """Yields (candidate, basis row) in `order`, evaluating the rows in
+    """Yields (candidate, basis row) in `order`, a sequence of flat node
+    indices of the tensor rule on `axes`, making the points and rows in
     chunks that start at `first` rows and double, so a selection that
-    stops early never evaluates the rest of the grid.  The basis matrix is
+    stops early never evaluates the rest of the rule.  The basis matrix is
     elementwise in the points, so a row's bits do not depend on its chunk.
     """
     lo, size = 0, first
     while lo < len(order):
         chunk = order[lo:lo + size]
-        yield from zip(chunk, _basis_matrix(idx, bases, pts[chunk]))
+        yield from zip(chunk, _basis_matrix(idx, bases,
+                                            _node_points(axes, chunk)))
         lo += size
         size *= 2
 

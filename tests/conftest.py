@@ -7,8 +7,22 @@ with them, so they must not import from uqsim.stsolver.
 
 import numpy as np
 
-from uqsim.polychaos import (GpcExpansion, _basis_matrix, golub_welsch,
-                             tensor_quadrature)
+from uqsim.polychaos import (GpcExpansion, QuadratureRule, _basis_matrix,
+                             golub_welsch)
+
+
+def tensor_quadrature(rules):
+    """Tensor product of univariate rules, the whole (N, d) grid of nodes,
+    first axis slowest; the library builds only the 1-D rules and the
+    weights, and reads nodes by flat index."""
+    grids = np.meshgrid(*[r.points for r in rules], indexing="ij")
+    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    weights = np.ones(1)
+    for r in rules:
+        weights = np.multiply.outer(weights, r.weights).reshape(-1)
+    degs = [r.exact_degree for r in rules]
+    exact = None if None in degs else min(degs)
+    return QuadratureRule(pts, weights, len(rules), exact_degree=exact)
 
 
 def damped_newton(residual, jacobian, x0, tol=1e-12, max_iter=80):

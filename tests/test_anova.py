@@ -78,8 +78,9 @@ def test_anchor_point_vector_quantiles():
 
 
 def test_anchor_point_rejects_boundary_quantiles():
-    with pytest.raises(ValueError, match="strictly inside"):
-        anova.anchor_point((GAUSS,), 1.0)
+    for p_unit in (0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="strictly inside"):
+            anova.anchor_point((GAUSS,), p_unit)
 
 
 def test_anchor_point_rejects_zero_density_location():
@@ -420,8 +421,9 @@ def test_adaptive_anova_validates_inputs():
 
     with pytest.raises(ValueError, match="m="):
         anova.adaptive_anova(g, (GAUSS,), m=2, sigma=0.0, order=2)
-    with pytest.raises(ValueError, match="nonnegative"):
-        anova.adaptive_anova(g, (GAUSS,), m=1, sigma=-0.1, order=2)
+    for sigma in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="nonnegative"):
+            anova.adaptive_anova(g, (GAUSS,), m=1, sigma=sigma, order=2)
 
 
 def test_solver_errors_carry_the_subset_tag():

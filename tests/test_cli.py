@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from uqsim import cli, hier, stsolver
+from uqsim import cli, hier, polychaos, stsolver
 from uqsim.anova import sample_count
 from uqsim.polychaos import expansion_from_json
 
@@ -112,6 +112,19 @@ def test_mc_agrees_with_dc_on_divider(divider, tmp_path):
     mc = read_stats(tmp_path / "mc" / "mc_stats.csv")
     gap = abs(st["v(2)"]["mean"] - mc["v(2)"]["mean"])
     assert gap < 4 * mc["v(2)"]["stderr_mean"]
+
+
+def test_opamp_like_dc_agrees_with_mc(tmp_path):
+    # 9 random inputs; the 3^9-node candidate rule is inside the node bound
+    assert cli.main(["dc", "--model", "builtin:opamp-like", "--order", "2",
+                     "--outdir", str(tmp_path / "st")]) == 0
+    assert cli.main(["mc", "--model", "builtin:opamp-like", "--samples",
+                     "20000", "--seed", "5",
+                     "--outdir", str(tmp_path / "mc")]) == 0
+    st = read_stats(tmp_path / "st" / "dc_stats.csv")["v(out)"]
+    mc = read_stats(tmp_path / "mc" / "mc_stats.csv")["v(out)"]
+    assert abs(st["mean"] - mc["mean"]) < 3 * mc["stderr_mean"]
+    assert abs(st["std"] - mc["std"]) < 3 * mc["stderr_std"]
 
 
 def test_anova_report_counts_match_formula(tmp_path):
@@ -687,6 +700,19 @@ def test_key_or_flag_the_analysis_does_not_read_is_user_error(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag,named", [("--anchor", "anchor"),
+                                        ("--sigma", "sigma")])
+def test_nan_anchor_or_sigma_is_user_error(tmp_path, capsys, flag, named):
+    # a NaN anchor passed the range and density checks and failed Newton
+    # with exit 2; a NaN sigma screened nothing and exited 0
+    rc = cli.main(["anova", "--model", "builtin:plate-actuator", "--order",
+                   "2", flag, "nan", "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    error = capture_error(capsys)
+    assert error["error"] == "config" and named in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_anchor_of_wrong_length_is_user_error(tmp_path, capsys):
     # numpy's broadcast error named neither the key nor the counts
     rc = cli.main(["anova", "--anchor", "0.5,0.5,0.5", "--output", "1",
@@ -779,12 +805,50 @@ def test_pushforward_beyond_the_node_bound_is_refused_up_front(
     assert rc == 1
     error = capture_error(capsys)
     assert error["error"] == "config"
-    for words in ("22^6 = 113,379,904", f"{hier.PUSHFORWARD_NODE_CAP:,}",
+    for words in ("22^6 = 113,379,904", f"{polychaos.TENSOR_NODE_CAP:,}",
                   "--density sampling", "--order"):
         assert words in error["message"]
     assert elapsed < 1.0
     assert peak < 20e6
     assert not (tmp_path / "block.json").exists()
+
+
+def test_selection_beyond_the_node_bound_is_refused_up_front(
+        tmp_path, capsys, monkeypatch):
+    # a 19-stage ladder at order 3 needs 4^19 candidate nodes, 2 TB of
+    # weights; the guard fails the test should even one axis rule be built
+    def guard(basis, nodes):
+        raise AssertionError(f"built a {nodes}-node axis rule")
+
+    monkeypatch.setattr(stsolver, "golub_welsch", guard)
+    path = tmp_path / "ladder19.cir"
+    path.write_text(ladder_netlist(19))
+    tracemalloc.start()
+    try:
+        rc = cli.main(["dc", "--netlist", str(path), "--order", "3",
+                       "--outdir", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    error = capture_error(capsys)
+    assert error["error"] == "config"
+    for words in ("4^19 = 274,877,906,944", f"{polychaos.TENSOR_NODE_CAP:,}",
+                  "--order"):
+        assert words in error["message"]
+    assert peak < 20e6
+    assert not (tmp_path / "out").exists()
+
+
+def test_impossible_allocation_is_user_error(tmp_path, capsys):
+    # 10^13 samples of 2 inputs are 146 TiB, beyond the address space, so
+    # the allocation is refused before any memory is touched
+    rc = cli.main(["mc", "--samples", "10000000000000",
+                   "--outdir", str(tmp_path / "out")] + DIODE)
+    assert rc == 1
+    error = capture_error(capsys)
+    assert error["error"] == "config"
+    assert "Unable to allocate" in error["message"]
 
 
 def test_block_with_the_whole_pushforward_loads_alike(tmp_path, monkeypatch):

@@ -10,9 +10,10 @@ from uqsim.models import algebraic_model
 from uqsim.polychaos import (DegenerateMeasureError, Distribution,
                              GpcExpansion, expansion_from_json,
                              expansion_to_json, golub_welsch,
-                             make_standard_basis, tensor_quadrature,
-                             total_degree_index_set)
+                             make_standard_basis, total_degree_index_set)
 from uqsim.stsolver import SolverOptions, standard_bases
+
+from conftest import tensor_quadrature
 
 GAUSS = Distribution.gaussian(0.0, 1.0)
 UNIF01 = Distribution.uniform(0.0, 1.0)

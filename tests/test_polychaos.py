@@ -275,16 +275,6 @@ def test_multivariate_basis_value():
     assert np.isclose(vals[idx.position((0, 0))], 1.0)
 
 
-def test_tensor_quadrature_and_cap():
-    b = pc.make_standard_basis(pc.Distribution.gaussian(0, 1), 2)
-    r = pc.golub_welsch(b, 3)
-    t = pc.tensor_quadrature([r, r])
-    assert t.points.shape == (9, 2)
-    assert abs(t.weights.sum() - 1.0) < 1e-12
-    with pytest.raises(ValueError, match="anova"):
-        pc.tensor_quadrature([r] * 9)
-
-
 def test_value_types_freeze_copies_not_the_callers_arrays():
     points, weights = np.array([0.0, 1.0]), np.array([0.5, 0.5])
     rule = pc.QuadratureRule(points, weights, 1)

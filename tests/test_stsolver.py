@@ -1,6 +1,7 @@
 """Stochastic testing solver: selection, decoupled DC, transient stepping."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +12,7 @@ from uqsim import anova, hier, models, netlist, stsolver
 from uqsim.models import algebraic_model, builtin_model
 from uqsim.montecarlo import sample_parameters
 from uqsim.polychaos import (Distribution, GpcExpansion, golub_welsch,
-                             make_standard_basis, tensor_quadrature,
-                             total_degree_index_set)
+                             make_standard_basis, total_degree_index_set)
 from uqsim.stsolver import (SolverError, SolverOptions, _damped_newton,
                             _integrate_points, _solve_dc_rows,
                             integrate_deterministic,
@@ -20,7 +20,8 @@ from uqsim.stsolver import (SolverError, SolverOptions, _damped_newton,
                             recover_coefficients, select_testing_points,
                             solve_dc, standard_bases)
 
-from conftest import select_testing_points_full_grid, solve_dc_monolithic
+from conftest import (select_testing_points_full_grid, solve_dc_monolithic,
+                      tensor_quadrature)
 
 HERMITE = Distribution.gaussian(0.0, 1.0)
 UNIFORM = Distribution.uniform(-1.0, 1.0)
@@ -99,7 +100,11 @@ class TestSelection:
         ((Distribution.gaussian(1.0, 0.1), Distribution.gamma(3.0),
           Distribution.beta(0.5, 2.0)), 4, 1300.0),
         (MIXED, 3, 100.0),   # only 34 of 35 points meet it
-    ], ids=["uniform-d8-p3", "mixed-d4-p3", "tight-cap", "failing-cap"])
+        # nine inputs, as opamp-like has
+        ((HERMITE,) * 9, 1, 1e8),
+        (MIXED * 2 + (UNIFORM,), 2, 1e8),
+    ], ids=["uniform-d8-p3", "mixed-d4-p3", "tight-cap", "failing-cap",
+            "gaussian-d9-p1", "mixed-d9-p2"])
     def test_matches_full_grid_reference(self, dists, order, cap):
         assert_matches_full_grid_reference(dists, order, cap)
 
@@ -145,6 +150,18 @@ class TestSelection:
         tps = select_testing_points(bases, 3)
         assert tps.n_points == 165
         assert 165 <= sum(rows) < 2000   # of the 4^8 = 65,536 grid nodes
+
+    def test_holds_no_node_grid(self):
+        # the 4^8 x 8 grid of points alone is 4 MiB; the weights and their
+        # order are 0.5 MiB each
+        bases = standard_bases((UNIFORM,) * 8, 3)
+        tracemalloc.start()
+        try:
+            select_testing_points(bases, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
 
     def test_selection_is_deterministic(self):
         basis = make_standard_basis(Distribution.uniform(-1, 1), 2)
