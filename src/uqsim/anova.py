@@ -215,8 +215,9 @@ def adaptive_anova(g: Callable, distributions: Sequence[Distribution],
     of every point) to their K values.  It is called once for the anchor
     and once per level, on all new testing points of the level's subsets
     in one stack, each point once; a g that treats its points
-    independently, like a stacked Newton, gives every term the bits a
-    call per subset gives it.
+    independently gives every term the bits a call per subset gives it.
+    A stacked Newton does so up to rounding: a long stack takes the
+    planned LU, a short one LAPACK (stsolver._solve_rows).
     """
     distributions = tuple(distributions)
     d = len(distributions)

@@ -246,11 +246,13 @@ def density_by_quadrature(s: Surrogate,
     nodes = int(np.ceil((max_degree * p_surr + 1) / 2))
     d = len(s.distributions)
     if nodes ** d > TENSOR_NODE_CAP:
+        # a lower order helps only if order 1's rule fits
+        lowest = int(np.ceil((max_degree + 1) / 2)) ** d
         raise ValueError(
             f"the quadrature density needs {nodes}^{d} = {nodes ** d:,} "
             f"pushforward nodes, above the bound of "
-            f"{TENSOR_NODE_CAP:,}; use --density sampling or a lower "
-            "--order")
+            f"{TENSOR_NODE_CAP:,}; use --density sampling"
+            + (" or a lower --order" if lowest <= TENSOR_NODE_CAP else ""))
     rules = [golub_welsch(basis, nodes)
              for basis in standard_bases(s.distributions, nodes - 1)]
     values = s.zeta.eval_grid([r.points for r in rules]).ravel()

@@ -105,6 +105,12 @@ class StochasticDae:
     still sees each row's time as a float; a batched model's f and df_dx
     get the array, so a batched f that reads t must broadcast it over the
     stack.  u is called with one float time at a time.
+
+    pattern is the structural (n, n) pattern of the Jacobians: True where
+    dq_dx or df_dx may be nonzero, dense when not given.  Long Newton
+    stacks are solved by an LU planned once from it; an entry outside it is
+    read as zero there, which can only slow Newton or stop it, since
+    convergence is judged on f.
     """
 
     n: int
@@ -119,11 +125,20 @@ class StochasticDae:
     x0_guess: np.ndarray | None = None
     labels: tuple[str, ...] | None = None
     batched: bool = False
+    pattern: np.ndarray | None = None
 
     def __post_init__(self):
         B = np.asarray(self.B, dtype=float).reshape(self.n, -1)
         B.setflags(write=False)
         object.__setattr__(self, "B", B)
+        pattern = np.ones((self.n, self.n), dtype=bool)
+        if self.pattern is not None:
+            pattern = np.array(self.pattern, dtype=bool)
+            if pattern.shape != (self.n, self.n):
+                raise ValueError(f"pattern must be {self.n}x{self.n}, got "
+                                 f"{pattern.shape}")
+        pattern.setflags(write=False)
+        object.__setattr__(self, "pattern", pattern)
         object.__setattr__(self, "distributions", tuple(self.distributions))
         if len(self.distributions) != self.d:
             raise ValueError("need one distribution entry per random input")
@@ -401,7 +416,8 @@ def _diode_rectifier(vin: float = 1.0, r: float = 1e3, i_s: float = 1e-9,
         dq_dx=lambda x, xi: np.zeros(np.shape(x) + (n,)), df_dx=df_dx,
         x0_guess=np.array([vin, 0.4, -1e-4]),
         batched=True,
-        labels=("v(1)", "v(2)", "i(V1)"))
+        labels=("v(1)", "v(2)", "i(V1)"),
+        pattern=[[1, 1, 1], [1, 1, 0], [1, 0, 0]])
 
 
 def _plate_actuator(voltage: float = 1.0, damping: float = 0.6,
@@ -411,29 +427,42 @@ def _plate_actuator(voltage: float = 1.0, damping: float = 0.6,
 
     z'' + b z' + k(xi_0) z = c V^2 / (gap(xi_1) - z)^2 with unit nominal
     mass, stiffness and gap; spring constant and gap carry Gaussian
-    variations.  u(t) is the (constant) applied voltage.  Returned in
-    first-order form, x = (z, z').
+    variations, and V is the (constant) applied voltage.  Written directly
+    in the first-order form second_order_to_first gives it, x = (z, z'),
+    with an analytic, batched Jacobian.
     """
     dists = (Distribution.gaussian(0.0, 1.0), Distribution.gaussian(0.0, 1.0))
+    drive = force_const * voltage * voltage
 
-    def force(z, u, xi):
-        k = 1.0 + k_sigma * xi[..., 0]
-        gap = 1.0 + gap_sigma * xi[..., 1]
-        v = u[..., 0]
+    def spring_gap(x, xi):
+        x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
+        return (x[..., 0], x[..., 1], 1.0 + k_sigma * xi[..., 0],
+                1.0 + gap_sigma * xi[..., 1])
+
+    def f(x, xi, t):
+        z, v, k, gap = spring_gap(x, xi)
         # float_power squares with libm pow, as a numpy scalar's ** 2 does;
         # an array's ** 2 is x*x, which rounds differently
-        pull = force_const * v * v / np.float_power(gap - z[..., 0], 2)
-        return (k * z[..., 0] - pull)[..., None]
+        pull = drive / np.float_power(gap - z, 2)
+        return np.stack(np.broadcast_arrays(-v, damping * v + (k * z - pull)),
+                        axis=-1)
 
-    return second_order_to_first(SecondOrderModel(
-        n=1,
-        mass=lambda z, xi: np.array([[1.0]]),
-        damping=lambda z, xi: np.array([[damping]]),
-        force=force,
-        distributions=dists,
-        u=lambda t: np.array([voltage]),
-        z0=np.zeros(1), v0=np.zeros(1),
-        labels=("z",), batched=True))
+    def df_dx(x, xi, t):
+        z, _, k, gap = spring_gap(x, xi)
+        stiffness = k - 2.0 * drive / np.float_power(gap - z, 3)
+        J = np.zeros(np.shape(stiffness) + (2, 2))
+        J[..., 0, 1] = -1.0
+        J[..., 1, 0] = stiffness
+        J[..., 1, 1] = damping
+        return J
+
+    return StochasticDae(
+        n=2, d=2, distributions=dists,
+        q=lambda x, xi: np.array(x, dtype=float), f=f,
+        B=np.zeros((2, 0)), u=lambda t: np.zeros(0),
+        dq_dx=lambda x, xi: np.broadcast_to(np.eye(2), np.shape(x) + (2,)),
+        df_dx=df_dx, x0_guess=np.zeros(2), labels=("z", "dz/dt"),
+        batched=True)
 
 
 _OPAMP_LIKE_NETLIST = """\

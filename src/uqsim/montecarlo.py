@@ -72,7 +72,7 @@ def _aggregate(samples: np.ndarray, n_failed: int, seed: int,
     std = np.sqrt(variance)
     stderr = std / np.sqrt(n)
     centered = samples - mean
-    m4 = (centered ** 4).mean(axis=0)
+    m4 = np.power(centered, 4, out=centered).mean(axis=0)
     # var(s^2) ~ (m4 - s^4)/n; std error of s by the delta method
     var_s2 = np.maximum(m4 - variance ** 2, 0.0) / n
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -140,4 +140,5 @@ def run_mc(model: StochasticDae, analysis: str, n: int, seed: int,
             raise SolverError(
                 f"Monte Carlo aborted: {n_failed} of {hi} samples "
                 f"failed, exceeding the {FAILURE_BUDGET:.1%} budget")
-    return _aggregate(results[~failed], n_failed, seed, model.labels)
+    return _aggregate(results[~failed] if n_failed else results, n_failed,
+                      seed, model.labels)

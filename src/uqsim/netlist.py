@@ -330,9 +330,12 @@ def _incidence(pairs, n: int) -> np.ndarray:
     return A
 
 
-def _conductance(A: np.ndarray, g) -> np.ndarray:
-    """A.T diag(g) A over the trailing axis of g: (..., n, n)."""
-    return A.T @ (np.asarray(g)[..., :, None] * A)
+def _stamps(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(m, n * n) stamp table of a group: row e is the outer product of
+    A[e] and B[e], so g @ table is A.T diag(g) B, flattened, for
+    conductances g (..., m) of the group: one gemm per stack."""
+    m, n = A.shape
+    return (A[:, :, None] * B[:, None, :]).reshape(m, n * n)
 
 
 def _param_resolver(items, var_plan) -> Callable:
@@ -463,6 +466,23 @@ def elaborate(nl: Netlist) -> StochasticDae:
     q_val = _param_resolver([(e, "c" if e.kind == "C" else "l")
                              for e in storage], var_plan)
 
+    # stamp tables, one row per conductance; a MOSFET's current moves with
+    # gm on its gate-source and gds on its drain-source voltage, stamped at
+    # drain and source
+    S_f = np.concatenate([_stamps(A_r, A_r), _stamps(A_d, A_d),
+                          _stamps(A_ds, A_gs), _stamps(A_ds, A_ds)])
+    S_q = _stamps(A_q, A_q)
+    pattern = ((G0 != 0).reshape(-1) | np.any(S_f != 0, axis=0)
+               | np.any(S_q != 0, axis=0)).reshape(n, n)
+
+    def jacobian(x, parts, S):
+        """The (..., n, n) Jacobian with conductances `parts` of S's rows,
+        each (..., m_i) or (m_i,), from one gemm."""
+        lead = x.shape[:-1]
+        g = np.concatenate([np.broadcast_to(p, lead + np.shape(p)[-1:])
+                            for p in parts], axis=-1)
+        return (g @ S).reshape(lead + (n, n))
+
     # every kernel takes x (..., n) and xi (..., d) whose leading axes are
     # equal or absent from xi, and returns arrays with x's leading axes
     def q(x, xi):
@@ -474,10 +494,7 @@ def elaborate(nl: Netlist) -> StochasticDae:
 
     def dq_dx(x, xi):
         x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
-        out = np.zeros(x.shape + (n,))
-        if storage:
-            out += _conductance(A_q, q_val(xi))
-        return out
+        return jacobian(x, [q_val(xi)], S_q)
 
     def f(x, xi, t):
         x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
@@ -495,23 +512,18 @@ def elaborate(nl: Netlist) -> StochasticDae:
 
     def df_dx(x, xi, t):
         x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
-        out = np.zeros(x.shape + (n,))
-        out += G0
-        if res:
-            out += _conductance(A_r, 1.0 / r_val(xi))
+        parts = [1.0 / r_val(xi)]   # an empty group adds no columns
         if dio:
-            _, g = shockley_current(x @ A_d.T, d_is(xi), d_nvt(xi))
-            out += _conductance(A_d, g)
+            parts.append(shockley_current(x @ A_d.T, d_is(xi), d_nvt(xi))[1])
         if mos:
-            _, gm, gds = mosfet_current(x @ A_gs.T, x @ A_ds.T,
-                                        m_kp(xi), m_vth(xi), m_lam(xi))
-            # d i_ds / dx = gm * A_gs + gds * A_ds, stamped at drain/source
-            out += A_ds.T @ (np.asarray(gm)[..., :, None] * A_gs
-                             + np.asarray(gds)[..., :, None] * A_ds)
+            parts += mosfet_current(x @ A_gs.T, x @ A_ds.T, m_kp(xi),
+                                    m_vth(xi), m_lam(xi))[1:]
+        out = jacobian(x, parts, S_f)
+        out += G0
         return out
 
     return StochasticDae(
         n=n, d=d, distributions=distributions,
         q=q, f=f, B=B, u=lambda t: u_values,
         dq_dx=dq_dx, df_dx=df_dx,
-        x0_guess=np.zeros(n), labels=labels, batched=True)
+        x0_guess=np.zeros(n), labels=labels, batched=True, pattern=pattern)

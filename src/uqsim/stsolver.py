@@ -25,6 +25,7 @@ on own clocks, kept in arrays, each with the steps of a one-sample run.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -62,6 +63,17 @@ ACCEPTS_BEFORE_DOUBLE = 5
 # bytes; building them (netlist stamps, finite differences) takes a few
 # times more
 CHUNK_BYTES = 1 << 20
+# Newton stacks of at least this many rows run the model's planned LU;
+# shorter ones keep LAPACK, whose per-matrix work is then cheaper than the
+# planned LU's per-pivot numpy calls (crossover table in
+# BENCH_netlist_scale.json)
+PLANNED_LU_MIN_ROWS = 64
+# the planned LU hands a row to LAPACK when a pivot is below this fraction
+# of the largest entry of its column (KLU's default threshold)
+PIVOT_FRACTION = 1e-3
+# the planned LU works on row blocks of at most this many bytes of stored
+# entries, so its entry-major copy stays small against the Jacobian stack
+LU_BLOCK_BYTES = 1 << 17
 
 
 class SolverError(RuntimeError):
@@ -256,9 +268,183 @@ def _row_norms(R: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(R * R, axis=1))
 
 
-def _solve_rows(J: np.ndarray, R: np.ndarray):
+def _zero_free_rows(pattern: np.ndarray):
+    """Row order that puts a structural nonzero on every diagonal entry of
+    the boolean (n, n) pattern: position k holds row order[k].  Rows keep
+    their own diagonal where they have one; the others are matched by
+    augmenting paths.  None when no such order exists (the pattern is
+    structurally singular)."""
+    n = len(pattern)
+    cols = [np.flatnonzero(row).tolist() for row in pattern]
+    row_of = [i if pattern[i, i] else -1 for i in range(n)]  # per column
+
+    def augment(i, seen):
+        for j in cols[i]:
+            if j not in seen:
+                seen.add(j)
+                if row_of[j] < 0 or augment(row_of[j], seen):
+                    row_of[j] = i
+                    return True
+        return False
+
+    for i in range(n):
+        if not pattern[i, i] and not augment(i, set()):
+            return None
+    return row_of
+
+
+class _StackedLu:
+    """LU of one Jacobian pattern, planned once and then solved numerically
+    across the rows of a stack: KLU's split into a symbolic and a numeric
+    phase (Davis and Palamadai Natarajan, "Algorithm 907: KLU", ACM TOMS
+    2010), with the numeric phase run over rows instead of time steps.
+
+    The plan permutes rows so that every diagonal entry is a structural
+    nonzero (MNA branch rows of voltage sources have none), finds the fill
+    of elimination in that order, and numbers the entries: the multipliers
+    of L column by column, then per row its pivot, its entries of U and its
+    right-hand side, which forward elimination updates as column n.  A
+    block of rows is stored entry-major, each entry one contiguous vector
+    over the rows, so that a pivot is one fused update of every row: one
+    vector operation per pivot, or one per updated entry when a pivot
+    updates at most UNROLLED entries.  Entries outside the pattern are read
+    as zeros.  A row with a multiplier above 1/PIVOT_FRACTION, that is a
+    pivot below that fraction of its column, or with a step that is not
+    finite, is flagged for a pivoting solve.
+    """
+
+    UNROLLED = 3
+
+    def __init__(self, pattern: np.ndarray, order: list):
+        n = len(pattern)
+        rows = [set(np.flatnonzero(pattern[i]).tolist()) for i in order]
+        for k in range(n):
+            upper = [j for j in rows[k] if j > k]
+            for i in range(k + 1, n):
+                if k in rows[i]:
+                    rows[i].update(upper)
+        below = [[i for i in range(k + 1, n) if k in rows[i]]
+                 for k in range(n)]
+        right = [sorted(j for j in rows[k] if j > k) for k in range(n)]
+        keys = [(i, k) for k in range(n) for i in below[k]]
+        self.n_lower = len(keys)
+        for k in range(n):
+            keys += [(k, k)] + [(k, j) for j in right[k]] + [(k, n)]
+        ids = {key: e for e, key in enumerate(keys)}
+
+        def pairs(targets, factors):
+            return (tuple(zip(targets, factors))
+                    if len(targets) <= self.UNROLLED else None)
+
+        self.size = len(keys)
+        # J's flat index per entry; right-hand sides read a dummy 0
+        self.gather = np.array([order[i] * n + j if j < n else 0
+                                for i, j in keys])
+        self.rhs = [(ids[k, n], order[k]) for k in range(n)]
+        self.zeros = np.array([ids[i, j] for i, j in keys
+                               if j < n and not pattern[order[i], j]],
+                              dtype=np.intp)
+        self.pivots = []
+        for k in range(n):
+            if not below[k]:
+                continue
+            cols = [ids[k, j] for j in right[k]] + [ids[k, n]]
+            target = [ids[i, j] for i in below[k] for j in right[k] + [n]]
+            lower = [ids[i, k] for i in below[k]]
+            self.pivots.append((
+                ids[k, k], slice(lower[0], lower[-1] + 1),
+                slice(cols[0], cols[-1] + 1), np.array(target),
+                pairs(target, [(l, u) for l in lower for u in cols])))
+        self.back = []
+        for k in range(n - 1, -1, -1):
+            cols = [ids[k, j] for j in right[k]]
+            xs = [ids[j, n] for j in right[k]]
+            self.back.append((k, ids[k, k], ids[k, n],
+                              slice(cols[0], cols[-1] + 1) if cols else None,
+                              np.array(xs, dtype=np.intp),
+                              pairs(cols, xs)))
+
+    def solve(self, J: np.ndarray, R: np.ndarray):
+        """Steps -J^-1 R of the rows of J (N, n, n) and R (N, n), and the
+        mask of rows flagged for a pivoting solve, whose steps are void."""
+        N, n = R.shape
+        step = np.empty((N, n))
+        flagged = np.zeros(N, dtype=bool)
+        block = max(1, LU_BLOCK_BYTES // (8 * self.size))
+        for lo in range(0, N, block):
+            rows = slice(lo, min(N, lo + block))
+            self._eliminate(J[rows], R[rows], step[rows], flagged[rows])
+            flagged[rows] |= ~np.isfinite(step[rows]).all(axis=1)
+        return step, flagged
+
+    def _eliminate(self, J, R, step, flagged):
+        """Entry-major LU and solve of one block: writes the steps -J^-1 R
+        to step and flags rows in place."""
+        N, n = R.shape
+        E = J.reshape(N, n * n).T[self.gather]
+        for e, i in self.rhs:
+            E[e] = R[:, i]
+        if self.zeros.size:
+            E[self.zeros] = 0.0
+        with np.errstate(all="ignore"):
+            for diag, lower, upper, target, pairs in self.pivots:
+                col = E[lower]
+                col /= E[diag]
+                if pairs is None:
+                    E[target] -= (col[:, None] * E[upper]).reshape(-1, N)
+                else:
+                    for t, (l, u) in pairs:
+                        E[t] -= E[l] * E[u]
+            for k, diag, rhs, upper, xs, pairs in self.back:
+                x = E[rhs]
+                if pairs is None:
+                    x -= (E[upper] * E[xs]).sum(axis=0)
+                else:
+                    for u, xj in pairs:
+                        x -= E[u] * E[xj]
+                x /= E[diag]
+                np.negative(x, out=step[:, k])
+            if self.n_lower:
+                L, big = E[:self.n_lower], 1.0 / PIVOT_FRACTION
+                flagged |= (L.max(axis=0) > big) | (L.min(axis=0) < -big)
+
+
+@functools.lru_cache(maxsize=32)
+def _planned_lu(n: int, pattern: bytes):
+    """The _StackedLu of an (n, n) boolean pattern given as bytes, built
+    once per pattern; None when the pattern is structurally singular."""
+    pattern = np.frombuffer(pattern, dtype=bool).reshape(n, n)
+    order = _zero_free_rows(pattern)
+    return None if order is None else _StackedLu(pattern, order)
+
+
+def _model_lu(model: StochasticDae):
+    """The planned LU of the model's Jacobian pattern."""
+    return _planned_lu(model.n, model.pattern.tobytes())
+
+
+def _solve_rows(J: np.ndarray, R: np.ndarray, lu: _StackedLu | None = None):
     """Newton steps -J^-1 R per row, and the mask of rows whose J is
-    singular (None when there are none); those rows get no step."""
+    singular (None when there are none); those rows get no step.  A stack
+    of at least PLANNED_LU_MIN_ROWS rows runs the planned LU lu, when
+    given, and only the rows it flags go on to LAPACK."""
+    if lu is None or len(R) < PLANNED_LU_MIN_ROWS:
+        return _lapack_rows(J, R)
+    step, flagged = lu.solve(J, R)
+    if not np.count_nonzero(flagged):
+        return step, None
+    at = np.flatnonzero(flagged)
+    step[at], singular = _lapack_rows(J[at], R[at])
+    if singular is None:
+        return step, None
+    mask = np.zeros(len(R), dtype=bool)
+    mask[at[singular]] = True
+    return step, mask
+
+
+def _lapack_rows(J: np.ndarray, R: np.ndarray):
+    """_solve_rows by numpy's LAPACK solve, one row at a time after a
+    singular row stops the stacked call."""
     try:
         return np.linalg.solve(J, -R[..., None])[..., 0], None
     except np.linalg.LinAlgError:
@@ -273,7 +459,8 @@ def _solve_rows(J: np.ndarray, R: np.ndarray):
 
 
 def _damped_newton(residual: Callable, jacobian: Callable, x0: np.ndarray,
-                   tol: float, max_iter: int, max_damping: int):
+                   tol: float, max_iter: int, max_damping: int,
+                   lu: _StackedLu | None = None):
     """Row-wise Newton with residual-norm damping on a stack X (N, n).
 
     residual(Y, rows) and jacobian(Y, rows) evaluate the rows `rows` of the
@@ -283,7 +470,8 @@ def _damped_newton(residual: Callable, jacobian: Callable, x0: np.ndarray,
     damped Newton on its own: a full step, then halvings until its residual
     norm drops, taking the last halving when none does.  A row stops once
     its norm is at most tol.  A row whose Jacobian is singular stops there,
-    unconverged; the other rows go on.
+    unconverged; the other rows go on.  lu, the planned LU of the
+    Jacobians' pattern, solves long stacks (see _solve_rows).
 
     Returns (X, residual norms (N,), converged mask (N,)).
     """
@@ -300,7 +488,7 @@ def _damped_newton(residual: Callable, jacobian: Callable, x0: np.ndarray,
         if n_done == N:
             break
         rows = _ALL if not n_done else np.flatnonzero(~done)
-        step, singular = _solve_rows(jacobian(X[rows], rows), R[rows])
+        step, singular = _solve_rows(jacobian(X[rows], rows), R[rows], lu)
         if singular is not None:
             rows = np.arange(N)[rows]
             if failed is None:
@@ -360,8 +548,9 @@ def newton_dc(model: StochasticDae, xi: np.ndarray,
     """DC operating point f(x, xi, t) = B u(t): x (n,) at one point xi
     (d,), or (N, n) at the rows of a stack xi (N, d), from the one start x0
     (default model.initial_guess()).  Stacked Newtons of _chunk_rows(n) rows
-    keep the Jacobians within CHUNK_BYTES; rows do not interact, so a row's
-    bits do not depend on its chunk."""
+    keep the Jacobians within CHUNK_BYTES.  Rows do not interact, except
+    that the number of rows still iterating picks the linear solve
+    (_solve_rows), so a row's bits depend on its chunk only in rounding."""
     P = np.atleast_2d(np.asarray(xi, dtype=float))
     start = model.initial_guess() if x0 is None else np.asarray(x0, float)
     rows = _chunk_rows(model.n)
@@ -390,7 +579,7 @@ def _solve_dc_rows(model: StochasticDae, P: np.ndarray, X0: np.ndarray,
     return _damped_newton(residual, jacobian,
                           np.broadcast_to(X0, (len(P), model.n)),
                           options.dc_tol(model.n), options.newton_max_iter,
-                          options.newton_max_damping)
+                          options.newton_max_damping, _model_lu(model))
 
 
 def _map_points(fn: Callable, items):
@@ -545,7 +734,7 @@ class _PointIntegrator:
         tol = opt.dc_tol(model.n)
         X, rnorm, ok = _damped_newton(residual, jacobian, self.X[rows], tol,
                                       opt.newton_max_iter,
-                                      opt.newton_max_damping)
+                                      opt.newton_max_damping, _model_lu(model))
         if self.shared:
             _check_converged(rnorm, ok, tol, opt)
         return X, ok

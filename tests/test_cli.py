@@ -813,6 +813,19 @@ def test_pushforward_beyond_the_node_bound_is_refused_up_front(
     assert not (tmp_path / "block.json").exists()
 
 
+def test_pushforward_hint_omits_an_order_that_cannot_fit(tmp_path, capsys):
+    # opamp-like has d = 9 inputs: even order 1 needs 8^9 pushforward nodes,
+    # so a lower --order never brings the rule under the bound
+    rc = cli.main(["hier-extract", "--model", "builtin:opamp-like", "--order",
+                   "2", "--output", "v(out)", "--outdir", str(tmp_path)])
+    assert rc == 1
+    error = capture_error(capsys)
+    assert error["error"] == "config"
+    assert "15^9" in error["message"]
+    assert "--density sampling" in error["message"]
+    assert "--order" not in error["message"]
+
+
 def test_selection_beyond_the_node_bound_is_refused_up_front(
         tmp_path, capsys, monkeypatch):
     # a 19-stage ladder at order 3 needs 4^19 candidate nodes, 2 TB of

@@ -279,6 +279,32 @@ class TestElaborate:
         residual = dae.f(x, np.zeros(0), 0.0) - dae.B @ dae.u(0.0)
         assert np.max(np.abs(residual)) < 1e-9
 
+    def test_gemm_stamps_match_the_batched_matmul_kernel(self):
+        # node c is a star of three resistors, so its diagonal sums three
+        # conductances; the reference is the kernel the stamp tables
+        # replaced, A.T diag(g) A as one batched matmul
+        def conductance(A, g):
+            return A.T @ (np.asarray(g)[..., :, None] * A)
+
+        text = ("I1 0 c 1m\n"
+                "R1 c a 1k variation=relative:uniform(0.9,1.1)\n"
+                "R2 c b 2k variation=relative:uniform(0.9,1.1)\n"
+                "R3 c 0 3k variation=relative:uniform(0.9,1.1)\n"
+                "R4 a 0 1k\nR5 b 0 1k\n")
+        dae = elaborate(parse_netlist(text))
+        assert dae.labels == ("v(c)", "v(a)", "v(b)")
+        rng = np.random.default_rng(11)
+        P = rng.uniform(0.9, 1.1, size=(64, 3))
+        r = np.concatenate([np.array([1e3, 2e3, 3e3]) * P,
+                            np.full((64, 2), 1e3)], axis=1)
+        A = netlist._incidence([(0, 1), (0, 2), (0, -1), (1, -1), (2, -1)],
+                               3)
+        ref = conductance(A, 1.0 / r)
+        J = dae.df_dx(np.zeros((64, 3)), P, 0.0)
+        assert np.allclose(J, ref, rtol=4e-16, atol=0.0)
+        assert np.array_equal(dae.df_dx(np.zeros(3), P[0], 0.0), J[0])
+        assert np.array_equal(dae.pattern, ref[0] != 0)
+
     def test_analytic_jacobians_match_fd(self):
         from uqsim.models import _fd_jacobian
         text = ("V1 1 0 1\nR1 1 2 1k\nL1 2 3 1m\nC1 3 0 1u\nD1 3 4 \n"

@@ -28,6 +28,7 @@ def load(name):
     ("diode_st_vs_mc", ["--samples", "2000"]),
     ("hier_two_level", ["--samples", "10000"]),
     ("opamp_anova_sensitivity", ["--m", "2", "--order", "2"]),
+    ("lu_crossover", ["--repeats", "1"]),
 ])
 def test_script_runs(name, argv, capsys):
     assert load(name).main(argv) == 0

@@ -317,6 +317,130 @@ class TestStackedNewton:
                               np.zeros((2, 1)), (0.0, 1.0), SolverOptions())
 
 
+def diode_rc_ladder(stages: int) -> str:
+    """Diode-RC ladder with one relative resistor variation per stage."""
+    lines = ["V1 n0 0 1.0"]
+    for k in range(1, stages + 1):
+        lines += [f"R{k} n{k - 1} n{k} 1k variation=relative:uniform(0.9,1.1)",
+                  f"D{k} n{k} 0 is=1e-9 nvt=0.02585", f"C{k} n{k} 0 1u"]
+    return "\n".join(lines) + "\n"
+
+
+def newton_stack(model, rows, seed=0):
+    """Jacobians (rows, n, n) and residuals (rows, n) of a DC Newton stack
+    near the nominal operating point."""
+    P = sample_parameters(model.distributions, rows, seed)
+    x0 = newton_dc(model, model.nominal_parameters())
+    rng = np.random.default_rng(seed)
+    X = x0 + 0.05 * rng.normal(size=(rows, model.n)) * (np.abs(x0) + 0.1)
+    return (model.jac_f_many(X, P, 0.0),
+            model.f_many(X, P, 0.0) - model.B @ model.u(0.0))
+
+
+class TestPlannedLu:
+    MODELS = {
+        "ladder19": lambda: netlist.elaborate(
+            netlist.parse_netlist(diode_rc_ladder(19))),
+        "opamp_like": lambda: builtin_model("opamp_like"),
+        "diode_rectifier": lambda: builtin_model("diode_rectifier"),
+    }
+
+    @staticmethod
+    def assert_close(step, J, R):
+        ref = np.linalg.solve(J, -R[..., None])[..., 0]
+        scale = np.abs(ref).max(axis=1, keepdims=True)
+        assert np.all(np.abs(step - ref) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_agrees_with_lapack_on_model_stacks(self, name):
+        model = self.MODELS[name]()
+        lu = stsolver._model_lu(model)
+        J, R = newton_stack(model, 300)
+        step, flagged = lu.solve(J, R)
+        assert not flagged.any()
+        self.assert_close(step, J, R)
+        step, singular = stsolver._solve_rows(J, R, lu)
+        assert singular is None
+        self.assert_close(step, J, R)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_agrees_with_lapack_on_random_dense_stacks(self, n):
+        rng = np.random.default_rng(n)
+        J = rng.normal(size=(200, n, n)) + 4.0 * np.eye(n)
+        R = rng.normal(size=(200, n))
+        lu = stsolver._planned_lu(n, np.ones((n, n), dtype=bool).tobytes())
+        step, flagged = lu.solve(J, R)
+        self.assert_close(step[~flagged], J[~flagged], R[~flagged])
+        step, singular = stsolver._solve_rows(J, R, lu)
+        assert singular is None
+        self.assert_close(step, J, R)
+
+    def test_zero_diagonals_are_paired_by_the_row_order(self):
+        # the source branch rows and opamp-like's `in` node, which only VIN
+        # and a gate touch, have no diagonal entry
+        model = builtin_model("opamp_like")
+        assert not np.diag(model.pattern).all()
+        order = stsolver._zero_free_rows(model.pattern)
+        assert sorted(order) == list(range(model.n))
+        assert model.pattern[order, range(model.n)].all()
+        # a pattern with an empty column has no such order, and no plan
+        empty = np.ones((3, 3), dtype=bool)
+        empty[:, 1] = False
+        assert stsolver._zero_free_rows(empty) is None
+        assert stsolver._planned_lu(3, empty.tobytes()) is None
+
+    def test_small_pivot_falls_back_and_singular_row_stops_alone(self):
+        n, rows = 2, stsolver.PLANNED_LU_MIN_ROWS
+        rng = np.random.default_rng(5)
+        J = rng.normal(size=(rows, n, n)) + 3.0 * np.eye(n)
+        R = rng.normal(size=(rows, n))
+        J[0] = [[1.0, 1.0], [1.0, 1.0]]     # singular
+        J[1] = [[1e-6, 1.0], [1.0, 1.0]]    # pivot below 1e-3 of its column
+        lu = stsolver._planned_lu(n, np.ones((n, n), dtype=bool).tobytes())
+        _, flagged = lu.solve(J, R)
+        assert flagged[:2].all() and not flagged[2:].any()
+        step, singular = stsolver._solve_rows(J, R, lu)
+        assert np.flatnonzero(singular).tolist() == [0]
+        assert np.array_equal(step[1], np.linalg.solve(J[1], -R[1]))
+        self.assert_close(step[2:], J[2:], R[2:])
+
+    def test_short_stacks_keep_lapack_bits(self):
+        model = builtin_model("diode_rectifier")
+        J, R = newton_stack(model, stsolver.PLANNED_LU_MIN_ROWS - 1)
+        step, singular = stsolver._solve_rows(J, R, stsolver._model_lu(model))
+        assert singular is None
+        assert np.array_equal(step,
+                              np.linalg.solve(J, -R[..., None])[..., 0])
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_solve_allocates_well_under_its_stack(self, name):
+        # the entry-major copy is made in row blocks of LU_BLOCK_BYTES; of
+        # stack size, only the steps it returns are allocated, n / n^2 of
+        # the Jacobians (LAPACK's path allocates them and -R)
+        model = self.MODELS[name]()
+        J, R = newton_stack(model, stsolver._chunk_rows(model.n))
+        lu = stsolver._model_lu(model)
+        lu.solve(J[:100], R[:100])   # warm caches
+        tracemalloc.start()
+        try:
+            step, flagged = lu.solve(J, R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not flagged.any()
+        assert peak - step.nbytes < 0.3 * J.nbytes
+        assert peak < 0.6 * J.nbytes
+
+    def test_pattern_covers_the_jacobians(self):
+        for name, make in self.MODELS.items():
+            model = make()
+            J, _ = newton_stack(model, 50)
+            P = sample_parameters(model.distributions, 50, 0)
+            Jq = model.jac_q_many(np.zeros((50, model.n)), P)
+            assert not ((J != 0) & ~model.pattern).any(), name
+            assert not ((Jq != 0) & ~model.pattern).any(), name
+
+
 class TestDecouplingEquivalence:
     def test_nonlinear_two_node_identical(self):
         dae = netlist.elaborate(netlist.parse_netlist(NONLINEAR_2NODE))
