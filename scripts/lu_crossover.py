@@ -82,7 +82,7 @@ def main(argv=None) -> int:
     for rows, n in SHAPES:
         model = model_of(n)
         J, R = stack(model, rows)
-        lu = stsolver._model_lu(model)
+        lu = stsolver._model_lu(model, True)
         lapack = best_of(lambda: np.linalg.solve(J, -R[..., None]),
                          args.repeats)
         planned = best_of(lambda: lu.solve(J, R), args.repeats)

@@ -106,11 +106,12 @@ class StochasticDae:
     get the array, so a batched f that reads t must broadcast it over the
     stack.  u is called with one float time at a time.
 
-    pattern is the structural (n, n) pattern of the Jacobians: True where
-    dq_dx or df_dx may be nonzero, dense when not given.  Long Newton
-    stacks are solved by an LU planned once from it; an entry outside it is
-    read as zero there, which can only slow Newton or stop it, since
-    convergence is judged on f.
+    dq_pattern and df_pattern are the structural (n, n) patterns of dq_dx
+    and df_dx: True where an entry may be nonzero, dense when not given.
+    Long Newton stacks are solved by an LU planned once per pattern: DC
+    stacks from df_pattern, implicit steps from the union of both.  An
+    entry outside the pattern is read as zero there, which can only slow
+    Newton or stop it, since convergence is judged on f.
     """
 
     n: int
@@ -125,20 +126,22 @@ class StochasticDae:
     x0_guess: np.ndarray | None = None
     labels: tuple[str, ...] | None = None
     batched: bool = False
-    pattern: np.ndarray | None = None
+    dq_pattern: np.ndarray | None = None
+    df_pattern: np.ndarray | None = None
 
     def __post_init__(self):
         B = np.asarray(self.B, dtype=float).reshape(self.n, -1)
         B.setflags(write=False)
         object.__setattr__(self, "B", B)
-        pattern = np.ones((self.n, self.n), dtype=bool)
-        if self.pattern is not None:
-            pattern = np.array(self.pattern, dtype=bool)
-            if pattern.shape != (self.n, self.n):
-                raise ValueError(f"pattern must be {self.n}x{self.n}, got "
-                                 f"{pattern.shape}")
-        pattern.setflags(write=False)
-        object.__setattr__(self, "pattern", pattern)
+        for name in ("dq_pattern", "df_pattern"):
+            pattern = np.ones((self.n, self.n), dtype=bool)
+            if getattr(self, name) is not None:
+                pattern = np.array(getattr(self, name), dtype=bool)
+                if pattern.shape != (self.n, self.n):
+                    raise ValueError(f"{name} must be {self.n}x{self.n}, "
+                                     f"got {pattern.shape}")
+            pattern.setflags(write=False)
+            object.__setattr__(self, name, pattern)
         object.__setattr__(self, "distributions", tuple(self.distributions))
         if len(self.distributions) != self.d:
             raise ValueError("need one distribution entry per random input")
@@ -417,7 +420,8 @@ def _diode_rectifier(vin: float = 1.0, r: float = 1e3, i_s: float = 1e-9,
         x0_guess=np.array([vin, 0.4, -1e-4]),
         batched=True,
         labels=("v(1)", "v(2)", "i(V1)"),
-        pattern=[[1, 1, 1], [1, 1, 0], [1, 0, 0]])
+        dq_pattern=np.zeros((n, n)),
+        df_pattern=[[1, 1, 1], [1, 1, 0], [1, 0, 0]])
 
 
 def _plate_actuator(voltage: float = 1.0, damping: float = 0.6,
@@ -462,7 +466,7 @@ def _plate_actuator(voltage: float = 1.0, damping: float = 0.6,
         B=np.zeros((2, 0)), u=lambda t: np.zeros(0),
         dq_dx=lambda x, xi: np.broadcast_to(np.eye(2), np.shape(x) + (2,)),
         df_dx=df_dx, x0_guess=np.zeros(2), labels=("z", "dz/dt"),
-        batched=True)
+        batched=True, dq_pattern=np.eye(2), df_pattern=[[0, 1], [1, 1]])
 
 
 _OPAMP_LIKE_NETLIST = """\

@@ -5,9 +5,11 @@ seeded PCG64 generator, one deterministic solve per sample, aggregation
 with standard errors, and histogram export.  Samples are solved as the rows
 of stacked solves: DC samples in stacked Newton solves, transient samples
 in the stacked stepper, each on its own clock so that it takes the steps a
-one-sample run takes.  Sampling is materialized up front so results are
-bit-identical for a fixed (model, n, seed) regardless of how the solves
-are scheduled.
+one-sample run takes.  Sampling is materialized up front, so results are
+bit-identical for a fixed (model, n, seed).  A sample's bits still depend
+on its stack, in rounding only: a Newton stack of
+stsolver.PLANNED_LU_MIN_ROWS rows or more is solved by the planned LU,
+a shorter one by LAPACK.
 """
 
 from __future__ import annotations

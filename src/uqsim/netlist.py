@@ -472,8 +472,9 @@ def elaborate(nl: Netlist) -> StochasticDae:
     S_f = np.concatenate([_stamps(A_r, A_r), _stamps(A_d, A_d),
                           _stamps(A_ds, A_gs), _stamps(A_ds, A_ds)])
     S_q = _stamps(A_q, A_q)
-    pattern = ((G0 != 0).reshape(-1) | np.any(S_f != 0, axis=0)
-               | np.any(S_q != 0, axis=0)).reshape(n, n)
+    df_pattern = ((G0 != 0).reshape(-1)
+                  | np.any(S_f != 0, axis=0)).reshape(n, n)
+    dq_pattern = np.any(S_q != 0, axis=0).reshape(n, n)
 
     def jacobian(x, parts, S):
         """The (..., n, n) Jacobian with conductances `parts` of S's rows,
@@ -526,4 +527,5 @@ def elaborate(nl: Netlist) -> StochasticDae:
         n=n, d=d, distributions=distributions,
         q=q, f=f, B=B, u=lambda t: u_values,
         dq_dx=dq_dx, df_dx=df_dx,
-        x0_guess=np.zeros(n), labels=labels, batched=True, pattern=pattern)
+        x0_guess=np.zeros(n), labels=labels, batched=True,
+        dq_pattern=dq_pattern, df_pattern=df_pattern)

@@ -21,6 +21,9 @@ error estimated from a polynomial predictor, and error-per-unit-step
 acceptance.  The testing points share one adaptive step sequence on a
 clock of Python floats; the same stacked stepper runs Monte Carlo samples
 on own clocks, kept in arrays, each with the steps of a one-sample run.
+Newton stacks of PLANNED_LU_MIN_ROWS rows or more are solved by an LU
+planned once per Jacobian pattern, shorter ones by LAPACK, so a row's
+iterates depend on how many rows share its stack, in rounding only.
 """
 
 from __future__ import annotations
@@ -71,8 +74,9 @@ PLANNED_LU_MIN_ROWS = 64
 # the planned LU hands a row to LAPACK when a pivot is below this fraction
 # of the largest entry of its column (KLU's default threshold)
 PIVOT_FRACTION = 1e-3
-# the planned LU works on row blocks of at most this many bytes of stored
-# entries, so its entry-major copy stays small against the Jacobian stack
+# the planned LU works on row blocks whose stored entries and largest
+# update temporaries take at most this many bytes, so its entry-major copy
+# stays small against the Jacobian stack
 LU_BLOCK_BYTES = 1 << 17
 
 
@@ -305,15 +309,12 @@ class _StackedLu:
     of L column by column, then per row its pivot, its entries of U and its
     right-hand side, which forward elimination updates as column n.  A
     block of rows is stored entry-major, each entry one contiguous vector
-    over the rows, so that a pivot is one fused update of every row: one
-    vector operation per pivot, or one per updated entry when a pivot
-    updates at most UNROLLED entries.  Entries outside the pattern are read
-    as zeros.  A row with a multiplier above 1/PIVOT_FRACTION, that is a
-    pivot below that fraction of its column, or with a step that is not
-    finite, is flagged for a pivoting solve.
+    over the rows, so that a pivot is one fused update of every row.
+    Entries outside the pattern are read as zeros.  A row with a multiplier
+    above 1/PIVOT_FRACTION, that is a pivot below that fraction of its
+    column, or with a step that is not finite, is flagged for a pivoting
+    solve.
     """
-
-    UNROLLED = 3
 
     def __init__(self, pattern: np.ndarray, order: list):
         n = len(pattern)
@@ -331,11 +332,6 @@ class _StackedLu:
         for k in range(n):
             keys += [(k, k)] + [(k, j) for j in right[k]] + [(k, n)]
         ids = {key: e for e, key in enumerate(keys)}
-
-        def pairs(targets, factors):
-            return (tuple(zip(targets, factors))
-                    if len(targets) <= self.UNROLLED else None)
-
         self.size = len(keys)
         # J's flat index per entry; right-hand sides read a dummy 0
         self.gather = np.array([order[i] * n + j if j < n else 0
@@ -353,16 +349,18 @@ class _StackedLu:
             lower = [ids[i, k] for i in below[k]]
             self.pivots.append((
                 ids[k, k], slice(lower[0], lower[-1] + 1),
-                slice(cols[0], cols[-1] + 1), np.array(target),
-                pairs(target, [(l, u) for l in lower for u in cols])))
+                slice(cols[0], cols[-1] + 1), np.array(target)))
         self.back = []
         for k in range(n - 1, -1, -1):
             cols = [ids[k, j] for j in right[k]]
             xs = [ids[j, n] for j in right[k]]
             self.back.append((k, ids[k, k], ids[k, n],
                               slice(cols[0], cols[-1] + 1) if cols else None,
-                              np.array(xs, dtype=np.intp),
-                              pairs(cols, xs)))
+                              np.array(xs, dtype=np.intp)))
+        # vectors over the rows a block holds at once: its entries, and a
+        # product and a gathered copy of the widest update
+        self.width = self.size + 2 * max(
+            [len(p[3]) for p in self.pivots] + [len(b[4]) for b in self.back])
 
     def solve(self, J: np.ndarray, R: np.ndarray):
         """Steps -J^-1 R of the rows of J (N, n, n) and R (N, n), and the
@@ -370,7 +368,7 @@ class _StackedLu:
         N, n = R.shape
         step = np.empty((N, n))
         flagged = np.zeros(N, dtype=bool)
-        block = max(1, LU_BLOCK_BYTES // (8 * self.size))
+        block = max(1, LU_BLOCK_BYTES // (8 * self.width))
         for lo in range(0, N, block):
             rows = slice(lo, min(N, lo + block))
             self._eliminate(J[rows], R[rows], step[rows], flagged[rows])
@@ -387,21 +385,14 @@ class _StackedLu:
         if self.zeros.size:
             E[self.zeros] = 0.0
         with np.errstate(all="ignore"):
-            for diag, lower, upper, target, pairs in self.pivots:
+            for diag, lower, upper, target in self.pivots:
                 col = E[lower]
                 col /= E[diag]
-                if pairs is None:
-                    E[target] -= (col[:, None] * E[upper]).reshape(-1, N)
-                else:
-                    for t, (l, u) in pairs:
-                        E[t] -= E[l] * E[u]
-            for k, diag, rhs, upper, xs, pairs in self.back:
+                E[target] -= (col[:, None] * E[upper]).reshape(-1, N)
+            for k, diag, rhs, upper, xs in self.back:
                 x = E[rhs]
-                if pairs is None:
+                if upper is not None:
                     x -= (E[upper] * E[xs]).sum(axis=0)
-                else:
-                    for u, xj in pairs:
-                        x -= E[u] * E[xj]
                 x /= E[diag]
                 np.negative(x, out=step[:, k])
             if self.n_lower:
@@ -418,9 +409,11 @@ def _planned_lu(n: int, pattern: bytes):
     return None if order is None else _StackedLu(pattern, order)
 
 
-def _model_lu(model: StochasticDae):
-    """The planned LU of the model's Jacobian pattern."""
-    return _planned_lu(model.n, model.pattern.tobytes())
+def _model_lu(model: StochasticDae, dc: bool):
+    """The planned LU of the model's DC Jacobians df_dx (dc), or of its
+    implicit steps' dq_dx / h + theta df_dx."""
+    pattern = model.df_pattern if dc else model.df_pattern | model.dq_pattern
+    return _planned_lu(model.n, pattern.tobytes())
 
 
 def _solve_rows(J: np.ndarray, R: np.ndarray, lu: _StackedLu | None = None):
@@ -579,7 +572,7 @@ def _solve_dc_rows(model: StochasticDae, P: np.ndarray, X0: np.ndarray,
     return _damped_newton(residual, jacobian,
                           np.broadcast_to(X0, (len(P), model.n)),
                           options.dc_tol(model.n), options.newton_max_iter,
-                          options.newton_max_damping, _model_lu(model))
+                          options.newton_max_damping, _model_lu(model, True))
 
 
 def _map_points(fn: Callable, items):
@@ -734,7 +727,8 @@ class _PointIntegrator:
         tol = opt.dc_tol(model.n)
         X, rnorm, ok = _damped_newton(residual, jacobian, self.X[rows], tol,
                                       opt.newton_max_iter,
-                                      opt.newton_max_damping, _model_lu(model))
+                                      opt.newton_max_damping,
+                                      _model_lu(model, False))
         if self.shared:
             _check_converged(rnorm, ok, tol, opt)
         return X, ok

@@ -113,6 +113,34 @@ class TestSecondOrderConversion:
         assert np.array_equal(dae.q(x, np.zeros(0)), x)
         assert np.array_equal(dae.jac_q(x, np.zeros(0)), np.eye(2))
 
+    def test_batched_conversion_matches_the_builtin_plate(self):
+        # the plate actuator as a batched second-order model: (1, 1) mass
+        # and damping broadcast over the stack, u answering per-row times
+        def force(z, u, xi):
+            k = 1.0 + 0.05 * xi[..., 0]
+            gap = 1.0 + 0.05 * xi[..., 1]
+            v = u[..., 0]
+            pull = 0.02 * v * v / np.float_power(gap - z[..., 0], 2)
+            return (k * z[..., 0] - pull)[..., None]
+
+        plate = builtin_model("plate_actuator")
+        dae = second_order_to_first(SecondOrderModel(
+            n=1,
+            mass=lambda z, xi: np.array([[1.0]]),
+            damping=lambda z, xi: np.array([[0.6]]),
+            force=force, distributions=plate.distributions,
+            u=lambda t: np.ones(np.shape(t) + (1,)),
+            z0=np.zeros(1), v0=np.zeros(1), labels=("z",), batched=True))
+        assert dae.batched and dae.labels == plate.labels
+        rng = np.random.default_rng(3)
+        X = rng.normal(scale=0.2, size=(40, 2))
+        P = rng.normal(size=(40, 2))
+        t = rng.uniform(0.0, 5.0, size=40)
+        assert np.array_equal(dae.f_many(X, P, t), plate.f_many(X, P, t))
+        fd = dae.jac_f_many(X, P, t)
+        assert np.allclose(fd, plate.jac_f_many(X, P, t), rtol=1e-6,
+                           atol=1e-8)
+
 
 class TestJacobians:
     def test_fd_fallback_matches_analytic(self):

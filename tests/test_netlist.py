@@ -303,7 +303,8 @@ class TestElaborate:
         J = dae.df_dx(np.zeros((64, 3)), P, 0.0)
         assert np.allclose(J, ref, rtol=4e-16, atol=0.0)
         assert np.array_equal(dae.df_dx(np.zeros(3), P[0], 0.0), J[0])
-        assert np.array_equal(dae.pattern, ref[0] != 0)
+        assert np.array_equal(dae.df_pattern, ref[0] != 0)
+        assert not dae.dq_pattern.any()
 
     def test_analytic_jacobians_match_fd(self):
         from uqsim.models import _fd_jacobian

@@ -354,7 +354,7 @@ class TestPlannedLu:
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_agrees_with_lapack_on_model_stacks(self, name):
         model = self.MODELS[name]()
-        lu = stsolver._model_lu(model)
+        lu = stsolver._model_lu(model, True)
         J, R = newton_stack(model, 300)
         step, flagged = lu.solve(J, R)
         assert not flagged.any()
@@ -375,14 +375,27 @@ class TestPlannedLu:
         assert singular is None
         self.assert_close(step, J, R)
 
+    def test_dc_plan_reads_df_dx_pattern_alone(self):
+        # the plate's dq_dx is the identity, so its implicit steps plan a
+        # dense pattern; its DC df_dx has a zero (0, 0) entry, which only
+        # the DC plan's row order keeps off the pivots
+        model = builtin_model("plate_actuator")
+        J, R = newton_stack(model, stsolver.PLANNED_LU_MIN_ROWS)
+        assert not J[:, 0, 0].any()
+        step, flagged = stsolver._model_lu(model, True).solve(J, R)
+        assert not flagged.any()
+        self.assert_close(step, J, R)
+        _, flagged = stsolver._model_lu(model, False).solve(J, R)
+        assert flagged.all()
+
     def test_zero_diagonals_are_paired_by_the_row_order(self):
         # the source branch rows and opamp-like's `in` node, which only VIN
         # and a gate touch, have no diagonal entry
         model = builtin_model("opamp_like")
-        assert not np.diag(model.pattern).all()
-        order = stsolver._zero_free_rows(model.pattern)
+        assert not np.diag(model.df_pattern).all()
+        order = stsolver._zero_free_rows(model.df_pattern)
         assert sorted(order) == list(range(model.n))
-        assert model.pattern[order, range(model.n)].all()
+        assert model.df_pattern[order, range(model.n)].all()
         # a pattern with an empty column has no such order, and no plan
         empty = np.ones((3, 3), dtype=bool)
         empty[:, 1] = False
@@ -407,7 +420,8 @@ class TestPlannedLu:
     def test_short_stacks_keep_lapack_bits(self):
         model = builtin_model("diode_rectifier")
         J, R = newton_stack(model, stsolver.PLANNED_LU_MIN_ROWS - 1)
-        step, singular = stsolver._solve_rows(J, R, stsolver._model_lu(model))
+        step, singular = stsolver._solve_rows(
+            J, R, stsolver._model_lu(model, True))
         assert singular is None
         assert np.array_equal(step,
                               np.linalg.solve(J, -R[..., None])[..., 0])
@@ -419,7 +433,7 @@ class TestPlannedLu:
         # the Jacobians (LAPACK's path allocates them and -R)
         model = self.MODELS[name]()
         J, R = newton_stack(model, stsolver._chunk_rows(model.n))
-        lu = stsolver._model_lu(model)
+        lu = stsolver._model_lu(model, True)
         lu.solve(J[:100], R[:100])   # warm caches
         tracemalloc.start()
         try:
@@ -432,13 +446,15 @@ class TestPlannedLu:
         assert peak < 0.6 * J.nbytes
 
     def test_pattern_covers_the_jacobians(self):
-        for name, make in self.MODELS.items():
+        for name, make in [*self.MODELS.items(),
+                           ("plate_actuator",
+                            lambda: builtin_model("plate_actuator"))]:
             model = make()
             J, _ = newton_stack(model, 50)
             P = sample_parameters(model.distributions, 50, 0)
             Jq = model.jac_q_many(np.zeros((50, model.n)), P)
-            assert not ((J != 0) & ~model.pattern).any(), name
-            assert not ((Jq != 0) & ~model.pattern).any(), name
+            assert not ((J != 0) & ~model.df_pattern).any(), name
+            assert not ((Jq != 0) & ~model.dq_pattern).any(), name
 
 
 class TestDecouplingEquivalence:
@@ -666,6 +682,44 @@ class TestTransient:
         assert len({rejected for _, rejected in counts}) > 1
         assert solves == len(steps) == sum(map(sum, counts))
         assert sum(1 for e in steps if e[2]) == sum(steps.accepted)
+
+    @pytest.mark.parametrize("name", ["plate_actuator", "nonlinear_rc"])
+    def test_own_clocks_of_a_planned_stack_match_runs_up_to_rounding(
+            self, name, monkeypatch):
+        # a stack of PLANNED_LU_MIN_ROWS rows or more solves its Newton
+        # steps with the planned LU, a one-sample run with LAPACK, so each
+        # row matches its one-sample run in its steps and up to rounding
+        planned = []
+        solve = stsolver._StackedLu.solve
+
+        def counted(lu, J, R):
+            planned.append(len(R))
+            return solve(lu, J, R)
+
+        monkeypatch.setattr(stsolver._StackedLu, "solve", counted)
+        if name == "nonlinear_rc":
+            dae = netlist.elaborate(netlist.parse_netlist(NONLINEAR_RC))
+            span, x0 = (0.0, 2e-4), np.zeros(dae.n)
+        else:
+            dae = builtin_model(name)
+            span, x0 = (0.0, 1.0), dae.initial_guess()
+        P = sample_parameters(dae.distributions,
+                              stsolver.PLANNED_LU_MIN_ROWS, seed=0)
+        t_end, (X,), steps, _ = _integrate_points(
+            dae, P, np.tile(x0, (len(P), 1)), span, SolverOptions(),
+            own_clocks=True)
+        assert planned
+        planned.clear()
+        for i, xi in enumerate(P):
+            times, states, log, _ = _integrate_points(
+                dae, xi[None], x0[None], span, SolverOptions())
+            scale = np.abs(states[-1][0]).max()
+            assert np.abs(X[i] - states[-1][0]).max() <= 1e-10 * scale
+            assert t_end[i] == times[-1]
+            accepted = sum(1 for entry in log if entry[2])
+            assert (steps.accepted[i], steps.rejected[i]) == (
+                accepted, len(log) - accepted)
+        assert not planned
 
     def test_failed_row_stops_alone(self):
         # dx/dt = -xi x, except that rows with xi > 0.9 have no solution
