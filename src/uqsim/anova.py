@@ -159,6 +159,17 @@ def _project(subset: tuple, values: np.ndarray, tps) -> GpcExpansion:
         raise SolverError(f"subset {subset}: {err}") from err
 
 
+def _embedded(term: AnovaTerm, positions, width: int):
+    """(multi-index, coefficient) pairs of `term` in its own order, each
+    index placed at `positions` among `width` coordinates."""
+    for alpha, c in zip(term.expansion.index_set.indices,
+                        term.expansion.scalar_coefficients()):
+        key = [0] * width
+        for pos, a in zip(positions, alpha):
+            key[pos] = int(a)
+        yield tuple(key), float(c)
+
+
 def compose_term(subset, ghat: GpcExpansion, g0: float,
                  lower_terms: Mapping[tuple, AnovaTerm],
                  pruned=()) -> AnovaTerm:
@@ -183,12 +194,8 @@ def compose_term(subset, ghat: GpcExpansion, g0: float,
                     f"internal invariant violation: subset {t} of {subset} "
                     "was neither computed nor pruned")
             positions = [subset.index(k) for k in t]
-            for alpha, c in zip(term.expansion.index_set.indices,
-                                term.expansion.scalar_coefficients()):
-                embedded = [0] * len(subset)
-                for pos, a in zip(positions, alpha):
-                    embedded[pos] = int(a)
-                coeffs[idx.position(embedded)] -= float(c)
+            for key, c in _embedded(term, positions, len(subset)):
+                coeffs[idx.position(key)] -= c
     variance = float(np.sum(coeffs[1:] ** 2))
     exp = GpcExpansion(idx, coeffs.reshape(-1, 1), ghat.bases)
     return AnovaTerm(subset=subset, expansion=exp, variance=variance)
@@ -302,14 +309,8 @@ def _assemble(decomp: AnovaDecomposition, d: int,
     """Sum all computed terms into one sparse d-variable expansion."""
     accum: dict[tuple, float] = {(0,) * d: decomp.g0}
     for term in decomp.terms:
-        subset = term.subset
-        for alpha, c in zip(term.expansion.index_set.indices,
-                            term.expansion.scalar_coefficients()):
-            key = [0] * d
-            for pos, a in zip(subset, alpha):
-                key[pos] = int(a)
-            key = tuple(key)
-            accum[key] = accum.get(key, 0.0) + float(c)
+        for key, c in _embedded(term, term.subset, d):
+            accum[key] = accum.get(key, 0.0) + c
     rows = sorted(accum, key=lambda a: (sum(a), a))
     idx = MultiIndexSet.explicit(np.array(rows, dtype=np.int64), d)
     coeffs = np.array([[accum[a]] for a in rows])

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import json
 import os
+import shutil
 import sys
 import tempfile
 from dataclasses import dataclass, field, fields
@@ -51,127 +53,8 @@ class UsageError(ValueError):
     """Configuration or input problem attributable to the caller."""
 
 
-@dataclass
-class JobConfig:
-    """One resolved analysis job; exactly one analysis per invocation."""
-
-    analysis: str
-    netlist: str | None = None
-    model: str | None = None
-    order: int = 2
-    m: int | None = None
-    sigma: float = 0.0
-    anchor: tuple[float, ...] | None = None
-    samples: int = 10_000
-    seed: int = 0
-    t_end: float | None = None
-    output: int | str = 0
-    outdir: str = "."
-    density: str = "quadrature"
-    blocks: tuple[str, ...] = ()
-    system: str | None = None
-    out: str | None = None
-    x0: str = "dc"
-    params: dict = field(default_factory=dict)
-    solver: dict = field(default_factory=dict)
-
-    def solver_options(self) -> SolverOptions:
-        kinds = {f.name: _FIELD_KINDS[f.type] for f in fields(SolverOptions)}
-        bad = set(self.solver) - set(kinds)
-        if bad:
-            raise UsageError(f"unknown solver option(s): {sorted(bad)}")
-        for key, value in self.solver.items():
-            _check_type(f"solver.{key}", value, kinds[key])
-        return SolverOptions(**self.solver)
-
-
 # ---------------------------------------------------------------------------
-# argument and config handling
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; route through UsageError
-    # so usage problems land on exit code 1 like every other user error
-    def error(self, message):
-        raise UsageError(message)
-
-
-def _add_model_flags(p: _Parser) -> None:
-    p.add_argument("--netlist", help="netlist file to elaborate")
-    p.add_argument("--model",
-                   help="builtin model name, e.g. builtin:rc-lowpass")
-    p.add_argument("--param", action="append", default=None,
-                   metavar="KEY=VALUE", help="builtin model parameter")
-
-
-def _add_common_flags(p: _Parser, order: bool = True,
-                      seed: bool = False) -> None:
-    p.add_argument("--config", help="JSON config file; flags override it")
-    if order:
-        p.add_argument("--order", type=int, help="total polynomial degree")
-    p.add_argument("--outdir", help="directory for output artifacts")
-    if seed:
-        p.add_argument("--seed", type=int, help="random seed")
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="uqsim", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="analysis", required=True)
-
-    p = sub.add_parser("dc", help="stochastic DC operating point")
-    _add_model_flags(p)
-    _add_common_flags(p)
-
-    p = sub.add_parser("transient", help="stochastic transient analysis")
-    _add_model_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--t-end", type=float, dest="t_end",
-                   help="end time; defaults to the netlist .tran stop")
-
-    for name in ("anova", "sensitivity"):
-        p = sub.add_parser(name, help="adaptive anchored decomposition"
-                           if name == "anova" else "global sensitivities")
-        _add_model_flags(p)
-        _add_common_flags(p)
-        p.add_argument("--m", type=int, help="maximum interaction depth")
-        p.add_argument("--sigma", type=float, help="variance screen level")
-        p.add_argument("--anchor", help="anchor quantile(s), e.g. 0.75 or "
-                       "0.75,0.5,0.5")
-        p.add_argument("--output", help="output index or label to analyze")
-
-    p = sub.add_parser("mc", help="Monte Carlo reference")
-    _add_model_flags(p)
-    _add_common_flags(p, order=False, seed=True)
-    p.add_argument("--samples", type=int, help="number of samples")
-    p.add_argument("--t-end", type=float, dest="t_end",
-                   help="end time; runs a transient MC when given")
-
-    p = sub.add_parser("hier-extract",
-                       help="extract a block surrogate and its density")
-    _add_model_flags(p)
-    _add_common_flags(p, seed=True)
-    p.add_argument("--output", help="output index or label to extract")
-    p.add_argument("--density", choices=("quadrature", "sampling"),
-                   help="density construction route")
-    p.add_argument("--samples", type=int,
-                   help="sample count for the sampling route")
-    p.add_argument("--out", help="artifact filename (default block.json)")
-
-    p = sub.add_parser("hier-propagate",
-                       help="propagate intermediate variables through a "
-                            "system model")
-    _add_common_flags(p)
-    p.add_argument("--blocks", nargs="+",
-                   help="block artifact files from hier-extract")
-    p.add_argument("--system", help="system model, e.g. builtin:rc-zeta")
-    p.add_argument("--param", action="append", default=None,
-                   metavar="KEY=VALUE", help="system model parameter")
-    p.add_argument("--t-end", type=float, dest="t_end",
-                   help="end time; runs a transient propagation when given")
-    p.add_argument("--x0", choices=("dc", "zero"),
-                   help="transient start: DC operating point or zero state")
-
-    return parser
+# config keys: one declaration each
 
 
 def _parse_params(items) -> dict:
@@ -198,20 +81,99 @@ def _parse_anchor(value) -> tuple[float, ...] | None:
 
 
 def _parse_output(value):
+    # a bool passes as an int; the model's output_index refuses it
     if value is None:
         return 0
-    if isinstance(value, bool):
-        raise UsageError(f"output must be an index or a label, got "
-                         f"{value!r}")
     if isinstance(value, int):
         return value
     text = str(value)
     return int(text) if text.lstrip("-").isdigit() else text
 
 
+def _parse_blocks(value) -> tuple[str, ...]:
+    if isinstance(value, list) and all(isinstance(b, str) for b in value):
+        return tuple(value)
+    raise UsageError(f"blocks must be a list of strings, got {value!r}")
+
+
+def _key(default=None, help=None, *, only=None, but=(), least=None,
+         parse=None, option=None, **flag):
+    """A JobConfig field (a callable default is a factory): a config key of
+    the analyses `only` (all when None) but those in `but`.  With `help`,
+    also their flag `option` (--<key> by default), typed by the field's
+    annotation, with add_argument keywords `flag`.  `parse` converts a
+    given value; `least` and `flag`'s `choices` bound the resolved one."""
+    meta = {"only": only, "but": but, "help": help, "least": least,
+            "parse": parse, "option": option, "flag": flag}
+    if callable(default):
+        return field(default_factory=default, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+@dataclass
+class JobConfig:
+    """One resolved analysis job; exactly one analysis per invocation.
+
+    Every field but `analysis` is a config key, and every key but `solver`
+    a flag too: the parser, the keys each analysis accepts and the checks
+    on their values all come from these declarations.
+    """
+
+    analysis: str
+    netlist: str | None = _key(None, "netlist file to elaborate",
+                               but=("hier-propagate",))
+    model: str | None = _key(None, "builtin model name, e.g. builtin:rc-"
+                             "lowpass", but=("hier-propagate",))
+    order: int = _key(2, "total polynomial degree", but=("mc",), least=1)
+    m: int | None = _key(None, "maximum interaction depth",
+                         only=("anova", "sensitivity"))
+    sigma: float = _key(0.0, "variance screen level",
+                        only=("anova", "sensitivity"))
+    anchor: tuple[float, ...] | None = _key(
+        None, "anchor quantile(s), e.g. 0.75 or 0.75,0.5,0.5",
+        only=("anova", "sensitivity"), parse=_parse_anchor)
+    samples: int = _key(10_000, "number of samples (hier-extract: of the "
+                        "sampling route)", only=("mc", "hier-extract"),
+                        least=1)
+    seed: int = _key(0, "random seed", only=("mc", "hier-extract"), least=0)
+    t_end: float | None = _key(
+        None, "end time; transient defaults to the netlist .tran stop, mc "
+        "and hier-propagate run a transient only when it is given",
+        only=("transient", "mc", "hier-propagate"))
+    output: int | str = _key(0, "output index or label to analyze or extract",
+                             only=("anova", "sensitivity", "hier-extract"),
+                             parse=_parse_output)
+    outdir: str = _key(".", "directory for output artifacts")
+    density: str = _key("quadrature", "density construction route",
+                        only=("hier-extract",),
+                        choices=("quadrature", "sampling"))
+    blocks: tuple[str, ...] = _key((), "block artifact files from "
+                                   "hier-extract", only=("hier-propagate",),
+                                   parse=_parse_blocks, nargs="+")
+    system: str | None = _key(None, "system model, e.g. builtin:rc-zeta",
+                              only=("hier-propagate",))
+    out: str | None = _key(None, "artifact filename (default block.json)",
+                           only=("hier-extract",))
+    x0: str = _key("dc", "transient start: DC operating point or zero state",
+                   only=("hier-propagate",), choices=("dc", "zero"))
+    params: dict = _key(dict, "model parameter (hier-propagate: of the "
+                        "system model)", option="--param", action="append",
+                        metavar="KEY=VALUE")
+    solver: dict = _key(dict)   # config only: see solver_options
+
+    def solver_options(self) -> SolverOptions:
+        kinds = {f.name: _FIELD_KINDS[f.type] for f in fields(SolverOptions)}
+        bad = set(self.solver) - set(kinds)
+        if bad:
+            raise UsageError(f"unknown solver option(s): {sorted(bad)}")
+        for key, value in self.solver.items():
+            _check_type(f"solver.{key}", value, kinds[key])
+        return SolverOptions(**self.solver)
+
+
 _NONE = type(None)
-# the value types of the scalar dataclass fields, by annotation; a field of
-# another annotation is checked where it is parsed
+# the value types of the fields, by annotation; a field of another
+# annotation is checked where it is parsed
 _FIELD_KINDS = {
     "int": (int, "an integer"),
     "int | None": ((int, _NONE), "an integer"),
@@ -219,7 +181,10 @@ _FIELD_KINDS = {
     "float | None": ((int, float, _NONE), "a number"),
     "str": (str, "a string"),
     "str | None": ((str, _NONE), "a string"),
+    "dict": (dict, "an object"),
 }
+# a flag's argparse type, by its field's annotation less any "| None"
+_FLAG_TYPES = {"int": int, "float": float}
 
 
 def _check_type(key: str, value, kind) -> None:
@@ -230,69 +195,76 @@ def _check_type(key: str, value, kind) -> None:
         raise UsageError(f"{key} must be {what}, got {value!r}")
 
 
-def build_config(argv) -> JobConfig:
-    ns = build_parser().parse_args(argv)
-    # the namespace holds every flag of the analysis, set or not; a config
-    # file may give exactly those, and solver options
-    allowed = {"params" if k == "param" else k
-               for k in vars(ns)} - {"analysis", "config"} | {"solver"}
-    flags = {k: v for k, v in vars(ns).items()
-             if v is not None and k not in ("analysis", "config")}
-    if "param" in flags:
-        flags["params"] = _parse_params(flags.pop("param"))
+# ---------------------------------------------------------------------------
+# argument and config handling
 
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits with status 2 on bad usage; route through UsageError
+    # so usage problems land on exit code 1 like every other user error
+    def error(self, message):
+        raise UsageError(message)
+
+
+def build_parser() -> _Parser:
+    # argparse sizes a new help formatter to the terminal in every
+    # add_argument; size them all once
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = _Parser(prog="uqsim", description=__doc__.splitlines()[0],
+                     formatter_class=formatter)
+    sub = parser.add_subparsers(dest="analysis", required=True)
+    for name, (text, _) in _ANALYSES.items():
+        p = sub.add_parser(name, help=text, formatter_class=formatter)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        for f in _KEYS[name]:
+            meta, kind = f.metadata, f.type.removesuffix(" | None")
+            option = meta["option"] or "--" + f.name.replace("_", "-")
+            if meta["help"] is not None:   # solver is a config key only
+                p.add_argument(option, dest=f.name, type=_FLAG_TYPES.get(kind),
+                               help=meta["help"], **meta["flag"])
+    return parser
+
+
+def build_config(argv) -> JobConfig:
+    flags = vars(build_parser().parse_args(argv))
+    analysis, path = flags.pop("analysis"), flags.pop("config")
+    flags = {k: v for k, v in flags.items() if v is not None}
+    if "params" in flags:
+        flags["params"] = _parse_params(flags["params"])
     file_cfg = {}
-    if ns.config is not None:
+    if path is not None:
         try:
-            with open(ns.config) as fh:
+            with open(path) as fh:
                 file_cfg = json.load(fh)
         except OSError as err:
-            raise UsageError(f"cannot read config {ns.config}: {err}") \
-                from err
+            raise UsageError(f"cannot read config {path}: {err}") from err
         except json.JSONDecodeError as err:
-            raise UsageError(f"config {ns.config} is not valid JSON: {err}") \
+            raise UsageError(f"config {path} is not valid JSON: {err}") \
                 from err
         if not isinstance(file_cfg, dict):
-            raise UsageError(f"config {ns.config} must hold a JSON object")
-
-    unknown = set(file_cfg) - allowed
+            raise UsageError(f"config {path} must hold a JSON object")
+    keys = _KEYS[analysis]
+    unknown = set(file_cfg) - {f.name for f in keys}
     if unknown:
         raise UsageError(f"config key(s) {sorted(unknown)} unknown to "
-                         f"{ns.analysis}")
+                         f"{analysis}")
     merged = {**file_cfg, **flags}
-
-    if "anchor" in merged:
-        merged["anchor"] = _parse_anchor(merged["anchor"])
-    if "output" in merged:
-        merged["output"] = _parse_output(merged["output"])
-    if "blocks" in merged:
-        blocks = merged["blocks"]
-        if not (isinstance(blocks, list)
-                and all(isinstance(b, str) for b in blocks)):
-            raise UsageError(f"blocks must be a list of strings, got "
-                             f"{blocks!r}")
-        merged["blocks"] = tuple(blocks)
-    try:
-        cfg = JobConfig(analysis=ns.analysis, **merged)
-    except TypeError as err:
-        raise UsageError(str(err)) from err
-
-    for f in fields(JobConfig):
+    for f in keys:
+        if f.metadata["parse"] is not None and f.name in merged:
+            merged[f.name] = f.metadata["parse"](merged[f.name])
+    cfg = JobConfig(analysis=analysis, **merged)
+    for f in keys:
         if f.type in _FIELD_KINDS:
             _check_type(f.name, getattr(cfg, f.name), _FIELD_KINDS[f.type])
-    if cfg.order < 1:
-        raise UsageError(f"order must be at least 1, got {cfg.order}")
-    if cfg.samples < 1:
-        raise UsageError(f"samples must be positive, got {cfg.samples}")
-    if cfg.seed < 0:
-        raise UsageError(f"seed must be non-negative, got {cfg.seed}")
-    if not isinstance(cfg.params, dict) or not isinstance(cfg.solver, dict):
-        raise UsageError("params and solver config entries must be objects")
-    if cfg.density not in ("quadrature", "sampling"):
-        raise UsageError(f"density must be 'quadrature' or 'sampling', "
-                         f"got {cfg.density!r}")
-    if cfg.x0 not in ("dc", "zero"):
-        raise UsageError(f"x0 must be 'dc' or 'zero', got {cfg.x0!r}")
+    for f in keys:   # each value is of its key's type now
+        value, least = getattr(cfg, f.name), f.metadata["least"]
+        choices = f.metadata["flag"].get("choices")
+        if least is not None and value < least:
+            raise UsageError(f"{f.name} must be at least {least}, got {value}")
+        if choices is not None and value not in choices:
+            names = " or ".join(map(repr, choices))
+            raise UsageError(f"{f.name} must be {names}, got {value!r}")
     # resolve all paths up front so dispatch never touches the cwd again
     if cfg.netlist is not None:
         cfg.netlist = os.path.abspath(cfg.netlist)
@@ -321,11 +293,7 @@ def _load_model(cfg: JobConfig):
                 from err
         nl = parse_netlist(text, filename=os.path.basename(cfg.netlist))
         return elaborate(nl), nl
-    try:
-        return builtin_model(cfg.model, **cfg.params), None
-    except UnknownModelError as err:
-        # KeyError quotes its payload; unwrap for a clean one-line message
-        raise UsageError(err.args[0]) from err
+    return builtin_model(cfg.model, **cfg.params), None
 
 
 def _input_labels(model, nl) -> tuple[str, ...]:
@@ -591,10 +559,7 @@ def _run_hier_propagate(cfg: JobConfig) -> None:
     if cfg.system is None:
         raise UsageError("hier-propagate needs --system")
     densities = [_load_block(path)[1] for path in cfg.blocks]
-    try:
-        system = hier.demo_system(cfg.system, densities, **cfg.params)
-    except KeyError as err:
-        raise UsageError(err.args[0]) from err
+    system = hier.demo_system(cfg.system, densities, **cfg.params)
     opts = cfg.solver_options()
     bases = tuple(hier.build_intermediate_basis(d, cfg.order)[0]
                   for d in densities)
@@ -623,15 +588,23 @@ def _run_hier_propagate(cfg: JobConfig) -> None:
           f"{cfg.system}; wrote {wrote} in {cfg.outdir}")
 
 
-_DISPATCH = {
-    "dc": _run_dc,
-    "transient": _run_transient,
-    "anova": _run_anova,
-    "sensitivity": _run_sensitivity,
-    "mc": _run_mc,
-    "hier-extract": _run_hier_extract,
-    "hier-propagate": _run_hier_propagate,
+# analysis -> (help, runner), in the order `uqsim --help` lists them
+_ANALYSES = {
+    "dc": ("stochastic DC operating point", _run_dc),
+    "transient": ("stochastic transient analysis", _run_transient),
+    "anova": ("adaptive anchored decomposition", _run_anova),
+    "sensitivity": ("global sensitivities", _run_sensitivity),
+    "mc": ("Monte Carlo reference", _run_mc),
+    "hier-extract": ("extract a block surrogate and its density",
+                     _run_hier_extract),
+    "hier-propagate": ("propagate intermediate variables through a system "
+                       "model", _run_hier_propagate),
 }
+# the keys each analysis accepts, as JobConfig fields in declaration order
+_KEYS = {name: tuple(f for f in fields(JobConfig)[1:]
+                     if name in (f.metadata["only"] or _ANALYSES)
+                     and name not in f.metadata["but"])
+         for name in _ANALYSES}
 
 
 def _fail(category: str, err: Exception) -> None:
@@ -646,14 +619,14 @@ def main(argv=None) -> int:
         # non-finite values surface as solver or check failures instead
         with np.errstate(all="ignore"):
             cfg = build_config(argv)
-            _DISPATCH[cfg.analysis](cfg)
+            _ANALYSES[cfg.analysis][1](cfg)
         return EXIT_OK
     except (SolverError, DegenerateMeasureError, ArithmeticError,
             np.linalg.LinAlgError) as err:
         _fail("numeric", err)
         return EXIT_NUMERIC
     # UsageError, NetlistError too; MemoryError: inputs too large to hold
-    except (OSError, ValueError, MemoryError) as err:
+    except (OSError, ValueError, MemoryError, UnknownModelError) as err:
         _fail("config", err)
         return EXIT_USER
 

@@ -19,11 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import StochasticDae, _check_params, algebraic_model
+from .models import StochasticDae, _resolve, algebraic_model
 from .polychaos import (TENSOR_NODE_CAP, DegenerateMeasureError,
                         Distribution, GpcExpansion, OrthoBasis, PiecewisePoly,
-                        QuadratureRule, _tensor_weights, golub_welsch,
-                        monotone_cubic, stieltjes_basis)
+                        QuadratureRule, _panel_rule, _tensor_weights,
+                        golub_welsch, monotone_cubic, stieltjes_basis)
 from .stsolver import (SolverOptions, integrate_transient,
                        select_testing_points, solve_dc, standard_bases)
 
@@ -190,19 +190,9 @@ class IntermediateDensity:
                                   exact_degree=self.exact_degree)
         # integrate the piecewise-quadratic density segment by segment;
         # node count chosen so polynomial * density is integrated exactly
-        knots = np.asarray(self.cdf.x)
         n_seg = int(np.ceil((degree + 3) / 2)) + 1
-        gl_x, gl_w = np.polynomial.legendre.leggauss(n_seg)
-        pdf = self._pdf
-        pts, wts = [], []
-        for a, b in zip(knots[:-1], knots[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            x = mid + half * gl_x
-            w = half * gl_w * pdf(x)
-            pts.append(x)
-            wts.append(w)
-        pts = np.concatenate(pts)
-        wts = np.concatenate(wts)
+        pts, wts = _panel_rule(self.cdf.x, n_seg)
+        wts = wts * self._pdf(pts)
         keep = wts > 0
         pts, wts = pts[keep], wts[keep]
         total = wts.sum()
@@ -373,9 +363,5 @@ def demo_system(name: str, densities: Sequence[IntermediateDensity],
     'rc_zeta': one-state RC charging circuit whose time constant is
     r * c * (1 + spread * zeta_1); single block only.
     """
-    factory = _DEMO_SYSTEMS.get(
-        name.removeprefix("builtin:").replace("-", "_"))
-    if factory is None:
-        raise KeyError(f"no demo system named '{name}'")
-    _check_params(f"demo system '{name}'", factory, params)
+    factory = _resolve(_DEMO_SYSTEMS, "demo system", name, params)
     return factory(tuple(d.as_distribution() for d in densities), **params)

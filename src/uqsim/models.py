@@ -44,7 +44,11 @@ class SingularMassError(ValueError):
 
 
 class UnknownModelError(KeyError):
-    pass
+    """A registry has no model of the given name."""
+
+    def __str__(self):
+        # KeyError quotes its payload; the message reads better bare
+        return str(self.args[0])
 
 
 def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray],
@@ -501,20 +505,20 @@ BUILTIN_MODELS = {
 def builtin_model(name: str, **params) -> StochasticDae:
     """Builtin model `name`, also spelled `builtin:name`, with hyphens or
     underscores; `params` override its factory's defaults."""
-    key = name.removeprefix("builtin:").replace("-", "_")
-    try:
-        factory = BUILTIN_MODELS[key]
-    except KeyError:
-        raise UnknownModelError(
-            f"no builtin model named '{name}'; available: "
-            f"{', '.join(sorted(BUILTIN_MODELS))}") from None
-    _check_params(f"builtin model '{name}'", factory, params)
-    return factory(**params)
+    return _resolve(BUILTIN_MODELS, "builtin model", name, params)(**params)
 
 
-def _check_params(what: str, factory: Callable, params: dict) -> None:
-    """ValueError unless every key of `params` names a parameter of
-    `factory` that has a default, and every value is a number."""
+def _resolve(registry: dict, what: str, name: str,
+             params: dict) -> Callable:
+    """The factory of `registry` that `name` names, also spelled
+    `builtin:name`, with hyphens or underscores.  UnknownModelError if
+    there is none; ValueError unless every key of `params` names a
+    parameter of it that has a default, and every value is a number."""
+    factory = registry.get(name.removeprefix("builtin:").replace("-", "_"))
+    if factory is None:
+        raise UnknownModelError(f"no {what} named '{name}'; available: "
+                                f"{', '.join(sorted(registry))}")
+    what = f"{what} '{name}'"
     names = [n for n, p in inspect.signature(factory).parameters.items()
              if p.default is not p.empty]
     for key, value in params.items():
@@ -525,3 +529,4 @@ def _check_params(what: str, factory: Callable, params: dict) -> None:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"parameter {key} of {what} must be a number, "
                              f"got {value!r}")
+    return factory

@@ -330,12 +330,13 @@ def _incidence(pairs, n: int) -> np.ndarray:
     return A
 
 
-def _stamps(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(m, n * n) stamp table of a group: row e is the outer product of
-    A[e] and B[e], so g @ table is A.T diag(g) B, flattened, for
-    conductances g (..., m) of the group: one gemm per stack."""
-    m, n = A.shape
-    return (A[:, :, None] * B[:, None, :]).reshape(m, n * n)
+def _stamps(A: np.ndarray, B: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """(m, len(flat)) stamp table of a group over the flat (n * n) entries
+    `flat`: row e holds the outer product of A[e] and B[e] at those entries,
+    so g @ table is A.T diag(g) B there, for conductances g (..., m) of the
+    group: one gemm per stack."""
+    rows, cols = np.divmod(flat, A.shape[1])
+    return A[:, rows] * B[:, cols]
 
 
 def _param_resolver(items, var_plan) -> Callable:
@@ -466,23 +467,32 @@ def elaborate(nl: Netlist) -> StochasticDae:
     q_val = _param_resolver([(e, "c" if e.kind == "C" else "l")
                              for e in storage], var_plan)
 
-    # stamp tables, one row per conductance; a MOSFET's current moves with
-    # gm on its gate-source and gds on its drain-source voltage, stamped at
-    # drain and source
-    S_f = np.concatenate([_stamps(A_r, A_r), _stamps(A_d, A_d),
-                          _stamps(A_ds, A_gs), _stamps(A_ds, A_ds)])
-    S_q = _stamps(A_q, A_q)
-    df_pattern = ((G0 != 0).reshape(-1)
-                  | np.any(S_f != 0, axis=0)).reshape(n, n)
-    dq_pattern = np.any(S_q != 0, axis=0).reshape(n, n)
+    # stamp pairs (A, B), one row per conductance; a MOSFET's current moves
+    # with gm on its gate-source and gds on its drain-source voltage,
+    # stamped at drain and source
+    f_pairs = ((A_r, A_r), (A_d, A_d), (A_ds, A_gs), (A_ds, A_ds))
+    df_pattern = G0 != 0
+    for left, right in f_pairs:
+        df_pattern |= np.abs(left).T @ np.abs(right) != 0
+    dq_pattern = np.abs(A_q).T @ np.abs(A_q) != 0
+    # the stamp tables hold only the pattern's entries, in row-major order
+    f_flat, q_flat = np.flatnonzero(df_pattern), np.flatnonzero(dq_pattern)
+    S_f = np.concatenate([_stamps(left, right, f_flat)
+                          for left, right in f_pairs])
+    S_q = _stamps(A_q, A_q, q_flat)
+    G0_flat = G0.reshape(-1)[f_flat]
 
-    def jacobian(x, parts, S):
+    def jacobian(x, parts, S, flat, const=None):
         """The (..., n, n) Jacobian with conductances `parts` of S's rows,
-        each (..., m_i) or (m_i,), from one gemm."""
+        each (..., m_i) or (m_i,), from one gemm, plus `const` if given, at
+        the stored entries `flat` and zero elsewhere."""
         lead = x.shape[:-1]
         g = np.concatenate([np.broadcast_to(p, lead + np.shape(p)[-1:])
                             for p in parts], axis=-1)
-        return (g @ S).reshape(lead + (n, n))
+        stamped = g @ S
+        out = np.zeros(lead + (n * n,))
+        out[..., flat] = stamped if const is None else stamped + const
+        return out.reshape(lead + (n, n))
 
     # every kernel takes x (..., n) and xi (..., d) whose leading axes are
     # equal or absent from xi, and returns arrays with x's leading axes
@@ -495,7 +505,7 @@ def elaborate(nl: Netlist) -> StochasticDae:
 
     def dq_dx(x, xi):
         x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
-        return jacobian(x, [q_val(xi)], S_q)
+        return jacobian(x, [q_val(xi)], S_q, q_flat)
 
     def f(x, xi, t):
         x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
@@ -519,9 +529,7 @@ def elaborate(nl: Netlist) -> StochasticDae:
         if mos:
             parts += mosfet_current(x @ A_gs.T, x @ A_ds.T, m_kp(xi),
                                     m_vth(xi), m_lam(xi))[1:]
-        out = jacobian(x, parts, S_f)
-        out += G0
-        return out
+        return jacobian(x, parts, S_f, f_flat, G0_flat)
 
     return StochasticDae(
         n=n, d=d, distributions=distributions,

@@ -231,7 +231,7 @@ class Distribution:
         lo, hi = self.support
         if math.isfinite(lo) and math.isfinite(hi):
             a, b = lo, hi
-            x, w = _panel_rule(a, b, 64)
+            x, w = _panel_rule(_panel_cuts(a, b, 64))
         else:
             c = 0.0
             if math.isfinite(lo):
@@ -242,7 +242,7 @@ class Distribution:
             for _ in range(60):
                 a = c - width if not math.isfinite(lo) else lo
                 b = c + width if not math.isfinite(hi) else hi
-                x, w = _panel_rule(a, b, 64)
+                x, w = _panel_rule(_panel_cuts(a, b, 64))
                 mass = float(np.sum(w * self.density(x)))
                 if mass > 0 and abs(mass - mass_prev) < 1e-13:
                     break
@@ -259,11 +259,8 @@ class Distribution:
     def _custom_cdf_table(self):
         a, b = self.effective_interval()
         cuts = _panel_cuts(a, b, 512)
-        gx, gw = np.polynomial.legendre.leggauss(24)
-        masses = np.empty(len(cuts) - 1)
-        for i, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
-            h = 0.5 * (hi - lo)
-            masses[i] = h * float(np.sum(gw * self.density(0.5 * (lo + hi) + h * gx)))
+        x, w = _panel_rule(cuts)
+        masses = (w * self.density(x)).reshape(len(cuts) - 1, -1).sum(axis=1)
         vals = np.concatenate(([0.0], np.cumsum(masses)))
         vals = np.maximum.accumulate(vals) / vals[-1]
         return monotone_cubic(cuts, vals), a, b
@@ -301,7 +298,7 @@ class Distribution:
             raise ValueError(
                 f"custom density must be strictly positive and finite on the "
                 f"interior of its support; rho({bad:.6g}) violates this")
-        x, w = _panel_rule(a, b, 256)
+        x, w = _panel_rule(_panel_cuts(a, b, 256))
         mass = float(np.sum(w * self.density(x)))
         if abs(mass - 1.0) > 1e-8:
             raise ValueError(
@@ -320,17 +317,14 @@ def _panel_cuts(a: float, b: float, panels: int) -> np.ndarray:
     return np.concatenate(([edges[0]], left, edges[1:-1], right, [edges[-1]]))
 
 
-def _panel_rule(a: float, b: float, panels: int,
-                pts: int = 24) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule on [a, b] over the graded panel cuts."""
-    cuts = _panel_cuts(a, b, panels)
+def _panel_rule(cuts, pts: int = 24) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule: `pts` nodes on each panel between
+    consecutive `cuts`, panel after panel."""
     gx, gw = np.polynomial.legendre.leggauss(pts)
-    xs, ws = [], []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        h = 0.5 * (hi - lo)
-        xs.append(0.5 * (lo + hi) + h * gx)
-        ws.append(h * gw)
-    return np.concatenate(xs), np.concatenate(ws)
+    cuts = np.asarray(cuts, dtype=float)
+    lo, hi = cuts[:-1, None], cuts[1:, None]
+    h = 0.5 * (hi - lo)
+    return (0.5 * (lo + hi) + h * gx).ravel(), (h * gw).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +730,7 @@ def stieltjes_basis(dist: Distribution, order: int,
     prev = None
     panels = 8
     while panels <= 4096:
-        x, w = _panel_rule(a, b, panels)
+        x, w = _panel_rule(_panel_cuts(a, b, panels))
         rho = np.asarray(dist.density(x), dtype=float)
         gamma, kappa = discrete_stieltjes(x, w * rho, order)
         if prev is not None:

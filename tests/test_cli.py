@@ -700,6 +700,81 @@ def test_key_or_flag_the_analysis_does_not_read_is_user_error(
     assert not (tmp_path / "out").exists()
 
 
+# the README's "Config files" table: the analyses that accept each config
+# key; each key but `solver` is also a flag of exactly those analyses
+# (`params` as --param, `t_end` as --t-end)
+ALL = ("dc", "transient", "anova", "sensitivity", "mc", "hier-extract",
+       "hier-propagate")
+KEY_MATRIX = {
+    "netlist": ("dc", "transient", "anova", "sensitivity", "mc",
+                "hier-extract"),
+    "model": ("dc", "transient", "anova", "sensitivity", "mc",
+              "hier-extract"),
+    "order": ("dc", "transient", "anova", "sensitivity", "hier-extract",
+              "hier-propagate"),
+    "m": ("anova", "sensitivity"),
+    "sigma": ("anova", "sensitivity"),
+    "anchor": ("anova", "sensitivity"),
+    "samples": ("mc", "hier-extract"),
+    "seed": ("mc", "hier-extract"),
+    "t_end": ("transient", "mc", "hier-propagate"),
+    "output": ("anova", "sensitivity", "hier-extract"),
+    "outdir": ALL,
+    "density": ("hier-extract",),
+    "out": ("hier-extract",),
+    "blocks": ("hier-propagate",),
+    "system": ("hier-propagate",),
+    "x0": ("hier-propagate",),
+    "params": ALL,
+    "solver": ALL,
+}
+# a well-typed value of each key other than its default, and its flag
+# spelling
+KEY_VALUES = {
+    "netlist": "a.cir", "model": "builtin:rc-lowpass", "order": 3, "m": 1,
+    "sigma": 0.5, "anchor": 0.5, "samples": 10, "seed": 1, "t_end": 1.0,
+    "output": 1, "outdir": "out", "density": "sampling", "out": "b.json",
+    "blocks": ["b.json"], "system": "sum", "x0": "zero", "params": {"k": 1},
+    "solver": {"lte_tol": 1e-6},
+}
+FLAGS = {"params": ["--param", "k=1"], "t_end": ["--t-end", "1.0"],
+         "blocks": ["--blocks", "b.json"]}
+
+
+def test_each_analysis_accepts_exactly_its_keys_and_flags(tmp_path):
+    import argparse
+    import dataclasses
+
+    assert {f.name for f in dataclasses.fields(cli.JobConfig)} == \
+        set(KEY_MATRIX) | {"analysis"}
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(ALL)
+    for analysis in ALL:
+        flags = {s for a in sub.choices[analysis]._actions
+                 for s in a.option_strings} - {"-h", "--help", "--config"}
+        assert flags == {FLAGS.get(k, ["--" + k])[0]
+                         for k, takers in KEY_MATRIX.items()
+                         if analysis in takers and k != "solver"}, analysis
+    for key, takers in KEY_MATRIX.items():
+        config = tmp_path / f"{key}.json"
+        config.write_text(json.dumps({key: KEY_VALUES[key]}))
+        for analysis in ALL:
+            argv = [analysis, "--config", str(config)]
+            if analysis not in takers:
+                with pytest.raises(cli.UsageError, match=key):
+                    cli.build_config(argv)
+                continue
+            argvs = [argv]
+            if key != "solver":   # argparse takes a prefix of a flag, so
+                # refused flags are checked by their names above
+                argvs.append([analysis] + FLAGS.get(
+                    key, ["--" + key, str(KEY_VALUES[key])]))
+            default = getattr(cli.JobConfig(analysis), key)
+            for argv in argvs:
+                assert getattr(cli.build_config(argv), key) != default, argv
+
+
 @pytest.mark.parametrize("flag,named", [("--anchor", "anchor"),
                                         ("--sigma", "sigma")])
 def test_nan_anchor_or_sigma_is_user_error(tmp_path, capsys, flag, named):
@@ -940,6 +1015,15 @@ def test_bad_param_is_user_error(divider, block, tmp_path, capsys, argv,
     error = capture_error(capsys)
     assert error["error"] == "config" and named in error["message"]
     assert not (tmp_path / "out").exists()
+
+
+def test_unknown_system_lists_the_demo_systems(block, tmp_path, capsys):
+    rc = cli.main(["hier-propagate", "--system", "builtin:ladder",
+                   "--blocks", block, "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    error = capture_error(capsys)
+    assert error == {"error": "config", "message": "no demo system named "
+                     "'builtin:ladder'; available: rc_zeta, sum"}
 
 
 def test_known_param_reaches_the_model(block, tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqsim import hier, polychaos
-from uqsim.models import algebraic_model
+from uqsim.models import UnknownModelError, algebraic_model
 from uqsim.polychaos import (DegenerateMeasureError, Distribution,
                              GpcExpansion, expansion_from_json,
                              expansion_to_json, golub_welsch,
@@ -445,6 +445,14 @@ def test_two_level_toy_matches_flat_monte_carlo():
     assert abs(h_mean - v.mean()) < 3.0 * se_mean
     assert abs(h_std - v.std(ddof=1)) < max(3.0 * se_std,
                                             0.005 * v.std(ddof=1))
+
+
+def test_unknown_demo_system_is_an_unknown_model():
+    # one resolver serves builtin models and demo systems alike
+    with pytest.raises(UnknownModelError,
+                       match="no demo system named 'ladder'; available: "
+                             "rc_zeta, sum"):
+        hier.demo_system("ladder", [])
 
 
 def test_demo_system_validation():

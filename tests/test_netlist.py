@@ -306,6 +306,31 @@ class TestElaborate:
         assert np.array_equal(dae.df_pattern, ref[0] != 0)
         assert not dae.dq_pattern.any()
 
+    def test_stamp_tables_hold_only_stored_entries(self):
+        # dense (m, n * n) tables of a 100-stage diode-RC ladder peaked at
+        # 33.7 MB for 303 stored Jacobian entries, growing with the cube
+        # of the stage count
+        import tracemalloc
+        lines = ["V1 n0 0 1.0"]
+        for k in range(1, 101):
+            lines += [f"R{k} n{k - 1} n{k} 1k "
+                      "variation=relative:uniform(0.9,1.1)",
+                      f"D{k} n{k} 0 is=1e-9 nvt=0.02585", f"C{k} n{k} 0 1u"]
+        nl = parse_netlist("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            dae = elaborate(nl)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        x = np.full(dae.n, 0.3)
+        J = dae.df_dx(x, np.ones(100), 0.0)
+        assert np.array_equal(J != 0, dae.df_pattern)
+        assert np.count_nonzero(dae.df_pattern) == 303
+        assert np.array_equal(dae.dq_dx(x, np.ones(100)) != 0,
+                              dae.dq_pattern)
+
     def test_analytic_jacobians_match_fd(self):
         from uqsim.models import _fd_jacobian
         text = ("V1 1 0 1\nR1 1 2 1k\nL1 2 3 1m\nC1 3 0 1u\nD1 3 4 \n"

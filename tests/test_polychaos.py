@@ -445,6 +445,25 @@ def test_custom_density_must_be_positive():
             (0.0, 1.0))
 
 
+def test_composite_rule_matches_the_panel_loop():
+    # the reference builds the rule panel by panel; the vectorized rule
+    # does the same arithmetic, so it gives the same bits
+    def panel_loop(cuts, pts):
+        gx, gw = np.polynomial.legendre.leggauss(pts)
+        xs, ws = [], []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            h = 0.5 * (hi - lo)
+            xs.append(0.5 * (lo + hi) + h * gx)
+            ws.append(h * gw)
+        return np.concatenate(xs), np.concatenate(ws)
+
+    for cuts, pts in ((pc._panel_cuts(-1.5, 2.0, 64), 24),
+                      (np.array([0.0, 0.1, 0.35, 1.0]), 5)):
+        x, w = pc._panel_rule(cuts, pts)
+        ref_x, ref_w = panel_loop(cuts, pts)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+
+
 def test_inverse_cdf_round_trip():
     for dist in FAMILIES:
         u = np.linspace(0.01, 0.99, 23)
