@@ -1,0 +1,261 @@
+"""Per-job CLI overhead of two checkouts: alternating benchmark runs, plus
+the artifact-writing and argument-parsing layers timed on their own.
+
+    python3 scripts/cli_overhead_bench.py --parent DIR --change DIR \
+        [--workloads spectral hier sampling] [--seeds 0 1] [--pairs 10] \
+        [--seconds 10] [--out FILE]
+    python3 scripts/cli_overhead_bench.py --layers DIR [--anova-stages 40] \
+        [--workloads spectral hier sampling]
+
+With --parent and --change, each pair runs `perfbench/run.py --workload W
+--seed S --trace 0` once in each checkout, for every workload and seed, the
+side that runs first alternating pair by pair, and reports medians,
+quartiles and the pairs in which the change read lower.  Then it runs
+`spectral --trace 1` and `--layers` in each checkout, alternating, and
+keeps the least time of each layer.  The result is one JSON document,
+written to --out or printed.
+
+With --layers DIR, it imports DIR's library in this process and prints one
+JSON line: the first `build_parser` call a job makes, the least time of
+`build_config`, and the time each JSON artifact of the benchmark's jobs
+(seed 0) and of an `anova` run on a --anova-stages diode-RC ladder takes
+to write, each checked to be the artifact's bytes.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+E2E = ("wall_s", "setup_s", "compute_s", "peak_rss_mb")
+# the counters a change to parsing and writing must leave alone
+COUNTERS = ("models.f_calls", "models.jac_calls", "models.q_calls",
+            "stsolver.newton_solves", "stsolver.newton_iters",
+            "stsolver.point_solves", "stsolver.recover_calls",
+            "stsolver.steps_accepted", "stsolver.steps_rejected",
+            "cli.artifact_bytes")
+DC_ARGV = ["dc", "--model", "builtin:diode-rectifier", "--order", "4"]
+
+
+def _least(fn, repeats: int) -> float:
+    """The least time of `repeats` calls, in ms."""
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e3
+
+
+def _writer(path: str):
+    """A call that rewrites the JSON artifact at path the way the loaded
+    library writes it, and the artifact's text."""
+    from uqsim import polychaos, stsolver
+
+    with open(path) as fh:
+        text = fh.read()
+    name = os.path.basename(path)
+    if name == "transient_expansions.json":
+        doc = json.loads(text)
+        exps = tuple(polychaos.expansion_from_json(json.dumps(e))
+                     for e in doc["expansions"])
+        sol = stsolver.StSolution(doc["times"], exps, (), 0, ())
+        return sol.expansions_json, text
+    if name.endswith("_expansion.json"):
+        exp = polychaos.expansion_from_json(text)
+        return (lambda: polychaos.expansion_to_json(exp)), text
+    if name == "block.json":   # hier-extract's own document
+        doc = json.loads(text)
+        dump = getattr(polychaos, "_dump_json", None) or (
+            lambda d: json.dumps(d, indent=1, sort_keys=True))
+        return (lambda: dump(doc) + "\n"), text
+    return None, text
+
+
+def _job_json_ms(workdir: str, repeats: int) -> dict:
+    ms = {}
+    for root, _, files in sorted(os.walk(workdir)):
+        for name in sorted(files):
+            if not name.endswith(".json"):
+                continue
+            write, text = _writer(os.path.join(root, name))
+            if write is None:
+                continue
+            if write() != text:
+                raise SystemExit(f"{root}/{name}: the writer changed bytes")
+            key = f"{os.path.basename(root)}/{name}"
+            ms[key] = round(_least(write, repeats), 3)
+    return ms
+
+
+def layers(checkout: str, names, anova_stages: int, repeats: int) -> dict:
+    sys.path[:0] = [os.path.join(checkout, "src"),
+                    os.path.join(checkout, "perfbench")]
+    import inspect
+
+    import workloads
+    from uqsim import cli
+
+    takes_analysis = bool(inspect.signature(cli.build_parser).parameters)
+    args = (DC_ARGV[0],) if takes_analysis else ()
+    out = {"first_build_parser_ms": round(
+        _least(lambda: cli.build_parser(*args), 1), 3)}
+    out["build_config_ms"] = round(
+        _least(lambda: cli.build_config(DC_ARGV), 50), 3)
+    with tempfile.TemporaryDirectory() as work, \
+            contextlib.redirect_stdout(io.StringIO()):
+        for name in names:
+            workdir = os.path.join(work, name)
+            for job in workloads.build(name, 0, workdir):
+                argv = list(job.argv) + [
+                    "--outdir", os.path.join(workdir, job.id)]
+                if cli.main(argv) != 0:
+                    raise SystemExit(f"{name}/{job.id} failed")
+        out["job_json_ms"] = _job_json_ms(work, repeats)
+        netlist = os.path.join(work, "ladder.cir")
+        with open(netlist, "w") as fh:
+            fh.write(workloads.ladder_netlist(anova_stages, 0))
+        outdir = os.path.join(work, "anova")
+        if cli.main(["anova", "--netlist", netlist, "--order", "3", "--m",
+                     "2", "--sigma", "0", "--output", f"v(n{anova_stages})",
+                     "--outdir", outdir]) != 0:
+            raise SystemExit("the anova run failed")
+        write, text = _writer(os.path.join(outdir, "anova_expansion.json"))
+        if write() != text:
+            raise SystemExit("anova_expansion.json: the writer changed bytes")
+        out["anova_json"] = {"stages": anova_stages, "bytes": len(text),
+                             "ms": round(_least(write, repeats), 3)}
+    return out
+
+
+def _run(cmd, cwd) -> dict:
+    res = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True,
+                         check=True)
+    return json.loads(res.stdout.strip().splitlines()[-1])
+
+
+def _summary(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(median, 5), "q1": round(q1, 5),
+            "q3": round(q3, 5)}
+
+
+def _pairs(sides: dict, workload: str, seed: int, pairs: int,
+           seconds: float) -> dict:
+    runs = {side: {m: [] for m in E2E} for side in sides}
+    ok = True
+    for i in range(pairs):
+        order = list(sides) if i % 2 == 0 else list(sides)[::-1]
+        for side in order:
+            doc = _run([sys.executable, "perfbench/run.py", "--workload",
+                        workload, "--seed", str(seed), "--seconds",
+                        str(seconds), "--trace", "0"], sides[side])
+            ok = ok and doc["correct"] and doc["failed"] == 0
+            for m in E2E:
+                runs[side][m].append(round(doc["metrics"][m]["value"], 5))
+        print(f"{workload} seed {seed} pair {i + 1}: compute_s parent "
+              f"{runs['parent']['compute_s'][-1]} change "
+              f"{runs['change']['compute_s'][-1]}", file=sys.stderr)
+    out = {"pairs": pairs, "every_run_correct_with_0_failed": ok}
+    for m in E2E:
+        par, chg = runs["parent"][m], runs["change"][m]
+        out[m] = {"parent": _summary(par), "change": _summary(chg),
+                  "change_lower_in": f"{sum(c < p for p, c in zip(par, chg))}"
+                                     f"/{pairs}",
+                  "runs": {"parent": par, "change": chg}}
+    return out
+
+
+def compare(args) -> dict:
+    sides = {"parent": os.path.abspath(args.parent),
+             "change": os.path.abspath(args.change)}
+    doc = {
+        "host": {"python": platform.python_version(),
+                 "machine": platform.machine(), "nproc": os.cpu_count()},
+        "command": "python3 perfbench/run.py --workload W --seed S "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "method": "alternating pairs of parent and change, the side that "
+                  "runs first alternating pair by pair, each side from its "
+                  "own checkout; medians and quartiles over the pairs; "
+                  "change_lower_in counts the pairs in which the change "
+                  "read lower; layers and trace counters are the least of "
+                  f"{args.layer_runs} alternating runs per side",
+        "end_to_end": {f"{w}_seed{s}": _pairs(sides, w, s, args.pairs,
+                                              args.seconds)
+                       for w in args.workloads for s in args.seeds},
+    }
+    layer_runs = {side: [] for side in sides}
+    trace = {side: {} for side in sides}
+    me = os.path.abspath(__file__)
+    for i in range(args.layer_runs):
+        for side in (sides if i % 2 == 0 else list(sides)[::-1]):
+            layer_runs[side].append(_run(
+                [sys.executable, me, "--layers", sides[side],
+                 "--anova-stages", str(args.anova_stages),
+                 "--workloads", *args.workloads], sides[side]))
+            metrics = _run([sys.executable, "perfbench/run.py",
+                            "--workload", "spectral", "--trace", "1"],
+                           sides[side])["metrics"]
+            for name in ("cli.self_s",) + COUNTERS:
+                value = metrics[name]["value"]
+                seen = trace[side].setdefault(name, value)
+                trace[side][name] = min(seen, value)
+                if name in COUNTERS and value != seen:
+                    raise SystemExit(f"{side}: {name} moved between runs")
+    doc["layers_ms"] = {side: _least_fields(r) for side, r in
+                        layer_runs.items()}
+    doc["trace_spectral_seed0"] = trace
+    return doc
+
+
+def _least_fields(runs: list):
+    """Field by field, the least of the runs' numbers."""
+    first = runs[0]
+    if isinstance(first, dict):
+        return {k: _least_fields([r[k] for r in runs]) for k in first}
+    return min(runs) if isinstance(first, float) else first
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", help="checkout of the parent commit")
+    ap.add_argument("--change", help="checkout of the change")
+    ap.add_argument("--layers", metavar="DIR",
+                    help="print DIR's layer timings and exit")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
+    ap.add_argument("--seconds", type=float, default=10.0)
+    ap.add_argument("--layer-runs", type=int, default=4)
+    ap.add_argument("--anova-stages", type=int, default=40)
+    ap.add_argument("--workloads", nargs="+",
+                    default=["spectral", "hier", "sampling"],
+                    help="the benchmark workloads to run in pairs and "
+                         "whose JSON artifacts to time")
+    ap.add_argument("--repeats", type=int, default=20,
+                    help="calls per writer timing")
+    ap.add_argument("--out", help="write the JSON document here")
+    args = ap.parse_args(argv)
+    if args.layers is not None:
+        print(json.dumps(layers(os.path.abspath(args.layers), args.workloads,
+                                args.anova_stages, args.repeats)))
+        return 0
+    if args.parent is None or args.change is None:
+        ap.error("give --layers DIR, or both --parent and --change")
+    text = json.dumps(compare(args), indent=1) + "\n"
+    if args.out is None:
+        print(text, end="")
+    else:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -32,7 +32,7 @@ from .montecarlo import run_mc
 from .netlist import elaborate, parse_netlist
 from .polychaos import (DegenerateMeasureError, GpcExpansion,
                         expansion_to_dict, expansion_to_json,
-                        monotone_cubic, total_degree_index_set)
+                        monotone_cubic, total_degree_index_set, _dump_json)
 from .stsolver import (SolverError, SolverOptions, integrate_transient,
                        newton_dc, select_testing_points, solve_dc,
                        standard_bases)
@@ -206,16 +206,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> _Parser:
+def build_parser(analysis: str | None = None) -> _Parser:
+    """The `uqsim` parser, with every analysis's subcommand, or with only
+    `analysis`'s: a job builds the one it runs.  Flags are spelled in full:
+    a prefix of one flag is never read as that flag."""
     # argparse sizes a new help formatter to the terminal in every
     # add_argument; size them all once
     formatter = functools.partial(
         argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = _Parser(prog="uqsim", description=__doc__.splitlines()[0],
-                     formatter_class=formatter)
+                     formatter_class=formatter, allow_abbrev=False)
     sub = parser.add_subparsers(dest="analysis", required=True)
-    for name, (text, _) in _ANALYSES.items():
-        p = sub.add_parser(name, help=text, formatter_class=formatter)
+    for name in _ANALYSES if analysis is None else (analysis,):
+        p = sub.add_parser(name, help=_ANALYSES[name][0],
+                           formatter_class=formatter, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override it")
         for f in _KEYS[name]:
             meta, kind = f.metadata, f.type.removesuffix(" | None")
@@ -227,7 +231,10 @@ def build_parser() -> _Parser:
 
 
 def build_config(argv) -> JobConfig:
-    flags = vars(build_parser().parse_args(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # not an analysis first: the full parser says what uqsim takes
+    name = argv[0] if argv and argv[0] in _ANALYSES else None
+    flags = vars(build_parser(name).parse_args(argv))
     analysis, path = flags.pop("analysis"), flags.pop("config")
     flags = {k: v for k, v in flags.items() if v is not None}
     if "params" in flags:
@@ -522,7 +529,7 @@ def _run_hier_extract(cfg: JobConfig) -> None:
     }
     name = cfg.out or "block.json"
     _write(_artifact(cfg, name),
-           json.dumps(doc, indent=1, sort_keys=True) + "\n")
+           _dump_json(doc) + "\n")
     print(f"hier-extract: output {model.labels[j]!r}, level "
           f"a={surrogate.a!r}, spread b={surrogate.b!r}, {cfg.density} "
           f"density; wrote {name} in {cfg.outdir}")

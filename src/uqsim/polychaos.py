@@ -29,8 +29,10 @@ All value types here are immutable; operations are pure functions.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -1042,8 +1044,8 @@ def _family_dict(basis: OrthoBasis) -> dict:
     dist = basis.distribution
     kind = "custom" if dist is None else dist.kind
     entry: dict = {"kind": kind, "order": basis.order,
-                   "gamma": [float(v) for v in basis.gamma],
-                   "kappa": [float(v) for v in basis.kappa]}
+                   "gamma": basis.gamma.tolist(),
+                   "kappa": basis.kappa.tolist()}
     if kind in FAMILIES:
         entry.update(zip(FAMILIES[kind].params, map(float, dist.params)))
     return entry
@@ -1071,14 +1073,68 @@ def expansion_to_dict(expansion: GpcExpansion) -> dict:
         "dimension": expansion.dimension,
         "order": expansion.index_set.total_order,
         "families": [_family_dict(b) for b in expansion.bases],
-        "indices": [[int(v) for v in row] for row in expansion.index_set.indices],
-        "coefficients": [[float(v) for v in row] for row in expansion.coefficients],
+        "indices": expansion.index_set.indices.tolist(),
+        "coefficients": expansion.coefficients.tolist(),
     }
 
 
 def expansion_to_json(expansion: GpcExpansion) -> str:
     """Serialize to the documented JSON schema; binary64 exact round-trip."""
-    return json.dumps(expansion_to_dict(expansion), indent=1, sort_keys=True)
+    return _dump_json(expansion_to_dict(expansion))
+
+
+_NUMBER_TYPES = frozenset((int, float))
+_MARK = "\0"          # a block's stand-in string is _MARK + its number
+_MARK_JSON = '"\\u0000'
+
+
+def _block_text(items, level: int) -> str | None:
+    """items, a list of ints and floats or of equal-length lists of them,
+    as the indent-1 encoder writes it at indent level `level`, in one format
+    pass; None for any other list, or for one holding NaN or an infinity."""
+    outer = "\n" + " " * (level + 1)
+    if type(items[0]) is list:
+        n = len(items[0])
+        if any(type(r) is not list or len(r) != n for r in items):
+            return None
+        flat = tuple(itertools.chain.from_iterable(items))
+        inner = "\n" + " " * (level + 2)
+        item = ("[" + inner + ("," + inner).join(["%r"] * n) + outer + "]"
+                if n else "[]")
+    else:
+        flat, item = tuple(items), "%r"
+    if not set(map(type, flat)) <= _NUMBER_TYPES:
+        return None
+    text = ("[" + outer + ("," + outer).join([item] * len(items)) + "\n"
+            + " " * level + "]") % flat
+    # an int's or a finite float's repr is what the encoder writes; nan
+    # and inf, the only reprs with an "n", are not
+    return None if "n" in text else text
+
+
+def _dump_json(doc) -> str:
+    """json.dumps(doc, indent=1, sort_keys=True), byte for byte.  Indenting
+    makes the stdlib encode in Python, about 1 us per number, so each list
+    of numbers, or of lists of numbers (an expansion's indices and
+    coefficients), is written by _block_text and spliced in where the
+    stdlib writes its stand-in."""
+    blocks = []
+
+    def stand_ins(o, level):
+        if isinstance(o, dict):
+            return {k: stand_ins(v, level + 1) for k, v in o.items()}
+        if isinstance(o, (list, tuple)):
+            text = _block_text(o, level) if o else None
+            if text is not None:
+                blocks.append(text)
+                return _MARK + str(len(blocks) - 1)
+            return [stand_ins(v, level + 1) for v in o]
+        return o
+
+    out = json.dumps(stand_ins(doc, 0), indent=1, sort_keys=True)
+    if out.count(_MARK_JSON) != len(blocks):   # a string of doc's own
+        return json.dumps(doc, indent=1, sort_keys=True)
+    return re.sub(r'"\\u0000(\d+)"', lambda m: blocks[int(m[1])], out)
 
 
 def expansion_from_json(text: str) -> GpcExpansion:

@@ -40,8 +40,8 @@ from .models import StochasticDae
 from .polychaos import (TENSOR_NODE_CAP, GpcExpansion, MultiIndexSet,
                         OrthoBasis, expansion_to_dict, golub_welsch,
                         make_standard_basis, stieltjes_basis,
-                        total_degree_index_set, _basis_matrix, _frozen,
-                        _mean_variance, _tensor_weights)
+                        total_degree_index_set, _basis_matrix, _dump_json,
+                        _frozen, _mean_variance, _tensor_weights)
 
 __all__ = [
     "SolverError",
@@ -197,35 +197,40 @@ def select_testing_points(bases: Sequence[OrthoBasis], order: int,
     candidate_order = np.argsort(-_tensor_weights(rules), kind="stable")
 
     chosen: list[int] = []
-    ortho = np.zeros((0, K))  # orthonormal row-space basis of V so far
-    V_rows = np.zeros((0, K))
-    Linv = np.zeros((K, K))   # L^-1 for V_rows = L @ ortho, in [:k, :k]
+    # the accepted rows of V and the orthonormal basis of their span, in
+    # [:k] of the k accepted so far
+    V_rows = np.zeros((K, K))
+    Q = np.zeros((K, K))
+    Linv = np.zeros((K, K))   # L^-1 for V_rows = L @ Q, in [:k, :k]
     fro2 = inv2 = 0.0         # ||V_rows||_F^2 and ||L^-1||_F^2
-    drift2 = 0.0              # ||I - Q Q^T||_F^2 over the rows of ortho
+    drift2 = 0.0              # ||I - Q Q^T||_F^2 over the rows of Q
     bound2 = (condition_cap / 2) ** 2
     for cand, row in _candidate_rows(idx, bases, axes,
                                      candidate_order, 2 * K):
+        k = len(chosen)
+        ortho = Q[:k]
         c = ortho @ row
         resid = row - ortho.T @ c
-        delta = np.linalg.norm(resid)
-        if delta <= 1e-12 * max(1.0, np.linalg.norm(row)):
+        # np.linalg.norm's arithmetic for a real vector
+        delta = math.sqrt(resid @ resid)
+        row2 = row @ row
+        if delta <= 1e-12 * max(1.0, math.sqrt(row2)):
             continue  # would not raise the rank
-        k = len(chosen)
         q = resid / delta
         g = ortho @ q
         t_drift2 = drift2 + 2.0 * (g @ g) + (q @ q - 1.0) ** 2
         w = (c @ Linv[:k, :k]) / -delta   # L_new^-1's last row: [w, 1/delta]
-        t_fro2 = fro2 + row @ row
+        t_fro2 = fro2 + row2
         t_inv2 = inv2 + w @ w + 1.0 / delta ** 2
+        V_rows[k] = row
         if not (t_fro2 * t_inv2 <= bound2 and t_drift2 <= 0.25):
-            s = np.linalg.svd(np.vstack([V_rows, row]), compute_uv=False)
+            s = np.linalg.svd(V_rows[:k + 1], compute_uv=False)
             if s[0] / s[-1] > condition_cap:
                 continue
-        V_rows = np.vstack([V_rows, row])
         chosen.append(int(cand))
         if len(chosen) == K:
             break
-        ortho = np.vstack([ortho, q])
+        Q[k] = q
         Linv[k, :k], Linv[k, k] = w, 1.0 / delta
         fro2, inv2, drift2 = t_fro2, t_inv2, t_drift2
     if len(chosen) < K:
@@ -661,13 +666,11 @@ class StSolution:
             ",".join(map(repr, row)) for row in table]) + "\n"
 
     def expansions_json(self) -> str:
-        import json
-
-        return json.dumps({
+        return _dump_json({
             "schema": "st-solution/1",
-            "times": [float(t) for t in self.times],
+            "times": self.times.tolist(),
             "expansions": [expansion_to_dict(e) for e in self.expansions],
-        }, indent=1, sort_keys=True)
+        })
 
 
 class _PointIntegrator:

@@ -685,6 +685,10 @@ DIODE = ["--model", "builtin:diode-rectifier"]
     (["hier-propagate", "--system", "sum", "--seed", "1"], None, "--seed"),
     (["mc", "--order", "3"] + DIODE, None, "--order"),
     (["hier-extract", "--knots", "51"] + DIODE, None, "--knots"),
+    # prefixes of --outdir, --model and --t-end
+    (["dc", "--out", "x"] + DIODE, None, "--out"),
+    (["dc", "--m", "2"] + DIODE, None, "--m"),
+    (RC_TRANSIENT + ["--t", "1"], None, "--t"),
 ])
 def test_key_or_flag_the_analysis_does_not_read_is_user_error(
         tmp_path, capsys, argv, config, named):
@@ -741,6 +745,18 @@ FLAGS = {"params": ["--param", "k=1"], "t_end": ["--t-end", "1.0"],
          "blocks": ["--blocks", "b.json"]}
 
 
+@pytest.mark.parametrize("analysis", ALL)
+def test_a_jobs_parser_prints_the_full_parsers_help(capsys, analysis):
+    texts = []
+    for parser in (cli.build_parser(analysis), cli.build_parser()):
+        with pytest.raises(SystemExit) as exit_:
+            parser.parse_args([analysis, "--help"])
+        assert exit_.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].startswith(f"usage: uqsim {analysis} [-h]")
+
+
 def test_each_analysis_accepts_exactly_its_keys_and_flags(tmp_path):
     import argparse
     import dataclasses
@@ -761,15 +777,17 @@ def test_each_analysis_accepts_exactly_its_keys_and_flags(tmp_path):
         config.write_text(json.dumps({key: KEY_VALUES[key]}))
         for analysis in ALL:
             argv = [analysis, "--config", str(config)]
+            flag = FLAGS.get(key, ["--" + key, str(KEY_VALUES[key])])
             if analysis not in takers:
                 with pytest.raises(cli.UsageError, match=key):
                     cli.build_config(argv)
+                if key != "solver":   # a flag is never read as a longer one
+                    with pytest.raises(cli.UsageError, match=flag[0]):
+                        cli.build_config([analysis] + flag)
                 continue
             argvs = [argv]
-            if key != "solver":   # argparse takes a prefix of a flag, so
-                # refused flags are checked by their names above
-                argvs.append([analysis] + FLAGS.get(
-                    key, ["--" + key, str(KEY_VALUES[key])]))
+            if key != "solver":
+                argvs.append([analysis] + flag)
             default = getattr(cli.JobConfig(analysis), key)
             for argv in argvs:
                 assert getattr(cli.build_config(argv), key) != default, argv

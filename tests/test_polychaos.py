@@ -422,6 +422,57 @@ def test_json_round_trip_arbitrary_coefficients(values):
     assert np.array_equal(back.coefficients, exp.coefficients)
 
 
+NAN, INF = float("nan"), float("inf")
+# floats whose shortest repr needs 17 significant digits, then edge values
+FLOAT_EDGES = [0.1 + 0.2, 1.0000000000000002, -1.2345678901234568e-89,
+               2.2250738585072014e-308, 1.7976931348623157e308,
+               5e-324, -0.0, 0.0, NAN, INF, -INF]
+BLOCK_NUMBERS = st.one_of(st.floats(width=64), st.sampled_from(FLOAT_EDGES),
+                          st.integers(-2 ** 70, 2 ** 70))
+
+
+@st.composite
+def number_blocks(draw):
+    """A 2-D list of ints, of floats, or of both, with 0 to 3 rows and
+    columns."""
+    numbers = draw(st.sampled_from([st.floats(width=64), BLOCK_NUMBERS,
+                                    st.integers(-9, 9)]))
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return [[draw(numbers) for _ in range(cols)] for _ in range(rows)]
+
+
+JSON_DOCS = st.recursive(
+    st.one_of(number_blocks(), st.none(), st.booleans(), BLOCK_NUMBERS,
+              st.text(max_size=3), st.lists(BLOCK_NUMBERS, max_size=3)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12)
+
+
+@pytest.mark.parametrize("doc", [
+    {"nan": [[1.0, NAN]], "inf": [[INF], [2.0]], "-inf": [[-INF, 0]]},
+    {"zero": [[-0.0, 0.0]], "rows": [], "cols": [[], []], "one": [[7]]},
+    {"digits": [FLOAT_EDGES[:2], FLOAT_EDGES[3:5]]},
+    [[1, 2.5], [True, 3]],
+    {"a": [[1.0]], "\0": "\x000", "b": ['x"\x001']},
+])
+def test_json_writer_edge_blocks(doc):
+    assert pc._dump_json(doc) == json.dumps(doc, indent=1, sort_keys=True)
+
+
+@given(JSON_DOCS)
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_json_writer_matches_the_stdlib(doc):
+    # the writer's one promise: the stdlib's indent-1, sorted-keys text
+    assert pc._dump_json(doc) == json.dumps(doc, indent=1, sort_keys=True)
+
+
+def test_expansion_json_is_the_stdlib_layout():
+    exp = _toy_expansion()
+    assert pc.expansion_to_json(exp) == json.dumps(
+        pc.expansion_to_dict(exp), indent=1, sort_keys=True)
+
+
 def test_schema_fields_present():
     doc = json.loads(pc.expansion_to_json(_toy_expansion()))
     for key in ("dimension", "order", "families", "indices", "coefficients"):

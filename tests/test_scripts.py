@@ -35,6 +35,22 @@ def test_script_runs(name, argv, capsys):
     assert capsys.readouterr().out
 
 
+def test_overhead_bench_times_a_checkouts_layers(tmp_path):
+    # a separate process: --layers puts the checkout first on sys.path
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / "cli_overhead_bench.py"), "--layers",
+         str(SCRIPTS.parent), "--workloads", "spectral", "--anova-stages",
+         "3", "--repeats", "1"], capture_output=True, text=True, check=True,
+        cwd=tmp_path)
+    doc = json.loads(out.stdout)
+    assert doc["first_build_parser_ms"] > 0
+    assert set(doc["job_json_ms"]) == {
+        "dc-diode/dc_expansion.json", "dc-ladder8/dc_expansion.json",
+        "tran-plate/transient_expansions.json",
+        "tran-ladder4/transient_expansions.json"}
+    assert doc["anova_json"]["stages"] == 3
+
+
 def test_readme_examples_run():
     # the blocks build on each other, so they share one namespace
     text = (SCRIPTS.parent / "README.md").read_text()
