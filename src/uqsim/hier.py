@@ -347,8 +347,7 @@ def _rc_zeta_system(dists, r: float = 1e3, c: float = 1e-6,
     return StochasticDae(
         n=1, d=1, distributions=dists,
         q=lambda x, z: c * np.asarray(x, dtype=float),
-        f=f, B=np.zeros((1, 0)), u=lambda t: np.zeros(0),
-        dq_dx=lambda x, z: np.full(np.shape(x) + (1,), c), df_dx=df_dx,
+        f=f, dq_dx=lambda x, z: np.full(np.shape(x) + (1,), c), df_dx=df_dx,
         x0_guess=np.array([vin]), labels=("v_out",), batched=True)
 
 

@@ -2,13 +2,13 @@
 
 A stochastic DAE is
 
-    d q(x, xi) / dt + f(x, xi, t) = B u(t),
+    d q(x, xi) / dt + f(x, xi, t) = 0,
 
-with state x in R^n and d independent random inputs xi.  Circuits assembled
-by modified nodal analysis put charges and fluxes in q and resistive/source
-terms in f (their f never looks at t); converted second-order models carry
-their input drive inside f because forces may depend on the input
-nonlinearly.  Second-order mechanical models are
+with state x in R^n and d independent random inputs xi.  Every drive lives
+in f: circuits assembled by modified nodal analysis put charges and fluxes
+in q and resistive currents minus source values in f, and converted
+second-order models carry their input force inside f.  Second-order
+mechanical models are
 
     M(z, xi) z'' + D(z, xi) z' + f(z, u(t), xi) = 0.
 """
@@ -90,10 +90,10 @@ class StochasticDae:
     """Differential-algebraic model with random parameters.
 
     q(x, xi) -> n-vector of charges/fluxes; f(x, xi, t) -> n-vector of
-    resistive/source terms; B is the n-by-m incidence of the linear inputs
-    u(t) -> m-vector.  Jacobians are optional; central finite differences
-    with step max(1e-7, 1e-7|x_i|) stand in when they are missing.  The
-    states are the outputs; unlabeled, they are "x0".."x{n-1}".
+    resistive terms minus drives, so that d q/dt + f = 0.  Jacobians are
+    optional; central finite differences with step max(1e-7, 1e-7|x_i|)
+    stand in when they are missing.  The states are the outputs;
+    unlabeled, they are "x0".."x{n-1}".
 
     A batched model's q, f, dq_dx and df_dx also accept stacks: x of shape
     (..., n) and xi of shape (..., d) with matching leading axes give
@@ -108,7 +108,7 @@ class StochasticDae:
     jac_f_many take an (N,) array of per-row times.  A row-by-row model
     still sees each row's time as a float; a batched model's f and df_dx
     get the array, so a batched f that reads t must broadcast it over the
-    stack.  u is called with one float time at a time.
+    stack.  Per-row times reach the model through f and df_dx only.
 
     dq_pattern and df_pattern are the structural (n, n) patterns of dq_dx
     and df_dx: True where an entry may be nonzero, dense when not given.
@@ -123,8 +123,6 @@ class StochasticDae:
     distributions: tuple
     q: Callable
     f: Callable
-    B: np.ndarray
-    u: Callable
     dq_dx: Callable | None = None
     df_dx: Callable | None = None
     x0_guess: np.ndarray | None = None
@@ -134,9 +132,6 @@ class StochasticDae:
     df_pattern: np.ndarray | None = None
 
     def __post_init__(self):
-        B = np.asarray(self.B, dtype=float).reshape(self.n, -1)
-        B.setflags(write=False)
-        object.__setattr__(self, "B", B)
         for name in ("dq_pattern", "df_pattern"):
             pattern = np.ones((self.n, self.n), dtype=bool)
             if getattr(self, name) is not None:
@@ -291,8 +286,7 @@ def second_order_to_first(model: SecondOrderModel) -> StochasticDae:
     return StochasticDae(
         n=2 * n, d=len(model.distributions),
         distributions=model.distributions,
-        q=q, f=f, B=np.zeros((2 * n, 0)), u=lambda t: np.zeros(0),
-        dq_dx=dq_dx, df_dx=None,
+        q=q, f=f, dq_dx=dq_dx, df_dx=None,
         x0_guess=np.concatenate([model.z0, model.v0]),
         labels=labels, batched=model.batched)
 
@@ -309,8 +303,7 @@ def algebraic_model(fn: Callable, distributions: Sequence,
     return StochasticDae(
         n=n_outputs, d=len(distributions), distributions=tuple(distributions),
         q=lambda x, xi: np.zeros(n_outputs),
-        f=f, B=np.zeros((n_outputs, 0)), u=lambda t: np.zeros(0),
-        dq_dx=lambda x, xi: np.zeros((n_outputs, n_outputs)),
+        f=f, dq_dx=lambda x, xi: np.zeros((n_outputs, n_outputs)),
         df_dx=df_dx, labels=tuple(labels) if labels else None)
 
 
@@ -399,7 +392,8 @@ def _diode_rectifier(vin: float = 1.0, r: float = 1e3, i_s: float = 1e-9,
         isat, rload = resolve(xi)
         i_d, _ = shockley_current(x[..., 0] - x[..., 1], isat, n_vt)
         return np.stack(np.broadcast_arrays(
-            i_d + x[..., 2], -i_d + x[..., 1] / rload, x[..., 0]), axis=-1)
+            i_d + x[..., 2], -i_d + x[..., 1] / rload, x[..., 0] - vin),
+            axis=-1)
 
     def df_dx(x, xi, t):
         x = np.asarray(x, dtype=float)
@@ -419,8 +413,7 @@ def _diode_rectifier(vin: float = 1.0, r: float = 1e3, i_s: float = 1e-9,
     return StochasticDae(
         n=n, d=2, distributions=dists,
         q=lambda x, xi: np.zeros(np.shape(x)),
-        f=f, B=np.array([[0.0], [0.0], [1.0]]), u=lambda t: np.array([vin]),
-        dq_dx=lambda x, xi: np.zeros(np.shape(x) + (n,)), df_dx=df_dx,
+        f=f, dq_dx=lambda x, xi: np.zeros(np.shape(x) + (n,)), df_dx=df_dx,
         x0_guess=np.array([vin, 0.4, -1e-4]),
         batched=True,
         labels=("v(1)", "v(2)", "i(V1)"),
@@ -467,7 +460,6 @@ def _plate_actuator(voltage: float = 1.0, damping: float = 0.6,
     return StochasticDae(
         n=2, d=2, distributions=dists,
         q=lambda x, xi: np.array(x, dtype=float), f=f,
-        B=np.zeros((2, 0)), u=lambda t: np.zeros(0),
         dq_dx=lambda x, xi: np.broadcast_to(np.eye(2), np.shape(x) + (2,)),
         df_dx=df_dx, x0_guess=np.zeros(2), labels=("z", "dz/dt"),
         batched=True, dq_pattern=np.eye(2), df_pattern=[[0, 1], [1, 1]])

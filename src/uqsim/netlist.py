@@ -12,13 +12,17 @@ Grammar (line oriented; `*` starts a comment line; blank lines ignored)::
 
 `variation=` attaches to the element's principal parameter (r, c, l, dc, or
 is for diodes); `variation.<param>=` names the parameter explicitly.
-Relative variations multiply the nominal value; absolute ones replace it.
-Diagnostics use the format "file:line:col: message".
+Relative variations multiply the nominal value; absolute ones replace it;
+source values (V, I) cannot vary.  Every diagnostic, the structural checks
+included (a dangling node, a subnetwork with no path to ground, a
+parameter varied twice), comes from parse_netlist in the format
+"file:line:col: message".
 
 Elaboration builds a StochasticDae by full modified nodal analysis: one
 unknown per non-ground node plus one branch current per voltage source and
-per inductor.  Capacitor charges and inductor fluxes go to q, resistive and
-nonlinear currents to f, and source values enter through B u(t).
+per inductor.  Capacitor charges and inductor fluxes go to q; resistive and
+nonlinear currents go to f, and the source values are subtracted from it as
+its last step, so f is the whole residual d q/dt + f = 0.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ _SPELLINGS = {"gauss": "gaussian", **{kind: kind for kind in FAMILIES}}
 
 
 class NetlistError(ValueError):
-    """Parse or elaboration failure; message is 'file:line:col: reason'."""
+    """Parse failure; message is 'file:line:col: reason'."""
 
 
 @dataclass(frozen=True)
@@ -152,6 +156,7 @@ def parse_netlist(text: str, filename: str = "<netlist>") -> Netlist:
     variations: list[Variation] = []
     analyses: list[Analysis] = []
     seen_names: dict[str, int] = {}
+    varied: set[tuple[str, str]] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip()
@@ -229,6 +234,15 @@ def parse_netlist(text: str, filename: str = "<netlist>") -> Netlist:
             key = key.lower()
             if key == "variation" or key.startswith("variation."):
                 param = key.partition(".")[2] or principal
+                if kind in ("V", "I") and param == "dc":
+                    raise NetlistError(
+                        at(col) + f" variations on source values are not "
+                        f"supported ({first}); vary passive parameters")
+                if (first, param) in varied:
+                    raise NetlistError(
+                        at(col) + f" parameter '{param}' of {first} carries "
+                        "two variation annotations")
+                varied.add((first, param))
                 dist, mode = _parse_variation(value, lambda c=col: at(c))
                 variations.append(Variation(first, param, dist, mode))
             elif key in extra_keys:
@@ -248,14 +262,11 @@ def parse_netlist(text: str, filename: str = "<netlist>") -> Netlist:
                                 lineno, first_col))
 
     # cross checks: variations reference real parameters, ground exists,
-    # no node is touched by a single terminal only
+    # no node is touched by a single terminal only, every node reaches
+    # ground
     by_name = {e.name: e for e in elements}
     for var in variations:
-        elem = by_name.get(var.element)
-        if elem is None:
-            raise NetlistError(
-                f"{filename}:0:0: variation references unknown element "
-                f"'{var.element}'")
+        elem = by_name[var.element]
         if var.param not in elem.params:
             raise NetlistError(
                 f"{filename}:{elem.line}:{elem.col}: variation references "
@@ -277,16 +288,14 @@ def parse_netlist(text: str, filename: str = "<netlist>") -> Netlist:
                 raise NetlistError(
                     f"{filename}:{e.line}:{e.col}: dangling node '{nd}' "
                     f"(only {e.name} touches it)")
+        _connectivity_check(elements, filename)
 
     return Netlist(tuple(elements), tuple(variations), tuple(analyses))
 
 
-# ---------------------------------------------------------------------------
-# modified nodal analysis
-
-
-def _connectivity_check(nl: Netlist):
-    """Union-find from ground; every node must reach it through elements."""
+def _connectivity_check(elements: list, filename: str):
+    """Union-find from ground; every node must reach it through elements.
+    A failure names the first element that touches a floating node."""
     parent: dict[str, str] = {}
 
     def find(x):
@@ -301,18 +310,23 @@ def _connectivity_check(nl: Netlist):
         if ra != rb:
             parent[ra] = rb
 
-    for e in nl.elements:
+    for e in elements:
         for nd in e.nodes[1:]:
             union(e.nodes[0], nd)
     root = find(GROUND)
     floating = sorted(nd for nd in parent
                       if nd != GROUND and find(nd) != root)
     if floating:
+        e = next(e for e in elements if find(e.nodes[0]) != root)
         raise NetlistError(
-            "floating subnetwork: node(s) "
+            f"{filename}:{e.line}:{e.col}: floating subnetwork: node(s) "
             + ", ".join(floating)
             + f" have no path to ground '{GROUND}'; the structure is "
             "singular")
+
+
+# ---------------------------------------------------------------------------
+# modified nodal analysis
 
 
 def _incidence(pairs, n: int) -> np.ndarray:
@@ -374,8 +388,6 @@ def elaborate(nl: Netlist) -> StochasticDae:
     group and index arrays into xi, so the returned model is batched: q, f
     and their Jacobians broadcast over stacks of states and parameters.
     """
-    _connectivity_check(nl)
-
     node_index: dict[str, int] = {}
     for e in nl.elements:
         for nd in e.nodes:
@@ -393,44 +405,29 @@ def elaborate(nl: Netlist) -> StochasticDae:
         f"i({name})" for name in branch_index)
 
     # (mode, variation index) per varied (element, parameter)
-    var_plan: dict[tuple[str, str], tuple[str, int]] = {}
-    for k, v in enumerate(nl.variations):
-        if (v.element, v.param) in var_plan:
-            raise NetlistError(
-                f"parameter '{v.param}' of {v.element} carries two "
-                "variation annotations")
-        var_plan[(v.element, v.param)] = (v.mode, k)
+    var_plan = {(v.element, v.param): (v.mode, k)
+                for k, v in enumerate(nl.variations)}
     d = len(nl.variations)
     distributions = tuple(v.distribution for v in nl.variations)
 
     v_sources = [e for e in nl.elements if e.kind == "V"]
     i_sources = [e for e in nl.elements if e.kind == "I"]
-    m_inputs = len(v_sources) + len(i_sources)
 
     def idx(node: str) -> int:
         return -1 if node == GROUND else node_index[node]
 
-    B = np.zeros((n, m_inputs))
-    u_values = np.empty(m_inputs)
+    # the sources' drive, subtracted from f as its last step: B u, for B
+    # the (n, m) incidence of the m sources on their rows, u their values
+    B = np.zeros((n, len(v_sources) + len(i_sources)))
     for j, e in enumerate(v_sources):
         B[branch_index[e.name], j] = 1.0
-        u_values[j] = e.params["dc"]
     for j, e in enumerate(i_sources, start=len(v_sources)):
         a, b = idx(e.nodes[0]), idx(e.nodes[1])
         if a >= 0:
             B[a, j] = -1.0
         if b >= 0:
             B[b, j] = 1.0
-        u_values[j] = e.params["dc"]
-    u_values.setflags(write=False)
-
-    # source values can vary; fold varied sources through f instead of u
-    varied_sources = [e.name for e in v_sources + i_sources
-                      if (e.name, "dc") in var_plan]
-    if varied_sources:
-        raise NetlistError(
-            "variations on source values are not supported (element(s) "
-            + ", ".join(varied_sources) + "); vary passive parameters")
+    src = B @ np.array([e.params["dc"] for e in v_sources + i_sources])
 
     def group(kind):
         return [e for e in nl.elements if e.kind == kind]
@@ -519,6 +516,7 @@ def elaborate(nl: Netlist) -> StochasticDae:
             i_ds, _, _ = mosfet_current(x @ A_gs.T, x @ A_ds.T,
                                         m_kp(xi), m_vth(xi), m_lam(xi))
             out += i_ds @ A_ds
+        out -= src
         return out
 
     def df_dx(x, xi, t):
@@ -533,7 +531,6 @@ def elaborate(nl: Netlist) -> StochasticDae:
 
     return StochasticDae(
         n=n, d=d, distributions=distributions,
-        q=q, f=f, B=B, u=lambda t: u_values,
-        dq_dx=dq_dx, df_dx=df_dx,
+        q=q, f=f, dq_dx=dq_dx, df_dx=df_dx,
         x0_guess=np.zeros(n), labels=labels, batched=True,
         dq_pattern=dq_pattern, df_pattern=df_pattern)

@@ -541,9 +541,9 @@ def _chunk_rows(n: int) -> int:
 
 
 def newton_dc(model: StochasticDae, xi: np.ndarray,
-              x0: np.ndarray | None = None, t: float = 0.0,
+              x0: np.ndarray | None = None,
               options: SolverOptions = SolverOptions()) -> np.ndarray:
-    """DC operating point f(x, xi, t) = B u(t): x (n,) at one point xi
+    """DC operating point f(x, xi, 0) = 0: x (n,) at one point xi
     (d,), or (N, n) at the rows of a stack xi (N, d), from the one start x0
     (default model.initial_guess()).  Stacked Newtons of _chunk_rows(n) rows
     keep the Jacobians within CHUNK_BYTES.  Rows do not interact, except
@@ -552,7 +552,7 @@ def newton_dc(model: StochasticDae, xi: np.ndarray,
     P = np.atleast_2d(np.asarray(xi, dtype=float))
     start = model.initial_guess() if x0 is None else np.asarray(x0, float)
     rows = _chunk_rows(model.n)
-    chunks = [_solve_dc_rows(model, P[lo:lo + rows], start[None], options, t)
+    chunks = [_solve_dc_rows(model, P[lo:lo + rows], start[None], options)
               for lo in range(0, max(len(P), 1), rows)]   # 0 rows: one chunk
     X, rnorm, ok = (np.concatenate(parts) for parts in zip(*chunks))
     _check_converged(rnorm, ok, options.dc_tol(model.n), options)
@@ -560,19 +560,17 @@ def newton_dc(model: StochasticDae, xi: np.ndarray,
 
 
 def _solve_dc_rows(model: StochasticDae, P: np.ndarray, X0: np.ndarray,
-                   options: SolverOptions, t: float = 0.0):
-    """Stacked DC solves f(x_i, P_i, t) = B u(t), one per row of P (N, d).
+                   options: SolverOptions):
+    """Stacked DC solves f(x_i, P_i, 0) = 0, one per row of P (N, d).
 
     X0 is (N, n), or (1, n) for one start shared by every row.  Returns
     _damped_newton's (X, residual norms, converged mask).
     """
-    rhs = model.B @ model.u(t)
-
     def residual(Y, rows):
-        return model.f_many(Y, P[rows], t) - rhs
+        return model.f_many(Y, P[rows], 0.0)
 
     def jacobian(Y, rows):
-        return model.jac_f_many(Y, P[rows], t)
+        return model.jac_f_many(Y, P[rows], 0.0)
 
     return _damped_newton(residual, jacobian,
                           np.broadcast_to(X0, (len(P), model.n)),
@@ -693,13 +691,6 @@ class _PointIntegrator:
             self.past_t = (np.zeros(len(self.X)), np.zeros(len(self.X)))
             self.past_X = (np.zeros_like(self.X), np.zeros_like(self.X))
 
-    def _rhs(self, t):
-        """B u(t): (n,) at a float t, (len(t), n) at per-row times."""
-        B, u = self.model.B, self.model.u
-        if not isinstance(t, np.ndarray):
-            return B @ u(t)
-        return np.array([B @ u(ti) for ti in t.tolist()]).reshape(len(t), -1)
-
     def _implicit_solve(self, rows, t_new, h, theta, q_old, g_old):
         """Solve (q(X) - q_old)/h + theta*g(X,t_new) + (1-theta)*g_old = 0
         at `rows`, one stacked Newton; returns (X, converged mask).
@@ -708,15 +699,13 @@ class _PointIntegrator:
         Newton tolerance stays meaningful for small steps.
         """
         model, P = self.model, self.P[rows]
-        rhs_new = self._rhs(t_new)
         old = (1.0 - theta) * g_old
         own = not self.shared
         h = h[:, None] if own else h
 
         def residual(Y, at):
             Pr = P[at]
-            g_new = (model.f_many(Y, Pr, t_new[at] if own else t_new)
-                     - (rhs_new[at] if own else rhs_new))
+            g_new = model.f_many(Y, Pr, t_new[at] if own else t_new)
             return ((model.q_many(Y, Pr) - q_old[at]) / (h[at] if own else h)
                     + theta * g_new + old[at])
 
@@ -750,7 +739,7 @@ class _PointIntegrator:
             X_new, ok = self._implicit_solve(rows, t_new, h, 1.0, q_old,
                                              np.zeros_like(X))
             return X_new, 0.0 if self.shared else np.zeros(len(t)), ok
-        g_old = model.f_many(X, P, t) - self._rhs(t)
+        g_old = model.f_many(X, P, t)
         X_new, ok = self._implicit_solve(rows, t_new, h, 0.5, q_old, g_old)
 
         # predictor through past states; its mismatch with the corrector

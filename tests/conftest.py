@@ -45,9 +45,8 @@ def damped_newton(residual, jacobian, x0, tol=1e-12, max_iter=80):
 
 
 def dc_newton(dae, xi, x0=None, t=0.0, tol=1e-12, max_iter=80):
-    """Solve f(x, xi, t) = B u(t) by damped Newton; raises on stagnation."""
-    rhs = dae.B @ dae.u(t)
-    return damped_newton(lambda x: dae.f(x, xi, t) - rhs,
+    """Solve f(x, xi, t) = 0 by damped Newton; raises on stagnation."""
+    return damped_newton(lambda x: dae.f(x, xi, t),
                          lambda x: dae.jac_f(x, xi, t),
                          dae.initial_guess() if x0 is None else x0,
                          tol, max_iter)
@@ -63,14 +62,13 @@ def solve_dc_monolithic(dae, tps):
     """
     K, n = tps.n_points, dae.n
     V = tps.V
-    rhs = dae.B @ dae.u(0.0)
 
     def states(z):
         return V @ z.reshape(K, n)
 
     def residual(z):
         X = states(z)
-        return np.concatenate([dae.f(X[j], tps.points[j], 0.0) - rhs
+        return np.concatenate([dae.f(X[j], tps.points[j], 0.0)
                                for j in range(K)])
 
     def jacobian(z):

@@ -46,7 +46,8 @@ V_RANGE = (-3.0, 6.0)
 
 
 def element_loop(nl, labels):
-    """q, f, dq_dx, df_dx of one state by stamping element after element."""
+    """q, f, dq_dx, df_dx of one state by stamping element after element;
+    f includes the source drives."""
     pos = {label: k for k, label in enumerate(labels)}
     n = len(labels)
     plan = {(v.element, v.param): (v.mode, k)
@@ -100,6 +101,10 @@ def element_loop(nl, labels):
                     [(a, k, 1.0), (b, k, -1.0), (k, a, s), (k, b, -s)])
                 if e.kind == "L":
                     add(Q, JQ, [(k, p["l"] * x[k])], [(k, k, p["l"])])
+                else:
+                    F[k] -= p["dc"]
+            elif e.kind == "I":
+                add(F, JF, [(a, p["dc"]), (b, -p["dc"])], [])
             elif e.kind == "M":
                 d, gate, s = (node(nd) for nd in e.nodes)
                 i, gm, gds = mosfet_current(v(gate, s), v(d, s), p["kp"],

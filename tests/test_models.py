@@ -21,7 +21,7 @@ def rk4_integrate(dae, xi, x0, t_end, steps):
     h = t_end / steps
 
     def rhs(y, tt):
-        return dae.B @ dae.u(tt) - dae.f(y, xi, tt)
+        return -dae.f(y, xi, tt)
 
     for _ in range(steps):
         k1 = rhs(x, t)

@@ -88,7 +88,6 @@ class TestRunMc:
             n=1, d=1, distributions=dists,
             q=lambda x, xi: np.zeros(1),
             f=lambda x, xi, t: np.array([x[0] ** 2 + xi[0]]),
-            B=np.zeros((1, 0)), u=lambda t: np.zeros(0),
             x0_guess=np.array([0.5]))
         with pytest.raises(SolverError, match="budget"):
             run_mc(bad, "dc", n=200, seed=2)
@@ -111,9 +110,7 @@ class TestRunMc:
 
             return models.StochasticDae(
                 n=1, d=1, distributions=dists, q=lambda x, xi: 0.0 * x,
-                f=f, df_dx=df_dx, B=np.zeros((1, 0)),
-                u=lambda t: np.zeros(0), x0_guess=np.array([0.3]),
-                batched=True)
+                f=f, df_dx=df_dx, x0_guess=np.array([0.3]), batched=True)
 
         xis = sample_parameters(dists, 2000, seed=3)[:, 0]   # budget 2
         mc = run_mc(batched_model(xis.min(), xis.max()), "dc", n=2000,

@@ -257,26 +257,28 @@ class TestElaborate:
         assert qvec[0] == 0.0 and qvec[2] == 0.0
 
     def test_floating_subnetwork_rejected(self):
+        # located at R2, the first element on a floating node
         text = "V1 1 0 1\nR1 1 0 1k\nR2 5 6 1k\nR3 6 5 2k\n"
-        with pytest.raises(NetlistError, match="floating"):
+        with pytest.raises(NetlistError, match="^<netlist>:3:1: floating"):
             elaborate(parse_netlist(text))
 
     def test_varied_source_rejected(self):
         text = "V1 1 0 1 variation=gauss(1,0.1)\nR1 1 0 1k\n"
-        with pytest.raises(NetlistError, match="source"):
+        with pytest.raises(NetlistError, match="^<netlist>:1:10: .*source"):
             elaborate(parse_netlist(text))
 
     def test_duplicate_variation_rejected(self):
+        # located at the second annotation
         text = ("V1 1 0 1\n"
                 "R1 1 0 1k variation=gauss(1k,1) variation=uniform(0.9k,1.1k)\n")
-        with pytest.raises(NetlistError, match="two"):
+        with pytest.raises(NetlistError, match="^<netlist>:2:33: .*two"):
             elaborate(parse_netlist(text))
 
     def test_kcl_at_nonlinear_solution(self):
         text = "V1 1 0 1\nD1 1 2\nR1 2 0 1k\n"
         dae = elaborate(parse_netlist(text))
         x = dc_newton(dae, np.zeros(0))
-        residual = dae.f(x, np.zeros(0), 0.0) - dae.B @ dae.u(0.0)
+        residual = dae.f(x, np.zeros(0), 0.0)
         assert np.max(np.abs(residual)) < 1e-9
 
     def test_gemm_stamps_match_the_batched_matmul_kernel(self):

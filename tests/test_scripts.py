@@ -51,6 +51,29 @@ def test_overhead_bench_times_a_checkouts_layers(tmp_path):
     assert doc["anova_json"]["stages"] == 3
 
 
+def test_job_artifacts_writes_a_checkouts_artifacts(tmp_path):
+    # a separate process: --src puts the checkout first on sys.path; two
+    # runs into two directories give the same bytes, so they diff clean
+    trees = []
+    for out in ("a", "b"):
+        subprocess.run(
+            [sys.executable, str(SCRIPTS / "job_artifacts.py"), "--src",
+             str(SCRIPTS.parent), "--out", str(tmp_path / out), "--seeds",
+             "0", "--workloads", "spectral"], capture_output=True, check=True)
+        root = tmp_path / out / "seed0" / "spectral"
+        trees.append({str(p.relative_to(root)): p.read_bytes()
+                      for p in root.rglob("*") if p.is_file()})
+    assert sorted(trees[0]) == [
+        "dc-diode/dc_expansion.json", "dc-diode/dc_stats.csv",
+        "dc-ladder8/dc_expansion.json", "dc-ladder8/dc_stats.csv",
+        "inputs/ladder4t.cir", "inputs/ladder8.cir",
+        "tran-ladder4/transient_expansions.json",
+        "tran-ladder4/transient_stats.csv",
+        "tran-plate/transient_expansions.json",
+        "tran-plate/transient_stats.csv"]
+    assert trees[0] == trees[1]
+
+
 def test_readme_examples_run():
     # the blocks build on each other, so they share one namespace
     text = (SCRIPTS.parent / "README.md").read_text()

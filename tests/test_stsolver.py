@@ -225,11 +225,23 @@ class TestSolveDc:
         bad = models.StochasticDae(
             n=1, d=1, distributions=dists,
             q=lambda x, xi: np.zeros(1),
-            f=lambda x, xi, t: np.array([x[0] ** 2 + xi[0]]),
-            B=np.zeros((1, 0)), u=lambda t: np.zeros(0))
+            f=lambda x, xi, t: np.array([x[0] ** 2 + xi[0]]))
         with pytest.raises(SolverError) as err:
             newton_dc(bad, np.array([1.0]))
         assert err.value.residual is not None and err.value.residual > 0
+
+
+    @pytest.mark.parametrize("model", [
+        "builtin:diode-rectifier",
+        "V1 1 0 1\nR1 1 2 1k\nD1 2 0\nI1 0 2 1m\nR2 2 0 2k\nC1 2 0 1u\n"])
+    def test_f_is_the_whole_residual(self, model):
+        # every drive is inside f, so f meets Newton's tolerance at the DC
+        # point
+        dae = (builtin_model(model) if model.startswith("builtin:")
+               else netlist.elaborate(netlist.parse_netlist(model)))
+        xi = dae.nominal_parameters()
+        residual = dae.f(newton_dc(dae, xi), xi, 0.0)
+        assert np.linalg.norm(residual) <= SolverOptions().dc_tol(dae.n)
 
 
 class TestStackedNewton:
@@ -302,8 +314,7 @@ class TestStackedNewton:
         # every implicit step
         dae = models.StochasticDae(
             n=1, d=1, distributions=(Distribution.uniform(0.0, 1.0),),
-            q=lambda x, xi: 0.0 * x, f=lambda x, xi, t: 0.0 * x - 1.0,
-            B=np.zeros((1, 0)), u=lambda t: np.zeros(0))
+            q=lambda x, xi: 0.0 * x, f=lambda x, xi, t: 0.0 * x - 1.0)
         with pytest.raises(SolverError) as err:
             newton_dc(dae, np.array([0.5]))
         assert err.value.residual == 1.0
@@ -334,7 +345,7 @@ def newton_stack(model, rows, seed=0):
     rng = np.random.default_rng(seed)
     X = x0 + 0.05 * rng.normal(size=(rows, model.n)) * (np.abs(x0) + 0.1)
     return (model.jac_f_many(X, P, 0.0),
-            model.f_many(X, P, 0.0) - model.B @ model.u(0.0))
+            model.f_many(X, P, 0.0))
 
 
 class TestPlannedLu:
@@ -657,7 +668,6 @@ class TestTransient:
                 q=lambda x, xi: np.array(x, dtype=float),
                 f=lambda x, xi, t: (xi[..., :1] * x
                                     - np.sin(20.0 * np.asarray(t))[..., None]),
-                B=np.zeros((1, 0)), u=lambda t: np.zeros(0),
                 dq_dx=lambda x, xi: np.ones(np.shape(x) + (1,)),
                 df_dx=lambda x, xi, t: xi[..., :1, None] * np.ones((1, 1)),
                 batched=name == "forced")
@@ -733,7 +743,6 @@ class TestTransient:
         dae = models.StochasticDae(
             n=1, d=1, distributions=(UNIFORM,),
             q=lambda x, xi: np.array(x, dtype=float), f=f,
-            B=np.zeros((1, 0)), u=lambda t: np.zeros(0),
             dq_dx=lambda x, xi: np.ones(np.shape(x) + (1,)),
             df_dx=lambda x, xi, t: xi[..., :1, None] * np.ones((1, 1)),
             batched=True)
