@@ -2,7 +2,7 @@
 
 Subpackages:
     polychaos   orthonormal bases, quadrature, chaos expansions
-    models      stochastic DAE / second-order model types and builtins
+    models      stochastic DAE type, second-order factory, builtins
     netlist     SPICE-subset parser and modified nodal analysis
     stsolver    stochastic testing DC and transient solvers
     hier        hierarchical (two-level) uncertainty propagation

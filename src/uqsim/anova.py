@@ -28,7 +28,6 @@ from .stsolver import (CONDITION_CAP, SolverError, recover_coefficients,
                        select_testing_points, standard_bases)
 
 __all__ = [
-    "AnchorPoint",
     "AnovaTerm",
     "AnovaDecomposition",
     "cdf_transform",
@@ -40,26 +39,6 @@ __all__ = [
     "decomposition_report",
     "sensitivity_csv",
 ]
-
-
-@dataclass(frozen=True)
-class AnchorPoint:
-    """Deterministic freeze point, stored in both coordinate systems.
-
-    q[k] is the quantile p_unit[k] of marginal k, so the anchor is
-    well-defined for every supported family and always carries positive
-    density when the marginal does.
-    """
-
-    q: np.ndarray
-    p_unit: np.ndarray
-
-    def __post_init__(self):
-        q, p = _frozen(self.q), _frozen(self.p_unit)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p_unit", p)
-        if q.shape != p.shape:
-            raise ValueError("q and p_unit must have matching shapes")
 
 
 @dataclass(frozen=True)
@@ -80,7 +59,7 @@ class AnovaDecomposition:
     m: int
     sigma: float
     order: int
-    anchor: AnchorPoint
+    anchor: np.ndarray       # read-only (d,) anchor coordinates
     n_by_level: tuple        # computed subsets per level 1..m
     n_evaluations: int       # unique model evaluations spent
 
@@ -102,8 +81,10 @@ def cdf_transform(dist: Distribution):
 
 
 def anchor_point(distributions: Sequence[Distribution],
-                 p_unit=0.5) -> AnchorPoint:
-    """Anchor at given per-coordinate quantiles (scalar broadcasts)."""
+                 p_unit=0.5) -> np.ndarray:
+    """Anchor at given per-coordinate quantiles (scalar broadcasts): its
+    read-only (d,) coordinates, coordinate k the quantile p_unit[k] of
+    marginal k, where the density is positive."""
     d = len(distributions)
     p = np.asarray(p_unit, dtype=float).ravel()
     if p.size not in (1, d):
@@ -119,14 +100,14 @@ def anchor_point(distributions: Sequence[Distribution],
         if float(dist.density(q[k])) <= 0.0:
             raise ValueError(
                 f"anchor coordinate {k} falls where the density vanishes")
-    return AnchorPoint(q=q, p_unit=p)
+    return _frozen(q)
 
 
 # ---------------------------------------------------------------------------
 # anchored terms
 
 
-def _restriction_points(subset: tuple, anchor: AnchorPoint,
+def _restriction_points(subset: tuple, anchor: np.ndarray,
                         bases: Sequence[OrthoBasis], order: int,
                         condition_cap: float, selections: dict):
     """Testing points of g restricted to `subset`, the complement frozen
@@ -146,7 +127,7 @@ def _restriction_points(subset: tuple, anchor: AnchorPoint,
         except (ValueError, SolverError) as err:
             raise SolverError(f"subset {subset}: {err}") from err
         selections[key] = tps
-    points = np.tile(anchor.q, (tps.n_points, 1))
+    points = np.tile(anchor, (tps.n_points, 1))
     points[:, list(subset)] = tps.points
     return points, replace(tps, bases=sub_bases)
 
@@ -207,7 +188,7 @@ def compose_term(subset, ghat: GpcExpansion, g0: float,
 
 def adaptive_anova(g: Callable, distributions: Sequence[Distribution],
                    m: int, sigma: float, order: int,
-                   anchor: AnchorPoint | None = None,
+                   anchor: Sequence[float] | None = None,
                    condition_cap: float = CONDITION_CAP
                    ) -> tuple[AnovaDecomposition, GpcExpansion]:
     """Level-wise anchored decomposition with a variance screen.
@@ -217,9 +198,12 @@ def adaptive_anova(g: Callable, distributions: Sequence[Distribution],
     term variances; after the level, subsets with variance share
     theta = Var(g_s)/beta below sigma stop producing supersets.  All
     computed terms enter the assembled expansion regardless of the
-    screen.  Returns the decomposition record and the sparse d-variable
-    expansion.  g maps a (d, K) array of K points (x[k] is coordinate k
-    of every point) to their K values.  It is called once for the anchor
+    screen.  `anchor` holds the (d,) coordinates at which the inactive
+    inputs are frozen (anchor_point gives them; by default the marginal
+    medians); the record keeps a read-only copy.  Returns the
+    decomposition record and the sparse d-variable expansion.  g maps a
+    (d, K) array of K points (x[k] is coordinate k of every point) to
+    their K values.  It is called once for the anchor
     and once per level, on all new testing points of the level's subsets
     in one stack, each point once; a g that treats its points
     independently gives every term the bits a call per subset gives it.
@@ -234,8 +218,12 @@ def adaptive_anova(g: Callable, distributions: Sequence[Distribution],
         raise ValueError("the screen threshold sigma must be nonnegative")
     if anchor is None:
         anchor = anchor_point(distributions, 0.5)
+    anchor = _frozen(anchor)
+    if anchor.shape != (d,):
+        raise ValueError(f"anchor must hold one coordinate per random input, "
+                         f"shape ({d},); got {anchor.shape}")
     for k, dist in enumerate(distributions):
-        if float(dist.density(float(anchor.q[k]))) <= 0.0:
+        if float(dist.density(float(anchor[k]))) <= 0.0:
             raise ValueError(
                 f"anchor coordinate {k} falls where the density vanishes")
     bases = standard_bases(distributions, order)
@@ -251,7 +239,7 @@ def adaptive_anova(g: Callable, distributions: Sequence[Distribution],
             cache.update(zip(new, np.broadcast_to(values, (len(new),))))
         return np.array([cache[key] for key in keys])
 
-    g0 = float(evaluate(np.asarray(anchor.q, dtype=float)[:, None])[0])
+    g0 = float(evaluate(anchor[:, None])[0])
     computed: dict[tuple, AnovaTerm] = {}
     all_terms: list[AnovaTerm] = []
     pruned: list[tuple] = []

@@ -397,7 +397,8 @@ def _run_transient(cfg: JobConfig) -> None:
            sol.expansions_json())
     mean, var = sol.final().mean_variance()
     _print_stats(model.labels, mean, np.sqrt(var))
-    print(f"transient: {len(sol.times)} accepted steps to t={t_end:g}, "
+    # times holds the start t = 0 ahead of one time per accepted step
+    print(f"transient: {len(sol.times) - 1} accepted steps to t={t_end:g}, "
           f"{sol.n_point_solves} point solves; wrote transient_stats.csv, "
           f"transient_expansions.json in {cfg.outdir}")
 

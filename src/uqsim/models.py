@@ -6,11 +6,12 @@ A stochastic DAE is
 
 with state x in R^n and d independent random inputs xi.  Every drive lives
 in f: circuits assembled by modified nodal analysis put charges and fluxes
-in q and resistive currents minus source values in f, and converted
-second-order models carry their input force inside f.  Second-order
-mechanical models are
+in q and resistive currents minus source values in f, and second-order
+models carry their force inside f.  Second-order mechanical models are
 
-    M(z, xi) z'' + D(z, xi) z' + f(z, u(t), xi) = 0.
+    M(z, xi) z'' + D(z, xi) z' + force(z, xi, t) = 0,
+
+which second_order_model rewrites in first-order form.
 """
 
 from __future__ import annotations
@@ -25,10 +26,8 @@ from .polychaos import Distribution
 
 __all__ = [
     "StochasticDae",
-    "SecondOrderModel",
-    "SingularMassError",
     "UnknownModelError",
-    "second_order_to_first",
+    "second_order_model",
     "algebraic_model",
     "builtin_model",
     "shockley_current",
@@ -37,10 +36,6 @@ __all__ = [
 ]
 
 FD_STEP = 1e-7  # central-difference step scale for fallback Jacobians
-
-
-class SingularMassError(ValueError):
-    pass
 
 
 class UnknownModelError(KeyError):
@@ -206,10 +201,7 @@ class StochasticDae:
         """Mean of each input; the deterministic reference point."""
         out = np.empty(self.d)
         for k, dist in enumerate(self.distributions):
-            if dist is None:
-                out[k] = 0.0
-            else:
-                out[k] = dist.mean()
+            out[k] = dist.mean()
         return out
 
     def initial_guess(self) -> np.ndarray:
@@ -218,52 +210,24 @@ class StochasticDae:
         return np.zeros(self.n)
 
 
-@dataclass(frozen=True)
-class SecondOrderModel:
-    """M(z, xi) z'' + D(z, xi) z' + force(z, u, xi) = 0.
-
-    A batched model's mass, damping and force also accept stacks, z
-    (N, n) and xi (N, d), giving (N, n, n) or (n, n) matrices and (N, n)
-    forces; its u gets f's time, a float or an (N,) array of per-row times,
-    and returns (m,) or (N, m).
-    """
-
-    n: int
-    mass: Callable
-    damping: Callable
-    force: Callable
-    distributions: tuple
-    u: Callable
-    z0: np.ndarray
-    v0: np.ndarray
-    labels: tuple[str, ...] | None = None
-    batched: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "distributions", tuple(self.distributions))
-        object.__setattr__(self, "z0", np.asarray(self.z0, dtype=float))
-        object.__setattr__(self, "v0", np.asarray(self.v0, dtype=float))
-
-
-def second_order_to_first(model: SecondOrderModel) -> StochasticDae:
-    """Rewrite as a first-order DAE on the stacked state x = (z, z').
+def second_order_model(mass: Callable, damping: Callable, force: Callable,
+                       distributions: Sequence, z0, v0, labels=None,
+                       batched: bool = False) -> StochasticDae:
+    """M(z, xi) z'' + D(z, xi) z' + force(z, xi, t) = 0 as a first-order
+    DAE on the stacked state x = (z, z'), starting from (z0, v0).
 
     q is the identity, so the residual dx/dt + f(x, xi, t) = 0 reproduces the
     second-order balance exactly: the z-rows give z' = v and the v-rows give
-    M v' + D v + force = 0 after multiplying through by M.  The result is
-    batched when the model is.
+    M v' + D v + force = 0 after multiplying through by M.  force carries
+    any drive and gets f's time.  A batched model's mass, damping and force
+    also accept stacks, z (N, n) and xi (N, d), giving (N, n, n) or (n, n)
+    matrices and (N, n) forces, with t a float or an (N,) array of per-row
+    times; the DAE is then batched too.  ValueError if the mass is singular
+    at z0 and the nominal parameters.
     """
-    n = model.n
-    xi_nom = np.array([d.mean() if d is not None else 0.0
-                       for d in model.distributions])
-    m0 = np.asarray(model.mass(model.z0, xi_nom), dtype=float)
-    if m0.shape != (n, n):
-        raise ValueError(f"mass matrix must be {n}x{n}, got {m0.shape}")
-    sv = np.linalg.svd(m0, compute_uv=False)
-    if sv[-1] <= 1e-12 * max(sv[0], 1.0):
-        raise SingularMassError(
-            "mass matrix is singular at the initial state; the model cannot "
-            "be rewritten in first-order form")
+    z0 = np.asarray(z0, dtype=float)
+    v0 = np.asarray(v0, dtype=float)
+    n = len(z0)
 
     def q(x, xi):
         return np.array(x, dtype=float)
@@ -273,22 +237,28 @@ def second_order_to_first(model: SecondOrderModel) -> StochasticDae:
 
     def f(x, xi, t):
         z, v = x[..., :n], x[..., n:]
-        M = np.asarray(model.mass(z, xi), dtype=float)
-        D = np.asarray(model.damping(z, xi), dtype=float)
+        M = np.asarray(mass(z, xi), dtype=float)
+        D = np.asarray(damping(z, xi), dtype=float)
         accel_rhs = ((D @ v[..., None])[..., 0]
-                     + np.asarray(model.force(z, model.u(t), xi), dtype=float))
+                     + np.asarray(force(z, xi, t), dtype=float))
         accel = np.linalg.solve(M, accel_rhs[..., None])[..., 0]
         return np.concatenate([-v, accel], axis=-1)
 
-    labels = None
-    if model.labels is not None:
-        labels = tuple(model.labels) + tuple(f"d{l}/dt" for l in model.labels)
-    return StochasticDae(
-        n=2 * n, d=len(model.distributions),
-        distributions=model.distributions,
+    if labels is not None:
+        labels = tuple(labels) + tuple(f"d{l}/dt" for l in labels)
+    dae = StochasticDae(
+        n=2 * n, d=len(distributions), distributions=distributions,
         q=q, f=f, dq_dx=dq_dx, df_dx=None,
-        x0_guess=np.concatenate([model.z0, model.v0]),
-        labels=labels, batched=model.batched)
+        x0_guess=np.concatenate([z0, v0]), labels=labels, batched=batched)
+    m0 = np.asarray(mass(z0, dae.nominal_parameters()), dtype=float)
+    if m0.shape != (n, n):
+        raise ValueError(f"mass matrix must be {n}x{n}, got {m0.shape}")
+    sv = np.linalg.svd(m0, compute_uv=False)
+    if sv[-1] <= 1e-12 * max(sv[0], 1.0):
+        raise ValueError(
+            "mass matrix is singular at the initial state; the model cannot "
+            "be rewritten in first-order form")
+    return dae
 
 
 def algebraic_model(fn: Callable, distributions: Sequence,
@@ -429,7 +399,7 @@ def _plate_actuator(voltage: float = 1.0, damping: float = 0.6,
     z'' + b z' + k(xi_0) z = c V^2 / (gap(xi_1) - z)^2 with unit nominal
     mass, stiffness and gap; spring constant and gap carry Gaussian
     variations, and V is the (constant) applied voltage.  Written directly
-    in the first-order form second_order_to_first gives it, x = (z, z'),
+    in the first-order form second_order_model gives it, x = (z, z'),
     with an analytic, batched Jacobian.
     """
     dists = (Distribution.gaussian(0.0, 1.0), Distribution.gaussian(0.0, 1.0))

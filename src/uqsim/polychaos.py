@@ -185,12 +185,7 @@ class Distribution:
     def mean(self) -> float:
         if self.kind in FAMILIES:
             return FAMILIES[self.kind].mean(*self.params)
-        return self._custom_moments[0]
-
-    def stddev(self) -> float:
-        if self.kind in FAMILIES:
-            return FAMILIES[self.kind].stddev(*self.params)
-        return self._custom_moments[1]
+        return self._custom_mean
 
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -221,14 +216,14 @@ class Distribution:
             return lo, hi
         if self.kind in FAMILIES:
             return FAMILIES[self.kind].window(*self.params)
-        self._custom_moments  # materialize the scan
+        self._custom_mean  # materialize the scan
         a, b = self._custom_window
         return a, b
 
     @cached_property
-    def _custom_moments(self) -> tuple[float, float]:
+    def _custom_mean(self) -> float:
         # window-scan: grow a window until the captured mass stabilizes, then
-        # compute mean/stddev on it; the converged window is kept for later
+        # compute the mean on it; the converged window is kept for later
         # quadrature over this density
         lo, hi = self.support
         if math.isfinite(lo) and math.isfinite(hi):
@@ -253,9 +248,7 @@ class Distribution:
         object.__setattr__(self, "_custom_window", (float(a), float(b)))
         rho = self.density(x)
         mass = float(np.sum(w * rho))
-        m = float(np.sum(w * rho * x)) / mass
-        var = float(np.sum(w * rho * (x - m) ** 2)) / mass
-        return m, math.sqrt(max(var, 0.0))
+        return float(np.sum(w * rho * x)) / mass
 
     @cached_property
     def _custom_cdf_table(self):
@@ -510,7 +503,6 @@ class Family:
     cdf: Callable
     inv_cdf: Callable
     mean: Callable
-    stddev: Callable
     recurrence: Callable
     window: Callable | None = None
 
@@ -565,7 +557,6 @@ FAMILIES: dict[str, Family] = {
         cdf=lambda x, mu, sig: _special().ndtr((x - mu) / sig),
         inv_cdf=lambda u, mu, sig: mu + sig * ndtri(u),
         mean=lambda mu, sig: mu,
-        stddev=lambda mu, sig: sig,
         recurrence=lambda j, mu, sig: (np.full_like(j, mu), j * sig * sig),
         # +-12 standard deviations: the excluded mass is ~1e-33, negligible
         # against every tolerance here
@@ -577,7 +568,6 @@ FAMILIES: dict[str, Family] = {
         cdf=lambda x, lo, hi: np.clip((x - lo) / (hi - lo), 0.0, 1.0),
         inv_cdf=lambda u, lo, hi: lo + (hi - lo) * u,
         mean=lambda lo, hi: 0.5 * (lo + hi),
-        stddev=lambda lo, hi: (hi - lo) / math.sqrt(12.0),
         recurrence=_legendre_monic),
     "gamma": Family(
         params=("shape",), make=Distribution.gamma,
@@ -587,7 +577,6 @@ FAMILIES: dict[str, Family] = {
         cdf=lambda x, k: _special().gammainc(k, np.maximum(x, 0.0)),
         inv_cdf=lambda u, k: _special().gammaincinv(k, u),
         mean=lambda k: k,
-        stddev=lambda k: math.sqrt(k),
         recurrence=lambda j, k: (2.0 * j + k, j * (j + k - 1.0)),
         # the slow tail gets a far quantile with headroom
         window=lambda k: (
@@ -602,7 +591,6 @@ FAMILIES: dict[str, Family] = {
         cdf=lambda x, a, b: _special().betainc(a, b, np.clip(x, 0.0, 1.0)),
         inv_cdf=lambda u, a, b: _special().betaincinv(a, b, u),
         mean=lambda a, b: a / (a + b),
-        stddev=lambda a, b: math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1))),
         recurrence=_jacobi_monic_01),
 }
 
@@ -775,9 +763,6 @@ class QuadratureRule:
             raise ValueError(
                 f"quadrature weights sum to {float(np.sum(w)):.15f}, "
                 "expected 1 within 1e-10")
-
-    def __len__(self) -> int:
-        return len(self.weights)
 
 
 def golub_welsch(basis: OrthoBasis, n: int) -> QuadratureRule:
@@ -1060,9 +1045,8 @@ def _family_from_dict(entry: dict) -> OrthoBasis:
         dist = None
     else:
         raise UnsupportedFamilyError(f"unknown family kind '{kind}'")
-    kappa = np.asarray(entry["kappa"], dtype=float)
-    return OrthoBasis(np.asarray(entry["gamma"], dtype=float), kappa,
-                      np.sqrt(np.cumprod(kappa)), int(entry["order"]), dist)
+    return _basis_from_monic(entry["gamma"], entry["kappa"],
+                             int(entry["order"]), dist)
 
 
 def expansion_to_dict(expansion: GpcExpansion) -> dict:

@@ -201,7 +201,7 @@ def test_criterion_07_anchored_anova_exactness():
                                 seed=7)
         for slot, k in enumerate(term.subset):
             frozen = pts.copy()
-            frozen[:, slot] = anchor.q[k]
+            frozen[:, slot] = anchor[k]
             vals = term.expansion.eval_many(frozen).ravel()
             vanish = max(vanish, float(np.max(np.abs(vals))))
 

@@ -66,15 +66,15 @@ def test_cdf_transform_rejects_interior_zero():
 
 def test_anchor_point_median_default():
     anchor = anova.anchor_point((GAUSS, UNIF), 0.5)
-    np.testing.assert_allclose(anchor.q, [0.0, 0.0], atol=1e-14)
-    np.testing.assert_allclose(anchor.p_unit, [0.5, 0.5])
+    np.testing.assert_allclose(anchor, [0.0, 0.0], atol=1e-14)
+    assert anchor.shape == (2,) and not anchor.flags.writeable
 
 
 def test_anchor_point_vector_quantiles():
     anchor = anova.anchor_point((GAUSS, Distribution.uniform(0.0, 2.0)),
                                 [0.8413, 0.25])
-    assert float(anchor.q[0]) == pytest.approx(1.0, abs=1e-3)
-    assert float(anchor.q[1]) == pytest.approx(0.5, abs=1e-12)
+    assert float(anchor[0]) == pytest.approx(1.0, abs=1e-3)
+    assert float(anchor[1]) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_anchor_point_rejects_boundary_quantiles():
@@ -107,7 +107,7 @@ def anchored_subterm(g, subset, anchor, distributions, order):
     subset = tuple(sorted(int(k) for k in subset))
     bases = standard_bases(tuple(distributions), order)
     tps = select_testing_points(tuple(bases[k] for k in subset), order)
-    points = np.tile(anchor.q, (tps.n_points, 1))
+    points = np.tile(anchor, (tps.n_points, 1))
     points[:, list(subset)] = tps.points
     values = np.broadcast_to(np.asarray(g(points.T), dtype=float),
                              (len(points),))
@@ -165,7 +165,7 @@ def test_compose_term_additive_interaction_vanishes():
     def g(x):
         return x[0] + x[1]
 
-    g0 = float(g(anchor.q))
+    g0 = float(g(anchor))
     lower = {}
     for s in [(0,), (1,)]:
         ghat = anchored_subterm(g, s, anchor, dists, 2)
@@ -269,7 +269,7 @@ def test_level_stack_equals_one_subset_per_call():
     dists = model.distributions
     decomp, _ = anova.adaptive_anova(g, dists, m=2, sigma=0.0, order=2)
     assert len(calls) == 3 and decomp.n_by_level == (4, 6)
-    assert decomp.g0 == float(g(decomp.anchor.q[:, None])[0])
+    assert decomp.g0 == float(g(decomp.anchor[:, None])[0])
     ref = {}
     for term in decomp.terms:
         ghat = anchored_subterm(g, term.subset, decomp.anchor, dists, 2)
@@ -376,7 +376,7 @@ def test_terms_vanish_at_anchor_coordinates():
                                 seed=7)
         for slot, k in enumerate(term.subset):
             frozen = pts.copy()
-            frozen[:, slot] = anchor.q[k]
+            frozen[:, slot] = anchor[k]
             vals = term.expansion.eval_many(frozen).ravel()
             assert np.max(np.abs(vals)) < 1e-8
 
@@ -424,6 +424,10 @@ def test_adaptive_anova_validates_inputs():
     for sigma in (-0.1, float("nan")):
         with pytest.raises(ValueError, match="nonnegative"):
             anova.adaptive_anova(g, (GAUSS,), m=1, sigma=sigma, order=2)
+    for anchor in (0.0, [0.0], [[0.0, 0.0]], [0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match=r"anchor .*shape \(2,\)"):
+            anova.adaptive_anova(g, (GAUSS, GAUSS), m=1, sigma=0.0, order=2,
+                                 anchor=anchor)
 
 
 def test_solver_errors_carry_the_subset_tag():

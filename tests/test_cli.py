@@ -60,6 +60,17 @@ def test_dc_divider_writes_stats(divider, tmp_path):
     assert float(mean[1]) == pytest.approx(stats["v(2)"]["mean"], rel=1e-12)
 
 
+def test_expansion_with_a_degenerate_kappa_is_refused(divider, tmp_path):
+    # a zero kappa loaded silently and evaluated to NaN
+    out = tmp_path / "out"
+    assert cli.main(["dc", "--netlist", divider, "--order", "2",
+                     "--outdir", str(out)]) == 0
+    doc = json.loads((out / "dc_expansion.json").read_text())
+    doc["families"][0]["kappa"][2] = 0.0
+    with pytest.raises(polychaos.DegenerateMeasureError, match="degree 2"):
+        expansion_from_json(json.dumps(doc))
+
+
 def test_transient_uses_netlist_stop_time(tmp_path):
     path = tmp_path / "rc.cir"
     path.write_text(RC)
@@ -73,6 +84,22 @@ def test_transient_uses_netlist_stop_time(tmp_path):
         (tmp_path / "out" / "transient_expansions.json").read_text())
     assert doc["schema"] == "st-solution/1"
     assert len(doc["times"]) == len(doc["expansions"])
+
+
+def test_transient_summary_counts_accepted_steps(tmp_path, capsys):
+    # the summary counted the start t = 0 as a step: "11 accepted steps"
+    path = tmp_path / "rc.cir"
+    path.write_text(RC)
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({"solver": {"fixed_step": 1e-4}}))
+    rc = cli.main(["transient", "--netlist", str(path), "--t-end", "1e-3",
+                   "--order", "1", "--config", str(config),
+                   "--outdir", str(tmp_path / "out")])
+    assert rc == 0
+    rows = (tmp_path / "out" / "transient_stats.csv").read_text().split()
+    assert len(rows) == 1 + 11          # header, t = 0 and 10 steps
+    assert ("transient: 10 accepted steps to t=0.001, 20 point solves"
+            in capsys.readouterr().out)
 
 
 def test_transient_without_variation_has_zero_std(tmp_path):
@@ -174,6 +201,12 @@ def test_hier_extract_then_propagate(tmp_path):
     # intermediate variables are normalized to zero mean, unit spread
     assert stats["sum"]["mean"] == pytest.approx(0.0, abs=1e-8)
     assert stats["sum"]["std"] == pytest.approx(1.0, abs=1e-6)
+    # the expansion on the blocks' own (custom) families reads back
+    text = (out / "hier_expansion.json").read_text()
+    assert [f["kind"] for f in json.loads(text)["families"]] == ["custom"]
+    mean, var = expansion_from_json(text).mean_variance()
+    assert float(mean[0]) == stats["sum"]["mean"]
+    assert float(np.sqrt(var[0])) == stats["sum"]["std"]
 
 
 def test_hier_propagate_transient_from_zero(tmp_path):
@@ -601,6 +634,20 @@ def test_numeric_failure_leaves_one_json_line(tmp_path, argv, words):
     assert error["error"] == "numeric"
     for word in words:
         assert word in error["message"]
+
+
+def test_own_clock_overflow_is_one_json_line(tmp_path, capsys, recwarn):
+    # in process, so that a line trace of the suite sees the own clocks'
+    # h ** 3 overflow: each Monte Carlo sample steps on its own clock, whose
+    # first step, 1e-3 of the span, overflows as the shared clock's does
+    rc = cli.main(["mc", "--model", "builtin:plate-actuator", "--samples",
+                   "2", "--t-end", "1e300", "--outdir", str(tmp_path)])
+    assert rc == 2
+    error = capture_error(capsys)
+    assert error["error"] == "numeric"
+    for word in ("span 1.000e+300", "h = 1.000e+297"):
+        assert word in error["message"]
+    assert not recwarn.list
 
 
 @pytest.mark.parametrize("variation,words", [

@@ -7,9 +7,8 @@ import pytest
 
 from conftest import dc_newton
 from uqsim import models
-from uqsim.models import (SecondOrderModel, SingularMassError,
-                          UnknownModelError, algebraic_model, builtin_model,
-                          mosfet_current, second_order_to_first,
+from uqsim.models import (UnknownModelError, algebraic_model, builtin_model,
+                          mosfet_current, second_order_model,
                           shockley_current)
 from uqsim.polychaos import Distribution
 
@@ -34,62 +33,51 @@ def rk4_integrate(dae, xi, x0, t_end, steps):
 
 
 def undamped_oscillator():
-    return SecondOrderModel(
-        n=1,
+    return second_order_model(
         mass=lambda z, xi: np.array([[1.0]]),
         damping=lambda z, xi: np.array([[0.0]]),
-        force=lambda z, u, xi: np.array([z[0]]),
+        force=lambda z, xi, t: np.array([z[0]]),
         distributions=(),
-        u=lambda t: np.zeros(0),
         z0=np.array([1.0]), v0=np.array([0.0]),
         labels=("z",))
 
 
 class TestSecondOrderConversion:
     def test_oscillator_reaches_cosine(self):
-        dae = second_order_to_first(undamped_oscillator())
+        dae = undamped_oscillator()
         x = rk4_integrate(dae, np.zeros(0), dae.initial_guess(), 1.0, 2000)
         assert abs(x[0] - np.cos(1.0)) < 1e-4
 
     def test_critically_damped_decay(self):
         # z'' + 2 z' + z = 0 with z(0)=1, z'(0)=-1 decays as exp(-t)
-        model = SecondOrderModel(
-            n=1,
+        dae = second_order_model(
             mass=lambda z, xi: np.array([[1.0]]),
             damping=lambda z, xi: np.array([[2.0]]),
-            force=lambda z, u, xi: np.array([z[0]]),
+            force=lambda z, xi, t: np.array([z[0]]),
             distributions=(),
-            u=lambda t: np.zeros(0),
             z0=np.array([1.0]), v0=np.array([-1.0]))
-        dae = second_order_to_first(model)
         x = rk4_integrate(dae, np.zeros(0), dae.initial_guess(), 1.0, 2000)
         assert abs(x[0] - np.exp(-1.0)) < 1e-4
 
     def test_singular_mass_rejected(self):
-        model = SecondOrderModel(
-            n=1,
-            mass=lambda z, xi: np.array([[0.0]]),
-            damping=lambda z, xi: np.array([[1.0]]),
-            force=lambda z, u, xi: np.array([z[0]]),
-            distributions=(),
-            u=lambda t: np.zeros(0),
-            z0=np.zeros(1), v0=np.zeros(1))
-        with pytest.raises(SingularMassError):
-            second_order_to_first(model)
+        with pytest.raises(ValueError, match="singular"):
+            second_order_model(
+                mass=lambda z, xi: np.array([[0.0]]),
+                damping=lambda z, xi: np.array([[1.0]]),
+                force=lambda z, xi, t: np.array([z[0]]),
+                distributions=(),
+                z0=np.zeros(1), v0=np.zeros(1))
 
     def test_quadratic_eigenvalues_preserved(self):
         M = np.array([[2.0, 0.0], [0.0, 1.0]])
         D = np.array([[0.3, 0.1], [0.1, 0.2]])
         K = np.array([[3.0, -1.0], [-1.0, 2.0]])
-        model = SecondOrderModel(
-            n=2,
+        dae = second_order_model(
             mass=lambda z, xi: M,
             damping=lambda z, xi: D,
-            force=lambda z, u, xi: K @ z,
+            force=lambda z, xi, t: K @ z,
             distributions=(),
-            u=lambda t: np.zeros(0),
             z0=np.zeros(2), v0=np.zeros(2))
-        dae = second_order_to_first(model)
         # dx/dt = -f, so the state matrix is -df/dx
         A = -dae.jac_f(np.zeros(4), np.zeros(0), 0.0)
         got = np.sort_complex(np.linalg.eigvals(A))
@@ -104,7 +92,7 @@ class TestSecondOrderConversion:
         assert np.allclose(got, expected, atol=1e-6)
 
     def test_conversion_state_layout(self):
-        dae = second_order_to_first(undamped_oscillator())
+        dae = undamped_oscillator()
         assert dae.n == 2
         assert dae.labels == ("z", "dz/dt")
         assert np.array_equal(dae.initial_guess(), [1.0, 0.0])
@@ -115,22 +103,21 @@ class TestSecondOrderConversion:
 
     def test_batched_conversion_matches_the_builtin_plate(self):
         # the plate actuator as a batched second-order model: (1, 1) mass
-        # and damping broadcast over the stack, u answering per-row times
-        def force(z, u, xi):
+        # and damping broadcast over the stack, a drive voltage answering
+        # per-row times
+        def force(z, xi, t):
             k = 1.0 + 0.05 * xi[..., 0]
             gap = 1.0 + 0.05 * xi[..., 1]
-            v = u[..., 0]
+            v = np.ones(np.shape(t))
             pull = 0.02 * v * v / np.float_power(gap - z[..., 0], 2)
             return (k * z[..., 0] - pull)[..., None]
 
         plate = builtin_model("plate_actuator")
-        dae = second_order_to_first(SecondOrderModel(
-            n=1,
+        dae = second_order_model(
             mass=lambda z, xi: np.array([[1.0]]),
             damping=lambda z, xi: np.array([[0.6]]),
             force=force, distributions=plate.distributions,
-            u=lambda t: np.ones(np.shape(t) + (1,)),
-            z0=np.zeros(1), v0=np.zeros(1), labels=("z",), batched=True))
+            z0=np.zeros(1), v0=np.zeros(1), labels=("z",), batched=True)
         assert dae.batched and dae.labels == plate.labels
         rng = np.random.default_rng(3)
         X = rng.normal(scale=0.2, size=(40, 2))

@@ -9,7 +9,7 @@ from uqsim.models import algebraic_model
 from uqsim.montecarlo import McResult, run_mc, sample_parameters
 from uqsim.polychaos import (Distribution, GpcExpansion, make_standard_basis,
                              total_degree_index_set)
-from uqsim.stsolver import SolverError
+from uqsim.stsolver import SolverError, integrate_deterministic, newton_dc
 
 DIVIDER_VARIED = ("V1 1 0 1\nR1 1 2 1k\n"
                   "R2 2 0 1k variation=relative:uniform(0.9,1.1)\n")
@@ -58,6 +58,24 @@ class TestRunMc:
         mc = run_mc(dae, "dc", n=64, seed=1)
         assert np.max(mc.variance) == 0.0
         assert np.max(mc.stderr) == 0.0
+
+    def test_d0_transient_is_the_deterministic_run(self):
+        # a driven, damped oscillator without random inputs moves away
+        # from its DC point; every sample is that one deterministic run
+        dae = models.second_order_model(
+            mass=lambda z, xi: np.eye(1),
+            damping=lambda z, xi: np.full((1, 1), 0.5),
+            force=lambda z, xi, t: z - np.cos(t), distributions=(),
+            z0=np.zeros(1), v0=np.zeros(1))
+        # two samples, so that their mean is exact
+        mc = run_mc(dae, "transient", n=2, seed=1, t_end=2.0)
+        x0 = newton_dc(dae, np.zeros(0))
+        _, states, _ = integrate_deterministic(dae, np.zeros(0), (0.0, 2.0),
+                                               x0)
+        assert abs(states[-1][0] - x0[0]) > 0.1
+        assert np.array_equal(mc.mean, states[-1])
+        for spread in (mc.variance, mc.stderr, mc.stderr_std):
+            assert np.array_equal(spread, np.zeros(2))
 
     def test_bit_identical_reproducibility(self):
         dae = netlist.elaborate(netlist.parse_netlist(DIVIDER_VARIED))

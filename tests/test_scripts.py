@@ -3,6 +3,7 @@ completion, and the benchmark harness in perfbench/ still finds the
 library names it reads."""
 
 import importlib.util
+import inspect
 import json
 import os
 import pathlib
@@ -72,6 +73,30 @@ def test_job_artifacts_writes_a_checkouts_artifacts(tmp_path):
         "tran-plate/transient_expansions.json",
         "tran-plate/transient_stats.csv"]
     assert trees[0] == trees[1]
+
+
+def test_line_traffic_reports_what_the_benchmark_runs():
+    # a separate process, so that importing the library is traced too
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / "line_traffic.py"), "--bench",
+         "--workloads", "spectral"], capture_output=True, text=True,
+        check=True).stdout
+    never = {}
+    for line in out.splitlines():
+        module, sep, rest = line.partition(" never run:")
+        if sep:
+            never[module] = {int(v) for v in rest.split()}
+    from uqsim import models, stsolver
+
+    def body(fn):
+        lines, first = inspect.getsourcelines(fn)
+        stmts = load("line_traffic").statements(inspect.getsourcefile(fn))
+        return {k for k in stmts if first < k < first + len(lines)}
+
+    solve_dc = body(stsolver.solve_dc)
+    assert solve_dc and not solve_dc & never["stsolver.py"]
+    second_order = body(models.second_order_model)
+    assert second_order and second_order <= never["models.py"]
 
 
 def test_readme_examples_run():

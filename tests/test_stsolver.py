@@ -413,18 +413,27 @@ class TestPlannedLu:
         assert stsolver._zero_free_rows(empty) is None
         assert stsolver._planned_lu(3, empty.tobytes()) is None
 
-    def test_small_pivot_falls_back_and_singular_row_stops_alone(self):
+    @pytest.mark.parametrize("with_singular", [True, False],
+                             ids=["singular-row", "no-singular-row"])
+    def test_small_pivot_falls_back_and_singular_row_stops_alone(
+            self, with_singular):
         n, rows = 2, stsolver.PLANNED_LU_MIN_ROWS
         rng = np.random.default_rng(5)
         J = rng.normal(size=(rows, n, n)) + 3.0 * np.eye(n)
         R = rng.normal(size=(rows, n))
-        J[0] = [[1.0, 1.0], [1.0, 1.0]]     # singular
+        if with_singular:
+            J[0] = [[1.0, 1.0], [1.0, 1.0]]
         J[1] = [[1e-6, 1.0], [1.0, 1.0]]    # pivot below 1e-3 of its column
         lu = stsolver._planned_lu(n, np.ones((n, n), dtype=bool).tobytes())
         _, flagged = lu.solve(J, R)
-        assert flagged[:2].all() and not flagged[2:].any()
+        assert np.flatnonzero(flagged).tolist() == ([0, 1] if with_singular
+                                                    else [1])
         step, singular = stsolver._solve_rows(J, R, lu)
-        assert np.flatnonzero(singular).tolist() == [0]
+        if with_singular:
+            assert np.flatnonzero(singular).tolist() == [0]
+        else:
+            assert singular is None
+            self.assert_close(step[:1], J[:1], R[:1])
         assert np.array_equal(step[1], np.linalg.solve(J[1], -R[1]))
         self.assert_close(step[2:], J[2:], R[2:])
 
@@ -885,7 +894,7 @@ class TestStackedRecovery:
 
 
 @pytest.mark.parametrize("build", ["TestingPointSet", "StSolution",
-                                   "AnchorPoint"])
+                                   "adaptive_anova"])
 def test_value_types_leave_the_callers_arrays_writable(build):
     # each froze the caller's own arrays: writing to them afterwards
     # raised "assignment destination is read-only"
@@ -900,9 +909,12 @@ def test_value_types_leave_the_callers_arrays_writable(build):
                                     n_point_solves=0, labels=())
         held = (value.times,)
     else:
-        args = [np.array([0.25, 0.5]), np.array([0.5, 0.5])]
-        value = anova.AnchorPoint(*args)
-        held = (value.q, value.p_unit)
+        args = [np.array([0.25, 0.5])]
+        gauss = Distribution.gaussian(0.0, 1.0)
+        decomp, _ = anova.adaptive_anova(lambda x: x[0] + x[1],
+                                         (gauss, gauss), m=1, sigma=0.0,
+                                         order=1, anchor=args[0])
+        held = (decomp.anchor,)
     for arr in args:
         arr[0] = 2.0          # the caller's arrays stay writable
     for arr in held:
