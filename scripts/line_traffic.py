@@ -1,7 +1,7 @@
 """Which statements of the library no run executes, and which only tests do.
 
     python3 scripts/line_traffic.py [--src DIR] [--tests] [--bench] \
-        [--workloads spectral hier sampling] [--seeds 0]
+        [--workloads spectral hier sampling]
 
 Imports DIR's library (DIR/src, default: this checkout) and records, with
 sys.settrace and threading.settrace, the lines of DIR/src/uqsim/*.py that
@@ -10,9 +10,9 @@ run in this process:
   - with --tests, the tier-1 suite (pytest on DIR/tests), in this process,
     so statements that a test reaches only in a child process count as
     not run by the tests;
-  - with --bench, every benchmark job of the workloads and seeds, from
-    DIR/perfbench/workloads.py read as it is, through `uqsim.cli.main` in
-    a temporary directory, as scripts/job_artifacts.py runs them.
+  - with --bench, every benchmark job of the workloads at seed 0, from
+    DIR/perfbench/workloads.py read as it is, through scripts/job_artifacts.py
+    into a temporary directory.
 
 A statement is an `ast` statement other than a definition, an import, a
 docstring or a bare annotation.  It ran when a line event fell on its own
@@ -39,6 +39,7 @@ import sys
 import tempfile
 import threading
 
+SEED = 0
 SKIPPED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import,
            ast.ImportFrom, ast.Global, ast.Nonlocal)
 
@@ -110,30 +111,13 @@ def run_tests(src: str) -> None:
         print(f"the tests exited {int(rc)}", file=sys.stderr)
 
 
-def run_bench(src: str, names, seeds) -> int:
-    sys.path.insert(0, os.path.join(src, "perfbench"))
-    import workloads
-    from uqsim import cli
+def run_bench(src: str, names) -> int:
+    import job_artifacts
 
-    failed = 0
+    argv = ["--src", src, "--seeds", str(SEED)]
+    argv += ["--workloads", *names] if names else []
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in seeds:
-            for name in names or workloads.WORKLOADS:
-                workdir = os.path.join(tmp, f"seed{seed}", name)
-                os.makedirs(workdir)
-                with contextlib.chdir(workdir):
-                    for job in workloads.build(name, seed, "."):
-                        log = io.StringIO()
-                        with contextlib.redirect_stdout(log), \
-                                contextlib.redirect_stderr(log):
-                            rc = cli.main(list(job.argv) + [
-                                "--outdir", os.path.join(".", job.id)])
-                        if rc != 0:
-                            failed += 1
-                            print(f"seed {seed} {name}/{job.id}: exit {rc}: "
-                                  f"{log.getvalue().strip()}",
-                                  file=sys.stderr)
-    return failed
+        return job_artifacts.main(argv + ["--out", tmp])
 
 
 def main(argv=None) -> int:
@@ -143,7 +127,6 @@ def main(argv=None) -> int:
     ap.add_argument("--tests", action="store_true")
     ap.add_argument("--bench", action="store_true")
     ap.add_argument("--workloads", nargs="+")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[0])
     args = ap.parse_args(argv)
     src = os.path.abspath(args.src)
     pkg = os.path.join(src, "src", "uqsim")
@@ -163,8 +146,7 @@ def main(argv=None) -> int:
             run_tests(src)
         if args.bench:
             recorder.lines = runs["bench"] = set()
-            failed = run_bench(src, args.workloads, args.seeds)
-            if failed:
+            if run_bench(src, args.workloads) != 0:
                 return 1
 
     every = set().union(*runs.values())

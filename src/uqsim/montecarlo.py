@@ -14,7 +14,7 @@ a shorter one by LAPACK.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -114,9 +114,8 @@ def run_mc(model: StochasticDae, analysis: str, n: int, seed: int,
             x = states[-1]
         out = _aggregate(np.tile(x, (n, 1)), 0, seed, model.labels)
         zeros = np.zeros(model.n)
-        from dataclasses import replace
-        return replace(out, variance=zeros, stderr=zeros.copy(),
-                       stderr_std=zeros.copy())
+        return replace(out, mean=x.copy(), variance=zeros,
+                       stderr=zeros.copy(), stderr_std=zeros.copy())
 
     budget = int(np.floor(FAILURE_BUDGET * n))
     results = np.empty((n, model.n))

@@ -67,8 +67,7 @@ class TestRunMc:
             damping=lambda z, xi: np.full((1, 1), 0.5),
             force=lambda z, xi, t: z - np.cos(t), distributions=(),
             z0=np.zeros(1), v0=np.zeros(1))
-        # two samples, so that their mean is exact
-        mc = run_mc(dae, "transient", n=2, seed=1, t_end=2.0)
+        mc = run_mc(dae, "transient", n=64, seed=1, t_end=2.0)
         x0 = newton_dc(dae, np.zeros(0))
         _, states, _ = integrate_deterministic(dae, np.zeros(0), (0.0, 2.0),
                                                x0)
