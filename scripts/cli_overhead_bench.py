@@ -15,11 +15,14 @@ quartiles and the pairs in which the change read lower.  Then it runs
 keeps the least time of each layer.  The result is one JSON document,
 written to --out or printed.
 
-With --layers DIR, it imports DIR's library in this process and prints one
-JSON line: the first `build_parser` call a job makes, the least time of
-`build_config`, and the time each JSON artifact of the benchmark's jobs
-(seed 0) and of an `anova` run on a --anova-stages diode-RC ladder takes
-to write, each checked to be the artifact's bytes.
+With --layers DIR, it prints one JSON line: the least time of `import
+uqsim.cli` from DIR in IMPORT_RUNS fresh interpreters (in this process's
+environment, so with bytecode caches unless PYTHONDONTWRITEBYTECODE is
+set); then, with DIR's library imported in this process, the first
+`build_parser` call a job makes, the least time of `build_config`, and the
+time each JSON artifact of the benchmark's jobs (seed 0) and of an `anova`
+run on a --anova-stages diode-RC ladder takes to write, each checked to be
+the artifact's bytes.
 """
 
 import argparse
@@ -42,6 +45,7 @@ COUNTERS = ("models.f_calls", "models.jac_calls", "models.q_calls",
             "stsolver.steps_accepted", "stsolver.steps_rejected",
             "cli.artifact_bytes")
 DC_ARGV = ["dc", "--model", "builtin:diode-rectifier", "--order", "4"]
+IMPORT_RUNS = 15
 
 
 def _least(fn, repeats: int) -> float:
@@ -95,9 +99,22 @@ def _job_json_ms(workdir: str, repeats: int) -> dict:
     return ms
 
 
+def _import_ms(src: str) -> float:
+    """The least time of `import uqsim.cli` from src in IMPORT_RUNS fresh
+    interpreters, each timing its own import, in ms."""
+    code = (f"import sys, time; sys.path.insert(0, {src!r}); "
+            "t0 = time.perf_counter(); import uqsim.cli; "
+            "print(time.perf_counter() - t0)")
+    return min(float(subprocess.run([sys.executable, "-c", code],
+                                    capture_output=True, text=True,
+                                    check=True).stdout)
+               for _ in range(IMPORT_RUNS)) * 1e3
+
+
 def layers(checkout: str, names, anova_stages: int, repeats: int) -> dict:
-    sys.path[:0] = [os.path.join(checkout, "src"),
-                    os.path.join(checkout, "perfbench")]
+    src = os.path.join(checkout, "src")
+    import_ms = round(_import_ms(src), 3)
+    sys.path[:0] = [src, os.path.join(checkout, "perfbench")]
     import inspect
 
     import workloads
@@ -105,7 +122,7 @@ def layers(checkout: str, names, anova_stages: int, repeats: int) -> dict:
 
     takes_analysis = bool(inspect.signature(cli.build_parser).parameters)
     args = (DC_ARGV[0],) if takes_analysis else ()
-    out = {"first_build_parser_ms": round(
+    out = {"import_ms": import_ms, "first_build_parser_ms": round(
         _least(lambda: cli.build_parser(*args), 1), 3)}
     out["build_config_ms"] = round(
         _least(lambda: cli.build_config(DC_ARGV), 50), 3)

@@ -17,15 +17,15 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .polychaos import (Distribution, GpcExpansion, MultiIndexSet, OrthoBasis,
-                        _frozen)
-from .stsolver import (CONDITION_CAP, SolverError, recover_coefficients,
-                       select_testing_points, standard_bases)
+                        _Immutable, _frozen)
+from .stsolver import (CONDITION_CAP, SolverError, TestingPointSet,
+                       recover_coefficients, select_testing_points,
+                       standard_bases)
 
 __all__ = [
     "AnovaTerm",
@@ -41,16 +41,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AnovaTerm:
+class AnovaTerm(_Immutable):
     subset: tuple          # sorted coordinate indices
     expansion: GpcExpansion  # scalar expansion in the |subset| variables
     variance: float
-    theta: float | None = None   # variance share at screening time
+    theta: float | None    # variance share at screening time
+
+    def __init__(self, subset, expansion, variance, theta=None):
+        self.__dict__.update(subset=subset, expansion=expansion,
+                             variance=variance, theta=theta)
 
 
-@dataclass(frozen=True)
-class AnovaDecomposition:
+class AnovaDecomposition(_Immutable):
     g0: float
     terms: tuple             # every computed AnovaTerm, in computation order
     active: dict             # level -> subsets that passed the screen
@@ -62,6 +64,13 @@ class AnovaDecomposition:
     anchor: np.ndarray       # read-only (d,) anchor coordinates
     n_by_level: tuple        # computed subsets per level 1..m
     n_evaluations: int       # unique model evaluations spent
+
+    def __init__(self, g0, terms, active, pruned, beta, m, sigma, order,
+                 anchor, n_by_level, n_evaluations):
+        self.__dict__.update(
+            g0=g0, terms=terms, active=active, pruned=pruned, beta=beta,
+            m=m, sigma=sigma, order=order, anchor=anchor,
+            n_by_level=n_by_level, n_evaluations=n_evaluations)
 
 
 def cdf_transform(dist: Distribution):
@@ -129,7 +138,8 @@ def _restriction_points(subset: tuple, anchor: np.ndarray,
         selections[key] = tps
     points = np.tile(anchor, (tps.n_points, 1))
     points[:, list(subset)] = tps.points
-    return points, replace(tps, bases=sub_bases)
+    return points, TestingPointSet(tps.points, tps.V, tps.condition,
+                                   sub_bases, tps.index_set)
 
 
 def _project(subset: tuple, values: np.ndarray, tps) -> GpcExpansion:
@@ -277,7 +287,8 @@ def adaptive_anova(g: Callable, distributions: Sequence[Distribution],
         active[level] = []
         for term in level_terms:
             theta = term.variance / beta if beta > 0.0 else 0.0
-            term = replace(term, theta=theta)
+            term = AnovaTerm(term.subset, term.expansion, term.variance,
+                             theta)
             computed[term.subset] = term
             all_terms.append(term)
             if theta < sigma:

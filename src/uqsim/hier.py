@@ -13,7 +13,6 @@ inputs for the stochastic testing solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -22,8 +21,9 @@ import numpy as np
 from .models import StochasticDae, _resolve, algebraic_model
 from .polychaos import (TENSOR_NODE_CAP, DegenerateMeasureError,
                         Distribution, GpcExpansion, OrthoBasis, PiecewisePoly,
-                        QuadratureRule, _panel_rule, _tensor_weights,
-                        golub_welsch, monotone_cubic, stieltjes_basis)
+                        QuadratureRule, _Immutable, _panel_rule,
+                        _tensor_weights, golub_welsch, monotone_cubic,
+                        stieltjes_basis)
 from .stsolver import (SolverOptions, integrate_transient,
                        select_testing_points, solve_dc, standard_bases)
 
@@ -48,8 +48,7 @@ CDF_KNOTS = 51
 _TAIL_LEVELS = (0.0005, 0.001, 0.002, 0.005, 0.01)
 
 
-@dataclass(frozen=True)
-class Surrogate:
+class Surrogate(_Immutable):
     """Scalar block output y = f(xi) with its normalization.
 
     zeta holds the expansion of (y - a)/b; by orthonormal coefficient
@@ -60,6 +59,9 @@ class Surrogate:
     a: float
     b: float
     zeta: GpcExpansion
+
+    def __init__(self, expansion, a, b, zeta):
+        self.__dict__.update(expansion=expansion, a=a, b=b, zeta=zeta)
 
     @property
     def distributions(self) -> tuple:
@@ -104,8 +106,7 @@ def extract_block_surrogate(model: StochasticDae, order: int,
 # density representations
 
 
-@dataclass(frozen=True)
-class IntermediateDensity:
+class IntermediateDensity(_Immutable):
     """Density of one intermediate variable zeta.
 
     Both kinds carry cdf, a monotone piecewise-cubic CDF table
@@ -122,9 +123,13 @@ class IntermediateDensity:
 
     kind: str                # "quadrature" | "sampled"
     support: tuple
-    cdf: PiecewisePoly                # knots in cdf.x
-    atoms: tuple | None = None        # (points, weights); quadrature only
-    exact_degree: int | None = None   # quadrature kind only
+    cdf: PiecewisePoly         # knots in cdf.x
+    atoms: tuple | None        # (points, weights); quadrature only
+    exact_degree: int | None   # quadrature kind only
+
+    def __init__(self, kind, support, cdf, atoms=None, exact_degree=None):
+        self.__dict__.update(kind=kind, support=support, cdf=cdf,
+                             atoms=atoms, exact_degree=exact_degree)
 
     @classmethod
     def from_pushforward(cls, values, weights, exact_degree: int
@@ -142,7 +147,7 @@ class IntermediateDensity:
         hull.
         """
         rule = QuadratureRule(values, weights, 1)
-        order = np.argsort(rule.points, kind="stable")
+        order = _stable_argsort(rule.points)
         z, w = rule.points[order], rule.weights[order]
         if not (np.all(np.isfinite(z)) and z[-1] > z[0]):
             raise ValueError("pushforward values must be finite and span an "
@@ -208,6 +213,20 @@ class IntermediateDensity:
             validate=False)
 
 
+def _stable_argsort(x: np.ndarray) -> np.ndarray:
+    """np.argsort(x, kind="stable") of a 1-D x without NaN, from numpy's
+    faster default sort: that puts equal values (-0.0 and 0.0 among them)
+    in one run of the sorted order, in no set order, and lexsort then
+    orders each run by index."""
+    order = np.argsort(x)
+    xs = x[order]
+    tied = xs[1:] == xs[:-1]
+    if tied.any():
+        runs = np.cumsum(np.concatenate(([True], ~tied)))
+        order = order[np.lexsort((order, runs))]
+    return order
+
+
 def _cdf_levels() -> np.ndarray:
     """CDF_KNOTS levels from 0 to 1: a uniform bulk grid plus the
     _TAIL_LEVELS at each end."""
@@ -250,6 +269,25 @@ def density_by_quadrature(s: Surrogate,
         values, _tensor_weights(rules), max_degree)
 
 
+def _sorted_quantiles(z: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """np.quantile(z, levels) of an ascending array z, bit for bit: its
+    'linear' method's virtual index (n-1)*level between the neighbours
+    floor and floor+1, both the top index from n-1 up, and numpy's _lerp,
+    which from weight 0.5 up interpolates back from the upper neighbour.
+    One sort serves every call; np.quantile partitions a copy each time."""
+    n = len(z)
+    virtual = (n - 1) * levels
+    prev = np.floor(virtual)
+    prev[virtual >= n - 1] = -1
+    i = prev.astype(np.intp)
+    a, b = z[i], z[np.where(i < 0, -1, i + 1)]
+    t = virtual - prev
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    return out
+
+
 def density_by_sampling(s: Surrogate, n_samples: int = SAMPLING_DEFAULT,
                         seed: int = 0) -> IntermediateDensity:
     """Monotone piecewise-cubic CDF fit over surrogate samples.
@@ -272,18 +310,18 @@ def density_by_sampling(s: Surrogate, n_samples: int = SAMPLING_DEFAULT,
         raise ValueError("sampling route needs the block input "
                          "distributions; use the quadrature route")
     xis = sample_parameters(s.distributions, n_samples, seed)
-    z = s.zeta.eval_many(xis).ravel()
-    z_min, z_max = float(z.min()), float(z.max())
+    z = np.sort(s.zeta.eval_many(xis).ravel())
+    z_min, z_max = float(z[0]), float(z[-1])
     if z_max - z_min <= 1e-14:
         raise ValueError("degenerate samples: the surrogate is constant")
-    q1, q3 = np.quantile(z, [0.25, 0.75])
+    q1, q3 = _sorted_quantiles(z, np.array([0.25, 0.75]))
     iqr = q3 - q1
     lo = max(z_min, float(q1 - 3 * iqr))
     hi = min(z_max, float(q3 + 3 * iqr))
-    z = z[(z >= lo) & (z <= hi)]
+    z = z[np.searchsorted(z, lo):np.searchsorted(z, hi, side="right")]
 
     grid = _cdf_levels()
-    xs = np.quantile(z, grid)
+    xs = _sorted_quantiles(z, grid)
     xs[1:-1] = 0.25 * xs[:-2] + 0.5 * xs[1:-1] + 0.25 * xs[2:]
     xs = np.maximum.accumulate(xs)
     xs[0], xs[-1] = lo, hi

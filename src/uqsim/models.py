@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .polychaos import Distribution
+from .polychaos import Distribution, _Immutable
 
 __all__ = [
     "StochasticDae",
@@ -80,8 +80,9 @@ def _rows(fn: Callable, X: np.ndarray, P: np.ndarray, shape: tuple,
     return np.array(out, dtype=float).reshape(shape)
 
 
-@dataclass(frozen=True)
-class StochasticDae:
+# a dataclass only for dataclasses.replace: it generates no method
+@dataclass(init=False, repr=False, eq=False)
+class StochasticDae(_Immutable):
     """Differential-algebraic model with random parameters.
 
     q(x, xi) -> n-vector of charges/fluxes; f(x, xi, t) -> n-vector of
@@ -118,13 +119,22 @@ class StochasticDae:
     distributions: tuple
     q: Callable
     f: Callable
-    dq_dx: Callable | None = None
-    df_dx: Callable | None = None
-    x0_guess: np.ndarray | None = None
-    labels: tuple[str, ...] | None = None
-    batched: bool = False
-    dq_pattern: np.ndarray | None = None
-    df_pattern: np.ndarray | None = None
+    dq_dx: Callable | None
+    df_dx: Callable | None
+    x0_guess: np.ndarray | None
+    labels: tuple[str, ...] | None
+    batched: bool
+    dq_pattern: np.ndarray | None
+    df_pattern: np.ndarray | None
+
+    def __init__(self, n, d, distributions, q, f, dq_dx=None, df_dx=None,
+                 x0_guess=None, labels=None, batched=False, dq_pattern=None,
+                 df_pattern=None):
+        self.__dict__.update(
+            n=n, d=d, distributions=distributions, q=q, f=f, dq_dx=dq_dx,
+            df_dx=df_dx, x0_guess=x0_guess, labels=labels, batched=batched,
+            dq_pattern=dq_pattern, df_pattern=df_pattern)
+        self.__post_init__()
 
     def __post_init__(self):
         for name in ("dq_pattern", "df_pattern"):

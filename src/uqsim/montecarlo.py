@@ -14,12 +14,12 @@ a shorter one by LAPACK.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .models import StochasticDae
+from .polychaos import _Immutable
 from .stsolver import (SolverError, SolverOptions, _chunk_rows,
                        _integrate_points, _solve_dc_rows,
                        integrate_deterministic, newton_dc)
@@ -44,8 +44,7 @@ def sample_parameters(distributions: Sequence, n: int, seed: int
     return out
 
 
-@dataclass(frozen=True)
-class McResult:
+class McResult(_Immutable):
     """Aggregated per-output statistics of a Monte Carlo run."""
 
     n_samples: int
@@ -56,7 +55,14 @@ class McResult:
     stderr_std: np.ndarray    # of the std, via the delta method
     histograms: tuple         # per output: (edges, counts)
     seed: int
-    labels: tuple | None = None
+    labels: tuple | None
+
+    def __init__(self, n_samples, n_failed, mean, variance, stderr,
+                 stderr_std, histograms, seed, labels=None):
+        self.__dict__.update(
+            n_samples=n_samples, n_failed=n_failed, mean=mean,
+            variance=variance, stderr=stderr, stderr_std=stderr_std,
+            histograms=histograms, seed=seed, labels=labels)
 
     @property
     def std(self) -> np.ndarray:
@@ -105,17 +111,24 @@ def run_mc(model: StochasticDae, analysis: str, n: int, seed: int,
     nominal = newton_dc(model, model.nominal_parameters(), options=options)
 
     if model.d == 0:
-        # no randomness: one solve, variance exactly zero by definition
+        # no randomness: one solve, variance exactly zero by definition;
+        # n equal samples have one sample's histogram edges, and all n
+        # counts in its one full bin
         if analysis == "dc":
             x = nominal
         else:
             _, states, _ = integrate_deterministic(
                 model, np.zeros(0), (0.0, t_end), nominal, options)
             x = states[-1]
-        out = _aggregate(np.tile(x, (n, 1)), 0, seed, model.labels)
+        hists = []
+        for value in x:
+            counts, edges = np.histogram(value, bins=HISTOGRAM_BINS)
+            hists.append((edges, counts * n))
         zeros = np.zeros(model.n)
-        return replace(out, mean=x.copy(), variance=zeros,
-                       stderr=zeros.copy(), stderr_std=zeros.copy())
+        return McResult(n_samples=n, n_failed=0, mean=x.copy(),
+                        variance=zeros, stderr=zeros.copy(),
+                        stderr_std=zeros.copy(), histograms=tuple(hists),
+                        seed=seed, labels=model.labels)
 
     budget = int(np.floor(FAILURE_BUDGET * n))
     results = np.empty((n, model.n))

@@ -28,12 +28,11 @@ its last step, so f is the whole residual d q/dt + f = 0.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .polychaos import FAMILIES, Distribution
+from .polychaos import FAMILIES, Distribution, _Immutable
 from .models import StochasticDae, shockley_current, mosfet_current
 
 __all__ = [
@@ -83,35 +82,46 @@ class NetlistError(ValueError):
     """Parse failure; message is 'file:line:col: reason'."""
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(_Immutable):
     kind: str
     name: str
     nodes: tuple[str, ...]
     params: dict
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+    line: int
+    col: int
+
+    def __init__(self, kind, name, nodes, params, line=0, col=0):
+        self.__dict__.update(kind=kind, name=name, nodes=nodes,
+                             params=params, line=line, col=col)
 
 
-@dataclass(frozen=True)
-class Variation:
+class Variation(_Immutable):
     element: str
     param: str
     distribution: Distribution
     mode: str  # "absolute" | "relative"
 
+    def __init__(self, element, param, distribution, mode):
+        self.__dict__.update(element=element, param=param,
+                             distribution=distribution, mode=mode)
 
-@dataclass(frozen=True)
-class Analysis:
+
+class Analysis(_Immutable):
     kind: str
-    args: tuple = ()
+    args: tuple
+
+    def __init__(self, kind, args=()):
+        self.__dict__.update(kind=kind, args=args)
 
 
-@dataclass(frozen=True)
-class Netlist:
+class Netlist(_Immutable):
     elements: tuple
     variations: tuple
     analyses: tuple
+
+    def __init__(self, elements, variations, analyses):
+        self.__dict__.update(elements=elements, variations=variations,
+                             analyses=analyses)
 
 
 def _parse_value(token: str, where: Callable[[], str]) -> float:

@@ -34,7 +34,6 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -89,6 +88,21 @@ def _frozen(values, dtype=float) -> np.ndarray:
     return arr
 
 
+class _Immutable:
+    """Base of the library's value types.  Their hand-written __init__
+    stores the attributes through the instance __dict__; assigning or
+    deleting one afterwards raises AttributeError.  No code is generated
+    when a subclass is created, unlike a frozen dataclass."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an "
+                             f"immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an "
+                             f"immutable {type(self).__name__}")
+
+
 class DegenerateMeasureError(ValueError):
     """The measure cannot support an orthonormal family at some degree."""
 
@@ -116,8 +130,7 @@ def _require_finite(family: str, **params) -> None:
 # distributions
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(_Immutable):
     """Scalar marginal distribution of one random input.
 
     Named kinds are the keys of FAMILIES, which holds their closed forms.
@@ -129,7 +142,11 @@ class Distribution:
     kind: str
     params: tuple[float, ...]
     support: tuple[float, float]
-    density_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    density_fn: Callable[[np.ndarray], np.ndarray] | None
+
+    def __init__(self, kind, params, support, density_fn=None):
+        self.__dict__.update(kind=kind, params=params, support=support,
+                             density_fn=density_fn)
 
     # -- constructors -------------------------------------------------------
 
@@ -486,8 +503,7 @@ def monotone_cubic(x, y) -> PiecewisePoly:
 # named families
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(_Immutable):
     """Closed forms of one named distribution family.
 
     `params` names the family's parameters in order; they are also its JSON
@@ -504,7 +520,13 @@ class Family:
     inv_cdf: Callable
     mean: Callable
     recurrence: Callable
-    window: Callable | None = None
+    window: Callable | None
+
+    def __init__(self, params, make, density, cdf, inv_cdf, mean,
+                 recurrence, window=None):
+        self.__dict__.update(params=params, make=make, density=density,
+                             cdf=cdf, inv_cdf=inv_cdf, mean=mean,
+                             recurrence=recurrence, window=window)
 
 
 def _density_inside(x: np.ndarray, inside: Callable, log_rho: Callable):
@@ -599,8 +621,7 @@ FAMILIES: dict[str, Family] = {
 # orthonormal bases
 
 
-@dataclass(frozen=True)
-class OrthoBasis:
+class OrthoBasis(_Immutable):
     """Recurrence data of one orthonormal univariate family.
 
     gamma and kappa both hold order+1 entries (gamma_0..gamma_p and
@@ -615,9 +636,10 @@ class OrthoBasis:
     order: int
     distribution: Distribution | None
 
-    def __post_init__(self):
-        for name in ("gamma", "kappa", "norms"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+    def __init__(self, gamma, kappa, norms, order, distribution):
+        self.__dict__.update(gamma=_frozen(gamma), kappa=_frozen(kappa),
+                             norms=_frozen(norms), order=order,
+                             distribution=distribution)
         if len(self.gamma) != self.order + 1 or len(self.kappa) != self.order + 1:
             raise ValueError("recurrence arrays must hold order+1 entries")
         if self.kappa[0] != 1.0:
@@ -739,8 +761,7 @@ def stieltjes_basis(dist: Distribution, order: int,
 # quadrature
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(_Immutable):
     """Nodes and weights of a positive quadrature rule with unit mass.
 
     points has shape (npts,) for dimension 1 and (npts, d) otherwise.
@@ -750,13 +771,12 @@ class QuadratureRule:
     points: np.ndarray
     weights: np.ndarray
     dimension: int
-    exact_degree: int | None = None
+    exact_degree: int | None
 
-    def __post_init__(self):
-        pts = _frozen(self.points)
-        w = _frozen(self.weights)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
+    def __init__(self, points, weights, dimension, exact_degree=None):
+        pts, w = _frozen(points), _frozen(weights)
+        self.__dict__.update(points=pts, weights=w, dimension=dimension,
+                             exact_degree=exact_degree)
         if np.any(w <= 0.0):
             raise ValueError("quadrature weights must be strictly positive")
         if abs(float(np.sum(w)) - 1.0) > 1e-10:
@@ -803,19 +823,19 @@ def _tensor_weights(rules: Sequence[QuadratureRule]) -> np.ndarray:
 # multi-index sets
 
 
-@dataclass(frozen=True)
-class MultiIndexSet:
+class MultiIndexSet(_Immutable):
     """Ordered set of d-dimensional multi-indices."""
 
     dimension: int
     total_order: int
     indices: np.ndarray  # (K, d) integer array
 
-    def __post_init__(self):
-        arr = _frozen(self.indices, np.int64)
-        if arr.ndim != 2 or arr.shape[1] != self.dimension:
+    def __init__(self, dimension, total_order, indices):
+        arr = _frozen(indices, np.int64)
+        if arr.ndim != 2 or arr.shape[1] != dimension:
             raise ValueError("indices must form a (K, d) array")
-        object.__setattr__(self, "indices", arr)
+        self.__dict__.update(dimension=dimension, total_order=total_order,
+                             indices=arr)
 
     def __len__(self) -> int:
         return self.indices.shape[0]
@@ -894,8 +914,7 @@ def _basis_matrix(index_set: MultiIndexSet, bases: Sequence[OrthoBasis],
 # expansions
 
 
-@dataclass(frozen=True)
-class GpcExpansion:
+class GpcExpansion(_Immutable):
     """Spectral expansion x(xi) = sum_alpha c_alpha H_alpha(xi).
 
     coefficients has shape (K, n): one length-n coefficient vector per
@@ -906,18 +925,19 @@ class GpcExpansion:
     coefficients: np.ndarray
     bases: tuple[OrthoBasis, ...]
 
-    def __post_init__(self):
-        arr = _frozen(self.coefficients)
+    def __init__(self, index_set, coefficients, bases):
+        arr = _frozen(coefficients)
         if arr.ndim == 1:
             arr = arr[:, None]
-        if arr.shape[0] != len(self.index_set):
+        if arr.shape[0] != len(index_set):
             raise ValueError(
                 f"coefficient count {arr.shape[0]} does not match the "
-                f"index set size {len(self.index_set)}")
-        object.__setattr__(self, "coefficients", arr)
-        object.__setattr__(self, "bases", tuple(self.bases))
-        if len(self.bases) != self.index_set.dimension:
+                f"index set size {len(index_set)}")
+        bases = tuple(bases)
+        if len(bases) != index_set.dimension:
             raise ValueError("one basis per dimension is required")
+        self.__dict__.update(index_set=index_set, coefficients=arr,
+                             bases=bases)
 
     @property
     def dimension(self) -> int:

@@ -41,7 +41,8 @@ from .polychaos import (TENSOR_NODE_CAP, GpcExpansion, MultiIndexSet,
                         OrthoBasis, expansion_to_dict, golub_welsch,
                         make_standard_basis, stieltjes_basis,
                         total_degree_index_set, _basis_matrix, _dump_json,
-                        _frozen, _mean_variance, _tensor_weights)
+                        _Immutable, _frozen, _mean_variance,
+                        _tensor_weights)
 
 __all__ = [
     "SolverError",
@@ -90,19 +91,27 @@ class SolverError(RuntimeError):
         self.time = time
 
 
-@dataclass(frozen=True)
-class SolverOptions:
+# a dataclass only for the fields the CLI checks: it generates no method
+@dataclass(init=False, repr=False, eq=False)
+class SolverOptions(_Immutable):
     """Tolerances and caps shared by the DC and transient drivers."""
 
-    dc_tol_scale: float = 1e-9        # Newton residual tol = scale * n
-    newton_max_iter: int = 50
-    newton_max_damping: int = 8
-    condition_cap: float = CONDITION_CAP
-    lte_tol: float = 1e-6             # transient error per unit time
-    fixed_step: float | None = None   # disables step control when set
+    dc_tol_scale: float        # Newton residual tol = scale * n
+    newton_max_iter: int
+    newton_max_damping: int
+    condition_cap: float
+    lte_tol: float             # transient error per unit time
+    fixed_step: float | None   # disables step control when set
     threads = 1   # not a field; read by perfbench/launcher.py --env only
 
-    def __post_init__(self):
+    def __init__(self, dc_tol_scale=1e-9, newton_max_iter=50,
+                 newton_max_damping=8, condition_cap=CONDITION_CAP,
+                 lte_tol=1e-6, fixed_step=None):
+        self.__dict__.update(
+            dc_tol_scale=dc_tol_scale, newton_max_iter=newton_max_iter,
+            newton_max_damping=newton_max_damping,
+            condition_cap=condition_cap, lte_tol=lte_tol,
+            fixed_step=fixed_step)
         for key, least in (("dc_tol_scale", 0), ("newton_max_iter", 1),
                            ("newton_max_damping", 0), ("condition_cap", 1),
                            ("lte_tol", 0)):
@@ -126,8 +135,7 @@ def standard_bases(model_or_dists, order: int) -> tuple[OrthoBasis, ...]:
                  else make_standard_basis(dist, order) for dist in dists)
 
 
-@dataclass(frozen=True)
-class TestingPointSet:
+class TestingPointSet(_Immutable):
     """K selected points, the collocation matrix V, its condition, and the
     bases and index set the points were selected for."""
 
@@ -137,9 +145,10 @@ class TestingPointSet:
     bases: tuple         # one OrthoBasis per dimension
     index_set: MultiIndexSet
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", _frozen(self.points))
-        object.__setattr__(self, "V", _frozen(self.V))
+    def __init__(self, points, V, condition, bases, index_set):
+        self.__dict__.update(points=_frozen(points), V=_frozen(V),
+                             condition=condition, bases=bases,
+                             index_set=index_set)
 
     @property
     def n_points(self) -> int:
@@ -633,8 +642,7 @@ def solve_dc(model: StochasticDae, tps: TestingPointSet,
 # transient integration
 
 
-@dataclass(frozen=True)
-class StSolution:
+class StSolution(_Immutable):
     """Transient result: expansion series on one index set and time grid."""
 
     times: np.ndarray
@@ -643,11 +651,13 @@ class StSolution:
     n_point_solves: int
     labels: tuple
 
-    def __post_init__(self):
-        times = _frozen(self.times)
+    def __init__(self, times, expansions, step_log, n_point_solves, labels):
+        times = _frozen(times)
         if times.size > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("time points must be strictly increasing")
-        object.__setattr__(self, "times", times)
+        self.__dict__.update(times=times, expansions=expansions,
+                             step_log=step_log,
+                             n_point_solves=n_point_solves, labels=labels)
 
     def final(self) -> GpcExpansion:
         return self.expansions[-1]
@@ -823,8 +833,7 @@ def _attempt(stepper, rows, t, h, steps, span):
             f"overflows double precision over the span {span:.3e}") from exc
 
 
-@dataclass(frozen=True)
-class _RowSteps:
+class _RowSteps(_Immutable):
     """Step log of rows on their own clocks, as counts: accepted and
     rejected step attempts per row, (N,) each.  Iterating gives one
     (t, h, accepted, lte) entry per row attempt with only the accepted
@@ -834,6 +843,9 @@ class _RowSteps:
 
     accepted: np.ndarray
     rejected: np.ndarray
+
+    def __init__(self, accepted, rejected):
+        self.__dict__.update(accepted=accepted, rejected=rejected)
 
     def __len__(self):
         return int(self.accepted.sum() + self.rejected.sum())

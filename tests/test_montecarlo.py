@@ -76,6 +76,29 @@ class TestRunMc:
         for spread in (mc.variance, mc.stderr, mc.stderr_std):
             assert np.array_equal(spread, np.zeros(2))
 
+    def test_d0_memory_does_not_grow_with_samples(self):
+        # the d = 0 result came from n tiled copies of the one solution,
+        # and its centring copied them again: 58 MB at peak here; the
+        # histograms are those of n equal samples, one full bin
+        import tracemalloc
+
+        dae = algebraic_model(lambda xi: [1.0, -2.0, 0.5], (), n_outputs=3)
+        n = 10 ** 6
+        tracemalloc.start()
+        try:
+            mc = run_mc(dae, "dc", n=n, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert mc.n_samples == n and np.array_equal(mc.mean, [1.0, -2.0, 0.5])
+        for value, (edges, counts) in zip(mc.mean, mc.histograms):
+            want_counts, want_edges = np.histogram(np.full(1000, value),
+                                                   bins=50)
+            assert np.array_equal(edges, want_edges)
+            assert counts.dtype == want_counts.dtype
+            assert np.array_equal(counts, want_counts * (n // 1000))
+
     def test_bit_identical_reproducibility(self):
         dae = netlist.elaborate(netlist.parse_netlist(DIVIDER_VARIED))
         a = run_mc(dae, "dc", n=400, seed=12)

@@ -25,8 +25,20 @@ def _format_distribution(dist) -> str:
     return f"{name}({args})"
 
 
+def netlist_fields(nl: netlist.Netlist) -> tuple:
+    """A Netlist's parsed content as nested tuples, element positions left
+    out: what parsing print_netlist's text back must reproduce."""
+    return (
+        tuple((e.kind, e.name, e.nodes, e.params) for e in nl.elements),
+        tuple((v.element, v.param, v.mode, v.distribution.kind,
+               v.distribution.params, v.distribution.support)
+              for v in nl.variations),
+        tuple((a.kind, a.args) for a in nl.analyses))
+
+
 def print_netlist(nl: netlist.Netlist) -> str:
-    """Canonical text form; parsing it back gives an equal Netlist."""
+    """Canonical text form; parsing it back gives the same
+    netlist_fields."""
     vars_by_element: dict[str, list] = {}
     for v in nl.variations:
         vars_by_element.setdefault(v.element, []).append(v)
@@ -112,7 +124,8 @@ class TestGrammar:
     def test_directives(self):
         nl = parse_netlist("R1 1 0 1k\n.op\n.tran 1u 1m\n")
         assert nl.analyses[0].kind == "op"
-        assert nl.analyses[1] == netlist.Analysis("tran", (1e-6, 1e-3))
+        tran = nl.analyses[1]
+        assert (tran.kind, tran.args) == ("tran", (1e-6, 1e-3))
 
     def test_end_stops_parsing(self):
         nl = parse_netlist("R1 1 0 1k\n.end\nthis is not parsed\n")
@@ -182,7 +195,8 @@ class TestRoundTrip:
 
     def test_print_parse_round_trip(self):
         nl = parse_netlist(self.RICH)
-        assert parse_netlist(print_netlist(nl)) == nl
+        assert netlist_fields(parse_netlist(print_netlist(nl))) == \
+            netlist_fields(nl)
 
     @pytest.mark.parametrize("spec", ["gauss(1,0.1)", "gaussian(1,0.1)",
                                       "uniform(0.9,1.1)", "gamma(2)",
@@ -191,7 +205,7 @@ class TestRoundTrip:
         nl = parse_netlist(f"V1 1 0 1\nR1 1 2 1k variation=relative:{spec}\n"
                            "R2 2 0 1k\n")
         text = print_netlist(nl)
-        assert parse_netlist(text) == nl
+        assert netlist_fields(parse_netlist(text)) == netlist_fields(nl)
         assert ("variation=relative:gauss(" in text) == spec.startswith("gauss")
 
     @given(r1=st.floats(1.0, 1e6), lo=st.floats(0.5, 0.99),
@@ -200,7 +214,8 @@ class TestRoundTrip:
         nl = parse_netlist(
             f"V1 1 0 1\nR1 1 2 {r1!r} variation=relative:uniform({lo!r},{hi!r})\n"
             f"C1 2 0 {c!r}\n")
-        assert parse_netlist(print_netlist(nl)) == nl
+        assert netlist_fields(parse_netlist(print_netlist(nl))) == \
+            netlist_fields(nl)
 
 
 class TestElaborate:

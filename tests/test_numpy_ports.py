@@ -1,8 +1,11 @@
-"""The numpy ports in polychaos against the scipy routines they replace.
+"""The numpy ports in polychaos against the scipy routines they replace,
+and hier's sorted-array shortcuts against the numpy calls they replace.
 
 scipy stays installed as the oracle: `ndtri` must give scipy.special.ndtri's
 bits, `monotone_cubic` PchipInterpolator's (values and derivative), and
 `golub_welsch` the nodes and weights of a tridiagonal LAPACK solve.
+`hier._sorted_quantiles` must give np.quantile's bits, and
+`hier._stable_argsort` the permutation of np.argsort(kind="stable").
 """
 
 import math
@@ -13,6 +16,7 @@ from scipy import special
 from scipy.interpolate import PchipInterpolator
 from scipy.linalg import eigh_tridiagonal
 
+from uqsim import hier
 from uqsim import polychaos as pc
 
 
@@ -145,3 +149,31 @@ def test_golub_welsch_matches_on_discrete_stieltjes_bases():
                               order, None)
         for n in range(1, order + 2):
             assert_rule_matches(basis, n)
+
+
+# --- sorted-array quantiles and the stable order ----------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 10, 51, 52, 999, 10 ** 4,
+                               10 ** 5 - 1, 10 ** 5])
+def test_sorted_quantiles_match_np_quantile(n):
+    rng = np.random.default_rng(n)
+    levels = np.concatenate(([0.0, 1.0, 0.25, 0.75, 0.5],
+                             hier._cdf_levels(), rng.random(40)))
+    z = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+    # long runs of equal values; no zeros, as neither np.sort nor
+    # np.quantile's partition sets the order of -0.0 and 0.0
+    tied = rng.integers(-20, 20, n) * 0.25 + 0.125
+    for values in (z, tied):
+        assert_same_bits(hier._sorted_quantiles(np.sort(values), levels),
+                         np.quantile(values, levels))
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 1000, 234_256])
+def test_stable_argsort_matches_the_stable_sort(n):
+    rng = np.random.default_rng(n)
+    pool = np.array([-np.inf, -1.5, -0.0, 0.0, 1e-300, 2.0, np.inf])
+    for x in (rng.choice(pool, n), rng.standard_normal(n),
+              np.where(rng.random(n) < 0.5, rng.standard_normal(n),
+                       rng.choice(pool, n))):
+        assert np.array_equal(hier._stable_argsort(x),
+                              np.argsort(x, kind="stable"))

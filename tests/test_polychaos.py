@@ -403,7 +403,9 @@ def test_json_round_trip_every_named_family():
     exp = pc.GpcExpansion(idx, np.arange(len(idx), dtype=float), bases)
     text = pc.expansion_to_json(exp)
     back = pc.expansion_from_json(text)
-    assert [b.distribution for b in back.bases] == dists
+    assert [(b.distribution.kind, b.distribution.params,
+             b.distribution.support) for b in back.bases] == \
+        [(d.kind, d.params, d.support) for d in dists]
     assert pc.expansion_to_json(back) == text
     keys = [sorted(set(f) - {"kind", "order", "gamma", "kappa"})
             for f in json.loads(text)["families"]]
