@@ -18,11 +18,15 @@ written to --out or printed.
 With --layers DIR, it prints one JSON line: the least time of `import
 uqsim.cli` from DIR in IMPORT_RUNS fresh interpreters (in this process's
 environment, so with bytecode caches unless PYTHONDONTWRITEBYTECODE is
-set); then, with DIR's library imported in this process, the first
-`build_parser` call a job makes, the least time of `build_config`, and the
-time each JSON artifact of the benchmark's jobs (seed 0) and of an `anova`
-run on a --anova-stages diode-RC ladder takes to write, each checked to be
-the artifact's bytes.
+set); the max RSS of each job of the workloads (seed 0), each run once
+through DIR's perfbench/launcher.py in a fresh process as the benchmark
+runs it, and of a process that only imports `uqsim.cli`; then, with DIR's
+library imported in this process, the first `build_parser` call a job
+makes, the least time of `build_config`, and the time each JSON artifact
+of the benchmark's jobs (seed 0) and of an `anova` run on a
+--anova-stages diode-RC ladder takes to write, each checked to be the
+artifact's bytes.  With --parent and --change, the max RSS of each job is
+the least of the layer runs, under job_rss_mb.
 """
 
 import argparse
@@ -111,10 +115,42 @@ def _import_ms(src: str) -> float:
                for _ in range(IMPORT_RUNS)) * 1e3
 
 
+def _rss_mb(cmd, cwd=None) -> float:
+    """Max RSS of one run of cmd, in MB as perfbench/run.py counts it."""
+    proc = subprocess.Popen(cmd, cwd=cwd, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise SystemExit(f"{' '.join(cmd)} failed")
+    return round(usage.ru_maxrss / 1024.0, 2)   # KiB on Linux
+
+
+def _job_rss_mb(checkout: str, names) -> dict:
+    """Max RSS of an import of `uqsim.cli` alone, and of each job of the
+    workloads (seed 0) in its own launcher process, in list order."""
+    import workloads
+
+    launcher = os.path.join(checkout, "perfbench", "launcher.py")
+    src = os.path.join(checkout, "src")
+    out = {"import_only": _rss_mb([
+        sys.executable, "-c",
+        f"import sys; sys.path[0] = {src!r}; import uqsim.cli"])}
+    with tempfile.TemporaryDirectory() as work:
+        for name in names:
+            workdir = os.path.join(work, name)
+            for job in workloads.build(name, 0, workdir):
+                out[f"{name}/{job.id}"] = _rss_mb(
+                    [sys.executable, launcher,
+                     os.path.join(workdir, f"{job.id}.stamp"), *job.argv,
+                     "--outdir", os.path.join(workdir, job.id)], workdir)
+    return out
+
+
 def layers(checkout: str, names, anova_stages: int, repeats: int) -> dict:
     src = os.path.join(checkout, "src")
     import_ms = round(_import_ms(src), 3)
     sys.path[:0] = [src, os.path.join(checkout, "perfbench")]
+    job_rss_mb = _job_rss_mb(checkout, names)
     import inspect
 
     import workloads
@@ -122,8 +158,9 @@ def layers(checkout: str, names, anova_stages: int, repeats: int) -> dict:
 
     takes_analysis = bool(inspect.signature(cli.build_parser).parameters)
     args = (DC_ARGV[0],) if takes_analysis else ()
-    out = {"import_ms": import_ms, "first_build_parser_ms": round(
-        _least(lambda: cli.build_parser(*args), 1), 3)}
+    out = {"import_ms": import_ms, "job_rss_mb": job_rss_mb,
+           "first_build_parser_ms": round(
+               _least(lambda: cli.build_parser(*args), 1), 3)}
     out["build_config_ms"] = round(
         _least(lambda: cli.build_config(DC_ARGV), 50), 3)
     with tempfile.TemporaryDirectory() as work, \
@@ -228,6 +265,8 @@ def compare(args) -> dict:
                     raise SystemExit(f"{side}: {name} moved between runs")
     doc["layers_ms"] = {side: _least_fields(r) for side, r in
                         layer_runs.items()}
+    doc["job_rss_mb"] = {side: doc["layers_ms"][side].pop("job_rss_mb")
+                         for side in sides}
     doc["trace_spectral_seed0"] = trace
     return doc
 

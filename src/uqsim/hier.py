@@ -144,14 +144,30 @@ class IntermediateDensity(_Immutable):
         its own j-node Gauss rule, so it keeps j nodes.  The CDF table
         interpolates the midpoint CDF of the sorted values at the
         CDF_KNOTS levels, with levels 0 and 1 one knot spacing beyond the
-        hull.
+        hull.  The table is read off sorted copies of the measure, which
+        are dropped before the Stieltjes pass: that pass runs over the
+        measure in the given order, whose summation order fixes its bits.
+        Read-only values and weights are kept without a copy.
         """
         rule = QuadratureRule(values, weights, 1)
         order = _stable_argsort(rule.points)
         z, w = rule.points[order], rule.weights[order]
+        del order
         if not (np.all(np.isfinite(z)) and z[-1] > z[0]):
             raise ValueError("pushforward values must be finite and span an "
                              "interval")
+        support = (float(z[0]), float(z[-1]))
+        cum = np.cumsum(w)
+        total = cum[-1]
+        w *= 0.5
+        cum -= w
+        cum /= total                  # the midpoint CDF (cum - w/2)/total
+        levels = _cdf_levels()
+        xs = np.interp(levels, cum, z)
+        pad = (z[-1] - z[0]) / (CDF_KNOTS - 1)
+        xs[0], xs[-1] = z[0] - pad, z[-1] + pad
+        del z, w, cum
+
         n = int(exact_degree) // 2 + 1
         try:
             basis = stieltjes_basis(None, n - 1, integrator=rule)
@@ -159,14 +175,8 @@ class IntermediateDensity(_Immutable):
             n = err.degree
             basis = stieltjes_basis(None, n - 1, integrator=rule)
         gauss = golub_welsch(basis, n)
-
-        cum = np.cumsum(w)
-        levels = _cdf_levels()
-        xs = np.interp(levels, (cum - 0.5 * w) / cum[-1], z)
-        pad = (z[-1] - z[0]) / (CDF_KNOTS - 1)
-        xs[0], xs[-1] = z[0] - pad, z[-1] + pad
         xs, first = np.unique(xs, return_index=True)
-        return cls(kind="quadrature", support=(float(z[0]), float(z[-1])),
+        return cls(kind="quadrature", support=support,
                    cdf=monotone_cubic(xs, levels[first]),
                    atoms=(gauss.points, gauss.weights),
                    exact_degree=int(exact_degree))
@@ -265,6 +275,7 @@ def density_by_quadrature(s: Surrogate,
     rules = [golub_welsch(basis, nodes)
              for basis in standard_bases(s.distributions, nodes - 1)]
     values = s.zeta.eval_grid([r.points for r in rules]).ravel()
+    values.setflags(write=False)     # handed over without a copy
     return IntermediateDensity.from_pushforward(
         values, _tensor_weights(rules), max_degree)
 
@@ -310,7 +321,9 @@ def density_by_sampling(s: Surrogate, n_samples: int = SAMPLING_DEFAULT,
         raise ValueError("sampling route needs the block input "
                          "distributions; use the quadrature route")
     xis = sample_parameters(s.distributions, n_samples, seed)
-    z = np.sort(s.zeta.eval_many(xis).ravel())
+    z = s.zeta.eval_many(xis).ravel()
+    del xis
+    z.sort()
     z_min, z_max = float(z[0]), float(z[-1])
     if z_max - z_min <= 1e-14:
         raise ValueError("degenerate samples: the surrogate is constant")

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .models import StochasticDae
-from .polychaos import _Immutable
+from .polychaos import CHUNK_BYTES, _Immutable
 from .stsolver import (SolverError, SolverOptions, _chunk_rows,
                        _integrate_points, _solve_dc_rows,
                        integrate_deterministic, newton_dc)
@@ -28,20 +28,28 @@ __all__ = ["McResult", "sample_parameters", "run_mc"]
 
 FAILURE_BUDGET = 1e-3  # abort when more than this fraction of samples fail
 HISTOGRAM_BINS = 50
+# ndtri holds about six float temporaries per value: a block of this many
+# values keeps them within CHUNK_BYTES
+QUANTILE_ROWS = CHUNK_BYTES // (8 * 8)
 
 
 def sample_parameters(distributions: Sequence, n: int, seed: int
                       ) -> np.ndarray:
-    """(n, d) matrix of independent samples via inverse CDF on PCG64."""
+    """(n, d) matrix of independent samples via inverse CDF on PCG64.
+
+    The uniforms are one (n, d) draw, which the quantile functions
+    overwrite column by column in blocks of QUANTILE_ROWS rows; they are
+    elementwise, so a sample's bits do not depend on its block.
+    """
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.Generator(np.random.PCG64(seed))
-    d = len(distributions)
-    u = rng.random((n, d))
-    out = np.empty((n, d))
+    u = rng.random((n, len(distributions)))
     for k, dist in enumerate(distributions):
-        out[:, k] = dist.inv_cdf(u[:, k])
-    return out
+        for lo in range(0, n, QUANTILE_ROWS):
+            u[lo:lo + QUANTILE_ROWS, k] = dist.inv_cdf(
+                u[lo:lo + QUANTILE_ROWS, k])
+    return u
 
 
 class McResult(_Immutable):

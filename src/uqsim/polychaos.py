@@ -72,6 +72,12 @@ KAPPA_FLOOR = 1e-20
 # it per node (the 22^4 pushforward rule of a 4-input block has 234,256).
 TENSOR_NODE_CAP = 2 ** 20
 
+# The one byte budget of the library's stacked work: Newton and recovery
+# stacks (stsolver), blocks of rows of a basis matrix (eval_many) and of
+# quantile transforms (montecarlo.sample_parameters) take about this many
+# bytes at a time
+CHUNK_BYTES = 1 << 20
+
 _JSON_SCHEMA = "gpc-expansion/1"
 
 
@@ -692,7 +698,10 @@ def discrete_stieltjes(points: np.ndarray, weights: np.ndarray,
 
     Returns (gamma_0..gamma_p, kappa_0..kappa_p).  Raises
     DegenerateMeasureError when some kappa_j falls to the numeric floor,
-    naming the failing degree.
+    naming the failing degree.  Three point-length buffers are updated in
+    place, in the operation order of the expressions
+    ((w*x)*pi)*pi, (x - gamma_j)*pi - kappa_j*pi_{j-1} and
+    (w*pi_{j+1})*pi_{j+1}, so the sums keep their bits.
     """
     x = np.asarray(points, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -701,17 +710,26 @@ def discrete_stieltjes(points: np.ndarray, weights: np.ndarray,
     kappa[0] = 1.0
     pim1 = np.zeros_like(x)
     pi = np.ones_like(x)
+    buf = np.empty_like(x)
     s_cur = float(np.sum(w))
     for j in range(order + 1):
-        gamma[j] = float(np.sum(w * x * pi * pi)) / s_cur
+        np.multiply(w, x, out=buf)
+        buf *= pi
+        buf *= pi
+        gamma[j] = float(np.sum(buf)) / s_cur
         if j == order:
             break
-        pinext = (x - gamma[j]) * pi - (kappa[j] if j > 0 else 0.0) * pim1
-        s_next = float(np.sum(w * pinext * pinext))
+        pim1 *= kappa[j] if j > 0 else 0.0
+        np.subtract(x, gamma[j], out=buf)
+        buf *= pi
+        buf -= pim1                    # buf holds pi_{j+1}
+        np.multiply(w, buf, out=pim1)
+        pim1 *= buf
+        s_next = float(np.sum(pim1))
         kappa[j + 1] = s_next / s_cur
         if not kappa[j + 1] > KAPPA_FLOOR:
             raise DegenerateMeasureError(j + 1, kappa[j + 1])
-        pim1, pi = pi, pinext
+        pim1, pi, buf = pi, buf, pim1
         s_cur = s_next
     return gamma, kappa
 
@@ -971,7 +989,17 @@ class GpcExpansion(_Immutable):
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """(N, n) values at N points, given as (N, d), or as (N,) when
-        d = 1; no support checking."""
+        d = 1; no support checking.
+
+        With one output, the (N, K) basis matrix is built in blocks of
+        about CHUNK_BYTES, a multiple of 64 rows, each times the
+        coefficients in one BLAS gemv.  Basis values are elementwise in
+        the points, and a gemv rounds a row as the whole product does,
+        except the few rows left over at the end of a thread's share
+        (x86-64 OpenBLAS takes rows in groups of 4), which may differ in
+        the last bit.  Several outputs make a gemm, whose kernel depends
+        on the row count, so they take one product.
+        """
         points = np.asarray(points, dtype=float)
         if points.ndim == 1 and self.dimension == 1:
             points = points[:, None]
@@ -980,7 +1008,16 @@ class GpcExpansion(_Immutable):
                 f"points of shape {points.shape} are not (N, "
                 f"{self.dimension}): the expansion has {self.dimension} "
                 f"random inputs")
-        return _basis_matrix(self.index_set, self.bases, points) @ self.coefficients
+        rows = max(64, CHUNK_BYTES // (8 * len(self.index_set)) // 64 * 64)
+        if self.n_outputs > 1 or len(points) <= rows:
+            return (_basis_matrix(self.index_set, self.bases, points)
+                    @ self.coefficients)
+        out = np.empty((len(points), self.n_outputs))
+        for lo in range(0, len(points), rows):
+            out[lo:lo + rows] = (
+                _basis_matrix(self.index_set, self.bases,
+                              points[lo:lo + rows]) @ self.coefficients)
+        return out
 
     def eval_grid(self, axes: Sequence) -> np.ndarray:
         """(N, n) values on the tensor grid of the 1-D node arrays in axes,

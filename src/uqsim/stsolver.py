@@ -37,9 +37,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .models import StochasticDae
-from .polychaos import (TENSOR_NODE_CAP, GpcExpansion, MultiIndexSet,
-                        OrthoBasis, expansion_to_dict, golub_welsch,
-                        make_standard_basis, stieltjes_basis,
+from .polychaos import (CHUNK_BYTES, TENSOR_NODE_CAP, GpcExpansion,
+                        MultiIndexSet, OrthoBasis, expansion_to_dict,
+                        golub_welsch, make_standard_basis, stieltjes_basis,
                         total_degree_index_set, _basis_matrix, _dump_json,
                         _Immutable, _frozen, _mean_variance,
                         _tensor_weights)
@@ -63,10 +63,6 @@ RECOVERY_RESIDUAL_CAP = 1e-12
 MIN_STEP_FRACTION = 1e-12       # of the span; adaptive steps underflow below
 MAX_STEP_FRACTION = 0.1
 ACCEPTS_BEFORE_DOUBLE = 5
-# stacked DC solves run in stacks whose Jacobians take about this many
-# bytes; building them (netlist stamps, finite differences) takes a few
-# times more
-CHUNK_BYTES = 1 << 20
 # Newton stacks of at least this many rows run the model's planned LU;
 # shorter ones keep LAPACK, whose per-matrix work is then cheaper than the
 # planned LU's per-pivot numpy calls (crossover table in
@@ -545,7 +541,8 @@ def _check_converged(rnorm: np.ndarray, ok: np.ndarray, tol: float,
 
 def _chunk_rows(n: int) -> int:
     """Rows per stacked solve of an n-state model: CHUNK_BYTES of (n, n)
-    Jacobians, and at least one."""
+    Jacobians, and at least one.  Building them (netlist stamps, finite
+    differences) takes a few times more."""
     return max(1, CHUNK_BYTES // (8 * n * (n + 1)))
 
 

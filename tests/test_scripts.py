@@ -51,6 +51,12 @@ def test_overhead_bench_times_a_checkouts_layers(tmp_path):
         "tran-plate/transient_expansions.json",
         "tran-ladder4/transient_expansions.json"}
     assert doc["anova_json"]["stages"] == 3
+    # one launcher process per job, and one that only imports the CLI
+    rss = doc["job_rss_mb"]
+    assert set(rss) == {"import_only", "spectral/dc-diode",
+                        "spectral/dc-ladder8", "spectral/tran-plate",
+                        "spectral/tran-ladder4"}
+    assert all(mb >= rss["import_only"] > 0 for mb in rss.values())
 
 
 def test_job_artifacts_writes_a_checkouts_artifacts(tmp_path):
