@@ -116,11 +116,15 @@ def _import_ms(src: str) -> float:
 
 
 def _rss_mb(cmd, cwd=None) -> float:
-    """Max RSS of one run of cmd, in MB as perfbench/run.py counts it."""
+    """Max RSS of one run of cmd, in MB as perfbench/run.py counts it.
+
+    Linux carries this process's own peak RSS into the child's at exec,
+    so this is called before this process loads numpy or the library."""
     proc = subprocess.Popen(cmd, cwd=cwd, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
-    if os.waitstatus_to_exitcode(status) != 0:
+    proc.returncode = os.waitstatus_to_exitcode(status)   # reaped here
+    if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} failed")
     return round(usage.ru_maxrss / 1024.0, 2)   # KiB on Linux
 
