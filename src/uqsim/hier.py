@@ -378,8 +378,8 @@ def propagate_transient(model: StochasticDae, bases: Sequence[OrthoBasis],
 
 
 def _sum_system(dists) -> StochasticDae:
-    return algebraic_model(lambda z: [float(np.sum(z))], dists, 1,
-                           labels=("sum",))
+    return algebraic_model(lambda z: np.sum(z, axis=-1, keepdims=True),
+                           dists, 1, labels=("sum",))
 
 
 def _rc_zeta_system(dists, r: float = 1e3, c: float = 1e-6,
@@ -399,7 +399,7 @@ def _rc_zeta_system(dists, r: float = 1e3, c: float = 1e-6,
         n=1, d=1, distributions=dists,
         q=lambda x, z: c * np.asarray(x, dtype=float),
         f=f, dq_dx=lambda x, z: np.full(np.shape(x) + (1,), c), df_dx=df_dx,
-        x0_guess=np.array([vin]), labels=("v_out",), batched=True)
+        x0_guess=np.array([vin]), labels=("v_out",))
 
 
 _DEMO_SYSTEMS = {"sum": _sum_system, "rc_zeta": _rc_zeta_system}

@@ -17,6 +17,7 @@ which second_order_model rewrites in first-order form.
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -66,18 +67,13 @@ def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray],
     return np.stack(cols, axis=-1)
 
 
-def _rows(fn: Callable, X: np.ndarray, P: np.ndarray, shape: tuple,
-          *t) -> np.ndarray:
-    """fn(x, xi[, t]) at each row of X (N, n) and P (N, d), stacked into
-    `shape`.  A float t goes to every row; an (N,) array of times gives
-    each row its own, as a float.  A single row is one direct call."""
-    if t and isinstance(t[0], np.ndarray):
-        out = [fn(x, xi, ti) for x, xi, ti in zip(X, P, t[0].tolist())]
-    elif len(X) == 1:
-        return np.asarray(fn(X[0], P[0], *t), dtype=float).reshape(shape)
-    else:
-        out = [fn(x, xi, *t) for x, xi in zip(X, P)]
-    return np.array(out, dtype=float).reshape(shape)
+def _stack(name: str, value, shape: tuple) -> np.ndarray:
+    """value as a float array; ValueError naming `name` unless of `shape`."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise ValueError(f"{name} returned shape {value.shape}, expected "
+                         f"{shape}")
+    return value
 
 
 # a dataclass only for dataclasses.replace: it generates no method
@@ -88,23 +84,22 @@ class StochasticDae(_Immutable):
     q(x, xi) -> n-vector of charges/fluxes; f(x, xi, t) -> n-vector of
     resistive terms minus drives, so that d q/dt + f = 0.  Jacobians are
     optional; central finite differences with step max(1e-7, 1e-7|x_i|)
-    stand in when they are missing.  The states are the outputs;
-    unlabeled, they are "x0".."x{n-1}".
+    stand in when they are missing.  The states are the outputs, n labels
+    ("x0".."x{n-1}" when not given) name them, and x0_guess holds n entries.
 
-    A batched model's q, f, dq_dx and df_dx also accept stacks: x of shape
-    (..., n) and xi of shape (..., d) with matching leading axes give
-    (..., n) vectors and (..., n, n) Jacobians.  q_many, f_many, jac_q_many
-    and jac_f_many evaluate N rows, x (N, n) and xi (N, d), in one call when
-    the model is batched and row by row otherwise; a batched model without
-    a Jacobian gets the finite differences above over the whole stack,
-    with each row's bits.
+    q, f, dq_dx and df_dx map stacks: x of shape (..., n) and xi of shape
+    (..., d) with matching leading axes give (..., n) vectors and
+    (..., n, n) Jacobians.  q_many, f_many, jac_q_many and jac_f_many
+    evaluate N rows, x (N, n) and xi (N, d), in one call each and raise
+    ValueError when a callable returns another shape; a model without a
+    Jacobian gets the finite differences above over the whole stack, with
+    each row's bits.
 
     Stacked rows share one time t, a float, except in a Monte Carlo
     transient, where each sample steps on its own clock: there f_many and
-    jac_f_many take an (N,) array of per-row times.  A row-by-row model
-    still sees each row's time as a float; a batched model's f and df_dx
-    get the array, so a batched f that reads t must broadcast it over the
-    stack.  Per-row times reach the model through f and df_dx only.
+    jac_f_many take an (N,) array of per-row times, which f and df_dx get
+    as it is, so an f that reads t must broadcast it over the stack.
+    Per-row times reach the model through f and df_dx only.
 
     dq_pattern and df_pattern are the structural (n, n) patterns of dq_dx
     and df_dx: True where an entry may be nonzero, dense when not given.
@@ -123,16 +118,15 @@ class StochasticDae(_Immutable):
     df_dx: Callable | None
     x0_guess: np.ndarray | None
     labels: tuple[str, ...] | None
-    batched: bool
     dq_pattern: np.ndarray | None
     df_pattern: np.ndarray | None
 
     def __init__(self, n, d, distributions, q, f, dq_dx=None, df_dx=None,
-                 x0_guess=None, labels=None, batched=False, dq_pattern=None,
+                 x0_guess=None, labels=None, dq_pattern=None,
                  df_pattern=None):
         self.__dict__.update(
             n=n, d=d, distributions=distributions, q=q, f=f, dq_dx=dq_dx,
-            df_dx=df_dx, x0_guess=x0_guess, labels=labels, batched=batched,
+            df_dx=df_dx, x0_guess=x0_guess, labels=labels,
             dq_pattern=dq_pattern, df_pattern=df_pattern)
         self.__post_init__()
 
@@ -152,6 +146,12 @@ class StochasticDae(_Immutable):
         if self.labels is None:
             object.__setattr__(self, "labels",
                                tuple(f"x{j}" for j in range(self.n)))
+        elif len(self.labels) != self.n:
+            raise ValueError(f"labels has {len(self.labels)} entries for a "
+                             f"model with {self.n} states")
+        if self.x0_guess is not None and np.shape(self.x0_guess) != (self.n,):
+            raise ValueError(f"x0_guess must have shape ({self.n},), got "
+                             f"{np.shape(self.x0_guess)}")
 
     def output_index(self, output: int | str) -> int:
         """Position of an output given by index or by label."""
@@ -179,33 +179,25 @@ class StochasticDae(_Immutable):
 
     def q_many(self, X: np.ndarray, P: np.ndarray) -> np.ndarray:
         """q at N rows: X (N, n), P (N, d) -> (N, n)."""
-        if self.batched:
-            return self.q(X, P)
-        return _rows(self.q, X, P, X.shape)
+        return _stack("q", self.q(X, P), X.shape)
 
     def f_many(self, X: np.ndarray, P: np.ndarray, t) -> np.ndarray:
         """f at N rows: X (N, n), P (N, d) -> (N, n); t is a float, or an
         (N,) array of per-row times."""
-        if self.batched:
-            return self.f(X, P, t)
-        return _rows(self.f, X, P, X.shape, t)
+        return _stack("f", self.f(X, P, t), X.shape)
 
     def jac_q_many(self, X: np.ndarray, P: np.ndarray) -> np.ndarray:
         """dq/dx at N rows: X (N, n), P (N, d) -> (N, n, n)."""
-        if not self.batched:
-            return _rows(self.jac_q, X, P, X.shape + (self.n,))
-        if self.dq_dx is not None:
-            return np.asarray(self.dq_dx(X, P), dtype=float)
-        return _fd_jacobian(lambda Y: self.q(Y, P), X)
+        if self.dq_dx is None:
+            return _fd_jacobian(lambda Y: self.q_many(Y, P), X)
+        return _stack("dq_dx", self.dq_dx(X, P), X.shape + (self.n,))
 
     def jac_f_many(self, X: np.ndarray, P: np.ndarray, t) -> np.ndarray:
         """df/dx at N rows: X (N, n), P (N, d) -> (N, n, n); t as in
         f_many."""
-        if not self.batched:
-            return _rows(self.jac_f, X, P, X.shape + (self.n,), t)
-        if self.df_dx is not None:
-            return np.asarray(self.df_dx(X, P, t), dtype=float)
-        return _fd_jacobian(lambda Y: self.f(Y, P, t), X)
+        if self.df_dx is None:
+            return _fd_jacobian(lambda Y: self.f_many(Y, P, t), X)
+        return _stack("df_dx", self.df_dx(X, P, t), X.shape + (self.n,))
 
     def nominal_parameters(self) -> np.ndarray:
         """Mean of each input; the deterministic reference point."""
@@ -221,19 +213,19 @@ class StochasticDae(_Immutable):
 
 
 def second_order_model(mass: Callable, damping: Callable, force: Callable,
-                       distributions: Sequence, z0, v0, labels=None,
-                       batched: bool = False) -> StochasticDae:
+                       distributions: Sequence, z0, v0,
+                       labels=None) -> StochasticDae:
     """M(z, xi) z'' + D(z, xi) z' + force(z, xi, t) = 0 as a first-order
     DAE on the stacked state x = (z, z'), starting from (z0, v0).
 
     q is the identity, so the residual dx/dt + f(x, xi, t) = 0 reproduces the
     second-order balance exactly: the z-rows give z' = v and the v-rows give
     M v' + D v + force = 0 after multiplying through by M.  force carries
-    any drive and gets f's time.  A batched model's mass, damping and force
-    also accept stacks, z (N, n) and xi (N, d), giving (N, n, n) or (n, n)
-    matrices and (N, n) forces, with t a float or an (N,) array of per-row
-    times; the DAE is then batched too.  ValueError if the mass is singular
-    at z0 and the nominal parameters.
+    any drive and gets f's time.  mass, damping and force map stacks, as
+    the DAE's callables do: z (..., n) and xi (..., d) give (..., n, n) or
+    (n, n) matrices and (..., n) forces, with t a float or an (N,) array of
+    per-row times.  ValueError if the mass is singular at z0 and the
+    nominal parameters.
     """
     z0 = np.asarray(z0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -259,7 +251,7 @@ def second_order_model(mass: Callable, damping: Callable, force: Callable,
     dae = StochasticDae(
         n=2 * n, d=len(distributions), distributions=distributions,
         q=q, f=f, dq_dx=dq_dx, df_dx=None,
-        x0_guess=np.concatenate([z0, v0]), labels=labels, batched=batched)
+        x0_guess=np.concatenate([z0, v0]), labels=labels)
     m0 = np.asarray(mass(z0, dae.nominal_parameters()), dtype=float)
     if m0.shape != (n, n):
         raise ValueError(f"mass matrix must be {n}x{n}, got {m0.shape}")
@@ -273,17 +265,20 @@ def second_order_model(mass: Callable, damping: Callable, force: Callable,
 
 def algebraic_model(fn: Callable, distributions: Sequence,
                     n_outputs: int, labels=None) -> StochasticDae:
-    """Wrap a parameter-to-output map as a purely algebraic DAE x = fn(xi)."""
+    """Wrap a parameter-to-output map as a purely algebraic DAE x = fn(xi).
+
+    fn maps a stack, xi (..., d) -> (..., n_outputs); any other shape
+    raises ValueError."""
     def f(x, xi, t):
-        return x - np.asarray(fn(xi), dtype=float).reshape(n_outputs)
+        return x - _stack("fn", fn(xi), np.shape(xi)[:-1] + (n_outputs,))
 
     def df_dx(x, xi, t):
-        return np.eye(n_outputs)
+        return np.broadcast_to(np.eye(n_outputs), np.shape(x) + (n_outputs,))
 
     return StochasticDae(
         n=n_outputs, d=len(distributions), distributions=tuple(distributions),
-        q=lambda x, xi: np.zeros(n_outputs),
-        f=f, dq_dx=lambda x, xi: np.zeros((n_outputs, n_outputs)),
+        q=lambda x, xi: np.zeros(np.shape(x)), f=f,
+        dq_dx=lambda x, xi: np.zeros(np.shape(x) + (n_outputs,)),
         df_dx=df_dx, labels=tuple(labels) if labels else None)
 
 
@@ -395,7 +390,6 @@ def _diode_rectifier(vin: float = 1.0, r: float = 1e3, i_s: float = 1e-9,
         q=lambda x, xi: np.zeros(np.shape(x)),
         f=f, dq_dx=lambda x, xi: np.zeros(np.shape(x) + (n,)), df_dx=df_dx,
         x0_guess=np.array([vin, 0.4, -1e-4]),
-        batched=True,
         labels=("v(1)", "v(2)", "i(V1)"),
         dq_pattern=np.zeros((n, n)),
         df_pattern=[[1, 1, 1], [1, 1, 0], [1, 0, 0]])
@@ -410,7 +404,7 @@ def _plate_actuator(voltage: float = 1.0, damping: float = 0.6,
     mass, stiffness and gap; spring constant and gap carry Gaussian
     variations, and V is the (constant) applied voltage.  Written directly
     in the first-order form second_order_model gives it, x = (z, z'),
-    with an analytic, batched Jacobian.
+    with an analytic Jacobian.
     """
     dists = (Distribution.gaussian(0.0, 1.0), Distribution.gaussian(0.0, 1.0))
     drive = force_const * voltage * voltage
@@ -442,7 +436,7 @@ def _plate_actuator(voltage: float = 1.0, damping: float = 0.6,
         q=lambda x, xi: np.array(x, dtype=float), f=f,
         dq_dx=lambda x, xi: np.broadcast_to(np.eye(2), np.shape(x) + (2,)),
         df_dx=df_dx, x0_guess=np.zeros(2), labels=("z", "dz/dt"),
-        batched=True, dq_pattern=np.eye(2), df_pattern=[[0, 1], [1, 1]])
+        dq_pattern=np.eye(2), df_pattern=[[0, 1], [1, 1]])
 
 
 _OPAMP_LIKE_NETLIST = """\
@@ -485,7 +479,8 @@ def _resolve(registry: dict, what: str, name: str,
     """The factory of `registry` that `name` names, also spelled
     `builtin:name`, with hyphens or underscores.  UnknownModelError if
     there is none; ValueError unless every key of `params` names a
-    parameter of it that has a default, and every value is a number."""
+    parameter of it that has a default, and every value is a finite
+    number."""
     factory = registry.get(name.removeprefix("builtin:").replace("-", "_"))
     if factory is None:
         raise UnknownModelError(f"no {what} named '{name}'; available: "
@@ -498,7 +493,8 @@ def _resolve(registry: dict, what: str, name: str,
             raise ValueError(
                 f"{what} has no parameter {key!r}; it takes "
                 f"{', '.join(names) or 'none'}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"parameter {key} of {what} must be a number, "
-                             f"got {value!r}")
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise ValueError(f"parameter {key} of {what} must be a finite "
+                             f"number, got {value!r}")
     return factory

@@ -395,8 +395,8 @@ def elaborate(nl: Netlist) -> StochasticDae:
     """Assemble the stochastic DAE by full modified nodal analysis.
 
     The elements are compiled once into one incidence matrix per element
-    group and index arrays into xi, so the returned model is batched: q, f
-    and their Jacobians broadcast over stacks of states and parameters.
+    group and index arrays into xi, so q, f and their Jacobians evaluate a
+    stack of states and parameters in one call each.
     """
     node_index: dict[str, int] = {}
     for e in nl.elements:
@@ -542,5 +542,5 @@ def elaborate(nl: Netlist) -> StochasticDae:
     return StochasticDae(
         n=n, d=d, distributions=distributions,
         q=q, f=f, dq_dx=dq_dx, df_dx=df_dx,
-        x0_guess=np.zeros(n), labels=labels, batched=True,
+        x0_guess=np.zeros(n), labels=labels,
         dq_pattern=dq_pattern, df_pattern=df_pattern)

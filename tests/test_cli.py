@@ -1069,10 +1069,17 @@ RC_ZETA = ["hier-propagate", "--system", "builtin:rc-zeta",
     (RC_ZETA, "r=abc", "parameter r "),
     (["hier-propagate", "--system", "builtin:sum", "--blocks", "BLOCK"],
      "r=1", "'r'"),
-], ids=["builtin", "netlist", "rc-zeta", "rc-zeta-value", "sum"])
+    (["dc", "--model", "builtin:diode-rectifier"], "vin=nan",
+     "parameter vin "),
+    (RC_ZETA, "spread=nan", "parameter spread "),
+    (["transient", "--model", "builtin:plate-actuator"], "voltage=-inf",
+     "parameter voltage "),
+], ids=["builtin", "netlist", "rc-zeta", "rc-zeta-value", "sum",
+        "builtin-nan", "rc-zeta-nan", "builtin-inf"])
 def test_bad_param_is_user_error(divider, block, tmp_path, capsys, argv,
                                  param, named):
-    # these used to raise a TypeError or to be ignored silently
+    # these used to raise a TypeError or to be ignored silently; a
+    # non-finite value ran Newton to its iteration cap and exited 2
     argv = [{"DIVIDER": divider, "BLOCK": block}.get(a, a) for a in argv]
     rc = cli.main(argv + ["--param", param,
                           "--outdir", str(tmp_path / "out")])

@@ -29,13 +29,13 @@ def hermite_expansion(coeffs):
 
 
 def linear_gaussian_surrogate():
-    block = algebraic_model(lambda xi: [xi[0]], (GAUSS,), 1)
+    block = algebraic_model(lambda xi: xi[..., :1], (GAUSS,), 1)
     return hier.extract_block_surrogate(block, 1)
 
 
 def skewed_surrogate(order=2):
-    block = algebraic_model(lambda xi: [xi[0] + 0.3 * xi[0] ** 2 - 0.3],
-                            (GAUSS,), 1)
+    block = algebraic_model(
+        lambda xi: xi[..., :1] + 0.3 * xi[..., :1] ** 2 - 0.3, (GAUSS,), 1)
     return hier.extract_block_surrogate(block, order)
 
 
@@ -91,7 +91,7 @@ def test_normalized_zeta_has_unit_moments(coeffs):
 
 
 def test_extract_block_surrogate_by_label():
-    block = algebraic_model(lambda xi: [xi[0], 2.0 * xi[0]], (GAUSS,), 2,
+    block = algebraic_model(lambda xi: xi[..., :1] * [1.0, 2.0], (GAUSS,), 2,
                             labels=("first", "second"))
     s = hier.extract_block_surrogate(block, 1, output="second")
     assert s.b == pytest.approx(2.0, abs=1e-12)
@@ -145,7 +145,8 @@ def three_input_surrogate():
     # nonlinear in two uniforms and a Gaussian, cubic surrogate
     unif = Distribution.uniform(-1.0, 1.0)
     block = algebraic_model(
-        lambda xi: [np.exp(0.4 * xi[0]) + 0.3 * xi[1] + 0.2 * xi[0] * xi[2]],
+        lambda xi: (np.exp(0.4 * xi[..., :1]) + 0.3 * xi[..., 1:2]
+                    + 0.2 * xi[..., :1] * xi[..., 2:]),
         (unif, unif, GAUSS), 1)
     return hier.extract_block_surrogate(block, 3)
 
@@ -302,7 +303,7 @@ def test_gauss_hermite_four_point_rule():
 
 def test_uniform_unit_variance_two_point_rule():
     # y = xi ~ U(0,1) normalizes to zeta ~ U(-sqrt(3), sqrt(3))
-    block = algebraic_model(lambda xi: [xi[0]], (UNIF01,), 1)
+    block = algebraic_model(lambda xi: xi[..., :1], (UNIF01,), 1)
     s = hier.extract_block_surrogate(block, 1)
     dens = hier.density_by_quadrature(s)
     basis, rule = hier.build_intermediate_basis(dens, 1)
@@ -353,7 +354,7 @@ def test_sampled_density_is_normalized():
 
 def test_route_agreement_on_bounded_surrogate():
     # recurrence coefficients from both density routes, uniform block
-    block = algebraic_model(lambda xi: [xi[0]], (UNIF01,), 1)
+    block = algebraic_model(lambda xi: xi[..., :1], (UNIF01,), 1)
     s = hier.extract_block_surrogate(block, 1)
     bq, _ = hier.build_intermediate_basis(hier.density_by_quadrature(s), 3)
     bs, _ = hier.build_intermediate_basis(
@@ -379,7 +380,7 @@ def test_sampled_density_input_validation():
     with pytest.raises(ValueError, match="at least"):
         hier.density_by_sampling(s, 5000)
     # a constant block is rejected upstream, at normalization
-    block = algebraic_model(lambda xi: [1.0 + 1e-300 * xi[0]], (GAUSS,), 1)
+    block = algebraic_model(lambda xi: 1.0 + 1e-300 * xi[..., :1], (GAUSS,), 1)
     with pytest.raises(ValueError, match="variance is zero"):
         hier.extract_block_surrogate(block, 1)
     # the degenerate-sample guard itself, on a hand-built surrogate
@@ -397,7 +398,8 @@ def test_identity_system_preserves_unit_moments():
     s = skewed_surrogate()
     dens = hier.density_by_quadrature(s)
     basis, _ = hier.build_intermediate_basis(dens, 3)
-    system = algebraic_model(lambda z: [z[0]], (dens.as_distribution(),), 1)
+    system = algebraic_model(lambda z: z[..., :1],
+                             (dens.as_distribution(),), 1)
     exp = hier.propagate_dc(system, (basis,), 3)
     mean, var = exp.mean_variance()
     assert float(mean[0]) == pytest.approx(0.0, abs=1e-10)
@@ -406,7 +408,7 @@ def test_identity_system_preserves_unit_moments():
 
 def test_sum_of_independent_intermediates_has_variance_two():
     d1 = hier.density_by_quadrature(skewed_surrogate())
-    block = algebraic_model(lambda xi: [xi[0]], (UNIF01,), 1)
+    block = algebraic_model(lambda xi: xi[..., :1], (UNIF01,), 1)
     d2 = hier.density_by_quadrature(hier.extract_block_surrogate(block, 1))
     b1, _ = hier.build_intermediate_basis(d1, 2)
     b2, _ = hier.build_intermediate_basis(d2, 2)

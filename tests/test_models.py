@@ -1,15 +1,18 @@
 """Model containers: conversion fidelity, Jacobian fallbacks, builtins."""
 
 import dataclasses
+import functools
+import re
 
 import numpy as np
 import pytest
 
 from conftest import dc_newton
-from uqsim import models
+from uqsim import hier, models, netlist
 from uqsim.models import (UnknownModelError, algebraic_model, builtin_model,
                           mosfet_current, second_order_model,
                           shockley_current)
+from uqsim.montecarlo import sample_parameters
 from uqsim.polychaos import Distribution
 
 
@@ -36,7 +39,7 @@ def undamped_oscillator():
     return second_order_model(
         mass=lambda z, xi: np.array([[1.0]]),
         damping=lambda z, xi: np.array([[0.0]]),
-        force=lambda z, xi, t: np.array([z[0]]),
+        force=lambda z, xi, t: z,
         distributions=(),
         z0=np.array([1.0]), v0=np.array([0.0]),
         labels=("z",))
@@ -53,7 +56,7 @@ class TestSecondOrderConversion:
         dae = second_order_model(
             mass=lambda z, xi: np.array([[1.0]]),
             damping=lambda z, xi: np.array([[2.0]]),
-            force=lambda z, xi, t: np.array([z[0]]),
+            force=lambda z, xi, t: z,
             distributions=(),
             z0=np.array([1.0]), v0=np.array([-1.0]))
         x = rk4_integrate(dae, np.zeros(0), dae.initial_guess(), 1.0, 2000)
@@ -64,7 +67,7 @@ class TestSecondOrderConversion:
             second_order_model(
                 mass=lambda z, xi: np.array([[0.0]]),
                 damping=lambda z, xi: np.array([[1.0]]),
-                force=lambda z, xi, t: np.array([z[0]]),
+                force=lambda z, xi, t: z,
                 distributions=(),
                 z0=np.zeros(1), v0=np.zeros(1))
 
@@ -75,7 +78,7 @@ class TestSecondOrderConversion:
         dae = second_order_model(
             mass=lambda z, xi: M,
             damping=lambda z, xi: D,
-            force=lambda z, xi, t: K @ z,
+            force=lambda z, xi, t: z @ K.T,
             distributions=(),
             z0=np.zeros(2), v0=np.zeros(2))
         # dx/dt = -f, so the state matrix is -df/dx
@@ -102,8 +105,8 @@ class TestSecondOrderConversion:
         assert np.array_equal(dae.jac_q(x, np.zeros(0)), np.eye(2))
 
     def test_batched_conversion_matches_the_builtin_plate(self):
-        # the plate actuator as a batched second-order model: (1, 1) mass
-        # and damping broadcast over the stack, a drive voltage answering
+        # the plate actuator as a second-order model: (1, 1) mass and
+        # damping broadcast over the stack, a drive voltage answering
         # per-row times
         def force(z, xi, t):
             k = 1.0 + 0.05 * xi[..., 0]
@@ -117,8 +120,8 @@ class TestSecondOrderConversion:
             mass=lambda z, xi: np.array([[1.0]]),
             damping=lambda z, xi: np.array([[0.6]]),
             force=force, distributions=plate.distributions,
-            z0=np.zeros(1), v0=np.zeros(1), labels=("z",), batched=True)
-        assert dae.batched and dae.labels == plate.labels
+            z0=np.zeros(1), v0=np.zeros(1), labels=("z",))
+        assert dae.labels == plate.labels
         rng = np.random.default_rng(3)
         X = rng.normal(scale=0.2, size=(40, 2))
         P = rng.normal(size=(40, 2))
@@ -142,10 +145,10 @@ class TestJacobians:
             assert np.max(np.abs(analytic - fd)) / scale < 1e-5
 
     def test_stacked_fd_equals_rows(self):
-        # a batched model without df_dx gets column-by-column differences
-        # over the whole stack, with each row's step: the per-row bits
+        # a model without df_dx gets column-by-column differences over the
+        # whole stack, with each row's step: the per-row bits
         dae = dataclasses.replace(builtin_model("plate_actuator"), df_dx=None)
-        assert dae.batched and dae.df_dx is None
+        assert dae.df_dx is None
         rng = np.random.default_rng(7)
         X = rng.normal(size=(64, 2)) * 10.0 ** rng.integers(-9, 2, (64, 1))
         X[0] = 0.0
@@ -164,6 +167,106 @@ class TestJacobians:
         J = models._fd_jacobian(fn, np.array([1e6, 2.0]))
         assert abs(J[0, 0] - 2e6 * 1e-8) < 1e-4
         assert abs(J[1, 1] - 4.0) < 1e-6
+
+
+GAUSS = Distribution.gaussian(0.0, 1.0)
+UNIF = Distribution.uniform(-1.0, 1.0)
+
+RLCDM_NETLIST = ("V1 1 0 1\n"
+                 "R1 1 2 1k variation=relative:uniform(0.9,1.1)\n"
+                 "L1 2 3 1m variation=relative:uniform(0.8,1.2)\n"
+                 "C1 3 0 1u variation=relative:uniform(0.8,1.2)\n"
+                 "D1 3 4 variation.is=uniform(5e-10,2e-9)\n"
+                 "R2 4 0 2k\n"
+                 "M1 4 3 0 kp=1m vth=0.3 variation.vth=gauss(0.3,0.02)\n")
+
+
+def stacked_second_order():
+    # a state- and input-dependent mass, a fixed damping matrix and a
+    # drive that reads t
+    return second_order_model(
+        mass=lambda z, xi: (1.0 + 0.1 * xi[..., :1, None] ** 2
+                            + 0.2 * z[..., :, None] ** 2) * np.eye(2),
+        damping=lambda z, xi: np.array([[0.3, 0.1], [0.1, 0.2]]),
+        force=lambda z, xi, t: (z ** 3 + xi * z
+                                - np.sin(np.asarray(t))[..., None]),
+        distributions=(GAUSS, UNIF), z0=np.zeros(2), v0=np.zeros(2))
+
+
+# every model the library builds, by kind
+LIBRARY_MODELS = {
+    **{name: functools.partial(builtin_model, name)
+       for name in models.BUILTIN_MODELS},
+    "netlist": lambda: netlist.elaborate(netlist.parse_netlist(RLCDM_NETLIST)),
+    "sum": lambda: hier._sum_system((GAUSS, UNIF)),
+    "rc_zeta": lambda: hier._rc_zeta_system((UNIF,)),
+    "algebraic": lambda: algebraic_model(
+        lambda xi: np.stack([np.exp(0.4 * xi[..., 0]) + xi[..., 1],
+                             xi[..., 0] * xi[..., 1]], axis=-1),
+        (GAUSS, UNIF), 2),
+    "second_order": stacked_second_order,
+}
+
+
+class TestStackContract:
+    @pytest.mark.parametrize("times", ["float", "per_row"])
+    @pytest.mark.parametrize("name", sorted(LIBRARY_MODELS))
+    def test_stack_equals_rows(self, name, times):
+        # one call on an (N, ...) stack gives each row the bits of a call
+        # on that row alone, with each row's own time as a float
+        dae = LIBRARY_MODELS[name]()
+        rng = np.random.default_rng(11)
+        X = rng.normal(scale=0.2, size=(7, dae.n))
+        P = sample_parameters(dae.distributions, 7, seed=4)
+        t = 0.37 if times == "float" else rng.uniform(0.0, 2.0, size=7)
+        ts = np.broadcast_to(t, (7,)).tolist()
+        rows = [np.array([dae.q(x, p) for x, p in zip(X, P)]),
+                np.array([dae.f(x, p, ti) for x, p, ti in zip(X, P, ts)]),
+                np.array([dae.jac_q(x, p) for x, p in zip(X, P)]),
+                np.array([dae.jac_f(x, p, ti)
+                          for x, p, ti in zip(X, P, ts)])]
+        stacked = [dae.q(X, P), dae.f(X, P, t), dae.jac_q(X, P),
+                   dae.jac_f(X, P, t)]
+        many = [dae.q_many(X, P), dae.f_many(X, P, t), dae.jac_q_many(X, P),
+                dae.jac_f_many(X, P, t)]
+        for row, stack, checked in zip(rows, stacked, many):
+            assert np.array_equal(np.asarray(stack), row)
+            assert np.array_equal(checked, row)
+
+    def test_per_point_callables_raise(self):
+        # a per-point callable reads row 0 of a stack; numpy would
+        # broadcast its answer over every row
+        dists = (Distribution.uniform(0.0, 1.0),)
+        X, P = np.zeros((5, 1)), np.linspace(0.1, 0.9, 5)[:, None]
+        per_point = models.StochasticDae(
+            n=1, d=1, distributions=dists, q=lambda x, xi: np.zeros(1),
+            f=lambda x, xi, t: np.array([x[0] ** 2 + xi[0]]),
+            df_dx=lambda x, xi, t: np.array([[2.0 * x[0]]]))
+        with pytest.raises(ValueError, match=re.escape(
+                "f returned shape (1, 1), expected (5, 1)")):
+            per_point.f_many(X, P, 0.0)
+        with pytest.raises(ValueError, match=re.escape(
+                "q returned shape (1,), expected (5, 1)")):
+            per_point.q_many(X, P)
+        with pytest.raises(ValueError, match=re.escape(
+                "df_dx returned shape (1, 1, 1), expected (5, 1, 1)")):
+            per_point.jac_f_many(X, P, 0.0)
+        block = algebraic_model(lambda xi: [xi[0]], dists, 1)
+        with pytest.raises(ValueError, match=re.escape(
+                "fn returned shape (1, 1), expected (5, 1)")):
+            block.f_many(X, P, 0.0)
+
+    def test_labels_and_start_hold_one_entry_per_state(self):
+        # a short labels tuple built and solved, and the stats table then
+        # dropped the unlabeled output; a short start failed in numpy
+        with pytest.raises(ValueError, match="labels has 1 entries for a "
+                           "model with 2 states"):
+            algebraic_model(lambda xi: xi * [1.0, 2.0], (GAUSS,), 2,
+                            labels=("a",))
+        with pytest.raises(ValueError, match=re.escape(
+                "x0_guess must have shape (3,), got (2,)")):
+            dataclasses.replace(builtin_model("diode_rectifier"),
+                                x0_guess=np.zeros(2))
 
 
 class TestDeviceEquations:
@@ -215,8 +318,9 @@ class TestDeviceEquations:
 class TestAlgebraicModel:
     def test_wraps_map_as_dae(self):
         dists = (Distribution.uniform(0.0, 1.0),)
-        dae = algebraic_model(lambda xi: [xi[0] ** 2, 1.0 - xi[0]],
-                              dists, n_outputs=2, labels=("a", "b"))
+        dae = algebraic_model(
+            lambda xi: np.concatenate([xi ** 2, 1.0 - xi], axis=-1),
+            dists, n_outputs=2, labels=("a", "b"))
         x = dc_newton(dae, np.array([0.5]))
         assert np.allclose(x, [0.25, 0.5], atol=1e-12)
         assert dae.labels == ("a", "b")
@@ -248,8 +352,9 @@ class TestBuiltins:
             dae.output_index(True)
 
     def test_unlabeled_outputs_are_x_j(self):
-        dae = algebraic_model(lambda xi: [xi[0], 1.0],
-                              (Distribution.gaussian(0.0, 1.0),), 2)
+        dae = algebraic_model(
+            lambda xi: np.concatenate([xi, np.ones_like(xi)], axis=-1),
+            (Distribution.gaussian(0.0, 1.0),), 2)
         assert dae.labels == ("x0", "x1")
         assert dae.output_index("x1") == 1
 

@@ -65,7 +65,7 @@ class TestRunMc:
         dae = models.second_order_model(
             mass=lambda z, xi: np.eye(1),
             damping=lambda z, xi: np.full((1, 1), 0.5),
-            force=lambda z, xi, t: z - np.cos(t), distributions=(),
+            force=lambda z, xi, t: z - np.cos(t)[..., None], distributions=(),
             z0=np.zeros(1), v0=np.zeros(1))
         mc = run_mc(dae, "transient", n=64, seed=1, t_end=2.0)
         x0 = newton_dc(dae, np.zeros(0))
@@ -82,7 +82,9 @@ class TestRunMc:
         # histograms are those of n equal samples, one full bin
         import tracemalloc
 
-        dae = algebraic_model(lambda xi: [1.0, -2.0, 0.5], (), n_outputs=3)
+        dae = algebraic_model(
+            lambda xi: np.broadcast_to([1.0, -2.0, 0.5], xi.shape[:-1] + (3,)),
+            (), n_outputs=3)
         n = 10 ** 6
         tracemalloc.start()
         try:
@@ -114,8 +116,8 @@ class TestRunMc:
         basis = make_standard_basis(Distribution.gaussian(0, 1), 2)
         idx = total_degree_index_set(1, 2)
         exp = GpcExpansion(idx, np.array([[1.0], [0.4], [-0.2]]), (basis,))
-        dae = algebraic_model(lambda xi: exp.eval(xi, check_support=False),
-                              (Distribution.gaussian(0, 1),), n_outputs=1)
+        dae = algebraic_model(exp.eval_many, (Distribution.gaussian(0, 1),),
+                              n_outputs=1)
         mc = run_mc(dae, "dc", n=20000, seed=6)
         mean, var = exp.mean_variance()
         assert abs(mc.mean[0] - mean[0]) < 3 * mc.stderr[0]
@@ -126,8 +128,8 @@ class TestRunMc:
         dists = (Distribution.uniform(-1.0, 1.0),)
         bad = models.StochasticDae(
             n=1, d=1, distributions=dists,
-            q=lambda x, xi: np.zeros(1),
-            f=lambda x, xi, t: np.array([x[0] ** 2 + xi[0]]),
+            q=lambda x, xi: np.zeros(np.shape(x)),
+            f=lambda x, xi, t: x ** 2 + xi[..., :1],
             x0_guess=np.array([0.5]))
         with pytest.raises(SolverError, match="budget"):
             run_mc(bad, "dc", n=200, seed=2)
@@ -137,7 +139,7 @@ class TestRunMc:
         # unsolvable equation; every other sample solves x = xi
         dists = (Distribution.uniform(0.0, 1.0),)
 
-        def batched_model(lo, hi):
+        def model(lo, hi):
             def f(x, xi, t):
                 x, xi = np.asarray(x), np.asarray(xi)
                 return np.where(xi == lo, 0.0 * x - 1.0,
@@ -150,19 +152,17 @@ class TestRunMc:
 
             return models.StochasticDae(
                 n=1, d=1, distributions=dists, q=lambda x, xi: 0.0 * x,
-                f=f, df_dx=df_dx, x0_guess=np.array([0.3]), batched=True)
+                f=f, df_dx=df_dx, x0_guess=np.array([0.3]))
 
         xis = sample_parameters(dists, 2000, seed=3)[:, 0]   # budget 2
-        mc = run_mc(batched_model(xis.min(), xis.max()), "dc", n=2000,
-                    seed=3)
+        mc = run_mc(model(xis.min(), xis.max()), "dc", n=2000, seed=3)
         assert (mc.n_failed, mc.n_samples) == (2, 1998)
         solvable = np.sort(xis)[1:-1]
         assert mc.mean[0] == pytest.approx(solvable.mean(), abs=1e-12)
 
         xis = sample_parameters(dists, 1000, seed=3)[:, 0]   # budget 1
         with pytest.raises(SolverError, match="2 of 1000 samples"):
-            run_mc(batched_model(xis.min(), xis.max()), "dc", n=1000,
-                   seed=3)
+            run_mc(model(xis.min(), xis.max()), "dc", n=1000, seed=3)
 
     def test_transient_memory_does_not_grow_with_steps(self):
         # a stacked transient that logged one (t, h, accepted, lte) tuple

@@ -2,7 +2,6 @@
 
 import json
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -208,8 +207,9 @@ class TestSolveDc:
         dists = (Distribution.gaussian(0, 1), Distribution.uniform(-1, 1))
 
         def poly(xi):
-            return np.array([0.3 + 0.5 * xi[0] - 0.2 * xi[0] * xi[1],
-                             1.0 + 0.1 * xi[1] ** 2])
+            x0, x1 = xi[..., 0], xi[..., 1]
+            return np.stack([0.3 + 0.5 * x0 - 0.2 * x0 * x1,
+                             1.0 + 0.1 * x1 ** 2], axis=-1)
 
         dae = algebraic_model(poly, dists, n_outputs=2)
         tps = setup_problem(dae, 2)
@@ -224,8 +224,8 @@ class TestSolveDc:
         # x^2 + xi = 0 has no real solution for xi > 0
         bad = models.StochasticDae(
             n=1, d=1, distributions=dists,
-            q=lambda x, xi: np.zeros(1),
-            f=lambda x, xi, t: np.array([x[0] ** 2 + xi[0]]))
+            q=lambda x, xi: np.zeros(np.shape(x)),
+            f=lambda x, xi, t: x ** 2 + xi[..., :1])
         with pytest.raises(SolverError) as err:
             newton_dc(bad, np.array([1.0]))
         assert err.value.residual is not None and err.value.residual > 0
@@ -246,12 +246,10 @@ class TestSolveDc:
 
 class TestStackedNewton:
     @pytest.mark.parametrize("name", ["diode_rectifier", "opamp_like",
-                                      "nonlinear_2node", "row_by_row"])
+                                      "nonlinear_2node"])
     def test_matches_separate_newton_dc(self, name):
         if name == "nonlinear_2node":
             dae = netlist.elaborate(netlist.parse_netlist(NONLINEAR_2NODE))
-        elif name == "row_by_row":  # the same equations, one row per call
-            dae = replace(builtin_model("diode_rectifier"), batched=False)
         else:
             dae = builtin_model(name)
         P = sample_parameters(dae.distributions, 40, seed=1)
@@ -660,7 +658,7 @@ class TestTransient:
             assert np.array_equal(s_i, np.array([X[i] for X in states]))
 
     @pytest.mark.parametrize("name", ["plate_actuator", "nonlinear_rc",
-                                      "forced", "forced_row_by_row"])
+                                      "forced"])
     def test_own_clocks_equal_separate_adaptive_runs(self, name):
         # adaptive steps: on its own clock, each row of one stacked stepper
         # takes the steps, rejections and iterates of a one-sample run, bit
@@ -670,7 +668,7 @@ class TestTransient:
         if name == "nonlinear_rc":
             dae = netlist.elaborate(netlist.parse_netlist(NONLINEAR_RC))
             span, x0 = (0.0, 2e-4), np.zeros(dae.n)
-        elif name.startswith("forced"):
+        elif name == "forced":
             # dx/dt = -xi x + sin(20 t), xi ~ U(-1, 1)
             dae = models.StochasticDae(
                 n=1, d=1, distributions=(UNIFORM,),
@@ -678,8 +676,7 @@ class TestTransient:
                 f=lambda x, xi, t: (xi[..., :1] * x
                                     - np.sin(20.0 * np.asarray(t))[..., None]),
                 dq_dx=lambda x, xi: np.ones(np.shape(x) + (1,)),
-                df_dx=lambda x, xi, t: xi[..., :1, None] * np.ones((1, 1)),
-                batched=name == "forced")
+                df_dx=lambda x, xi, t: xi[..., :1, None] * np.ones((1, 1)))
             span, x0 = (0.0, 0.5), np.zeros(1)
             opts = SolverOptions(lte_tol=1e-3)
         else:
@@ -753,8 +750,7 @@ class TestTransient:
             n=1, d=1, distributions=(UNIFORM,),
             q=lambda x, xi: np.array(x, dtype=float), f=f,
             dq_dx=lambda x, xi: np.ones(np.shape(x) + (1,)),
-            df_dx=lambda x, xi, t: xi[..., :1, None] * np.ones((1, 1)),
-            batched=True)
+            df_dx=lambda x, xi, t: xi[..., :1, None] * np.ones((1, 1)))
         span, x0 = (0.0, 1.0), np.ones(1)
         with pytest.raises(SolverError, match="did not converge"):
             integrate_deterministic(dae, np.array([0.95]), span, x0)

@@ -55,7 +55,8 @@ def instances() -> dict:
         "Surrogate": surrogate,
         "IntermediateDensity": hier.density_by_quadrature(surrogate),
         "McResult": montecarlo.run_mc(
-            algebraic_model(lambda xi: [xi[0]], (uniform,), 1), "dc", 10, 0),
+            algebraic_model(lambda xi: xi[..., :1], (uniform,), 1), "dc",
+            10, 0),
         "AnovaTerm": decomposition.terms[0],
         "AnovaDecomposition": decomposition,
     }
