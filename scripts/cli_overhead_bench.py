@@ -65,7 +65,7 @@ def _least(fn, repeats: int) -> float:
 def _writer(path: str):
     """A call that rewrites the JSON artifact at path the way the loaded
     library writes it, and the artifact's text."""
-    from uqsim import polychaos, stsolver
+    from uqsim import cli, polychaos, stsolver
 
     with open(path) as fh:
         text = fh.read()
@@ -75,7 +75,8 @@ def _writer(path: str):
         exps = tuple(polychaos.expansion_from_json(json.dumps(e))
                      for e in doc["expansions"])
         sol = stsolver.StSolution(doc["times"], exps, (), 0, ())
-        return sol.expansions_json, text
+        write = getattr(cli, "_solution_json", None)
+        return ((lambda: write(sol)) if write else sol.expansions_json), text
     if name.endswith("_expansion.json"):
         exp = polychaos.expansion_from_json(text)
         return (lambda: polychaos.expansion_to_json(exp)), text

@@ -6,8 +6,10 @@
 Imports DIR's library (DIR/src) and job lists (DIR/perfbench/workloads.py,
 read as it is) and runs each job of each workload and seed through
 `uqsim.cli.main`, in list order, into OUT/seed<S>/<workload>/<job id>/.
-The inputs go to OUT/seed<S>/<workload>/inputs/ and every path a job sees
-is relative to its workload's directory, so two checkouts' trees compare
+Each job's exit code and standard output, with its workload's directory
+written as `.`, go to OUT/seed<S>/<workload>/<job id>.stdout.  The
+inputs go to OUT/seed<S>/<workload>/inputs/ and every path a job sees is
+relative to its workload's directory, so two checkouts' trees compare
 with `diff -r` byte for byte.  Exits 1 if a job fails.
 """
 
@@ -37,15 +39,18 @@ def main(argv=None) -> int:
             os.makedirs(workdir, exist_ok=True)
             with contextlib.chdir(workdir):
                 for job in workloads.build(name, seed, "."):
-                    log = io.StringIO()
-                    with contextlib.redirect_stdout(log), \
-                            contextlib.redirect_stderr(log):
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), \
+                            contextlib.redirect_stderr(err):
                         rc = cli.main(list(job.argv)
                                       + ["--outdir", os.path.join(".", job.id)])
+                    with open(f"{job.id}.stdout", "w") as fh:
+                        fh.write(f"exit {rc}\n" + out.getvalue().replace(
+                            os.getcwd(), "."))
                     if rc != 0:
                         failed += 1
                         print(f"seed {seed} {name}/{job.id}: exit {rc}: "
-                              f"{log.getvalue().strip()}", file=sys.stderr)
+                              f"{err.getvalue().strip()}", file=sys.stderr)
     return 1 if failed else 0
 
 

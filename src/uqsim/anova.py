@@ -15,7 +15,6 @@ indices are read off coefficient-wise.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from typing import Callable, Mapping, Sequence
 
@@ -36,8 +35,6 @@ __all__ = [
     "adaptive_anova",
     "sample_count",
     "sensitivities",
-    "decomposition_report",
-    "sensitivity_csv",
 ]
 
 
@@ -352,39 +349,3 @@ def sensitivities(exp: GpcExpansion) -> tuple[np.ndarray, np.ndarray]:
         only_k = involves & (indices.sum(axis=1) == indices[:, k])
         S[k] = np.sum(sq[only_k]) / variance
     return S, T
-
-
-def decomposition_report(decomp: AnovaDecomposition,
-                         exp: GpcExpansion) -> dict:
-    """JSON-ready summary: anchor constant, terms, S/T, sample count."""
-    _, var = exp.mean_variance()
-    if float(var[0]) > 0.0:
-        S, T = sensitivities(exp)
-    else:
-        # a constant response has no variance to attribute
-        d = exp.index_set.dimension
-        S = T = np.zeros(d)
-    return {
-        "g0": decomp.g0,
-        "terms": [
-            {"s": list(t.subset), "variance": t.variance, "theta": t.theta}
-            for t in decomp.terms
-        ],
-        "S": [float(v) for v in S],
-        "T": [float(v) for v in T],
-        "N_samples": decomp.n_evaluations,
-    }
-
-
-def sensitivity_csv(S: np.ndarray, T: np.ndarray,
-                    labels: Sequence[str] | None = None) -> str:
-    if labels is None:
-        labels = [f"x{k}" for k in range(len(S))]
-    lines = ["input,main_sensitivity,total_sensitivity"]
-    for name, s, t in zip(labels, S, T):
-        lines.append(f"{name},{float(s)!r},{float(t)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"

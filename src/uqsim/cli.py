@@ -1,9 +1,13 @@
 """Batch driver: parse a job, dispatch one analysis, write artifacts.
 
 One job per process.  The job comes from an optional JSON config file plus
-command-line flags; flags win on conflict.  Output files are written via a
-temporary name and an atomic rename, so a rerun with the same config and
-seed leaves byte-identical files and a crash never leaves partial output.
+command-line flags; flags win on conflict.  The analysis modules hand back
+values; this module alone formats them as artifacts (every CSV through
+_csv) and writes them: each runner returns its files' texts and a summary,
+and main writes the files, then prints the summary.  Output files are
+written via a temporary name and an atomic rename, so a rerun with the
+same config and seed leaves byte-identical files and a crash never leaves
+partial output.
 
 Exit codes: 0 on success, 1 for configuration and input errors, 2 for
 numeric failures inside a solver.  Errors are reported to stderr as a
@@ -32,10 +36,11 @@ from .montecarlo import run_mc
 from .netlist import elaborate, parse_netlist
 from .polychaos import (DegenerateMeasureError, GpcExpansion,
                         expansion_to_dict, expansion_to_json,
-                        monotone_cubic, total_degree_index_set, _dump_json)
-from .stsolver import (SolverError, SolverOptions, integrate_transient,
-                       newton_dc, select_testing_points, solve_dc,
-                       standard_bases)
+                        monotone_cubic, total_degree_index_set, _dump_json,
+                        _mean_variance)
+from .stsolver import (SolverError, SolverOptions, StSolution,
+                       integrate_transient, newton_dc, select_testing_points,
+                       solve_dc, standard_bases)
 
 # A console-script or launcher process runs one job and never frees its
 # import-time heap, so keep that heap out of every collection, the one at
@@ -281,7 +286,7 @@ def build_config(argv) -> JobConfig:
 
 
 # ---------------------------------------------------------------------------
-# model loading and artifact writing
+# model loading
 
 
 def _load_model(cfg: JobConfig):
@@ -309,6 +314,10 @@ def _input_labels(model, nl) -> tuple[str, ...]:
     return tuple(f"xi{k}" for k in range(model.d))
 
 
+# ---------------------------------------------------------------------------
+# artifact formats and writing
+
+
 def _write(path: str, text: str) -> None:
     """Atomic write through a temporary file unique to this call, so jobs
     sharing an output directory never write into each other's file."""
@@ -329,37 +338,79 @@ def _write(path: str, text: str) -> None:
         raise
 
 
-def _artifact(cfg: JobConfig, name: str) -> str:
-    os.makedirs(cfg.outdir, exist_ok=True)
-    return os.path.join(cfg.outdir, name)
-
-
-def _stats_csv(labels, mean, std, extra=()) -> str:
-    head = "output,mean,std"
-    cols = [mean, std]
-    for name, values in extra:
-        head += f",{name}"
-        cols.append(values)
-    lines = [head]
-    for j, label in enumerate(labels):
-        row = [label] + [repr(float(c[j])) for c in cols]
-        lines.append(",".join(row))
+def _csv(header, rows) -> str:
+    """The header line, then one line per row: a str cell as it is, a
+    number (a Python int or float) by repr, which reads back bit for bit."""
+    lines = [",".join(header)]
+    lines += (",".join(c if isinstance(c, str) else repr(c) for c in row)
+              for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def _print_stats(labels, mean, std) -> None:
+def _stats_csv(labels, mean, std, **extra) -> str:
+    """One row per output: its label, mean, std, then the `extra` columns."""
+    cols = [mean, std, *extra.values()]
+    return _csv(["output", "mean", "std", *extra],
+                zip(labels, *(np.asarray(c, dtype=float).tolist()
+                              for c in cols)))
+
+
+def _stats_table(labels, mean, std) -> str:
     width = max(len(s) for s in labels)
-    print(f"{'output':<{width}}  {'mean':>24}  {'std':>24}")
+    lines = [f"{'output':<{width}}  {'mean':>24}  {'std':>24}"]
     for j, label in enumerate(labels):
-        print(f"{label:<{width}}  {float(mean[j]):>24.16e}  "
-              f"{float(std[j]):>24.16e}")
+        lines.append(f"{label:<{width}}  {float(mean[j]):>24.16e}  "
+                     f"{float(std[j]):>24.16e}")
+    return "\n".join(lines)
+
+
+def _waveform_csv(sol: StSolution) -> str:
+    """One row per time: t, then mean and std per output."""
+    exps = sol.expansions
+    # one stacked call gives each time the bits of its own mean_variance
+    mean, var = _mean_variance(exps[0].index_set,
+                               np.stack([e.coefficients for e in exps]))
+    return _csv(["t", *(f"mean_{l}" for l in sol.labels),
+                 *(f"std_{l}" for l in sol.labels)],
+                np.column_stack([sol.times, mean, np.sqrt(var)]).tolist())
+
+
+def _solution_json(sol: StSolution) -> str:
+    return _dump_json({
+        "schema": "st-solution/1",
+        "times": sol.times.tolist(),
+        "expansions": [expansion_to_dict(e) for e in sol.expansions],
+    })
+
+
+def _anova_report(decomp: anova_mod.AnovaDecomposition,
+                  exp: GpcExpansion) -> str:
+    """Anchor constant, terms, S/T and the evaluation count."""
+    _, var = exp.mean_variance()
+    if float(var[0]) > 0.0:
+        S, T = anova_mod.sensitivities(exp)
+    else:   # a constant response has no variance to attribute
+        S = T = np.zeros(exp.index_set.dimension)
+    return json.dumps({
+        "g0": decomp.g0,
+        "terms": [{"s": list(t.subset), "variance": t.variance,
+                   "theta": t.theta} for t in decomp.terms],
+        "S": S.tolist(),
+        "T": T.tolist(),
+        "N_samples": decomp.n_evaluations,
+    }, indent=2) + "\n"
+
+
+def _sensitivity_csv(labels, S, T) -> str:
+    return _csv(["input", "main_sensitivity", "total_sensitivity"],
+                zip(labels, S.tolist(), T.tolist()))
 
 
 # ---------------------------------------------------------------------------
-# analysis dispatch
+# analysis dispatch: each runner returns ({file name: text}, summary)
 
 
-def _run_dc(cfg: JobConfig) -> None:
+def _run_dc(cfg: JobConfig):
     model, _ = _load_model(cfg)
     opts = cfg.solver_options()
     tps = select_testing_points(standard_bases(model, cfg.order), cfg.order,
@@ -367,11 +418,10 @@ def _run_dc(cfg: JobConfig) -> None:
     exp = solve_dc(model, tps, opts)
     mean, var = exp.mean_variance()
     std = np.sqrt(var)
-    _write(_artifact(cfg, "dc_stats.csv"), _stats_csv(model.labels, mean, std))
-    _write(_artifact(cfg, "dc_expansion.json"), expansion_to_json(exp))
-    _print_stats(model.labels, mean, std)
-    print(f"dc: order {cfg.order}, {tps.n_points} testing points; wrote "
-          f"dc_stats.csv, dc_expansion.json in {cfg.outdir}")
+    return ({"dc_stats.csv": _stats_csv(model.labels, mean, std),
+             "dc_expansion.json": expansion_to_json(exp)},
+            f"{_stats_table(model.labels, mean, std)}\n"
+            f"dc: order {cfg.order}, {tps.n_points} testing points")
 
 
 def _resolve_t_end(cfg: JobConfig, nl) -> float:
@@ -385,22 +435,20 @@ def _resolve_t_end(cfg: JobConfig, nl) -> float:
                      "in the netlist)")
 
 
-def _run_transient(cfg: JobConfig) -> None:
+def _run_transient(cfg: JobConfig):
     model, nl = _load_model(cfg)
     t_end = _resolve_t_end(cfg, nl)
     opts = cfg.solver_options()
     tps = select_testing_points(standard_bases(model, cfg.order), cfg.order,
                                 opts.condition_cap)
     sol = integrate_transient(model, tps, (0.0, t_end), options=opts)
-    _write(_artifact(cfg, "transient_stats.csv"), sol.to_csv())
-    _write(_artifact(cfg, "transient_expansions.json"),
-           sol.expansions_json())
     mean, var = sol.final().mean_variance()
-    _print_stats(model.labels, mean, np.sqrt(var))
     # times holds the start t = 0 ahead of one time per accepted step
-    print(f"transient: {len(sol.times) - 1} accepted steps to t={t_end:g}, "
-          f"{sol.n_point_solves} point solves; wrote transient_stats.csv, "
-          f"transient_expansions.json in {cfg.outdir}")
+    return ({"transient_stats.csv": _waveform_csv(sol),
+             "transient_expansions.json": _solution_json(sol)},
+            f"{_stats_table(model.labels, mean, np.sqrt(var))}\n"
+            f"transient: {len(sol.times) - 1} accepted steps to "
+            f"t={t_end:g}, {sol.n_point_solves} point solves")
 
 
 def _run_decomposition(cfg: JobConfig):
@@ -427,56 +475,51 @@ def _run_decomposition(cfg: JobConfig):
     return model, nl, decomp, exp
 
 
-def _run_anova(cfg: JobConfig) -> None:
+def _run_anova(cfg: JobConfig):
     model, nl, decomp, exp = _run_decomposition(cfg)
-    report = anova_mod.decomposition_report(decomp, exp)
-    _write(_artifact(cfg, "anova_report.json"),
-           anova_mod.report_json(report))
-    _write(_artifact(cfg, "anova_expansion.json"), expansion_to_json(exp))
     kept = sum(len(s) for s in decomp.active.values())
-    print(f"anova: m={decomp.m} sigma={decomp.sigma:g}; "
-          f"{1 + len(decomp.terms)} terms "
-          f"({kept} past the screen, {len(decomp.pruned)} screened), "
-          f"levels {decomp.n_by_level}, {decomp.n_evaluations} model "
-          f"evaluations; wrote anova_report.json, anova_expansion.json "
-          f"in {cfg.outdir}")
+    return ({"anova_report.json": _anova_report(decomp, exp),
+             "anova_expansion.json": expansion_to_json(exp)},
+            f"anova: m={decomp.m} sigma={decomp.sigma:g}; "
+            f"{1 + len(decomp.terms)} terms "
+            f"({kept} past the screen, {len(decomp.pruned)} screened), "
+            f"levels {decomp.n_by_level}, {decomp.n_evaluations} model "
+            f"evaluations")
 
 
-def _run_sensitivity(cfg: JobConfig) -> None:
+def _run_sensitivity(cfg: JobConfig):
     model, nl, decomp, exp = _run_decomposition(cfg)
     S, T = anova_mod.sensitivities(exp)
     labels = _input_labels(model, nl)
-    _write(_artifact(cfg, "sensitivity.csv"),
-           anova_mod.sensitivity_csv(S, T, labels=labels))
     width = max(len(s) for s in labels)
-    print(f"{'input':<{width}}  {'main':>12}  {'total':>12}")
+    lines = [f"{'input':<{width}}  {'main':>12}  {'total':>12}"]
     for k, label in enumerate(labels):
-        print(f"{label:<{width}}  {float(S[k]):>12.6f}  "
-              f"{float(T[k]):>12.6f}")
-    print(f"sensitivity: {decomp.n_evaluations} model evaluations; wrote "
-          f"sensitivity.csv in {cfg.outdir}")
+        lines.append(f"{label:<{width}}  {float(S[k]):>12.6f}  "
+                     f"{float(T[k]):>12.6f}")
+    lines.append(f"sensitivity: {decomp.n_evaluations} model evaluations")
+    return ({"sensitivity.csv": _sensitivity_csv(labels, S, T)},
+            "\n".join(lines))
 
 
-def _run_mc(cfg: JobConfig) -> None:
+def _run_mc(cfg: JobConfig):
     model, nl = _load_model(cfg)
     opts = cfg.solver_options()
     analysis = "transient" if cfg.t_end is not None else "dc"
     result = run_mc(model, analysis, cfg.samples, cfg.seed,
                     t_end=cfg.t_end, options=opts)
-    extra = (("stderr_mean", result.stderr),
-             ("stderr_std", result.stderr_std))
-    _write(_artifact(cfg, "mc_stats.csv"),
-           _stats_csv(result.labels, result.mean, result.std, extra))
-    lines = ["output,bin_lo,bin_hi,count"]
-    for label, (edges, counts) in zip(result.labels, result.histograms):
-        for b in range(len(counts)):
-            lines.append(f"{label},{float(edges[b])!r},"
-                         f"{float(edges[b + 1])!r},{int(counts[b])}")
-    _write(_artifact(cfg, "mc_histogram.csv"), "\n".join(lines) + "\n")
-    _print_stats(result.labels, result.mean, result.std)
-    print(f"mc: {result.n_samples} {analysis} samples, seed {result.seed}, "
-          f"{result.n_failed} failed; wrote mc_stats.csv, mc_histogram.csv "
-          f"in {cfg.outdir}")
+    bins = [[label, lo, hi, n] for label, (edges, counts)
+            in zip(result.labels, result.histograms)
+            for lo, hi, n in zip(edges[:-1].tolist(), edges[1:].tolist(),
+                                 counts.tolist())]
+    return ({"mc_stats.csv": _stats_csv(result.labels, result.mean,
+                                        result.std,
+                                        stderr_mean=result.stderr,
+                                        stderr_std=result.stderr_std),
+             "mc_histogram.csv": _csv(["output", "bin_lo", "bin_hi",
+                                       "count"], bins)},
+            f"{_stats_table(result.labels, result.mean, result.std)}\n"
+            f"mc: {result.n_samples} {analysis} samples, seed "
+            f"{result.seed}, {result.n_failed} failed")
 
 
 def _density_to_doc(dens: hier.IntermediateDensity) -> dict:
@@ -510,7 +553,7 @@ def _density_from_doc(doc: dict) -> hier.IntermediateDensity:
                                     cdf=cdf)
 
 
-def _run_hier_extract(cfg: JobConfig) -> None:
+def _run_hier_extract(cfg: JobConfig):
     model, _ = _load_model(cfg)
     opts = cfg.solver_options()
     j = model.output_index(cfg.output)
@@ -528,12 +571,10 @@ def _run_hier_extract(cfg: JobConfig) -> None:
         "zeta": expansion_to_dict(surrogate.zeta),
         "density": _density_to_doc(dens),
     }
-    name = cfg.out or "block.json"
-    _write(_artifact(cfg, name),
-           _dump_json(doc) + "\n")
-    print(f"hier-extract: output {model.labels[j]!r}, level "
-          f"a={surrogate.a!r}, spread b={surrogate.b!r}, {cfg.density} "
-          f"density; wrote {name} in {cfg.outdir}")
+    return ({cfg.out or "block.json": _dump_json(doc) + "\n"},
+            f"hier-extract: output {model.labels[j]!r}, level "
+            f"a={surrogate.a!r}, spread b={surrogate.b!r}, {cfg.density} "
+            f"density")
 
 
 def _load_block(path: str) -> tuple[dict, hier.IntermediateDensity]:
@@ -561,7 +602,7 @@ def _load_block(path: str) -> tuple[dict, hier.IntermediateDensity]:
                          f"{err}") from err
 
 
-def _run_hier_propagate(cfg: JobConfig) -> None:
+def _run_hier_propagate(cfg: JobConfig):
     if not cfg.blocks:
         raise UsageError("hier-propagate needs at least one --blocks file")
     if cfg.system is None:
@@ -571,6 +612,7 @@ def _run_hier_propagate(cfg: JobConfig) -> None:
     opts = cfg.solver_options()
     bases = tuple(hier.build_intermediate_basis(d, cfg.order)[0]
                   for d in densities)
+    sol = None
     if cfg.t_end is not None:
         x0 = None
         if cfg.x0 == "zero":   # the constant expansion 0
@@ -580,20 +622,17 @@ def _run_hier_propagate(cfg: JobConfig) -> None:
                                        (0.0, cfg.t_end), x0=x0,
                                        options=opts)
         exp = sol.final()
-        _write(_artifact(cfg, "hier_waveform.csv"), sol.to_csv())
     else:
         exp = hier.propagate_dc(system, bases, cfg.order, options=opts)
     mean, var = exp.mean_variance()
     std = np.sqrt(var)
-    _write(_artifact(cfg, "hier_stats.csv"),
-           _stats_csv(system.labels, mean, std))
-    _write(_artifact(cfg, "hier_expansion.json"), expansion_to_json(exp))
-    _print_stats(system.labels, mean, std)
-    wrote = "hier_stats.csv, hier_expansion.json"
-    if cfg.t_end is not None:
-        wrote += ", hier_waveform.csv"
-    print(f"hier-propagate: {len(densities)} block(s) through "
-          f"{cfg.system}; wrote {wrote} in {cfg.outdir}")
+    files = {"hier_stats.csv": _stats_csv(system.labels, mean, std),
+             "hier_expansion.json": expansion_to_json(exp)}
+    if sol is not None:
+        files["hier_waveform.csv"] = _waveform_csv(sol)
+    return files, (f"{_stats_table(system.labels, mean, std)}\n"
+                   f"hier-propagate: {len(densities)} block(s) through "
+                   f"{cfg.system}")
 
 
 # analysis -> (help, runner), in the order `uqsim --help` lists them
@@ -627,7 +666,11 @@ def main(argv=None) -> int:
         # non-finite values surface as solver or check failures instead
         with np.errstate(all="ignore"):
             cfg = build_config(argv)
-            _ANALYSES[cfg.analysis][1](cfg)
+            files, summary = _ANALYSES[cfg.analysis][1](cfg)
+            os.makedirs(cfg.outdir, exist_ok=True)
+            for name, text in files.items():
+                _write(os.path.join(cfg.outdir, name), text)
+        print(f"{summary}; wrote {', '.join(files)} in {cfg.outdir}")
         return EXIT_OK
     except (SolverError, DegenerateMeasureError, ArithmeticError,
             np.linalg.LinAlgError) as err:

@@ -14,9 +14,9 @@ Grammar (line oriented; `*` starts a comment line; blank lines ignored)::
 is for diodes); `variation.<param>=` names the parameter explicitly.
 Relative variations multiply the nominal value; absolute ones replace it;
 source values (V, I) cannot vary.  Every diagnostic, the structural checks
-included (a dangling node, a subnetwork with no path to ground, a
-parameter varied twice), comes from parse_netlist in the format
-"file:line:col: message".
+included (no node but ground, a dangling node, a subnetwork with no path
+to ground, a loop of voltage sources, a parameter varied twice), comes
+from parse_netlist in the format "file:line:col: message".
 
 Elaboration builds a StochasticDae by full modified nodal analysis: one
 unknown per non-ground node plus one branch current per voltage source and
@@ -271,9 +271,9 @@ def parse_netlist(text: str, filename: str = "<netlist>") -> Netlist:
         elements.append(Element(kind, first, tuple(nodes), params,
                                 lineno, first_col))
 
-    # cross checks: variations reference real parameters, ground exists,
-    # no node is touched by a single terminal only, every node reaches
-    # ground
+    # cross checks: variations reference real parameters, a node other
+    # than ground and ground exist, no node is touched by a single terminal
+    # only, no voltage sources form a loop, every node reaches ground
     by_name = {e.name: e for e in elements}
     for var in variations:
         elem = by_name[var.element]
@@ -282,30 +282,38 @@ def parse_netlist(text: str, filename: str = "<netlist>") -> Netlist:
                 f"{filename}:{elem.line}:{elem.col}: variation references "
                 f"unknown parameter '{var.param}' of {elem.name}")
 
-    if elements:
-        touched: dict[str, list] = {}
-        for e in elements:
-            for nd in e.nodes:
-                touched.setdefault(nd, []).append(e)
-        if GROUND not in touched:
+    touched: dict[str, list] = {}
+    for e in elements:
+        for nd in e.nodes:
+            touched.setdefault(nd, []).append(e)
+    if set(touched) <= {GROUND}:
+        line, col = (elements[0].line, elements[0].col) if elements \
+            else (1, 1)
+        raise NetlistError(
+            f"{filename}:{line}:{col}: no node other than ground "
+            f"'{GROUND}': nothing to solve")
+    if GROUND not in touched:
+        raise NetlistError(
+            f"{filename}:1:1: no ground node '{GROUND}' in the circuit")
+    for nd, elems in sorted(touched.items()):
+        # a single-terminal node is dangling unless its one element ties
+        # it straight to ground (a trivial but complete branch)
+        if nd != GROUND and len(elems) == 1 and GROUND not in elems[0].nodes:
+            e = elems[0]
             raise NetlistError(
-                f"{filename}:1:1: no ground node '{GROUND}' in the circuit")
-        for nd, elems in sorted(touched.items()):
-            # a single-terminal node is dangling unless its one element ties
-            # it straight to ground (a trivial but complete branch)
-            if nd != GROUND and len(elems) == 1 and GROUND not in elems[0].nodes:
-                e = elems[0]
-                raise NetlistError(
-                    f"{filename}:{e.line}:{e.col}: dangling node '{nd}' "
-                    f"(only {e.name} touches it)")
-        _connectivity_check(elements, filename)
+                f"{filename}:{e.line}:{e.col}: dangling node '{nd}' "
+                f"(only {e.name} touches it)")
+    _connectivity_check(elements, filename)
 
     return Netlist(tuple(elements), tuple(variations), tuple(analyses))
 
 
 def _connectivity_check(elements: list, filename: str):
-    """Union-find from ground; every node must reach it through elements.
-    A failure names the first element that touches a floating node."""
+    """Union-find over the terminals, the voltage sources first: a source
+    whose terminals the sources before it already join closes a loop of
+    sources, whose currents no equation fixes.  Then every node must
+    reach ground; a failure names the first element that touches a
+    floating node."""
     parent: dict[str, str] = {}
 
     def find(x):
@@ -320,7 +328,11 @@ def _connectivity_check(elements: list, filename: str):
         if ra != rb:
             parent[ra] = rb
 
-    for e in elements:
+    for e in sorted(elements, key=lambda e: e.kind != "V"):
+        if e.kind == "V" and find(e.nodes[0]) == find(e.nodes[1]):
+            raise NetlistError(
+                f"{filename}:{e.line}:{e.col}: {e.name} closes a loop of "
+                "voltage sources; the structure is singular")
         for nd in e.nodes[1:]:
             union(e.nodes[0], nd)
     root = find(GROUND)

@@ -38,11 +38,10 @@ import numpy as np
 
 from .models import StochasticDae
 from .polychaos import (CHUNK_BYTES, TENSOR_NODE_CAP, GpcExpansion,
-                        MultiIndexSet, OrthoBasis, expansion_to_dict,
-                        golub_welsch, make_standard_basis, stieltjes_basis,
-                        total_degree_index_set, _basis_matrix, _dump_json,
-                        _Immutable, _frozen, _mean_variance,
-                        _tensor_weights)
+                        MultiIndexSet, OrthoBasis, golub_welsch,
+                        make_standard_basis, stieltjes_basis,
+                        total_degree_index_set, _basis_matrix, _Immutable,
+                        _frozen, _tensor_weights)
 
 __all__ = [
     "SolverError",
@@ -658,24 +657,6 @@ class StSolution(_Immutable):
 
     def final(self) -> GpcExpansion:
         return self.expansions[-1]
-
-    def to_csv(self) -> str:
-        """One row per time: t, then mean and std per output."""
-        header = ["t"] + [f"mean_{l}" for l in self.labels] + [
-            f"std_{l}" for l in self.labels]
-        exps = self.expansions
-        mean, var = _mean_variance(exps[0].index_set,
-                                   np.stack([e.coefficients for e in exps]))
-        table = np.column_stack([self.times, mean, np.sqrt(var)]).tolist()
-        return "\n".join([",".join(header)] + [
-            ",".join(map(repr, row)) for row in table]) + "\n"
-
-    def expansions_json(self) -> str:
-        return _dump_json({
-            "schema": "st-solution/1",
-            "times": self.times.tolist(),
-            "expansions": [expansion_to_dict(e) for e in self.expansions],
-        })
 
 
 class _PointIntegrator:

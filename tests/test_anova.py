@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqsim import anova, netlist
+from uqsim import anova, cli, netlist
 from uqsim.montecarlo import sample_parameters
 from uqsim.polychaos import (Distribution, GpcExpansion, MultiIndexSet,
                              make_standard_basis)
@@ -543,8 +543,7 @@ def test_decomposition_report_shape():
 
     decomp, exp = anova.adaptive_anova(g, (GAUSS, GAUSS), m=2, sigma=0.0,
                                        order=2)
-    report = anova.decomposition_report(decomp, exp)
-    parsed = json.loads(anova.report_json(report))
+    parsed = json.loads(cli._anova_report(decomp, exp))
     assert set(parsed) == {"g0", "terms", "S", "T", "N_samples"}
     assert len(parsed["S"]) == 2 and len(parsed["T"]) == 2
     assert parsed["N_samples"] == decomp.n_evaluations
@@ -554,10 +553,21 @@ def test_decomposition_report_shape():
         assert t["variance"] >= 0.0 and 0.0 <= t["theta"] <= 1.0
 
 
+def test_report_of_a_constant_response_has_zero_sensitivities():
+    # sensitivities() refuses a zero-variance expansion; the report
+    # attributes nothing instead
+    decomp, exp = anova.adaptive_anova(lambda x: np.full(x.shape[1], 2.0),
+                                       (GAUSS, GAUSS), m=2, sigma=0.0,
+                                       order=2)
+    parsed = json.loads(cli._anova_report(decomp, exp))
+    assert parsed["g0"] == 2.0
+    assert parsed["S"] == [0.0, 0.0] and parsed["T"] == [0.0, 0.0]
+
+
 def test_sensitivity_csv_format():
     S = np.array([0.25, 0.5])
     T = np.array([0.5, 0.75])
-    text = anova.sensitivity_csv(S, T, labels=("r_load", "c_filter"))
+    text = cli._sensitivity_csv(("r_load", "c_filter"), S, T)
     lines = text.strip().split("\n")
     assert lines[0] == "input,main_sensitivity,total_sensitivity"
     cells = lines[1].split(",")

@@ -272,6 +272,28 @@ def test_writes_sharing_an_artifact_name_do_not_collide(tmp_path,
     assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
 
 
+def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    def failing(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", failing)
+    with pytest.raises(OSError, match="disk full"):
+        cli._write(str(tmp_path / "dc_stats.csv"), "text\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_csv_writes_labels_as_they_are_and_numbers_exactly():
+    text = cli._csv(["output", "a", "b", "c", "count"],
+                    [["v(out)", 0.1, 1e-300, -0.0, 7]])
+    header, row, end = text.split("\n")
+    assert header == "output,a,b,c,count" and end == ""
+    cells = row.split(",")
+    assert cells[0] == "v(out)" and cells[4] == "7"
+    # hex tells -0.0 from 0.0: each number reads back bit for bit
+    assert [float(c).hex() for c in cells[1:4]] == [
+        v.hex() for v in (0.1, 1e-300, -0.0)]
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 
@@ -1045,7 +1067,12 @@ def test_block_with_the_whole_pushforward_loads_alike(tmp_path, monkeypatch):
     ({"schema": "intermediate-block/1",
       "density": {"kind": "quadrature", "support": [0.0, 1.0],
                   "exact_degree": 14}}, "atoms"),
-], ids=["list", "no-density", "no-atoms"])
+    ({"schema": "intermediate-block/1",
+      "density": {"kind": "quadrature", "exact_degree": "x",
+                  "atoms": {"points": [0.0], "weights": [1.0]}}},
+     "malformed density"),
+    ({"schema": "other/1"}, "has schema 'other/1'"),
+], ids=["list", "no-density", "no-atoms", "bad-degree", "other-schema"])
 def test_malformed_block_is_user_error(tmp_path, capsys, doc, key):
     path = tmp_path / "block.json"
     path.write_text(json.dumps(doc))
@@ -1106,3 +1133,72 @@ def test_known_param_reaches_the_model(block, tmp_path):
     one, two = (read_stats(tmp_path / v / "hier_stats.csv")["v_out"]
                 for v in ("1", "2"))
     assert two["mean"] == pytest.approx(2.0 * one["mean"], rel=1e-9)
+
+
+NO_VARIATION = "V1 1 0 1\nR1 1 2 1k\nR2 2 0 1k\n"
+SUM = ["hier-propagate", "--system", "builtin:sum", "--blocks"]
+
+
+@pytest.mark.parametrize("argv,files,named", [
+    (["dc"] + DIODE + ["--param", "vin"], {}, "--param needs KEY=VALUE"),
+    (["dc"] + DIODE + ["--config", "missing.json"], {}, "cannot read config"),
+    (["dc"] + DIODE + ["--config", "c.json"], {"c.json": "{"},
+     "not valid JSON"),
+    (["dc"] + DIODE + ["--config", "c.json"], {"c.json": "[1, 2]"},
+     "must hold a JSON object"),
+    (["hier-extract"] + DIODE + ["--config", "c.json"],
+     {"c.json": '{"density": "foo"}'}, "density must be"),
+    (["anova", "--netlist", "plain.cir"], {"plain.cir": NO_VARIATION},
+     "no random inputs"),
+    (["sensitivity", "--netlist", "plain.cir"], {"plain.cir": NO_VARIATION},
+     "no random inputs"),
+    (SUM[:3], {}, "--blocks"),
+    (["hier-propagate", "--blocks", "BLOCK"], {}, "--system"),
+    (SUM + ["missing.json"], {}, "cannot read block artifact"),
+    (SUM + ["b.json"], {"b.json": "{"}, "not valid JSON"),
+    (["dc"] + DIODE + ["--outdir", "a_file"], {"a_file": ""}, "File exists"),
+], ids=["param-no-equals", "config-unreadable", "config-not-json",
+        "config-list", "density-foo", "anova-no-variation",
+        "sensitivity-no-variation", "no-blocks", "no-system",
+        "block-unreadable", "block-not-json", "outdir-is-a-file"])
+def test_error_exit_is_one_json_line_naming_the_problem(
+        block, tmp_path, monkeypatch, capsys, argv, files, named):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [block if a == "BLOCK" else a for a in argv]
+    if "--outdir" not in argv:
+        argv += ["--outdir", "out"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "config" and named in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("analysis,text,where,words", [
+    ("dc", "", "1:1", "nothing to solve"),
+    ("mc", "* comment\n", "1:1", "nothing to solve"),
+    ("transient", "R1 0 0 1k\n", "1:1", "nothing to solve"),
+    ("dc", "V1 1 1 1\nR1 1 0 1k\n", "1:1", "V1 closes a loop"),
+    ("mc", "R1 1 0 1k\nV1 0 0 1\n", "2:1", "V1 closes a loop"),
+    ("transient", "V1 1 0 1\nV2 1 0 2\nR1 1 0 1k\n", "2:1",
+     "V2 closes a loop"),
+], ids=["empty", "comment", "r-ground-ground", "v-self-loop",
+        "v-ground-ground", "v-parallel"])
+def test_singular_netlist_is_a_located_user_error(tmp_path, capsys, analysis,
+                                                  text, where, words):
+    # these reached the solvers: a division by zero sizing the stacks of
+    # a zero-state model, or a Newton on a singular Jacobian; exit 2
+    path = tmp_path / "x.cir"
+    path.write_text(text)
+    rc = cli.main([analysis, "--netlist", str(path),
+                   "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    error = capture_error(capsys)
+    assert error["error"] == "config"
+    assert error["message"].startswith(f"x.cir:{where}: ")
+    assert words in error["message"]

@@ -72,13 +72,18 @@ def test_job_artifacts_writes_a_checkouts_artifacts(tmp_path):
         trees.append({str(p.relative_to(root)): p.read_bytes()
                       for p in root.rglob("*") if p.is_file()})
     assert sorted(trees[0]) == [
-        "dc-diode/dc_expansion.json", "dc-diode/dc_stats.csv",
+        "dc-diode.stdout", "dc-diode/dc_expansion.json",
+        "dc-diode/dc_stats.csv", "dc-ladder8.stdout",
         "dc-ladder8/dc_expansion.json", "dc-ladder8/dc_stats.csv",
-        "inputs/ladder4t.cir", "inputs/ladder8.cir",
+        "inputs/ladder4t.cir", "inputs/ladder8.cir", "tran-ladder4.stdout",
         "tran-ladder4/transient_expansions.json",
-        "tran-ladder4/transient_stats.csv",
+        "tran-ladder4/transient_stats.csv", "tran-plate.stdout",
         "tran-plate/transient_expansions.json",
         "tran-plate/transient_stats.csv"]
+    # the exit code, then stdout with the workload's directory as "."
+    stdout = trees[0]["dc-diode.stdout"].decode()
+    assert stdout.startswith("exit 0\n") and stdout.endswith(
+        "; wrote dc_stats.csv, dc_expansion.json in ./dc-diode\n")
     assert trees[0] == trees[1]
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from uqsim import anova, hier, models, netlist, stsolver
+from uqsim import anova, cli, hier, models, netlist, stsolver
 from uqsim.models import algebraic_model, builtin_model
 from uqsim.montecarlo import sample_parameters
 from uqsim.polychaos import (Distribution, GpcExpansion, golub_welsch,
@@ -886,7 +886,7 @@ class TestStackedRecovery:
             mean, var = exp.mean_variance()
             row = np.concatenate([[t], mean, np.sqrt(var)])
             lines.append(",".join(repr(float(v)) for v in row))
-        assert sol.to_csv() == "\n".join(lines) + "\n"
+        assert cli._waveform_csv(sol) == "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("build", ["TestingPointSet", "StSolution",
@@ -924,12 +924,12 @@ class TestSolutionExport:
         X0 = np.array([[1.0, 0.0, -1.0 / (1e3 * pt[0])] for pt in tps.points])
         x0 = recover_coefficients(X0, tps)
         sol = integrate_transient(dae, tps, (0.0, 2e-4), x0=x0)
-        csv = sol.to_csv()
+        csv = cli._waveform_csv(sol)
         header = csv.splitlines()[0].split(",")
         assert header[0] == "t"
         assert "mean_v(2)" in header and "std_v(2)" in header
         assert len(csv.splitlines()) == len(sol.times) + 1
-        doc = json.loads(sol.expansions_json())
+        doc = json.loads(cli._solution_json(sol))
         assert doc["schema"] == "st-solution/1"
         assert len(doc["expansions"]) == len(sol.times)
         assert doc["times"] == [float(t) for t in sol.times]
