@@ -29,7 +29,6 @@ from .stsolver import (CONDITION_CAP, SolverError, TestingPointSet,
 __all__ = [
     "AnovaTerm",
     "AnovaDecomposition",
-    "cdf_transform",
     "anchor_point",
     "compose_term",
     "adaptive_anova",
@@ -70,27 +69,12 @@ class AnovaDecomposition(_Immutable):
             n_by_level=n_by_level, n_evaluations=n_evaluations)
 
 
-def cdf_transform(dist: Distribution):
-    """(to_param, to_unit) maps between [0,1] quantiles and the support.
-
-    Requires a strictly positive density on the support interior;
-    otherwise the quantile map is not invertible there.
-    """
-    lo, hi = dist.effective_interval()
-    if dist.kind == "custom":
-        probe = np.linspace(lo, hi, 2001)[1:-1]
-        if np.any(np.asarray(dist.density(probe)) <= 0.0):
-            raise ValueError(
-                "the transform needs a strictly positive density on the "
-                "support interior; this density touches zero inside it")
-    return dist.inv_cdf, dist.cdf
-
-
 def anchor_point(distributions: Sequence[Distribution],
                  p_unit=0.5) -> np.ndarray:
     """Anchor at given per-coordinate quantiles (scalar broadcasts): its
     read-only (d,) coordinates, coordinate k the quantile p_unit[k] of
-    marginal k, where the density is positive."""
+    marginal k, where the density is positive; a custom density must be
+    positive on its whole support interior (probed at 1999 points)."""
     d = len(distributions)
     p = np.asarray(p_unit, dtype=float).ravel()
     if p.size not in (1, d):
@@ -101,8 +85,14 @@ def anchor_point(distributions: Sequence[Distribution],
         raise ValueError("anchor quantiles must lie strictly inside (0, 1)")
     q = np.empty(d)
     for k, dist in enumerate(distributions):
-        to_param, _ = cdf_transform(dist)
-        q[k] = float(to_param(p[k]))
+        if dist.kind == "custom":
+            lo, hi = dist.effective_interval()
+            probe = np.linspace(lo, hi, 2001)[1:-1]
+            if np.any(np.asarray(dist.density(probe)) <= 0.0):
+                raise ValueError(
+                    "the transform needs a strictly positive density on the "
+                    "support interior; this density touches zero inside it")
+        q[k] = float(dist.inv_cdf(p[k]))
         if float(dist.density(q[k])) <= 0.0:
             raise ValueError(
                 f"anchor coordinate {k} falls where the density vanishes")

@@ -577,7 +577,7 @@ def _run_hier_extract(cfg: JobConfig):
             f"density")
 
 
-def _load_block(path: str) -> tuple[dict, hier.IntermediateDensity]:
+def _load_block(path: str) -> hier.IntermediateDensity:
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -594,7 +594,7 @@ def _load_block(path: str) -> tuple[dict, hier.IntermediateDensity]:
                          f"{doc.get('schema')!r}, expected "
                          f"'intermediate-block/1'")
     try:
-        return doc, _density_from_doc(doc["density"])
+        return _density_from_doc(doc["density"])
     except KeyError as err:
         raise UsageError(f"block artifact {path} has no key {err}") from err
     except (TypeError, IndexError, ValueError) as err:
@@ -607,7 +607,7 @@ def _run_hier_propagate(cfg: JobConfig):
         raise UsageError("hier-propagate needs at least one --blocks file")
     if cfg.system is None:
         raise UsageError("hier-propagate needs --system")
-    densities = [_load_block(path)[1] for path in cfg.blocks]
+    densities = [_load_block(path) for path in cfg.blocks]
     system = hier.demo_system(cfg.system, densities, **cfg.params)
     opts = cfg.solver_options()
     bases = tuple(hier.build_intermediate_basis(d, cfg.order)[0]

@@ -93,7 +93,8 @@ class StochasticDae(_Immutable):
     evaluate N rows, x (N, n) and xi (N, d), in one call each and raise
     ValueError when a callable returns another shape; a model without a
     Jacobian gets the finite differences above over the whole stack, with
-    each row's bits.
+    each row's bits.  jac_q and jac_f name the same two methods, whose
+    shape check a single point, x (n,) and xi (d,), passes too.
 
     Stacked rows share one time t, a float, except in a Monte Carlo
     transient, where each sample steps on its own clock: there f_many and
@@ -167,16 +168,6 @@ class StochasticDae(_Immutable):
             return self.labels.index(output)
         raise ValueError(f"model has no output labeled {output!r}")
 
-    def jac_q(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        if self.dq_dx is not None:
-            return np.asarray(self.dq_dx(x, xi), dtype=float)
-        return _fd_jacobian(lambda y: self.q(y, xi), x)
-
-    def jac_f(self, x: np.ndarray, xi: np.ndarray, t: float) -> np.ndarray:
-        if self.df_dx is not None:
-            return np.asarray(self.df_dx(x, xi, t), dtype=float)
-        return _fd_jacobian(lambda y: self.f(y, xi, t), x)
-
     def q_many(self, X: np.ndarray, P: np.ndarray) -> np.ndarray:
         """q at N rows: X (N, n), P (N, d) -> (N, n)."""
         return _stack("q", self.q(X, P), X.shape)
@@ -198,6 +189,10 @@ class StochasticDae(_Immutable):
         if self.df_dx is None:
             return _fd_jacobian(lambda Y: self.f_many(Y, P, t), X)
         return _stack("df_dx", self.df_dx(X, P, t), X.shape + (self.n,))
+
+    # perfbench/tracer.py reads these names until ROADMAP item 3, step 0
+    jac_q = jac_q_many
+    jac_f = jac_f_many
 
     def nominal_parameters(self) -> np.ndarray:
         """Mean of each input; the deterministic reference point."""

@@ -14,9 +14,11 @@ Grammar (line oriented; `*` starts a comment line; blank lines ignored)::
 is for diodes); `variation.<param>=` names the parameter explicitly.
 Relative variations multiply the nominal value; absolute ones replace it;
 source values (V, I) cannot vary.  Every diagnostic, the structural checks
-included (no node but ground, a dangling node, a subnetwork with no path
-to ground, a loop of voltage sources, a parameter varied twice), comes
-from parse_netlist in the format "file:line:col: message".
+included (no node but ground, a dangling node, a node with no DC path to
+ground, a loop of voltage sources and inductors, a parameter varied
+twice), comes from parse_netlist in the format "file:line:col: message".
+DC paths run through R, D, L and V, and through an M from drain to
+source; capacitors and current sources carry none.
 
 Elaboration builds a StochasticDae by full modified nodal analysis: one
 unknown per non-ground node plus one branch current per voltage source and
@@ -273,7 +275,8 @@ def parse_netlist(text: str, filename: str = "<netlist>") -> Netlist:
 
     # cross checks: variations reference real parameters, a node other
     # than ground and ground exist, no node is touched by a single terminal
-    # only, no voltage sources form a loop, every node reaches ground
+    # only, no voltage sources and inductors form a loop, every node has a
+    # DC path to ground
     by_name = {e.name: e for e in elements}
     for var in variations:
         elem = by_name[var.element]
@@ -309,11 +312,12 @@ def parse_netlist(text: str, filename: str = "<netlist>") -> Netlist:
 
 
 def _connectivity_check(elements: list, filename: str):
-    """Union-find over the terminals, the voltage sources first: a source
-    whose terminals the sources before it already join closes a loop of
-    sources, whose currents no equation fixes.  Then every node must
-    reach ground; a failure names the first element that touches a
-    floating node."""
+    """Union-find over the terminal pairs that conduct at DC: R, D, L and V
+    across their two nodes, M across drain and source; C and I join
+    nothing.  The V and L pairs go first: one whose nodes those before it
+    already join closes a loop of voltage sources and inductors, whose
+    currents no DC equation fixes.  Then every node must reach ground; a
+    failure names the first element that touches a floating node."""
     parent: dict[str, str] = {}
 
     def find(x):
@@ -328,22 +332,23 @@ def _connectivity_check(elements: list, filename: str):
         if ra != rb:
             parent[ra] = rb
 
-    for e in sorted(elements, key=lambda e: e.kind != "V"):
-        if e.kind == "V" and find(e.nodes[0]) == find(e.nodes[1]):
+    for e in sorted(elements, key=lambda e: e.kind not in ("V", "L")):
+        if e.kind in ("C", "I"):
+            continue
+        a, b = e.nodes[0], e.nodes[-1]   # an M's drain and source
+        if e.kind in ("V", "L") and find(a) == find(b):
             raise NetlistError(
                 f"{filename}:{e.line}:{e.col}: {e.name} closes a loop of "
-                "voltage sources; the structure is singular")
-        for nd in e.nodes[1:]:
-            union(e.nodes[0], nd)
+                "voltage sources and inductors; the structure is singular")
+        union(a, b)
     root = find(GROUND)
-    floating = sorted(nd for nd in parent
-                      if nd != GROUND and find(nd) != root)
+    floating = {nd for e in elements for nd in e.nodes if find(nd) != root}
     if floating:
-        e = next(e for e in elements if find(e.nodes[0]) != root)
+        e = next(e for e in elements if floating.intersection(e.nodes))
         raise NetlistError(
             f"{filename}:{e.line}:{e.col}: floating subnetwork: node(s) "
-            + ", ".join(floating)
-            + f" have no path to ground '{GROUND}'; the structure is "
+            + ", ".join(sorted(floating))
+            + f" have no DC path to ground '{GROUND}'; the structure is "
             "singular")
 
 
@@ -432,24 +437,8 @@ def elaborate(nl: Netlist) -> StochasticDae:
     d = len(nl.variations)
     distributions = tuple(v.distribution for v in nl.variations)
 
-    v_sources = [e for e in nl.elements if e.kind == "V"]
-    i_sources = [e for e in nl.elements if e.kind == "I"]
-
     def idx(node: str) -> int:
         return -1 if node == GROUND else node_index[node]
-
-    # the sources' drive, subtracted from f as its last step: B u, for B
-    # the (n, m) incidence of the m sources on their rows, u their values
-    B = np.zeros((n, len(v_sources) + len(i_sources)))
-    for j, e in enumerate(v_sources):
-        B[branch_index[e.name], j] = 1.0
-    for j, e in enumerate(i_sources, start=len(v_sources)):
-        a, b = idx(e.nodes[0]), idx(e.nodes[1])
-        if a >= 0:
-            B[a, j] = -1.0
-        if b >= 0:
-            B[b, j] = 1.0
-    src = B @ np.array([e.params["dc"] for e in v_sources + i_sources])
 
     def group(kind):
         return [e for e in nl.elements if e.kind == kind]
@@ -457,16 +446,23 @@ def elaborate(nl: Netlist) -> StochasticDae:
     def terminals(elems, first=0, second=1):
         return [(idx(e.nodes[first]), idx(e.nodes[second])) for e in elems]
 
-    # voltage-source and inductor branch equations are linear and fixed
-    G0 = np.zeros((n, n))
-    for e in nl.elements:
-        if e.kind in ("V", "L"):
-            k = branch_index[e.name]
-            sgn = 1.0 if e.kind == "V" else -1.0
-            for node, s in ((idx(e.nodes[0]), 1.0), (idx(e.nodes[1]), -1.0)):
-                if node >= 0:
-                    G0[node, k] += s
-                    G0[k, node] += s * sgn
+    # the sources' drive, subtracted from f as its last step: B u, for B
+    # the (n, m) incidence of the m sources on their rows, u their values;
+    # a current source drives its second node and draws from its first
+    v_sources, i_sources = group("V"), group("I")
+    B = np.ascontiguousarray(_incidence(
+        [(branch_index[e.name], -1) for e in v_sources]
+        + terminals(i_sources, 1, 0), n).T)
+    src = B @ np.array([e.params["dc"] for e in v_sources + i_sources])
+
+    # voltage-source and inductor branches: the current is stamped at the
+    # nodes, and its row (one-hot in E) reads the voltage across, negated
+    # for an inductor
+    vl = [e for e in nl.elements if e.kind in ("V", "L")]
+    A_vl = _incidence(terminals(vl), n)
+    E = _incidence([(branch_index[e.name], -1) for e in vl], n)
+    sgn = np.array([1.0 if e.kind == "V" else -1.0 for e in vl])
+    G0 = A_vl.T @ E + E.T @ (sgn[:, None] * A_vl)
 
     res, dio, mos = group("R"), group("D"), group("M")
     A_r = _incidence(terminals(res), n)

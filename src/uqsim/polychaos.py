@@ -72,10 +72,10 @@ KAPPA_FLOOR = 1e-20
 # it per node (the 22^4 pushforward rule of a 4-input block has 234,256).
 TENSOR_NODE_CAP = 2 ** 20
 
-# The one byte budget of the library's stacked work: Newton and recovery
+# The byte budget of the library's stacked work: Newton and recovery
 # stacks (stsolver), blocks of rows of a basis matrix (eval_many) and of
 # quantile transforms (montecarlo.sample_parameters) take about this many
-# bytes at a time
+# bytes at a time; the planned LU's row blocks take stsolver.LU_BLOCK_BYTES
 CHUNK_BYTES = 1 << 20
 
 _JSON_SCHEMA = "gpc-expansion/1"
@@ -998,7 +998,7 @@ class GpcExpansion(_Immutable):
         except the few rows left over at the end of a thread's share
         (x86-64 OpenBLAS takes rows in groups of 4), which may differ in
         the last bit.  Several outputs make a gemm, whose kernel depends
-        on the row count, so they take one product.
+        on the row count, so they take one block.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim == 1 and self.dimension == 1:
@@ -1009,9 +1009,8 @@ class GpcExpansion(_Immutable):
                 f"{self.dimension}): the expansion has {self.dimension} "
                 f"random inputs")
         rows = max(64, CHUNK_BYTES // (8 * len(self.index_set)) // 64 * 64)
-        if self.n_outputs > 1 or len(points) <= rows:
-            return (_basis_matrix(self.index_set, self.bases, points)
-                    @ self.coefficients)
+        if self.n_outputs > 1:
+            rows = max(1, len(points))
         out = np.empty((len(points), self.n_outputs))
         for lo in range(0, len(points), rows):
             out[lo:lo + rows] = (

@@ -20,18 +20,20 @@ BETA = Distribution.beta(2.0, 3.0)
 
 
 # ---------------------------------------------------------------------------
-# quantile transforms and anchors
+# quantile transforms (Distribution.inv_cdf and cdf, which anchor_point
+# reads) and anchors
 
 
 def test_cdf_transform_uniform_is_identity():
-    to_param, to_unit = anova.cdf_transform(Distribution.uniform(0.0, 1.0))
+    dist = Distribution.uniform(0.0, 1.0)
+    to_param, to_unit = dist.inv_cdf, dist.cdf
     u = np.linspace(0.01, 0.99, 23)
     np.testing.assert_allclose(to_param(u), u, atol=1e-14)
     np.testing.assert_allclose(to_unit(u), u, atol=1e-14)
 
 
 def test_cdf_transform_gaussian_median_and_sigma():
-    to_param, to_unit = anova.cdf_transform(GAUSS)
+    to_param, to_unit = GAUSS.inv_cdf, GAUSS.cdf
     assert float(to_param(0.5)) == pytest.approx(0.0, abs=1e-14)
     # one-sigma quantile of the standard normal
     assert float(to_param(0.8413)) == pytest.approx(1.0, abs=1e-3)
@@ -41,7 +43,7 @@ def test_cdf_transform_gaussian_median_and_sigma():
 @pytest.mark.parametrize("dist", [GAUSS, UNIF, BETA,
                                   Distribution.gamma(2.5)])
 def test_cdf_transform_round_trip(dist):
-    to_param, to_unit = anova.cdf_transform(dist)
+    to_param, to_unit = dist.inv_cdf, dist.cdf
     x = np.sort(sample_parameters((dist,), 50, seed=2).ravel())
     scale = float(np.max(np.abs(x)))
     np.testing.assert_allclose(to_param(to_unit(x)), x,
@@ -50,18 +52,18 @@ def test_cdf_transform_round_trip(dist):
 
 def test_cdf_transform_round_trip_custom_density():
     tri = Distribution.custom(lambda x: 1.0 - np.abs(x), (-1.0, 1.0))
-    to_param, to_unit = anova.cdf_transform(tri)
+    to_param, to_unit = tri.inv_cdf, tri.cdf
     x = np.linspace(-0.9, 0.9, 19)
     np.testing.assert_allclose(to_param(to_unit(x)), x, atol=1e-10)
 
 
 def test_cdf_transform_rejects_interior_zero():
     # validate=False skips the constructor probe, mirroring densities
-    # assembled programmatically; the transform re-checks
+    # assembled programmatically; the anchor re-checks
     hollow = Distribution.custom(lambda x: 1.5 * x ** 2, (-1.0, 1.0),
                                  validate=False)
     with pytest.raises(ValueError, match="strictly positive"):
-        anova.cdf_transform(hollow)
+        anova.anchor_point((hollow,), 0.5)
 
 
 def test_anchor_point_median_default():

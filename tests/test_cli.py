@@ -1187,12 +1187,22 @@ def test_error_exit_is_one_json_line_naming_the_problem(
     ("mc", "R1 1 0 1k\nV1 0 0 1\n", "2:1", "V1 closes a loop"),
     ("transient", "V1 1 0 1\nV2 1 0 2\nR1 1 0 1k\n", "2:1",
      "V2 closes a loop"),
+    ("dc", "V1 1 0 1\nR1 1 2 1k\nC1 2 3 1u\nC2 3 0 1u\n", "3:1",
+     "node(s) 3 have no DC path"),
+    ("transient", "I1 0 1 1m\nC1 1 0 1u\n", "1:1",
+     "node(s) 1 have no DC path"),
+    ("dc", "V1 1 0 1\nL1 1 0 1m\n", "2:1",
+     "L1 closes a loop of voltage sources and inductors"),
+    ("dc", "V1 1 0 1\nR1 1 0 1k\nM1 2 3 0 kp=1m vth=0.5\nR2 1 2 1k\n"
+     "C1 3 0 1u\n", "3:1", "node(s) 3 have no DC path"),
 ], ids=["empty", "comment", "r-ground-ground", "v-self-loop",
-        "v-ground-ground", "v-parallel"])
+        "v-ground-ground", "v-parallel", "c-only-node", "i-c-node",
+        "v-l-loop", "c-only-gate"])
 def test_singular_netlist_is_a_located_user_error(tmp_path, capsys, analysis,
                                                   text, where, words):
     # these reached the solvers: a division by zero sizing the stacks of
-    # a zero-state model, or a Newton on a singular Jacobian; exit 2
+    # a zero-state model, or a Newton on a singular Jacobian; exit 2.  A
+    # node with no DC path is located at the first element touching it
     path = tmp_path / "x.cir"
     path.write_text(text)
     rc = cli.main([analysis, "--netlist", str(path),

@@ -180,6 +180,21 @@ class TestGrammar:
         with pytest.raises(NetlistError, match="dangling node '3'"):
             parse_netlist("V1 1 0 1\nR1 1 0 1k\nR2 1 3 1k\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("R1 1 0 1k variation=gauss(1k,-1)\n",
+         "1:11: gaussian stddev must be positive"),
+        ("R1 1 0 1k\n.tran 1u\n", "2:1: .tran needs two arguments"),
+        ("1R 1 0 1k\n", "1:1: invalid element name '1R'"),
+        ("R1 1\n", "1:5: R1: expected 2 node names, got 1"),
+        ("R1 1 a-b 1k\n", "1:6: invalid node name 'a-b'"),
+        ("R1 1 0 1k foo\n", "1:11: expected key=value, got 'foo'"),
+    ], ids=["negative-stddev", "tran-one-argument", "name-starts-with-digit",
+            "one-node", "node-with-dash", "bare-token"])
+    def test_syntax_errors_are_located(self, text, message):
+        with pytest.raises(NetlistError) as err:
+            parse_netlist(text)
+        assert str(err.value).startswith(f"<netlist>:{message}")
+
 
 class TestRoundTrip:
     RICH = ("V1 in 0 5.0\n"
@@ -262,6 +277,14 @@ class TestElaborate:
         dae = elaborate(parse_netlist("I1 0 2 1m\nR1 2 0 1k\n"))
         x = dc_newton(dae, np.zeros(0))
         assert abs(x[0] - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("nodes,v1", [("1 0", -1.0), ("0 1", 1.0),
+                                          ("1 1", 0.0)])
+    def test_current_source_drives_its_second_node(self, nodes, v1):
+        # 1 mA into 1 kOhm; a source from a node to itself drives nothing
+        dae = elaborate(parse_netlist(f"I1 {nodes} 1m\nR1 1 0 1k\n"))
+        x = dc_newton(dae, np.zeros(0))
+        assert x[0] == pytest.approx(v1, abs=1e-12)
 
     def test_capacitor_charge_in_q(self):
         text = "V1 1 0 1\nR1 1 2 1k\nC1 2 0 2u\n"

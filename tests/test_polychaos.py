@@ -359,6 +359,16 @@ def test_eval_many_refuses_points_of_another_width(inputs, shape):
         exp.eval_many(np.zeros(shape))
 
 
+@pytest.mark.parametrize("outputs", [1, 2])
+def test_eval_many_of_no_points_is_empty(outputs):
+    # several outputs take one block of all the points; with none there
+    # is no block to take
+    basis = pc.make_standard_basis(pc.Distribution.uniform(-1, 1), 2)
+    idx = pc.total_degree_index_set(2, 2)
+    exp = pc.GpcExpansion(idx, np.ones((len(idx), outputs)), (basis,) * 2)
+    assert exp.eval_many(np.zeros((0, 2))).shape == (0, outputs)
+
+
 def test_parseval_against_monte_carlo():
     # variance read from coefficients must agree with the sampled variance of
     # the evaluated expansion within 3 standard errors
