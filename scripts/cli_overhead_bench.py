@@ -75,16 +75,13 @@ def _writer(path: str):
         exps = tuple(polychaos.expansion_from_json(json.dumps(e))
                      for e in doc["expansions"])
         sol = stsolver.StSolution(doc["times"], exps, (), 0, ())
-        write = getattr(cli, "_solution_json", None)
-        return ((lambda: write(sol)) if write else sol.expansions_json), text
+        return (lambda: cli._solution_json(sol)), text
     if name.endswith("_expansion.json"):
         exp = polychaos.expansion_from_json(text)
         return (lambda: polychaos.expansion_to_json(exp)), text
     if name == "block.json":   # hier-extract's own document
         doc = json.loads(text)
-        dump = getattr(polychaos, "_dump_json", None) or (
-            lambda d: json.dumps(d, indent=1, sort_keys=True))
-        return (lambda: dump(doc) + "\n"), text
+        return (lambda: polychaos._dump_json(doc) + "\n"), text
     return None, text
 
 
@@ -156,16 +153,12 @@ def layers(checkout: str, names, anova_stages: int, repeats: int) -> dict:
     import_ms = round(_import_ms(src), 3)
     sys.path[:0] = [src, os.path.join(checkout, "perfbench")]
     job_rss_mb = _job_rss_mb(checkout, names)
-    import inspect
-
     import workloads
     from uqsim import cli
 
-    takes_analysis = bool(inspect.signature(cli.build_parser).parameters)
-    args = (DC_ARGV[0],) if takes_analysis else ()
     out = {"import_ms": import_ms, "job_rss_mb": job_rss_mb,
            "first_build_parser_ms": round(
-               _least(lambda: cli.build_parser(*args), 1), 3)}
+               _least(lambda: cli.build_parser(DC_ARGV[0]), 1), 3)}
     out["build_config_ms"] = round(
         _least(lambda: cli.build_config(DC_ARGV), 50), 3)
     with tempfile.TemporaryDirectory() as work, \

@@ -73,8 +73,8 @@ def anchor_point(distributions: Sequence[Distribution],
                  p_unit=0.5) -> np.ndarray:
     """Anchor at given per-coordinate quantiles (scalar broadcasts): its
     read-only (d,) coordinates, coordinate k the quantile p_unit[k] of
-    marginal k, where the density is positive; a custom density must be
-    positive on its whole support interior (probed at 1999 points)."""
+    marginal k.  A custom density's quantiles need it strictly positive
+    on its support interior, which its CDF table probes."""
     d = len(distributions)
     p = np.asarray(p_unit, dtype=float).ravel()
     if p.size not in (1, d):
@@ -83,20 +83,8 @@ def anchor_point(distributions: Sequence[Distribution],
     p = np.broadcast_to(p, (d,)).copy()
     if not np.all((p > 0.0) & (p < 1.0)):   # NaN fails too
         raise ValueError("anchor quantiles must lie strictly inside (0, 1)")
-    q = np.empty(d)
-    for k, dist in enumerate(distributions):
-        if dist.kind == "custom":
-            lo, hi = dist.effective_interval()
-            probe = np.linspace(lo, hi, 2001)[1:-1]
-            if np.any(np.asarray(dist.density(probe)) <= 0.0):
-                raise ValueError(
-                    "the transform needs a strictly positive density on the "
-                    "support interior; this density touches zero inside it")
-        q[k] = float(dist.inv_cdf(p[k]))
-        if float(dist.density(q[k])) <= 0.0:
-            raise ValueError(
-                f"anchor coordinate {k} falls where the density vanishes")
-    return _frozen(q)
+    return _frozen([float(dist.inv_cdf(p[k]))
+                    for k, dist in enumerate(distributions)])
 
 
 # ---------------------------------------------------------------------------

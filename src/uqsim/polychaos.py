@@ -16,13 +16,13 @@ matrix is tiny, and it gives the same nodes and weights, bit for bit, as a
 tridiagonal LAPACK solver without importing scipy.linalg.  The multivariate
 basis is a tensor product over a graded-lexicographic total-degree index set.
 
-scipy is imported only where a closed form needs it: gaussian CDF values, the
-gamma and beta families, and the root search of a custom inverse CDF.  The
-gaussian quantile (`ndtri`) and the monotone cubic (`monotone_cubic`) are
-numpy ports of Cephes `ndtri` and scipy's PCHIP that reproduce those routines'
-bits.  The ndtri tails take their logarithms with `math.log`, one value at a
-time: numpy's vectorized `np.log` may differ from the C library's `log` in the
-last bit, which moves a few samples by an ulp.
+scipy is imported only where a closed form needs it: gaussian CDF values and
+the gamma and beta families.  A custom density's quantiles bisect its own CDF
+table in numpy.  The gaussian quantile (`ndtri`) and the monotone cubic
+(`monotone_cubic`) are numpy ports of Cephes `ndtri` and scipy's PCHIP that
+reproduce those routines' bits.  The ndtri tails take their logarithms with
+`math.log`, one value at a time: numpy's vectorized `np.log` may differ from
+the C library's `log` in the last bit, which moves a few samples by an ulp.
 
 All value types here are immutable; operations are pure functions.
 """
@@ -33,9 +33,8 @@ import itertools
 import json
 import math
 import re
-import warnings
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -142,7 +141,8 @@ class Distribution(_Immutable):
     Named kinds are the keys of FAMILIES, which holds their closed forms.
     "custom" wraps a black-box density on a support interval; the density
     must be strictly positive on the interior of the support and integrate
-    to one.
+    to one.  It is integrated once, on one composite Gauss table over its
+    window, and its mass check, mean and monotone CDF all read that table.
     """
 
     kind: str
@@ -194,7 +194,11 @@ class Distribution(_Immutable):
             raise ValueError(f"support must be a nonempty interval, got [{lo}, {hi}]")
         dist = Distribution("custom", (), (lo, hi), density)
         if validate:
-            dist._validate_custom()
+            dist._custom_cdf  # probes the interior
+            mass = float(np.sum(dist._custom_table[2]))
+            if abs(mass - 1.0) > 1e-8:
+                raise ValueError(
+                    f"custom density integrates to {mass:.10f}, expected 1 within 1e-8")
         return dist
 
     # -- density, moments, cdf and inverse: closed forms live in FAMILIES ----
@@ -208,13 +212,16 @@ class Distribution(_Immutable):
     def mean(self) -> float:
         if self.kind in FAMILIES:
             return FAMILIES[self.kind].mean(*self.params)
-        return self._custom_mean
+        _, x, masses = self._custom_table
+        return float(np.sum(masses * x)) / float(np.sum(masses))
 
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.kind in FAMILIES:
             return FAMILIES[self.kind].cdf(x, *self.params)
-        return self._custom_cdf_eval(x)
+        interp = self._custom_cdf
+        x = np.clip(x, interp.x[0], interp.x[-1])
+        return np.clip(interp(x), 0.0, 1.0)
 
     def inv_cdf(self, u) -> np.ndarray:
         """Quantile function; maps (0, 1) onto the support interior."""
@@ -223,7 +230,7 @@ class Distribution(_Immutable):
             raise ValueError("quantile argument must lie in [0, 1]")
         if self.kind in FAMILIES:
             return FAMILIES[self.kind].inv_cdf(u, *self.params)
-        return self._custom_inv_cdf_eval(u)
+        return self._custom_inv_cdf(u)
 
     # -- numerics for custom densities --------------------------------------
 
@@ -232,95 +239,86 @@ class Distribution(_Immutable):
 
         Bounded supports are their own window; a named family with an
         unbounded support uses its table window, and a custom unbounded
-        density keeps the window found by the mass scan.
+        density the window found by the mass scan.
         """
+        if self.kind not in FAMILIES:
+            return self._custom_window
         lo, hi = self.support
         if math.isfinite(lo) and math.isfinite(hi):
             return lo, hi
-        if self.kind in FAMILIES:
-            return FAMILIES[self.kind].window(*self.params)
-        self._custom_mean  # materialize the scan
-        a, b = self._custom_window
-        return a, b
+        return FAMILIES[self.kind].window(*self.params)
 
     @cached_property
-    def _custom_mean(self) -> float:
-        # window-scan: grow a window until the captured mass stabilizes, then
-        # compute the mean on it; the converged window is kept for later
-        # quadrature over this density
+    def _custom_window(self) -> tuple[float, float]:
+        # an unbounded side grows, the width doubling, until the mass the
+        # 64-panel rule captures stabilizes
         lo, hi = self.support
         if math.isfinite(lo) and math.isfinite(hi):
-            a, b = lo, hi
+            return lo, hi
+        c = 0.0
+        if math.isfinite(lo):
+            c = lo + 1.0
+        elif math.isfinite(hi):
+            c = hi - 1.0
+        width, mass_prev = 1.0, -1.0
+        for _ in range(60):
+            a = c - width if not math.isfinite(lo) else lo
+            b = c + width if not math.isfinite(hi) else hi
             x, w = _panel_rule(_panel_cuts(a, b, 64))
-        else:
-            c = 0.0
-            if math.isfinite(lo):
-                c = lo + 1.0
-            elif math.isfinite(hi):
-                c = hi - 1.0
-            width, mass_prev = 1.0, -1.0
-            for _ in range(60):
-                a = c - width if not math.isfinite(lo) else lo
-                b = c + width if not math.isfinite(hi) else hi
-                x, w = _panel_rule(_panel_cuts(a, b, 64))
-                mass = float(np.sum(w * self.density(x)))
-                if mass > 0 and abs(mass - mass_prev) < 1e-13:
-                    break
-                mass_prev = mass
-                width *= 2.0
-        object.__setattr__(self, "_custom_window", (float(a), float(b)))
-        rho = self.density(x)
-        mass = float(np.sum(w * rho))
-        return float(np.sum(w * rho * x)) / mass
+            mass = float(np.sum(w * self.density(x)))
+            if mass > 0 and abs(mass - mass_prev) < 1e-13:
+                break
+            mass_prev = mass
+            width *= 2.0
+        return float(a), float(b)
 
     @cached_property
-    def _custom_cdf_table(self):
-        a, b = self.effective_interval()
-        cuts = _panel_cuts(a, b, 512)
+    def _custom_table(self):
+        """(cuts, nodes, masses) of the 512-panel rule on the window: the
+        one integration of the density that its mass, mean and CDF read."""
+        cuts = _panel_cuts(*self._custom_window, 512)
         x, w = _panel_rule(cuts)
-        masses = (w * self.density(x)).reshape(len(cuts) - 1, -1).sum(axis=1)
-        vals = np.concatenate(([0.0], np.cumsum(masses)))
-        vals = np.maximum.accumulate(vals) / vals[-1]
-        return monotone_cubic(cuts, vals), a, b
+        return cuts, x, w * self.density(x)
 
-    def _custom_cdf_eval(self, x):
-        interp, a, b = self._custom_cdf_table
-        x = np.asarray(x, dtype=float)
-        return np.clip(interp(np.clip(x, a, b)), 0.0, 1.0)
-
-    def _custom_inv_cdf_eval(self, u):
-        from scipy.optimize import brentq
-
-        interp, a, b = self._custom_cdf_table
-        scalar = np.ndim(u) == 0
-        uu = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.empty_like(uu)
-        for i, ui in enumerate(uu):
-            if ui <= 0.0:
-                out[i] = a
-            elif ui >= 1.0:
-                out[i] = b
-            else:
-                out[i] = brentq(lambda t: float(interp(t)) - ui, a, b,
-                                xtol=1e-14, rtol=8.9e-16)
-        return out[0] if scalar else out
-
-    def _validate_custom(self) -> None:
-        a, b = self.effective_interval()
-        # positivity probe on the interior (hypothesis behind the quantile
-        # transform and the Stieltjes construction)
-        probes = a + (b - a) * (np.arange(1, 402) / 402.0)
-        vals = np.asarray(self.density(probes), dtype=float)
-        if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
-            bad = probes[~(np.isfinite(vals) & (vals > 0.0))][0]
+    @cached_property
+    def _custom_cdf(self) -> PiecewisePoly:
+        """The monotone cubic through the CDF at the table's cuts, built
+        once the density is probed positive and finite on the interior,
+        the hypothesis behind the quantile transform; mean() alone never
+        probes."""
+        a, b = self._custom_window
+        probes = np.linspace(a, b, 2001)[1:-1]
+        rho = self.density(probes)
+        bad = probes[~(np.isfinite(rho) & (rho > 0.0))]
+        if len(bad):
             raise ValueError(
                 f"custom density must be strictly positive and finite on the "
-                f"interior of its support; rho({bad:.6g}) violates this")
-        x, w = _panel_rule(_panel_cuts(a, b, 256))
-        mass = float(np.sum(w * self.density(x)))
-        if abs(mass - 1.0) > 1e-8:
-            raise ValueError(
-                f"custom density integrates to {mass:.10f}, expected 1 within 1e-8")
+                f"interior of its support; rho({bad[0]:.6g}) violates this")
+        cuts, _, masses = self._custom_table
+        vals = np.concatenate(
+            ([0.0], np.cumsum(masses.reshape(len(cuts) - 1, -1).sum(axis=1))))
+        return monotone_cubic(cuts, np.maximum.accumulate(vals) / vals[-1])
+
+    def _custom_inv_cdf(self, u: np.ndarray):
+        """Bisection of the CDF table inside each value's piece, the same
+        60 halvings for every value, so a value's bits do not depend on
+        the others: a piece at most (b - a) / 512 wide shrinks to
+        (b - a) 2^-69, below the float spacing of every value farther than
+        (b - a) 2^-17 from 0, where the bracket stops moving."""
+        interp = self._custom_cdf
+        uu = np.atleast_1d(u)
+        # c[-1] holds the CDF at each piece's left end
+        i = np.clip(np.searchsorted(interp.c[-1], uu, "right") - 1,
+                    0, len(interp.x) - 2)
+        lo, hi = interp.x[i], interp.x[i + 1]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            below = interp(mid) < uu
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        out = np.select([uu <= 0.0, uu >= 1.0, np.isnan(uu)],
+                        [interp.x[0], interp.x[-1], np.nan], hi)
+        return out[0] if u.ndim == 0 else out
 
 
 def _panel_cuts(a: float, b: float, panels: int) -> np.ndarray:
@@ -330,8 +328,6 @@ def _panel_cuts(a: float, b: float, panels: int) -> np.ndarray:
     edges = np.linspace(a, b, panels + 1)
     left = [edges[0] + (edges[1] - edges[0]) * 0.25 ** k for k in range(6, 0, -1)]
     right = [edges[-1] - (edges[-1] - edges[-2]) * 0.25 ** k for k in range(1, 7)]
-    if panels == 1:
-        return np.concatenate(([edges[0]], left, right, [edges[-1]]))
     return np.concatenate(([edges[0]], left, edges[1:-1], right, [edges[-1]]))
 
 
@@ -964,28 +960,6 @@ class GpcExpansion(_Immutable):
     @property
     def n_outputs(self) -> int:
         return self.coefficients.shape[1]
-
-    def eval(self, point, check_support: bool = True) -> np.ndarray:
-        """Values at one parameter point.
-
-        Points outside a marginal's support are legal (polynomial
-        extrapolation) but trigger a RuntimeWarning when check_support is
-        set.
-        """
-        point = np.asarray(point, dtype=float)
-        values = self.eval_many(point[None])[0]
-        if check_support:
-            for k, basis in enumerate(self.bases):
-                dist = basis.distribution
-                if dist is None:
-                    continue
-                lo, hi = dist.support
-                if not lo <= point[k] <= hi:
-                    warnings.warn(
-                        f"evaluation point {point[k]:.6g} lies outside the "
-                        f"support of input {k}; extrapolating",
-                        RuntimeWarning, stacklevel=2)
-        return values
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """(N, n) values at N points, given as (N, d), or as (N,) when

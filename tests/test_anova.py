@@ -59,7 +59,8 @@ def test_cdf_transform_round_trip_custom_density():
 
 def test_cdf_transform_rejects_interior_zero():
     # validate=False skips the constructor probe, mirroring densities
-    # assembled programmatically; the anchor re-checks
+    # assembled programmatically; the CDF table the anchor's quantile
+    # reads probes them
     hollow = Distribution.custom(lambda x: 1.5 * x ** 2, (-1.0, 1.0),
                                  validate=False)
     with pytest.raises(ValueError, match="strictly positive"):
@@ -90,6 +91,13 @@ def test_anchor_point_rejects_zero_density_location():
                                  validate=False)
     with pytest.raises(ValueError):
         anova.anchor_point((hollow,), 0.5)
+
+
+def test_anchor_where_the_density_vanishes_is_refused():
+    with pytest.raises(ValueError, match="anchor coordinate 0 falls where "
+                                         "the density vanishes"):
+        anova.adaptive_anova(lambda x: x[0], (Distribution.uniform(0.0, 1.0),),
+                             m=1, sigma=0.0, order=1, anchor=[2.0])
 
 
 # ---------------------------------------------------------------------------

@@ -269,7 +269,7 @@ def test_multivariate_basis_value():
     idx = pc.total_degree_index_set(2, 2)
     # identity coefficients: output k is basis function k
     exp = pc.GpcExpansion(idx, np.eye(len(idx)), bases)
-    vals = exp.eval(np.array([1.0, 0.3]))
+    vals = exp.eval_many(np.array([1.0, 0.3])[None])[0]
     # alpha = (2, 0): normalized Legendre P2 at x=1 -> sqrt(5)
     assert np.isclose(vals[idx.position((2, 0))], math.sqrt(5), atol=1e-12)
     assert np.isclose(vals[idx.position((0, 0))], 1.0)
@@ -334,16 +334,10 @@ def test_mean_variance_reads_coefficients():
 def test_eval_matches_direct_sum():
     exp = _toy_expansion()
     pt = np.array([0.4, -0.2])
-    vals = exp.eval(pt)
+    vals = exp.eval_many(pt[None])[0]
     H = np.prod([b.eval_table(x)[exp.index_set.indices[:, k]]
                  for k, (b, x) in enumerate(zip(exp.bases, pt))], axis=0)
     assert np.allclose(vals, H @ exp.coefficients, atol=1e-14)
-
-
-def test_eval_outside_support_warns():
-    exp = _toy_expansion()
-    with pytest.warns(RuntimeWarning, match="outside"):
-        exp.eval(np.array([0.0, 2.0]))
 
 
 @pytest.mark.parametrize("inputs,shape", [(1, (3, 2)), (1, (3, 1, 1)),
@@ -506,6 +500,28 @@ def test_custom_density_must_be_positive():
         pc.Distribution.custom(
             lambda x: np.maximum(np.sin(4 * np.pi * np.asarray(x)), 0.0) * 2.0,
             (0.0, 1.0))
+
+
+def test_custom_cdf_probes_the_interior_and_mean_does_not():
+    # validate=False densities (hier's fitted zeta densities) take a mean
+    # without the probe; their CDF and quantiles need a positive interior
+    hollow = pc.Distribution.custom(lambda x: 1.5 * x ** 2, (-1.0, 1.0),
+                                    validate=False)
+    assert abs(hollow.mean()) < 1e-15
+    for transform in (hollow.cdf, hollow.inv_cdf):
+        with pytest.raises(ValueError, match="strictly positive"):
+            transform(0.5)
+
+
+def test_custom_quantiles_are_bits_of_one_call_per_level():
+    tri = pc.Distribution.custom(lambda x: 1.0 - np.abs(x), (-1.0, 1.0))
+    u = np.concatenate(([0.0, 1.0, 0.5], np.random.default_rng(4).random(200)))
+    x = tri.inv_cdf(u)
+    one = np.array([tri.inv_cdf(v) for v in u])
+    assert np.array_equal(x.view(np.int64), one.view(np.int64))
+    assert x[0] == -1.0 and x[1] == 1.0 and abs(x[2]) < 1e-15
+    assert np.max(np.abs(tri.cdf(x) - u)) < 1e-12
+    assert np.isnan(tri.inv_cdf(np.nan))   # as the named families give
 
 
 def test_composite_rule_matches_the_panel_loop():

@@ -2,6 +2,7 @@
 completion, and the benchmark harness in perfbench/ still finds the
 library names it reads."""
 
+import functools
 import importlib.util
 import inspect
 import json
@@ -127,25 +128,62 @@ PERFBENCH = SCRIPTS.parent / "perfbench"
 PACKAGE = SCRIPTS.parent / "src" / "uqsim"
 
 
-def test_every_public_name_has_a_user():
-    # a name only the tests use is test code and belongs in tests/; its own
-    # definition, __all__ lists and the package's re-exports do not count
-    modules = sorted(p for p in PACKAGE.glob("*.py")
-                     if p.name != "__init__.py")
+LIBRARY = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def user_corpus() -> str:
+    """The library, scripts, benchmark harness and README as one text: what
+    a public name needs a use in.  The library's __all__ lists do not
+    count."""
     texts = [re.sub(r"^__all__ = \[.*?\]", "", path.read_text(),
-                    flags=re.S | re.M) for path in modules]
+                    flags=re.S | re.M) for path in LIBRARY]
     texts += [path.read_text() for path in sorted(SCRIPTS.glob("*.py"))
               + sorted(PERFBENCH.glob("*.py"))]
     texts.append((SCRIPTS.parent / "README.md").read_text())
-    corpus = "\n".join(texts)
+    return "\n".join(texts)
+
+
+def test_every_public_name_has_a_user():
+    # a name only the tests use is test code and belongs in tests/; its own
+    # definition, __all__ lists and the package's re-exports do not count
+    corpus = user_corpus()
     unused = []
-    for path in modules:
+    for path in LIBRARY:
         module = importlib.import_module(f"uqsim.{path.stem}")
         for name in getattr(module, "__all__", ()):
             definition = rf"^(?:(?:def|class) {name}\b|{name} =).*$"
             uses = re.sub(definition, "", corpus, flags=re.M)
             if not re.search(rf"\b{name}\b", uses):
                 unused.append(f"{path.stem}.{name}")
+    assert unused == []
+
+
+def test_every_public_method_has_a_user():
+    # the same rule for the public methods and properties of the library's
+    # classes, used as attributes (`.name`, or "name" for getattr) outside
+    # their own `def` line; a name that a base class outside the library
+    # defines (an exception's) is an override, not the library's own
+    corpus = user_corpus()
+    kinds = (property, functools.cached_property, staticmethod, classmethod)
+    unused = []
+    for path in LIBRARY:
+        module = importlib.import_module(f"uqsim.{path.stem}")
+        for cls_name, cls in vars(module).items():
+            if not (inspect.isclass(cls)
+                    and cls.__module__ == module.__name__):
+                continue
+            foreign = [base for base in cls.__mro__[1:]
+                       if not base.__module__.startswith("uqsim")]
+            for name, attr in vars(cls).items():
+                if (name.startswith("_")
+                        or any(hasattr(base, name) for base in foreign)
+                        or not (inspect.isfunction(attr)
+                                or isinstance(attr, kinds))):
+                    continue
+                uses = re.sub(rf"^\s*def {name}\b.*$", "", corpus,
+                              flags=re.M)
+                if not re.search(rf"\.{name}\b|([\"']){name}\1", uses):
+                    unused.append(f"{path.stem}.{cls_name}.{name}")
     assert unused == []
 
 

@@ -217,7 +217,7 @@ class TestSolveDc:
         rng = np.random.default_rng(5)
         for _ in range(20):
             xi = np.array([rng.normal(), rng.uniform(-1, 1)])
-            assert np.allclose(exp.eval(xi), poly(xi), atol=1e-8)
+            assert np.allclose(exp.eval_many(xi[None])[0], poly(xi), atol=1e-8)
 
     def test_newton_divergence_reports_residual(self):
         dists = (Distribution.uniform(0.5, 1.5),)
@@ -518,7 +518,7 @@ class TestRecovery:
         assert abs(projected_mean - 3.0) < 1e-10  # E[xi^4], rule is exact
         assert abs(rec.coefficients[0, 0] - projected_mean) < 1e-8
         # aliasing residual at a non-node point
-        assert abs(rec.eval(np.array([0.5]))[0] - 0.5 ** 4) > 1e-2
+        assert abs(rec.eval_many(np.array([0.5])[None])[0, 0] - 0.5 ** 4) > 1e-2
 
 
 class TestTransient:
