@@ -149,7 +149,7 @@ class IntermediateDensity(_Immutable):
         measure in the given order, whose summation order fixes its bits.
         Read-only values and weights are kept without a copy.
         """
-        rule = QuadratureRule(values, weights, 1)
+        rule = QuadratureRule(values, weights)
         order = _stable_argsort(rule.points)
         z, w = rule.points[order], rule.weights[order]
         del order
@@ -201,8 +201,7 @@ class IntermediateDensity(_Immutable):
                     f"{self.exact_degree} but degree {degree} is required; "
                     "rebuild the density with a larger rule")
             pts, wts = self.atoms
-            return QuadratureRule(pts, wts, 1,
-                                  exact_degree=self.exact_degree)
+            return QuadratureRule(pts, wts, exact_degree=self.exact_degree)
         # integrate the piecewise-quadratic density segment by segment;
         # node count chosen so polynomial * density is integrated exactly
         n_seg = int(np.ceil((degree + 3) / 2)) + 1
@@ -214,7 +213,7 @@ class IntermediateDensity(_Immutable):
         if abs(total - 1.0) > 1e-6:
             raise ValueError(
                 f"fitted density integrates to {total:.8f}, not 1")
-        return QuadratureRule(pts, wts / total, 1, exact_degree=degree)
+        return QuadratureRule(pts, wts / total, exact_degree=degree)
 
     def as_distribution(self) -> Distribution:
         pdf = self._pdf

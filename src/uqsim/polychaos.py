@@ -143,6 +143,12 @@ class Distribution(_Immutable):
     must be strictly positive on the interior of the support and integrate
     to one.  It is integrated once, on one composite Gauss table over its
     window, and its mass check, mean and monotone CDF all read that table.
+
+    Every distribution has one window, the finite interval carrying its
+    mass that quadrature runs on (the cached `_window`): a bounded support
+    as it is, a named family's Family.window, or for an unbounded custom
+    density the window a doubling scan finds.  A density whose tails are
+    too heavy for that scan is refused.
     """
 
     kind: str
@@ -234,49 +240,45 @@ class Distribution(_Immutable):
 
     # -- numerics for custom densities --------------------------------------
 
-    def effective_interval(self) -> tuple[float, float]:
-        """Finite interval carrying the measure's mass, for quadrature.
-
-        Bounded supports are their own window; a named family with an
-        unbounded support uses its table window, and a custom unbounded
-        density the window found by the mass scan.
-        """
-        if self.kind not in FAMILIES:
-            return self._custom_window
-        lo, hi = self.support
-        if math.isfinite(lo) and math.isfinite(hi):
-            return lo, hi
-        return FAMILIES[self.kind].window(*self.params)
-
     @cached_property
-    def _custom_window(self) -> tuple[float, float]:
-        # an unbounded side grows, the width doubling, until the mass the
-        # 64-panel rule captures stabilizes
+    def _window(self) -> tuple[float, float]:
+        # a custom density's unbounded side grows, the width doubling, until
+        # the mass the 64-panel rule captures stabilizes; a heavy tail
+        # stabilizes only once the panels have outgrown the peak, so a scan
+        # that stops below half the largest mass it saw is refused
         lo, hi = self.support
         if math.isfinite(lo) and math.isfinite(hi):
             return lo, hi
+        if self.kind in FAMILIES:
+            return FAMILIES[self.kind].window(*self.params)
         c = 0.0
         if math.isfinite(lo):
             c = lo + 1.0
         elif math.isfinite(hi):
             c = hi - 1.0
-        width, mass_prev = 1.0, -1.0
+        width, mass_prev, mass_max = 1.0, -1.0, 0.0
         for _ in range(60):
             a = c - width if not math.isfinite(lo) else lo
             b = c + width if not math.isfinite(hi) else hi
             x, w = _panel_rule(_panel_cuts(a, b, 64))
             mass = float(np.sum(w * self.density(x)))
+            mass_max = max(mass_max, mass)
             if mass > 0 and abs(mass - mass_prev) < 1e-13:
                 break
             mass_prev = mass
             width *= 2.0
+        if mass < 0.5 * mass_max:
+            raise ValueError(
+                f"custom density's window scan did not converge: it stopped "
+                f"at [{a:.3g}, {b:.3g}] with mass {mass:.3g}, below half the "
+                f"largest mass {mass_max:.3g} it saw; the tails are too heavy")
         return float(a), float(b)
 
     @cached_property
     def _custom_table(self):
         """(cuts, nodes, masses) of the 512-panel rule on the window: the
         one integration of the density that its mass, mean and CDF read."""
-        cuts = _panel_cuts(*self._custom_window, 512)
+        cuts = _panel_cuts(*self._window, 512)
         x, w = _panel_rule(cuts)
         return cuts, x, w * self.density(x)
 
@@ -286,7 +288,7 @@ class Distribution(_Immutable):
         once the density is probed positive and finite on the interior,
         the hypothesis behind the quantile transform; mean() alone never
         probes."""
-        a, b = self._custom_window
+        a, b = self._window
         probes = np.linspace(a, b, 2001)[1:-1]
         rho = self.density(probes)
         bad = probes[~(np.isfinite(rho) & (rho > 0.0))]
@@ -353,11 +355,12 @@ def _special():
 
 
 # Cephes ndtri: rational approximations in y - 1/2 on the centre, and in
-# 1/sqrt(-2 log y) on the tails, split at z = 8 (y = exp(-32))
+# 1/sqrt(-2 log y) on the tails, split at z = 8 (y = exp(-32)); each
+# denominator's leading coefficient 1 is written out
 _NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
              -5.66762857469070293439E1, 1.39312609387279679503E1,
              -1.23916583867381258016E0)
-_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+_NDTRI_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0,
              8.63602421390890590575E1, -2.25462687854119370527E2,
              2.00260212380060660359E2, -8.20372256168333339912E1,
              1.59056225126211695515E1, -1.18331621121330003142E0)
@@ -366,7 +369,7 @@ _NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
              1.46849561928858024014E1, 2.18663306850790267539E0,
              -1.40256079171354495875E-1, -3.50424626827848203418E-2,
              -8.57456785154685413611E-4)
-_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+_NDTRI_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1,
              4.13172038254672030440E1, 1.50425385692907503408E1,
              2.50464946208309415979E0, -1.42182922854787788574E-1,
              -3.80806407691578277194E-2, -9.33259480895457427372E-4)
@@ -375,7 +378,7 @@ _NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
              2.01485389549179081538E-1, 1.23716634817820021358E-2,
              3.01581553508235416007E-4, 2.65806974686737550832E-6,
              6.23974539184983293730E-9)
-_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+_NDTRI_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0,
              1.37702099489081330271E0, 2.16236993594496635890E-1,
              1.34204006088543189037E-2, 3.28014464682127739104E-4,
              2.89247864745380683936E-6, 6.79019408009981274425E-9)
@@ -385,14 +388,6 @@ _SQRT_2PI = 2.50662827463100050242E0
 
 def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
     ans = np.full_like(x, coef[0])
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x: np.ndarray, coef: tuple) -> np.ndarray:
-    """_polevl with an implied leading coefficient 1."""
-    ans = x + coef[0]
     for c in coef[1:]:
         ans = ans * x + c
     return ans
@@ -419,13 +414,13 @@ def ndtri(u):
     centre = (y > _NDTRI_EXP_M2) & (y0 < 1.0)
     yc = y[centre] - 0.5
     y2 = yc * yc
-    x = yc + yc * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))
+    x = yc + yc * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
     out[centre] = x * _SQRT_2PI
     tail = ~centre & (y0 > 0.0) & (y0 < 1.0)
     x = np.sqrt(-2.0 * _libm_log(y[tail]))
     z = 1.0 / x
-    x1 = np.where(x < 8.0, z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1),
-                  z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2))
+    x1 = np.where(x < 8.0, z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1),
+                  z * _polevl(z, _NDTRI_P2) / _polevl(z, _NDTRI_Q2))
     x = x - _libm_log(x) / x - x1
     out[tail] = np.where(upper[tail], x, -x)
     return out[0] if u.ndim == 0 else out
@@ -752,7 +747,7 @@ def stieltjes_basis(dist: Distribution, order: int,
                                           order)
         return _basis_from_monic(gamma, kappa, order, dist)
 
-    a, b = dist.effective_interval()
+    a, b = dist._window
     prev = None
     panels = 8
     while panels <= 4096:
@@ -778,19 +773,17 @@ def stieltjes_basis(dist: Distribution, order: int,
 class QuadratureRule(_Immutable):
     """Nodes and weights of a positive quadrature rule with unit mass.
 
-    points has shape (npts,) for dimension 1 and (npts, d) otherwise.
+    points has shape (npts,) for one input and (npts, d) for d inputs.
     exact_degree is the per-axis polynomial exactness (None if unknown).
     """
 
     points: np.ndarray
     weights: np.ndarray
-    dimension: int
     exact_degree: int | None
 
-    def __init__(self, points, weights, dimension, exact_degree=None):
+    def __init__(self, points, weights, exact_degree=None):
         pts, w = _frozen(points), _frozen(weights)
-        self.__dict__.update(points=pts, weights=w, dimension=dimension,
-                             exact_degree=exact_degree)
+        self.__dict__.update(points=pts, weights=w, exact_degree=exact_degree)
         if np.any(w <= 0.0):
             raise ValueError("quadrature weights must be strictly positive")
         if abs(float(np.sum(w)) - 1.0) > 1e-10:
@@ -820,7 +813,7 @@ def golub_welsch(basis: OrthoBasis, n: int) -> QuadratureRule:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - exotic
         raise RuntimeError(f"Gauss-rule eigensolver failed: {exc}") from exc
     w = vecs[0, :] ** 2
-    return QuadratureRule(vals, w, 1, exact_degree=2 * n - 1)
+    return QuadratureRule(vals, w, exact_degree=2 * n - 1)
 
 
 def _tensor_weights(rules: Sequence[QuadratureRule]) -> np.ndarray:

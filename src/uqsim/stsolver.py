@@ -74,6 +74,10 @@ PIVOT_FRACTION = 1e-3
 # update temporaries take at most this many bytes, so its entry-major copy
 # stays small against the Jacobian stack
 LU_BLOCK_BYTES = 1 << 17
+# Newton's safety limits: iterations per stack, and step halvings per
+# iteration before the last halving is taken anyway
+NEWTON_MAX_ITER = 50
+NEWTON_MAX_DAMPING = 8
 
 
 class SolverError(RuntimeError):
@@ -89,26 +93,22 @@ class SolverError(RuntimeError):
 # a dataclass only for the fields the CLI checks: it generates no method
 @dataclass(init=False, repr=False, eq=False)
 class SolverOptions(_Immutable):
-    """Tolerances and caps shared by the DC and transient drivers."""
+    """Tolerances and caps shared by the DC and transient drivers.  Newton's
+    iteration and damping limits are the constants NEWTON_MAX_ITER and
+    NEWTON_MAX_DAMPING, not options."""
 
     dc_tol_scale: float        # Newton residual tol = scale * n
-    newton_max_iter: int
-    newton_max_damping: int
     condition_cap: float
     lte_tol: float             # transient error per unit time
     fixed_step: float | None   # disables step control when set
     threads = 1   # not a field; read by perfbench/launcher.py --env only
 
-    def __init__(self, dc_tol_scale=1e-9, newton_max_iter=50,
-                 newton_max_damping=8, condition_cap=CONDITION_CAP,
+    def __init__(self, dc_tol_scale=1e-9, condition_cap=CONDITION_CAP,
                  lte_tol=1e-6, fixed_step=None):
         self.__dict__.update(
-            dc_tol_scale=dc_tol_scale, newton_max_iter=newton_max_iter,
-            newton_max_damping=newton_max_damping,
-            condition_cap=condition_cap, lte_tol=lte_tol,
-            fixed_step=fixed_step)
-        for key, least in (("dc_tol_scale", 0), ("newton_max_iter", 1),
-                           ("newton_max_damping", 0), ("condition_cap", 1),
+            dc_tol_scale=dc_tol_scale, condition_cap=condition_cap,
+            lte_tol=lte_tol, fixed_step=fixed_step)
+        for key, least in (("dc_tol_scale", 0), ("condition_cap", 1),
                            ("lte_tol", 0)):
             value = getattr(self, key)
             if not least <= value < math.inf:
@@ -461,19 +461,20 @@ def _lapack_rows(J: np.ndarray, R: np.ndarray):
 
 
 def _damped_newton(residual: Callable, jacobian: Callable, x0: np.ndarray,
-                   tol: float, max_iter: int, max_damping: int,
-                   lu: _StackedLu | None = None):
+                   tol: float, lu: _StackedLu | None = None):
     """Row-wise Newton with residual-norm damping on a stack X (N, n).
 
     residual(Y, rows) and jacobian(Y, rows) evaluate the rows `rows` of the
     stack (an index array, or slice(None) for all rows) at states Y
     (len(rows), n); they return (len(rows), n) residuals and
     (len(rows), n, n) Jacobians.  Each row follows the iterates of a scalar
-    damped Newton on its own: a full step, then halvings until its residual
-    norm drops, taking the last halving when none does.  A row stops once
-    its norm is at most tol.  A row whose Jacobian is singular stops there,
-    unconverged; the other rows go on.  lu, the planned LU of the
-    Jacobians' pattern, solves long stacks (see _solve_rows).
+    damped Newton on its own: a full step, then up to NEWTON_MAX_DAMPING
+    halvings until its residual norm drops, taking the last halving when
+    none does.  A row stops once its norm is at most tol; one still above
+    it after NEWTON_MAX_ITER iterations ends unconverged.  A row whose
+    Jacobian is singular stops there, unconverged; the other rows go on.
+    lu, the planned LU of the Jacobians' pattern, solves long stacks (see
+    _solve_rows).
 
     Returns (X, residual norms (N,), converged mask (N,)).
     """
@@ -482,7 +483,7 @@ def _damped_newton(residual: Callable, jacobian: Callable, x0: np.ndarray,
     R = residual(X, _ALL)
     rnorm = _row_norms(R)
     failed = None          # mask of rows stopped by a singular Jacobian
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         done = rnorm <= tol
         if failed is not None:
             done |= failed
@@ -502,12 +503,12 @@ def _damped_newton(residual: Callable, jacobian: Callable, x0: np.ndarray,
         x_old, base = X[rows], rnorm[rows]
         pend = _ALL   # rows of `rows` still searching for a damping factor
         lam = 1.0
-        for k in range(max_damping + 1):
+        for k in range(NEWTON_MAX_DAMPING + 1):
             at = rows if pend is _ALL else np.arange(N)[rows][pend]
             Y = x_old[pend] + lam * step[pend]
             RY = residual(Y, at)
             nY = _row_norms(RY)
-            if k == max_damping:
+            if k == NEWTON_MAX_DAMPING:
                 ok = np.ones(len(nY), dtype=bool)
             else:
                 ok = nY < base[pend]
@@ -525,8 +526,7 @@ def _damped_newton(residual: Callable, jacobian: Callable, x0: np.ndarray,
     return X, rnorm, converged if failed is None else converged & ~failed
 
 
-def _check_converged(rnorm: np.ndarray, ok: np.ndarray, tol: float,
-                     options: SolverOptions) -> None:
+def _check_converged(rnorm: np.ndarray, ok: np.ndarray, tol: float) -> None:
     """Raises SolverError with the worst residual if a row failed."""
     if ok.all():
         return
@@ -534,8 +534,8 @@ def _check_converged(rnorm: np.ndarray, ok: np.ndarray, tol: float,
     raise SolverError(
         f"Newton did not converge at {len(ok) - np.count_nonzero(ok)} of "
         f"{len(ok)} points (residual {worst:.3e}, tol {tol:.3e}): "
-        f"{options.newton_max_iter} iterations ran out or the Jacobian was "
-        "singular", residual=worst)
+        f"NEWTON_MAX_ITER ({NEWTON_MAX_ITER}) iterations ran out or the "
+        "Jacobian was singular", residual=worst)
 
 
 def _chunk_rows(n: int) -> int:
@@ -560,7 +560,7 @@ def newton_dc(model: StochasticDae, xi: np.ndarray,
     chunks = [_solve_dc_rows(model, P[lo:lo + rows], start[None], options)
               for lo in range(0, max(len(P), 1), rows)]   # 0 rows: one chunk
     X, rnorm, ok = (np.concatenate(parts) for parts in zip(*chunks))
-    _check_converged(rnorm, ok, options.dc_tol(model.n), options)
+    _check_converged(rnorm, ok, options.dc_tol(model.n))
     return X if np.ndim(xi) == 2 else X[0]
 
 
@@ -579,8 +579,7 @@ def _solve_dc_rows(model: StochasticDae, P: np.ndarray, X0: np.ndarray,
 
     return _damped_newton(residual, jacobian,
                           np.broadcast_to(X0, (len(P), model.n)),
-                          options.dc_tol(model.n), options.newton_max_iter,
-                          options.newton_max_damping, _model_lu(model, True))
+                          options.dc_tol(model.n), _model_lu(model, True))
 
 
 def _map_points(fn: Callable, items):
@@ -703,14 +702,11 @@ class _PointIntegrator:
                     + theta * model.jac_f_many(Y, Pr,
                                                t_new[at] if own else t_new))
 
-        opt = self.options
-        tol = opt.dc_tol(model.n)
+        tol = self.options.dc_tol(model.n)
         X, rnorm, ok = _damped_newton(residual, jacobian, self.X[rows], tol,
-                                      opt.newton_max_iter,
-                                      opt.newton_max_damping,
                                       _model_lu(model, False))
         if self.shared:
-            _check_converged(rnorm, ok, tol, opt)
+            _check_converged(rnorm, ok, tol)
         return X, ok
 
     def attempt(self, rows, t, h, steps):

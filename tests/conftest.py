@@ -22,7 +22,7 @@ def tensor_quadrature(rules):
         weights = np.multiply.outer(weights, r.weights).reshape(-1)
     degs = [r.exact_degree for r in rules]
     exact = None if None in degs else min(degs)
-    return QuadratureRule(pts, weights, len(rules), exact_degree=exact)
+    return QuadratureRule(pts, weights, exact_degree=exact)
 
 
 def damped_newton(residual, jacobian, x0, tol=1e-12, max_iter=80):

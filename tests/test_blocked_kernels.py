@@ -78,7 +78,7 @@ def discrete_stieltjes_whole(points, weights, order):
 def from_pushforward_whole(values, weights, exact_degree):
     """The sorted copies kept through the Stieltjes pass, and the midpoint
     CDF as one expression."""
-    rule = QuadratureRule(values, weights, 1)
+    rule = QuadratureRule(values, weights)
     order = np.argsort(rule.points, kind="stable")
     z, w = rule.points[order], rule.weights[order]
     n = int(exact_degree) // 2 + 1

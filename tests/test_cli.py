@@ -395,9 +395,6 @@ def test_wrong_type_config_value_is_user_error(tmp_path, capsys, analysis,
 
 
 @pytest.mark.parametrize("analysis,key,value", [
-    ("dc", "newton_max_iter", "5"),
-    ("dc", "newton_max_iter", 5.0),
-    ("dc", "newton_max_damping", True),
     ("dc", "condition_cap", "1e8"),
     ("transient", "lte_tol", "1e-6"),
     ("transient", "fixed_step", "0.1"),
@@ -421,11 +418,12 @@ def test_wrong_type_solver_value_is_user_error(tmp_path, capsys, analysis,
 
 
 @pytest.mark.parametrize("key,value", [
-    ("dc_tol_scale", -1), ("newton_max_iter", -1), ("newton_max_iter", 0),
-    ("newton_max_damping", -1), ("condition_cap", -1),
+    ("dc_tol_scale", -1), ("condition_cap", -1),
     ("condition_cap", 0.5), ("lte_tol", -1), ("lte_tol", float("nan")),
     ("fixed_step", float("inf")),
-    # step-control constants, not options
+    # step-control and Newton constants, not options
+    ("newton_max_iter", -1), ("newton_max_iter", 0),
+    ("newton_max_damping", -1),
     ("min_step_fraction", 0), ("min_step_fraction", -1),
     ("max_step_fraction", -0.1), ("accepts_before_double", 5),
 ])
@@ -445,8 +443,7 @@ def test_solver_values_of_the_field_type_are_accepted(divider, tmp_path):
     # an int where a float is due, and a null fixed_step, are well typed
     config = tmp_path / "job.json"
     config.write_text(json.dumps({"solver": {
-        "condition_cap": 100000000, "fixed_step": None,
-        "newton_max_iter": 60}}))
+        "condition_cap": 100000000, "fixed_step": None}}))
     assert cli.main(["dc", "--netlist", divider, "--config", str(config),
                      "--outdir", str(tmp_path / "out")]) == 0
 

@@ -314,6 +314,13 @@ def test_uniform_unit_variance_two_point_rule():
     assert -np.sqrt(3.0) < dens.support[0] < -1.6
 
 
+@pytest.mark.parametrize("values", [[0.0, np.nan, 1.0], [2.0, 2.0, 2.0]])
+def test_pushforward_must_be_finite_and_span_an_interval(values):
+    with pytest.raises(ValueError, match="finite and span an interval"):
+        hier.IntermediateDensity.from_pushforward(
+            np.array(values), np.full(3, 1.0 / 3.0), exact_degree=3)
+
+
 def test_two_atom_measure_degenerates_at_degree_two():
     dens = hier.IntermediateDensity.from_pushforward(
         np.array([-1.0, 1.0]), np.array([0.5, 0.5]), exact_degree=99)

@@ -164,6 +164,23 @@ class TestRunMc:
         with pytest.raises(SolverError, match="2 of 1000 samples"):
             run_mc(model(xis.min(), xis.max()), "dc", n=1000, seed=3)
 
+    def test_one_sample_has_zero_spread(self):
+        mc = run_mc(models.builtin_model("diode_rectifier"), "dc", 1, 0)
+        assert mc.n_samples == 1 and mc.n_failed == 0
+        for spread in (mc.variance, mc.stderr, mc.stderr_std):
+            assert np.array_equal(spread, np.zeros(3))
+        assert [counts.sum() for _, counts in mc.histograms] == [1, 1, 1]
+
+    def test_transient_where_every_sample_fails_at_once_aborts(self):
+        # f is NaN after t = 0, so every sample's first step fails
+        dae = models.StochasticDae(
+            n=1, d=1, distributions=(Distribution.uniform(0.5, 1.5),),
+            q=lambda x, xi: np.array(x, dtype=float),
+            f=lambda x, xi, t: np.where(np.reshape(t, (-1, 1)) > 0, np.nan,
+                                        x - xi[..., :1]))
+        with pytest.raises(SolverError, match="20 of 20 samples failed"):
+            run_mc(dae, "transient", 20, 0, t_end=1.0)
+
     def test_transient_memory_does_not_grow_with_steps(self):
         # a stacked transient that logged one (t, h, accepted, lte) tuple
         # per sample attempt held 1.2 GB for 20,000 plate samples to

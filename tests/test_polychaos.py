@@ -169,7 +169,7 @@ def test_nan_recurrence_is_degenerate():
 
 def test_stieltjes_two_atom_measure_degenerates_at_two():
     # a two-point measure supports degrees 0 and 1 only
-    rule = pc.QuadratureRule(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 1,
+    rule = pc.QuadratureRule(np.array([-1.0, 1.0]), np.array([0.5, 0.5]),
                              exact_degree=99)
     with pytest.raises(pc.DegenerateMeasureError) as err:
         pc.stieltjes_basis(None, 3, integrator=rule)
@@ -277,14 +277,14 @@ def test_multivariate_basis_value():
 
 def test_value_types_freeze_copies_not_the_callers_arrays():
     points, weights = np.array([0.0, 1.0]), np.array([0.5, 0.5])
-    rule = pc.QuadratureRule(points, weights, 1)
+    rule = pc.QuadratureRule(points, weights)
     points[0], weights[0] = 3.0, 0.25      # the caller's arrays stay writable
     assert rule.points.tolist() == [0.0, 1.0]
     assert rule.weights.tolist() == [0.5, 0.5]
     with pytest.raises(ValueError, match="read-only"):
         rule.points[0] = 3.0
     # an array that is read-only already is taken without a copy
-    assert pc.QuadratureRule(rule.points, rule.weights, 1).points is rule.points
+    assert pc.QuadratureRule(rule.points, rule.weights).points is rule.points
     gamma, kappa, norms = np.zeros(2), np.ones(2), np.ones(2)
     basis = pc.OrthoBasis(gamma, kappa, norms, 1, None)
     gamma[0] = kappa[1] = norms[1] = 2.0
@@ -500,6 +500,27 @@ def test_custom_density_must_be_positive():
         pc.Distribution.custom(
             lambda x: np.maximum(np.sin(4 * np.pi * np.asarray(x)), 0.0) * 2.0,
             (0.0, 1.0))
+
+
+def student_t(nu):
+    c = math.exp(math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2)) \
+        / math.sqrt(nu * math.pi)
+    return lambda x: c * (1.0 + np.asarray(x) ** 2 / nu) ** (-(nu + 1) / 2)
+
+
+def test_heavy_tails_are_refused_by_the_window_scan():
+    # the scan's mass stabilizes for these tails only once its panels
+    # have outgrown the peak; light tails keep their windows
+    for density in (lambda x: 1.0 / (math.pi * (1.0 + np.asarray(x) ** 2)),
+                    student_t(3)):
+        with pytest.raises(ValueError, match="window scan did not converge"):
+            pc.Distribution.custom(density, (-math.inf, math.inf))
+    for density, support, window in (
+            (lambda x: np.exp(-0.5 * np.asarray(x) ** 2)
+             / math.sqrt(2 * math.pi), (-math.inf, math.inf), (-16.0, 16.0)),
+            (lambda x: np.exp(-np.asarray(x)), (0.0, math.inf), (0.0, 65.0)),
+            (student_t(30), (-math.inf, math.inf), (-32.0, 32.0))):
+        assert pc.Distribution.custom(density, support)._window == window
 
 
 def test_custom_cdf_probes_the_interior_and_mean_does_not():

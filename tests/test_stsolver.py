@@ -296,14 +296,14 @@ class TestStackedNewton:
             return (c[:, 0] + 2.0 * c[:, 1] * Y[:, 0])[:, None, None]
 
         X, rnorm, ok = _damped_newton(residual, jacobian,
-                                      np.full((4, 1), 0.3), 1e-12, 50, 8)
+                                      np.full((4, 1), 0.3), 1e-12)
         assert ok.tolist() == [True, False, False, True]
         assert X[[0, 3], 0] == pytest.approx([0.5, 1.0], abs=1e-12)
         assert rnorm[1] == 1.0 and rnorm[2] >= 1.0
         for i in (0, 3):
             Xi, _, oki = _damped_newton(
                 lambda Y, rows: residual(Y, [i]),
-                lambda Y, rows: jacobian(Y, [i]), [[0.3]], 1e-12, 50, 8)
+                lambda Y, rows: jacobian(Y, [i]), [[0.3]], 1e-12)
             assert oki[0] and Xi[0, 0] == X[i, 0]
 
 
@@ -765,6 +765,20 @@ class TestTransient:
         assert np.array_equal(np.delete(t_end, 1), [1.0, 1.0, 1.0])
         assert np.allclose(ref[:, 0], np.exp(-np.array([0.2, 0.5, 0.7])),
                            rtol=1e-3)
+
+    def test_every_row_failing_at_once_stops_the_stepper(self):
+        # f is NaN after t = 0: every row's first step fails, so the last
+        # live rows go in one attempt and the stepper stops at t = 0
+        dae = models.StochasticDae(
+            n=1, d=1, distributions=(UNIFORM,),
+            q=lambda x, xi: np.array(x, dtype=float),
+            f=lambda x, xi, t: np.where(np.reshape(t, (-1, 1)) > 0, np.nan,
+                                        x - xi[..., :1]))
+        P = np.linspace(0.1, 0.9, 5)[:, None]
+        t_end, (X,), steps, solves = _integrate_points(
+            dae, P, P.copy(), (0.0, 1.0), SolverOptions(), own_clocks=True)
+        assert np.isnan(X).all() and np.array_equal(t_end, np.zeros(5))
+        assert solves == 5 and not steps.accepted.any()
 
     def test_underflow_stops_rows_on_own_clocks(self):
         # with lte_tol 0 a step is rejected unless its error estimate is
