@@ -25,8 +25,11 @@ library imported in this process, the first `build_parser` call a job
 makes, the least time of `build_config`, and the time each JSON artifact
 of the benchmark's jobs (seed 0) and of an `anova` run on a
 --anova-stages diode-RC ladder takes to write, each checked to be the
-artifact's bytes.  With --parent and --change, the max RSS of each job is
-the least of the layer runs, under job_rss_mb.
+artifact's bytes; last, the traced peak of `run_mc` DC on a
+MC_STAGES-stage diode-RC ladder at each of MC_SAMPLES sample counts, in
+MiB.  With --parent and --change, the max RSS of each job and those
+traced peaks are the least of the layer runs, under job_rss_mb and
+mc_traced_mib.
 """
 
 import argparse
@@ -50,6 +53,8 @@ COUNTERS = ("models.f_calls", "models.jac_calls", "models.q_calls",
             "cli.artifact_bytes")
 DC_ARGV = ["dc", "--model", "builtin:diode-rectifier", "--order", "4"]
 IMPORT_RUNS = 15
+MC_STAGES = 40
+MC_SAMPLES = (10_000, 40_000)
 
 
 def _least(fn, repeats: int) -> float:
@@ -148,6 +153,29 @@ def _job_rss_mb(checkout: str, names) -> dict:
     return out
 
 
+def _mc_traced_mib() -> dict:
+    """The traced peak of run_mc DC on the MC_STAGES-stage ladder of the
+    benchmark's generator (seed 0), per sample count, in MiB."""
+    import tracemalloc
+
+    import workloads
+    from uqsim import netlist
+    from uqsim.montecarlo import run_mc
+
+    model = netlist.elaborate(netlist.parse_netlist(
+        workloads.ladder_netlist(MC_STAGES, 0)))
+    out = {"stages": MC_STAGES}
+    for n in MC_SAMPLES:
+        tracemalloc.start()
+        try:
+            run_mc(model, "dc", n, 0)
+            out[f"samples_{n}"] = round(
+                tracemalloc.get_traced_memory()[1] / 2 ** 20, 2)
+        finally:
+            tracemalloc.stop()
+    return out
+
+
 def layers(checkout: str, names, anova_stages: int, repeats: int) -> dict:
     src = os.path.join(checkout, "src")
     import_ms = round(_import_ms(src), 3)
@@ -184,6 +212,7 @@ def layers(checkout: str, names, anova_stages: int, repeats: int) -> dict:
             raise SystemExit("anova_expansion.json: the writer changed bytes")
         out["anova_json"] = {"stages": anova_stages, "bytes": len(text),
                              "ms": round(_least(write, repeats), 3)}
+    out["mc_traced_mib"] = _mc_traced_mib()
     return out
 
 
@@ -263,8 +292,8 @@ def compare(args) -> dict:
                     raise SystemExit(f"{side}: {name} moved between runs")
     doc["layers_ms"] = {side: _least_fields(r) for side, r in
                         layer_runs.items()}
-    doc["job_rss_mb"] = {side: doc["layers_ms"][side].pop("job_rss_mb")
-                         for side in sides}
+    for key in ("job_rss_mb", "mc_traced_mib"):
+        doc[key] = {side: doc["layers_ms"][side].pop(key) for side in sides}
     doc["trace_spectral_seed0"] = trace
     return doc
 

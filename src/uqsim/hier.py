@@ -310,8 +310,14 @@ def density_by_sampling(s: Surrogate, n_samples: int = SAMPLING_DEFAULT,
     three interquartile ranges outside the quartiles are treated as
     outliers and dropped, so heavy-tailed surrogates lose tail mass; the
     quadrature route has no such truncation.
+
+    The samples are those of sample_parameters(s.distributions,
+    n_samples, seed), drawn and evaluated in blocks of eval_many's own
+    rows, so each block's product rounds as one whole evaluation would and
+    only the (n_samples,) values are kept; a count whose values exceed
+    montecarlo.MEMORY_BUDGET raises ValueError before any allocation.
     """
-    from .montecarlo import sample_parameters
+    from .montecarlo import _check_budget, _sample_blocks
 
     if n_samples < SAMPLING_MIN:
         raise ValueError(
@@ -319,9 +325,11 @@ def density_by_sampling(s: Surrogate, n_samples: int = SAMPLING_DEFAULT,
     if any(d is None for d in s.distributions):
         raise ValueError("sampling route needs the block input "
                          "distributions; use the quadrature route")
-    xis = sample_parameters(s.distributions, n_samples, seed)
-    z = s.zeta.eval_many(xis).ravel()
-    del xis
+    _check_budget(n_samples, 8)
+    z = np.empty(n_samples)
+    for lo, xis in _sample_blocks(s.distributions, n_samples, seed,
+                                  s.zeta._block_rows):
+        z[lo:lo + len(xis)] = s.zeta.eval_many(xis)[:, 0]
     z.sort()
     z_min, z_max = float(z[0]), float(z[-1])
     if z_max - z_min <= 1e-14:

@@ -73,7 +73,7 @@ TENSOR_NODE_CAP = 2 ** 20
 
 # The byte budget of the library's stacked work: Newton and recovery
 # stacks (stsolver), blocks of rows of a basis matrix (eval_many) and of
-# quantile transforms (montecarlo.sample_parameters) take about this many
+# quantile transforms and histograms (montecarlo) take about this many
 # bytes at a time; the planned LU's row blocks take stsolver.LU_BLOCK_BYTES
 CHUNK_BYTES = 1 << 20
 
@@ -902,18 +902,24 @@ def total_degree_index_set(dimension: int, order: int) -> MultiIndexSet:
 
 def _basis_matrix(index_set: MultiIndexSet, bases: Sequence[OrthoBasis],
                   points: np.ndarray) -> np.ndarray:
-    """(N, K) matrix of basis values at N points."""
+    """(N, K) matrix of basis values at N points.
+
+    A degree-0 factor is exactly 1.0 (norms[0] is 1 for a probability
+    measure), so each axis multiplies only the columns whose degree on it
+    is nonzero, with the bits of multiplying them all."""
     if len(bases) != index_set.dimension:
         raise ValueError("one univariate basis per dimension is required")
     out = np.ones((points.shape[0], len(index_set)))
     for k, basis in enumerate(bases):
-        maxdeg = int(index_set.indices[:, k].max()) if len(index_set) else 0
+        deg = index_set.indices[:, k]
+        maxdeg = int(deg.max()) if len(index_set) else 0
         if maxdeg > basis.order:
             raise ValueError(
                 f"index set uses degree {maxdeg} in dimension {k} but the "
                 f"basis there has order {basis.order}")
-        table = basis.eval_table(points[:, k])
-        out *= table[:, index_set.indices[:, k]]
+        cols = np.flatnonzero(deg)
+        if cols.size:
+            out[:, cols] *= basis.eval_table(points[:, k])[:, deg[cols]]
     return out
 
 
@@ -954,6 +960,12 @@ class GpcExpansion(_Immutable):
     def n_outputs(self) -> int:
         return self.coefficients.shape[1]
 
+    @property
+    def _block_rows(self) -> int:
+        """Rows of one single-output eval_many block: about CHUNK_BYTES of
+        basis values, a multiple of 64 rows."""
+        return max(64, CHUNK_BYTES // (8 * len(self.index_set)) // 64 * 64)
+
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """(N, n) values at N points, given as (N, d), or as (N,) when
         d = 1; no support checking.
@@ -975,9 +987,8 @@ class GpcExpansion(_Immutable):
                 f"points of shape {points.shape} are not (N, "
                 f"{self.dimension}): the expansion has {self.dimension} "
                 f"random inputs")
-        rows = max(64, CHUNK_BYTES // (8 * len(self.index_set)) // 64 * 64)
-        if self.n_outputs > 1:
-            rows = max(1, len(points))
+        rows = (self._block_rows if self.n_outputs == 1
+                else max(1, len(points)))
         out = np.empty((len(points), self.n_outputs))
         for lo in range(0, len(points), rows):
             out[lo:lo + rows] = (

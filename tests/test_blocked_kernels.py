@@ -21,10 +21,11 @@ import pytest
 
 from uqsim import hier, montecarlo, polychaos
 from uqsim.polychaos import (KAPPA_FLOOR, DegenerateMeasureError,
-                             Distribution, GpcExpansion, QuadratureRule,
-                             _basis_matrix, discrete_stieltjes, golub_welsch,
-                             monotone_cubic, stieltjes_basis,
-                             total_degree_index_set)
+                             Distribution, GpcExpansion, MultiIndexSet,
+                             QuadratureRule, _basis_matrix,
+                             discrete_stieltjes, golub_welsch,
+                             make_standard_basis, monotone_cubic,
+                             stieltjes_basis, total_degree_index_set)
 from uqsim.stsolver import standard_bases
 
 UNIF = Distribution.uniform(-1.0, 2.0)
@@ -39,6 +40,14 @@ TRI = Distribution.custom(lambda x: 1.0 - np.abs(x), (-1.0, 1.0))
 def eval_many_whole(exp, points):
     """The whole (N, K) basis matrix times the coefficients."""
     return _basis_matrix(exp.index_set, exp.bases, points) @ exp.coefficients
+
+
+def basis_matrix_every_column(index_set, bases, points):
+    """Every column times every axis's table, degree-0 factors included."""
+    out = np.ones((points.shape[0], len(index_set)))
+    for k, basis in enumerate(bases):
+        out *= basis.eval_table(points[:, k])[:, index_set.indices[:, k]]
+    return out
 
 
 def sample_parameters_whole(distributions, n, seed):
@@ -197,6 +206,47 @@ def test_eval_many_blocks_on_a_one_input_expansion(monkeypatch):
     assert_same_bits(exp.eval_many(x), eval_many_whole(exp, x[:, None]))
 
 
+FAMILY_BASES = {
+    "uniform": make_standard_basis(UNIF, 5),
+    "gaussian": make_standard_basis(GAUSS, 5),
+    "gamma": make_standard_basis(Distribution.gamma(2.0), 5),
+    "beta": make_standard_basis(Distribution.beta(2.0, 3.0), 5),
+    "custom": stieltjes_basis(TRI, 5),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_BASES))
+def test_degree_zero_basis_values_are_exactly_one(family):
+    # _basis_matrix skips these factors on the strength of this
+    basis = FAMILY_BASES[family]
+    x = basis.distribution.inv_cdf(np.random.default_rng(1).random(1000))
+    table = basis.eval_table(x)
+    assert table.shape == (1000, 6)
+    assert np.all(table[:, 0] == 1.0)
+
+
+def anova_index_set(d, p, m):
+    """The total-degree-p multi-indices with at most m nonzero degrees, as
+    the anchored decomposition's union of order-m terms holds them."""
+    idx = total_degree_index_set(d, p).indices
+    return MultiIndexSet(d, p, idx[np.count_nonzero(idx, axis=1) <= m])
+
+
+@pytest.mark.parametrize("index_set", [
+    total_degree_index_set(4, 3),
+    anova_index_set(8, 3, 2),
+    anova_index_set(8, 3, 1),
+], ids=["total-degree", "anova-m2", "anova-m1"])
+def test_basis_matrix_skips_degree_zero_factors_with_the_same_bits(
+        index_set):
+    bases = [FAMILY_BASES[f] for f in sorted(FAMILY_BASES)]
+    bases = (bases * 2)[:index_set.dimension]
+    pts = montecarlo.sample_parameters(
+        [b.distribution for b in bases], 3_000, 7)
+    assert_same_bits(_basis_matrix(index_set, bases, pts),
+                     basis_matrix_every_column(index_set, bases, pts))
+
+
 def stieltjes_measures():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(1001) * 3.0 - 1.0          # negative points
@@ -240,6 +290,23 @@ def test_sample_parameters_blocks_give_whole_column_bits(dists, n, rows,
         monkeypatch.setattr(montecarlo, "QUANTILE_ROWS", rows)
     assert_same_bits(montecarlo.sample_parameters(dists, n, 11),
                      sample_parameters_whole(dists, n, 11))
+
+
+def test_sampling_route_streams_the_values_of_one_draw(monkeypatch):
+    # the route draws and evaluates block by block; the sorted values it
+    # fits, and so the whole fit, are those of one (n, d) draw evaluated
+    # by eval_many, across three block boundaries and a short last block
+    s = hier.normalize_surrogate(random_expansion([UNIF, GAUSS, TRI], 3, 1))
+    n = 3 * s.zeta._block_rows + 17
+    fitted = []
+    sorted_quantiles = hier._sorted_quantiles
+    monkeypatch.setattr(hier, "_sorted_quantiles",
+                        lambda z, q: fitted.append(z.copy())
+                        or sorted_quantiles(z, q))
+    hier.density_by_sampling(s, n, 5)
+    want = np.sort(s.zeta.eval_many(
+        montecarlo.sample_parameters(s.distributions, n, 5)).ravel())
+    assert_same_bits(fitted[0], want)
 
 
 def test_from_pushforward_gives_the_whole_array_bits():

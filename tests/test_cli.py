@@ -1014,14 +1014,15 @@ def test_selection_beyond_the_node_bound_is_refused_up_front(
 
 
 def test_impossible_allocation_is_user_error(tmp_path, capsys):
-    # 10^13 samples of 2 inputs are 146 TiB, beyond the address space, so
-    # the allocation is refused before any memory is touched
+    # 10^13 samples of 2 inputs are 146 TiB, beyond the address space; the
+    # sampling memory budget refuses the run before any memory is touched
     rc = cli.main(["mc", "--samples", "10000000000000",
                    "--outdir", str(tmp_path / "out")] + DIODE)
     assert rc == 1
     error = capture_error(capsys)
     assert error["error"] == "config"
-    assert "Unable to allocate" in error["message"]
+    assert "montecarlo.MEMORY_BUDGET" in error["message"]
+    assert "10,000,000,000,000 samples" in error["message"]
 
 
 def test_block_with_the_whole_pushforward_loads_alike(tmp_path, monkeypatch):

@@ -1,18 +1,112 @@
 """Monte Carlo engine: sampling, aggregation, reproducibility, budget."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from uqsim import cli, models, netlist
+from uqsim import cli, hier, models, montecarlo, netlist, stsolver
 from uqsim.models import algebraic_model
 from uqsim.montecarlo import McResult, run_mc, sample_parameters
 from uqsim.polychaos import (Distribution, GpcExpansion, make_standard_basis,
                              total_degree_index_set)
-from uqsim.stsolver import SolverError, integrate_deterministic, newton_dc
+from uqsim.stsolver import (SolverError, SolverOptions, _integrate_points,
+                            _solve_dc_rows, integrate_deterministic,
+                            newton_dc)
 
 DIVIDER_VARIED = ("V1 1 0 1\nR1 1 2 1k\n"
                   "R2 2 0 1k variation=relative:uniform(0.9,1.1)\n")
+
+
+UNIT = (Distribution.uniform(0.0, 1.0),)
+
+
+def failing_at(lo, hi):
+    """x = xi, except that the sample xi = lo has a singular Jacobian and
+    xi = hi an unsolvable equation."""
+    def f(x, xi, t):
+        x, xi = np.asarray(x), np.asarray(xi)
+        return np.where(xi == lo, 0.0 * x - 1.0,
+                        np.where(xi == hi, x * x + 1.0, x - xi))
+
+    def df_dx(x, xi, t):
+        x, xi = np.asarray(x), np.asarray(xi)
+        return np.where(xi == lo, 0.0, np.where(
+            xi == hi, 2.0 * x, 1.0))[..., None]
+
+    return models.StochasticDae(
+        n=1, d=1, distributions=UNIT, q=lambda x, xi: 0.0 * x,
+        f=f, df_dx=df_dx, x0_guess=np.array([0.3]))
+
+
+def ladder_netlist(stages: int) -> str:
+    """Diode-RC ladder with one relative resistor variation per stage."""
+    lines = ["V1 n0 0 1.0"]
+    for k in range(1, stages + 1):
+        lines += [f"R{k} n{k - 1} n{k} 1k variation=relative:uniform(0.9,1.1)",
+                  f"D{k} n{k} 0 is=1e-9 nvt=0.02585", f"C{k} n{k} 0 1u"]
+    return "\n".join(lines) + "\n"
+
+
+def ladder(stages: int):
+    return netlist.elaborate(netlist.parse_netlist(ladder_netlist(stages)))
+
+
+def run_mc_one_draw(model, analysis, n, seed, t_end=None):
+    """run_mc with its sampling up front: one (n, d) draw whose rows the
+    stacks solve, a failure mask whose failed rows a copy drops, whole
+    column histograms and a centred copy; (n_failed, mean, variance,
+    stderr, stderr_std, histograms)."""
+    options = SolverOptions()
+    xis = sample_parameters(model.distributions, n, seed)
+    nominal = newton_dc(model, model.nominal_parameters())
+    results = np.empty((n, model.n))
+    failed = np.zeros(n, dtype=bool)
+    chunk = montecarlo._stack_rows(model.n, analysis)
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        if analysis == "dc":
+            results[lo:hi], _, ok = _solve_dc_rows(
+                model, xis[lo:hi], nominal[None], options)
+            failed[lo:hi] = ~ok
+        else:
+            _, (X,), _, _ = _integrate_points(
+                model, xis[lo:hi], np.tile(nominal, (hi - lo, 1)),
+                (0.0, t_end), options, own_clocks=True)
+            results[lo:hi] = X
+            failed[lo:hi] = np.isnan(X).any(axis=1)
+    samples = results[~failed]
+    kept = len(samples)
+    mean = samples.mean(axis=0)
+    variance = samples.var(axis=0, ddof=1)
+    std = np.sqrt(variance)
+    m4 = np.power(samples - mean, 4).mean(axis=0)
+    var_s2 = np.maximum(m4 - variance ** 2, 0.0) / kept
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stderr_std = np.where(std > 0, np.sqrt(var_s2) / (2 * std), 0.0)
+    hists = [np.histogram(col, bins=montecarlo.HISTOGRAM_BINS)[::-1]
+             for col in samples.T]
+    return n - kept, mean, variance, std / np.sqrt(kept), stderr_std, hists
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_one_draw_bits(mc, want):
+    n_failed, mean, variance, stderr, stderr_std, hists = want
+    assert mc.n_failed == n_failed
+    for got, ref in ((mc.mean, mean), (mc.variance, variance),
+                     (mc.stderr, stderr), (mc.stderr_std, stderr_std)):
+        assert_same_bits(got, ref)
+    assert len(mc.histograms) == len(hists)
+    for (edges, counts), (ref_edges, ref_counts) in zip(mc.histograms, hists):
+        assert_same_bits(edges, ref_edges)
+        assert_same_bits(counts, ref_counts)
 
 
 class TestSampling:
@@ -135,34 +229,15 @@ class TestRunMc:
             run_mc(bad, "dc", n=200, seed=2)
 
     def test_failed_rows_count_against_the_budget(self):
-        # the smallest sample has a singular Jacobian and the largest an
-        # unsolvable equation; every other sample solves x = xi
-        dists = (Distribution.uniform(0.0, 1.0),)
-
-        def model(lo, hi):
-            def f(x, xi, t):
-                x, xi = np.asarray(x), np.asarray(xi)
-                return np.where(xi == lo, 0.0 * x - 1.0,
-                                np.where(xi == hi, x * x + 1.0, x - xi))
-
-            def df_dx(x, xi, t):
-                x, xi = np.asarray(x), np.asarray(xi)
-                return np.where(xi == lo, 0.0, np.where(
-                    xi == hi, 2.0 * x, 1.0))[..., None]
-
-            return models.StochasticDae(
-                n=1, d=1, distributions=dists, q=lambda x, xi: 0.0 * x,
-                f=f, df_dx=df_dx, x0_guess=np.array([0.3]))
-
-        xis = sample_parameters(dists, 2000, seed=3)[:, 0]   # budget 2
-        mc = run_mc(model(xis.min(), xis.max()), "dc", n=2000, seed=3)
+        xis = sample_parameters(UNIT, 2000, seed=3)[:, 0]   # budget 2
+        mc = run_mc(failing_at(xis.min(), xis.max()), "dc", n=2000, seed=3)
         assert (mc.n_failed, mc.n_samples) == (2, 1998)
         solvable = np.sort(xis)[1:-1]
         assert mc.mean[0] == pytest.approx(solvable.mean(), abs=1e-12)
 
-        xis = sample_parameters(dists, 1000, seed=3)[:, 0]   # budget 1
+        xis = sample_parameters(UNIT, 1000, seed=3)[:, 0]   # budget 1
         with pytest.raises(SolverError, match="2 of 1000 samples"):
-            run_mc(model(xis.min(), xis.max()), "dc", n=1000, seed=3)
+            run_mc(failing_at(xis.min(), xis.max()), "dc", n=1000, seed=3)
 
     def test_one_sample_has_zero_spread(self):
         mc = run_mc(models.builtin_model("diode_rectifier"), "dc", 1, 0)
@@ -248,3 +323,119 @@ class TestResultInvariants:
         assert lines[0] == "output,mean,std,stderr_mean,stderr_std"
         assert [row.split(",")[0] for row in lines[1:]] == list(labels)
         assert lines[1].startswith("v(1),")
+
+
+class TestStreamed:
+    """run_mc draws, solves and aggregates stack by stack; its results are
+    those of the one-draw run, bit for bit."""
+
+    def test_dc_across_two_stack_boundaries(self):
+        model = ladder(8)
+        rows = montecarlo._stack_rows(model.n, "dc")
+        assert rows == 2 ** 20 // (8 * 16 * 10) == 819   # 10 states
+        assert rows < stsolver._chunk_rows(model.n)
+        n = 2 * rows + 17
+        assert_one_draw_bits(run_mc(model, "dc", n, 4),
+                             run_mc_one_draw(model, "dc", n, 4))
+
+    def test_dc_with_failed_rows_in_several_stacks(self, monkeypatch):
+        # stacks of 700 rows; the two failed samples fall in two of them
+        monkeypatch.setattr(stsolver, "CHUNK_BYTES", 16 * 700)
+        assert montecarlo._stack_rows(1, "dc") == 700
+        xis = sample_parameters(UNIT, 2000, seed=3)[:, 0]
+        assert np.argmin(xis) // 700 != np.argmax(xis) // 700
+        model = failing_at(xis.min(), xis.max())
+        mc = run_mc(model, "dc", 2000, 3)
+        assert mc.n_failed == 2
+        assert_one_draw_bits(mc, run_mc_one_draw(model, "dc", 2000, 3))
+
+    def test_transient_across_two_stack_boundaries(self, monkeypatch):
+        model = ladder(3)
+        # stacks of 7 samples, each on its own clock
+        monkeypatch.setattr(stsolver, "CHUNK_BYTES", 8 * 5 * 6 * 7)
+        assert montecarlo._stack_rows(model.n, "transient") == 7
+        assert_one_draw_bits(
+            run_mc(model, "transient", 17, 2, t_end=2e-3),
+            run_mc_one_draw(model, "transient", 17, 2, t_end=2e-3))
+
+    def test_each_stack_draws_only_its_own_rows(self, monkeypatch):
+        drawn = []
+        blocks = montecarlo._sample_blocks
+
+        def recording(*args):
+            for lo, xis in blocks(*args):
+                drawn.append(xis.shape)
+                yield lo, xis
+
+        monkeypatch.setattr(montecarlo, "_sample_blocks", recording)
+        run_mc(ladder(8), "dc", 1655, 4)
+        assert drawn == [(819, 8), (819, 8), (17, 8)]
+
+    def test_dc_memory_on_a_40_stage_ladder(self):
+        # the (40,000, 42) results and np.var's temporary of their size
+        # are 25.6 MiB; sampling up front, the centred copy and a stack of
+        # twice the rows made 39.5 MiB, and this measured 25.8 MiB
+        model = ladder(40)
+        tracemalloc.start()
+        try:
+            mc = run_mc(model, "dc", 40_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mc.n_samples == 40_000 and model.n == 42
+        assert peak < 27 * 2 ** 20
+
+
+class TestMemoryBudget:
+    """What grows with the sample count is refused above MEMORY_BUDGET
+    before anything is allocated."""
+
+    def test_run_mc_refuses_above_the_budget(self, monkeypatch):
+        model = ladder(3)                     # 5 states: 80 bytes a sample
+        monkeypatch.setattr(montecarlo, "MEMORY_BUDGET", 80 * 1000)
+        assert run_mc(model, "dc", 1000, 1).n_samples == 1000
+
+        def guard(*args):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(montecarlo, "_sample_blocks", guard)
+        monkeypatch.setattr(montecarlo, "newton_dc", guard)
+        for analysis in ("dc", "transient"):
+            with pytest.raises(ValueError) as err:
+                run_mc(model, analysis, 1001, 1, t_end=1.0)
+            for words in ("1,001 samples", "80,080 bytes", "80,000 bytes",
+                          "montecarlo.MEMORY_BUDGET"):
+                assert words in str(err.value)
+
+    def test_d0_runs_hold_nothing_per_sample(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "MEMORY_BUDGET", 0)
+        dae = algebraic_model(
+            lambda xi: np.broadcast_to([1.0], xi.shape[:-1] + (1,)), (),
+            n_outputs=1)
+        assert run_mc(dae, "dc", 10 ** 6, 1).n_samples == 10 ** 6
+
+    def test_sampled_density_refuses_above_the_budget(self, monkeypatch):
+        basis = make_standard_basis(Distribution.gaussian(0.0, 1.0), 2)
+        exp = GpcExpansion(total_degree_index_set(1, 2), [0.0, 1.0, 0.5],
+                           (basis,))
+        s = hier.normalize_surrogate(exp)
+        monkeypatch.setattr(montecarlo, "MEMORY_BUDGET", 8 * 20_000)
+        assert hier.density_by_sampling(s, 20_000, 1).kind == "sampled"
+        monkeypatch.setattr(montecarlo, "_sample_blocks", None)  # not called
+        with pytest.raises(ValueError, match="MEMORY_BUDGET"):
+            hier.density_by_sampling(s, 20_001, 1)
+
+    def test_cli_exits_1_with_one_json_line(self, tmp_path, monkeypatch,
+                                            capsys):
+        monkeypatch.setattr(montecarlo, "MEMORY_BUDGET", 1000)
+        path = tmp_path / "divider.cir"
+        path.write_text(DIVIDER_VARIED)
+        rc = cli.main(["mc", "--netlist", str(path), "--samples", "100",
+                       "--outdir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err
+        error = json.loads(err)
+        assert error["error"] == "config"
+        assert "montecarlo.MEMORY_BUDGET" in error["message"]
+        assert not (tmp_path / "out").exists()

@@ -58,6 +58,10 @@ def test_overhead_bench_times_a_checkouts_layers(tmp_path):
                         "spectral/dc-ladder8", "spectral/tran-plate",
                         "spectral/tran-ladder4"}
     assert all(mb >= rss["import_only"] > 0 for mb in rss.values())
+    # run_mc's traced peak on the 40-stage ladder grows with the samples
+    mc = doc["mc_traced_mib"]
+    assert mc["stages"] == 40
+    assert 0 < mc["samples_10000"] < mc["samples_40000"]
 
 
 def test_job_artifacts_writes_a_checkouts_artifacts(tmp_path):
